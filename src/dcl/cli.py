@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .coloring import parse_color_measure
@@ -24,6 +23,8 @@ from .harness import (
     run_quenched_clt,
     run_quenched_lln,
     run_weighted_lln_check,
+    seed_audit,
+    timed,
 )
 from .lattice import build_box
 from .percolation import (
@@ -31,8 +32,7 @@ from .percolation import (
     PROXY_RULES,
     default_window_margin,
     estimate_functionals,
-    label_clusters,
-    sample_config,
+    map_labelings,
     square_sums,
 )
 from .rng import derive_rng
@@ -260,6 +260,8 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
 
 def _json_ready(value):
     """Recursively coerce a report object into JSON-safe primitives."""
+    if hasattr(value, "to_dict"):  # laws, color measures, test reports
+        return _json_ready(value.to_dict())
     if isinstance(value, dict):
         return {str(k): _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -273,12 +275,13 @@ def _json_ready(value):
     return str(value)
 
 
-def _report_from_result(result: RunResult) -> dict:
+def _report(result: RunResult, config: dict) -> dict:
+    """The one report layout every subcommand writes."""
     return {
-        "config": {"experiment": result.experiment, **result.config.to_dict()},
+        "config": {"experiment": result.experiment, **config},
         "estimates": result.estimates,
-        "predictions": {name: law.to_dict() for name, law in result.predictions.items()},
-        "tests": [t.to_dict() for t in result.tests],
+        "predictions": result.predictions,
+        "tests": result.tests,
         "seeds": result.seeds,
         "timing": result.timing,
     }
@@ -313,7 +316,8 @@ _HARNESS_RUNS = {
 }
 
 
-def _execute_estimate(invocation: CliInvocation) -> int:
+@timed
+def _run_estimate(invocation: CliInvocation) -> RunResult:
     config = invocation.config
     lattice = build_box(config.d, config.n_max)
     estimates = estimate_functionals(
@@ -324,61 +328,55 @@ def _execute_estimate(invocation: CliInvocation) -> int:
         margin=config.margin,
         proxy_rule=config.proxy_rule,
     )
-    report = {
-        "config": {"experiment": "estimate", **config.to_dict()},
-        "estimates": dataclasses.asdict(estimates),
-        "predictions": {},
-        "tests": [],
-        "seeds": {"master_seed": config.master_seed, "streams": {"graph": config.graph_replicates}},
-        "timing": {},
-    }
-    _emit(report, {}, invocation)
-    return EXIT_PASS
+    return RunResult(
+        experiment="estimate",
+        config=config,
+        estimates=asdict(estimates),
+        seeds=seed_audit(config.master_seed, [("graph", config.graph_replicates)]),
+    )
 
 
-def _execute_gamma_sample(invocation: CliInvocation) -> int:
+@timed
+def _run_gamma_sample(invocation: CliInvocation) -> RunResult:
     opts = invocation.options
     nu = opts["nu"]
     sampler = gamma_sampler(opts["chi_f"], opts["sigma_p2"], nu)
     law = gamma_law(REGIME_SUPERCRITICAL, opts["chi_f"], nu.variance, opts["sigma_p2"], nu)
-    rng = derive_rng(opts["master_seed"], "gamma-sample")
-    draws = sampler.sample(rng, opts["samples"])
-    report = {
-        "config": {
-            "experiment": "gamma-sample",
-            "nu": nu.to_dict(),
-            "chi_f": opts["chi_f"],
-            "sigma_p2": opts["sigma_p2"],
-            "samples": opts["samples"],
-            "master_seed": opts["master_seed"],
-        },
-        "estimates": {"draw_summary": summarize(draws).to_dict()},
-        "predictions": {"gamma": law.to_dict()},
-        "tests": [],
-        "seeds": {"master_seed": opts["master_seed"], "streams": {"gamma-sample": 1}},
-        "timing": {},
-    }
-    _emit(report, {"gamma_draw": [float(v) for v in draws]}, invocation)
-    return EXIT_PASS
+    draws = sampler.sample(derive_rng(opts["master_seed"], "gamma-sample"), opts["samples"])
+    return RunResult(
+        experiment="gamma-sample",
+        config=None,
+        estimates={"draw_summary": summarize(draws).to_dict()},
+        seeds=seed_audit(opts["master_seed"], [("gamma-sample", 1)]),
+        predictions={"gamma": law},
+        samples={"gamma_draw": [float(v) for v in draws]},
+    )
 
 
-def _execute_check_identity(invocation: CliInvocation) -> int:
+@timed
+def _run_check_identity(invocation: CliInvocation) -> RunResult:
     opts = invocation.options
     seed = opts["master_seed"]
     tests = []
     counts: dict[str, dict[str, int]] = {}
+    streams = []
     for radius in opts["radii"]:
         lattice = build_box(opts["d"], radius)
         margin = opts["margin"] if opts["margin"] is not None else default_window_margin(lattice)
         for p in opts["p_values"]:
-            violations = 0
-            for i in range(opts["configs"]):
-                graph = sample_config(lattice, p, seed, f"identity:{radius}:{p!r}:{i}")
-                labeling = label_clusters(graph, opts["proxy_rule"])
-                per_site, per_cluster = square_sums(labeling, margin)
-                if per_site != per_cluster:
-                    violations += 1
+            role = f"identity:{radius}:{p!r}"
+            sums = map_labelings(
+                lattice,
+                p,
+                seed,
+                role,
+                opts["configs"],
+                lambda i, labeling: square_sums(labeling, margin),
+                proxy_rule=opts["proxy_rule"],
+            )
+            violations = sum(1 for per_site, per_cluster in sums if per_site != per_cluster)
             counts[f"n={radius},p={p!r}"] = {"configs": opts["configs"], "violations": violations}
+            streams.append((role, opts["configs"]))
             tests.append(
                 exact_check_report(
                     violations == 0,
@@ -387,30 +385,30 @@ def _execute_check_identity(invocation: CliInvocation) -> int:
                     f"configs at n={radius}, p={p!r}",
                 )
             )
-    report = {
-        "config": {"experiment": "check-identity", **{k: v for k, v in opts.items() if k != "nu"}},
-        "estimates": counts,
-        "predictions": {},
-        "tests": [t.to_dict() for t in tests],
-        "seeds": {"master_seed": seed, "streams": {"identity": len(counts) * opts["configs"]}},
-        "timing": {},
-    }
-    _emit(report, {}, invocation)
-    return EXIT_PASS if all(t.passed for t in tests) else EXIT_TEST_FAILURE
+    return RunResult(
+        experiment="check-identity",
+        config=None,
+        estimates=counts,
+        seeds=seed_audit(seed, streams),
+        tests=tests,
+    )
+
+
+_CLI_RUNS = {
+    "estimate": _run_estimate,
+    "gamma-sample": _run_gamma_sample,
+    "check-identity": _run_check_identity,
+}
 
 
 def execute(invocation: CliInvocation) -> int:
     """Run the experiment behind a parsed invocation; returns the exit status."""
-    if invocation.subcommand == "estimate":
-        return _execute_estimate(invocation)
-    if invocation.subcommand == "gamma-sample":
-        return _execute_gamma_sample(invocation)
-    if invocation.subcommand == "check-identity":
-        return _execute_check_identity(invocation)
-
-    run = _HARNESS_RUNS[(invocation.subcommand, invocation.config.mode)]
-    result = run(invocation.config)
-    _emit(_report_from_result(result), result.samples, invocation)
+    if invocation.subcommand in _CLI_RUNS:
+        result = _CLI_RUNS[invocation.subcommand](invocation)
+    else:
+        result = _HARNESS_RUNS[(invocation.subcommand, invocation.config.mode)](invocation.config)
+    config = invocation.config.to_dict() if invocation.config is not None else invocation.options
+    _emit(_report(result, config), result.samples, invocation)
     return EXIT_PASS if result.passed() else EXIT_TEST_FAILURE
 
 

@@ -232,10 +232,3 @@ def color_clusters(
     colors.setflags(write=False)
     z = float(colors[labeling.infinite_proxy]) if labeling.infinite_proxy is not None else 0.0
     return ColorField(labeling=labeling, cluster_color=colors, z=z)
-
-
-def field_mean(field: ColorField, window_sites: np.ndarray) -> float:
-    """Mean color over a set of sites."""
-    if window_sites.shape[0] == 0:
-        raise ValueError("window is empty")
-    return float(field.values(window_sites).mean())

@@ -9,25 +9,27 @@ every replicate draws from its own derived stream.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import ColorMeasure, color_clusters, parse_color_measure
+from .coloring import ColorField, ColorMeasure, color_clusters, parse_color_measure
 from .lattice import BoxLattice, build_box, inner_window
 from .percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_RULES,
+    ClusterLabeling,
     PercolationEstimates,
     default_window_margin,
     estimate_functionals,
-    label_clusters,
     labeling_functionals,
-    sample_config,
+    map_labelings,
+    map_ordered,
+    pool_functionals,
     square_sum_density,
     warn_if_near_critical,
 )
@@ -94,8 +96,6 @@ class ExperimentConfig:
     variance_rtol_asymptotic: float = 0.15
     ratio_rtol: float = 0.15
     reference_draws: int = 100_000
-    out_path: str | None = None
-    out_format: str = "json"
 
     def __post_init__(self) -> None:
         if isinstance(self.radii, int):
@@ -129,8 +129,6 @@ class ExperimentConfig:
                 )
         if self.reference_draws < 2:
             raise ValueError("reference_draws must be >= 2")
-        if self.out_format not in ("json", "csv"):
-            raise ValueError(f"output format must be json or csv, got {self.out_format!r}")
 
     @property
     def n_max(self) -> int:
@@ -142,129 +140,121 @@ class ExperimentConfig:
         return default_window_margin(lattice)
 
     def to_dict(self) -> dict:
-        # Execution plumbing (workers, output routing) is deliberately left
-        # out: reports must not depend on how the run was scheduled or where
-        # it was written.
-        return {
-            "d": self.d,
-            "radii": list(self.radii),
-            "p": self.p,
-            "nu": self.nu.to_dict(),
-            "mode": self.mode,
-            "graph_replicates": self.graph_replicates,
-            "color_replicates": self.color_replicates,
-            "master_seed": self.master_seed,
-            "margin": self.margin,
-            "proxy_rule": self.proxy_rule,
-            "regime": self.regime,
-            "ks_level": self.ks_level,
-            "lln_tolerance": self.lln_tolerance,
-            "tv_tolerance": self.tv_tolerance,
-            "atom_tolerance": self.atom_tolerance,
-            "variance_rtol": self.variance_rtol,
-            "variance_rtol_asymptotic": self.variance_rtol_asymptotic,
-            "ratio_rtol": self.ratio_rtol,
-            "reference_draws": self.reference_draws,
-        }
+        # The worker count is deliberately left out: reports must not depend
+        # on how the run was scheduled.
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        out["radii"] = list(self.radii)
+        out["nu"] = self.nu.to_dict()
+        return out
 
 
 @dataclass
 class RunResult:
-    """Everything one harness run produced."""
+    """Everything one run produced; config is None when no ExperimentConfig describes the run."""
 
     experiment: str
-    config: ExperimentConfig
-    records: list[dict]
+    config: ExperimentConfig | None
     estimates: dict
-    predictions: dict[str, LimitLaw]
-    tests: list[TestReport]
     seeds: dict
-    timing: dict
+    records: list[dict] = field(default_factory=list)
+    predictions: dict[str, LimitLaw] = field(default_factory=dict)
+    tests: list[TestReport] = field(default_factory=list)
+    timing: dict = field(default_factory=dict)
     samples: dict[str, list[float]] = field(default_factory=dict)
 
     def passed(self) -> bool:
         return all(t.passed for t in self.tests)
 
 
-def _map_indexed(fn: Callable[[int], object], count: int, workers: int) -> list:
-    """Apply fn to 0..count-1, reducing in index order regardless of scheduling."""
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    results: list = [None] * count
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i) for i in range(count)]
-        for i, fut in enumerate(futures):
-            results[i] = fut.result()
-    return results
+def timed(run: Callable[..., RunResult]) -> Callable[..., RunResult]:
+    """Wrap a run so that its result records the wall time the run took."""
+
+    @functools.wraps(run)
+    def timed_run(*args, **kwargs) -> RunResult:
+        t0 = time.perf_counter()
+        result = run(*args, **kwargs)
+        result.timing = {"wall_seconds": time.perf_counter() - t0}
+        return result
+
+    return timed_run
 
 
-def _seed_audit(master_seed: int, streams: list[tuple[str, int]]) -> dict:
+def seed_audit(master_seed: int, streams: list[tuple[str, int]]) -> dict:
+    """The seeds block of a report: each stream role drawn and how often."""
     return {
         "master_seed": master_seed,
         "streams": [{"role": role, "count": count} for role, count in streams],
     }
 
 
-def _pool_rows(rows: list[dict], lattice: BoxLattice, margin: int, proxy_rule: str) -> PercolationEstimates:
-    """Aggregate per-configuration functional rows into pooled estimates."""
-    theta = np.array([r["theta"] for r in rows])
-    chi = np.array([r["chi_f"] for r in rows])
-    kappa = np.array([r["kappa"] for r in rows])
-    ssd = np.array([r["square_sum_density"] for r in rows])
-    proxy_sites = np.array([r["proxy_sites"] for r in rows])
-    count = len(rows)
-
-    def mean_se(v: np.ndarray) -> float:
-        if count < 2:
-            return float("nan")
-        return float(v.std(ddof=1)) / math.sqrt(count)
-
-    if count >= 2:
-        sigma_p2 = float(proxy_sites.var(ddof=1)) / lattice.site_count
-        centered = proxy_sites - proxy_sites.mean()
-        s2 = float(np.dot(centered, centered)) / (count - 1)
-        m4 = float(np.mean(centered**4))
-        var_of_var = max(0.0, m4 / count - s2 * s2 * (count - 3) / (count * (count - 1)))
-        sigma_p2_se = math.sqrt(var_of_var) / lattice.site_count
-    else:
-        sigma_p2 = 0.0
-        sigma_p2_se = float("nan")
-
-    return PercolationEstimates(
-        theta_hat=float(theta.mean()),
-        chi_f_hat=float(chi.mean()),
-        kappa_hat=float(kappa.mean()),
-        sigma_p2_hat=sigma_p2,
-        square_sum_density=float(ssd.mean()),
-        theta_se=mean_se(theta),
-        chi_f_se=mean_se(chi),
-        kappa_se=mean_se(kappa),
-        sigma_p2_se=sigma_p2_se,
-        square_sum_se=mean_se(ssd),
-        replicates=count,
-        margin=margin,
-        proxy_rule=proxy_rule,
+def _quenched_graph(
+    config: ExperimentConfig, lattice: BoxLattice, margin: int
+) -> tuple[ClusterLabeling, PercolationEstimates]:
+    """The one graph of a quenched run, plus functionals from separate graphs."""
+    [labeling] = map_labelings(
+        lattice,
+        config.p,
+        config.master_seed,
+        "graph",
+        1,
+        lambda r, labeling: labeling,
+        proxy_rule=config.proxy_rule,
     )
+    est = estimate_functionals(
+        lattice,
+        config.p,
+        config.graph_replicates,
+        config.master_seed,
+        margin,
+        proxy_rule=config.proxy_rule,
+        stream_role="estimate-graph",
+    )
+    return labeling, est
 
 
-def _estimates_dict(est: PercolationEstimates) -> dict:
-    return {
-        "theta_hat": est.theta_hat,
-        "chi_f_hat": est.chi_f_hat,
-        "kappa_hat": est.kappa_hat,
-        "sigma_p2_hat": est.sigma_p2_hat,
-        "square_sum_density": est.square_sum_density,
-        "theta_se": est.theta_se,
-        "chi_f_se": est.chi_f_se,
-        "kappa_se": est.kappa_se,
-        "sigma_p2_se": est.sigma_p2_se,
-        "square_sum_se": est.square_sum_se,
-        "replicates": est.replicates,
-        "margin": est.margin,
-        "proxy_rule": est.proxy_rule,
-    }
+def _colored_replicates(
+    config: ExperimentConfig,
+    lattice: BoxLattice,
+    margin: int,
+    record: Callable[[ClusterLabeling, ColorField], dict] | None = None,
+) -> tuple[list[dict], PercolationEstimates]:
+    """Independent (graph:i, color:i) pairs: one record each, plus pooled functionals.
+
+    Each record holds the replicate index, k_n, the stand-in volume, the
+    windowed square-sum density, the full-box color sum and the stand-in
+    color z, updated with record(labeling, field) when given.
+    """
+    seed = config.master_seed
+
+    def observe(i: int, labeling: ClusterLabeling) -> tuple[dict, dict]:
+        field_ = color_clusters(labeling, config.nu, seed, f"color:{i}")
+        row = labeling_functionals(labeling, margin)
+        rec = {
+            "replicate": i,
+            "k_n": labeling.k_n,
+            "proxy_sites": int(labeling.proxy_site_count()),
+            "square_sum_density": row["square_sum_density"],
+            "color_sum": float(np.dot(labeling.cluster_sizes, field_.cluster_color)),
+            "z": field_.z,
+            **(record(labeling, field_) if record else {}),
+        }
+        return rec, row
+
+    pairs = map_labelings(
+        lattice,
+        config.p,
+        seed,
+        "graph",
+        config.graph_replicates,
+        observe,
+        proxy_rule=config.proxy_rule,
+        workers=config.workers,
+    )
+    rows = [row for _, row in pairs]
+    return [rec for rec, _ in pairs], pool_functionals(rows, lattice, margin, config.proxy_rule)
 
 
+@timed
 def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     """One graph, one coloring: color averages over nested windows.
 
@@ -272,14 +262,12 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     into finite-cluster contributions plus the stand-in cluster term, and
     reports the terminal deviation of the average from its predicted limit.
     """
-    t0 = time.perf_counter()
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
     margin = config.margin_for(lattice)
     seed = config.master_seed
 
-    graph = sample_config(lattice, config.p, seed, "graph:0")
-    labeling = label_clusters(graph, config.proxy_rule)
+    labeling, est = _quenched_graph(config, lattice, margin)
     field_ = color_clusters(labeling, config.nu, seed, "color:0")
 
     trajectory = []
@@ -287,15 +275,6 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
         window = inner_window(lattice, lattice.n - radius)
         trajectory.append(float(field_.values(window).mean()))
 
-    est = estimate_functionals(
-        lattice,
-        config.p,
-        config.graph_replicates,
-        seed,
-        margin,
-        proxy_rule=config.proxy_rule,
-        stream_role="estimate-graph",
-    )
     m = config.nu.mean
     z = field_.z
     target = (1.0 - est.theta_hat) * m + est.theta_hat * z
@@ -327,12 +306,12 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     records = [
         {"window_radius": int(r), "m_k": float(v)} for r, v in zip(config.radii, trajectory)
     ]
-    result = RunResult(
+    return RunResult(
         experiment="quenched-lln",
         config=config,
         records=records,
         estimates={
-            "percolation": _estimates_dict(est),
+            "percolation": asdict(est),
             "m_n": m_n,
             "z": z,
             "predicted_limit": target,
@@ -341,18 +320,15 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
         },
         predictions={"lln-limit": PointMass(value=target)},
         tests=tests,
-        seeds=_seed_audit(
+        seeds=seed_audit(
             seed,
             [("graph", 1), ("color", 1), ("estimate-graph", config.graph_replicates)],
         ),
-        timing={},
         samples={
             "window_radius": [float(r) for r in config.radii],
             "m_k": [float(v) for v in trajectory],
         },
     )
-    result.timing = {"wall_seconds": time.perf_counter() - t0}
-    return result
 
 
 def _atom_bin_tolerance(law: LimitLaw, fallback: float, sample_sd: float) -> float:
@@ -371,6 +347,7 @@ def _atom_bin_tolerance(law: LimitLaw, fallback: float, sample_sd: float) -> flo
     return 0.4999 * min_gap
 
 
+@timed
 def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     """Independent (graph, coloring) pairs: the law of the color average.
 
@@ -379,40 +356,21 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     variation for atomic predictions, by two-sample KS against the law's
     sampler otherwise.
     """
-    t0 = time.perf_counter()
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
     margin = config.margin_for(lattice)
     seed = config.master_seed
     reps = config.graph_replicates
-    m = config.nu.mean
 
-    def one(i: int) -> dict:
-        graph = sample_config(lattice, config.p, seed, f"graph:{i}")
-        labeling = label_clusters(graph, config.proxy_rule)
-        field_ = color_clusters(labeling, config.nu, seed, f"color:{i}")
-        row = labeling_functionals(labeling, margin)
-        m_n = float(np.dot(labeling.cluster_sizes, field_.cluster_color)) / lattice.site_count
-        return {
-            "replicate": i,
-            "m_n": m_n,
-            "z": field_.z,
-            "proxy_sites": int(labeling.proxy_site_count()),
-            "k_n": labeling.k_n,
-            "square_sum_density": row["square_sum_density"],
-            "_row": row,
-        }
-
-    raw = _map_indexed(one, reps, config.workers)
-    rows = [r.pop("_row") for r in raw]
-    est = _pool_rows(rows, lattice, margin, config.proxy_rule)
-    m_samples = np.array([r["m_n"] for r in raw])
+    raw, est = _colored_replicates(config, lattice, margin)
+    m_samples = np.array([r["color_sum"] for r in raw]) / lattice.site_count
     theta_box = float(np.mean([r["proxy_sites"] for r in raw])) / lattice.site_count
 
     prediction = lln_limit_law(config.nu, theta_box)
     tests: list[TestReport] = []
+    streams = [("graph", reps), ("color", reps)]
     estimates: dict = {
-        "percolation": _estimates_dict(est),
+        "percolation": asdict(est),
         "theta_pooled_box": theta_box,
         "statistic_summary": summarize(m_samples).to_dict(),
     }
@@ -451,6 +409,7 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
         )
     else:
         reference = prediction.sample(derive_rng(seed, "reference"), config.reference_draws)
+        streams.append(("reference", 1))
         tests.append(
             ks_two_sample(
                 m_samples,
@@ -460,21 +419,19 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
             )
         )
 
-    result = RunResult(
+    return RunResult(
         experiment="annealed-lln",
         config=config,
         records=raw,
         estimates=estimates,
         predictions={"lln-limit": prediction},
         tests=tests,
-        seeds=_seed_audit(seed, [("graph", reps), ("color", reps), ("reference", 1)]),
-        timing={},
+        seeds=seed_audit(seed, streams),
         samples={"m_n": [float(v) for v in m_samples]},
     )
-    result.timing = {"wall_seconds": time.perf_counter() - t0}
-    return result
 
 
+@timed
 def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     """One graph, many colorings: fluctuations of the windowed finite-part sum.
 
@@ -484,7 +441,6 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     density, which is the sharp check; the mean-cluster-size form is the
     asymptotic check.
     """
-    t0 = time.perf_counter()
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
     margin = config.margin_for(lattice)
@@ -492,8 +448,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     m = config.nu.mean
     sigma2 = config.nu.variance
 
-    graph = sample_config(lattice, config.p, seed, "graph:0")
-    labeling = label_clusters(graph, config.proxy_rule)
+    labeling, est = _quenched_graph(config, lattice, margin)
     window = inner_window(lattice, margin)
     labels_w = labeling.cluster_id[window]
     piece = np.bincount(labels_w, minlength=labeling.k_n).astype(np.float64)
@@ -507,19 +462,10 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         )
         return float(np.dot(piece, colors - m)) / scale
 
-    stats = np.array(_map_indexed(one, config.color_replicates, config.workers))
+    stats = np.array(map_ordered(one, config.color_replicates, config.workers))
 
     ssd = square_sum_density(labeling, margin)
     variance_exact = sigma2 * ssd
-    est = estimate_functionals(
-        lattice,
-        config.p,
-        config.graph_replicates,
-        seed,
-        margin,
-        proxy_rule=config.proxy_rule,
-        stream_role="estimate-graph",
-    )
     variance_asymptotic = est.chi_f_hat * sigma2
     summary = summarize(stats)
 
@@ -572,12 +518,12 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         )
         prediction = GaussianLaw(mean=0.0, variance=variance_exact)
 
-    result = RunResult(
+    return RunResult(
         experiment="quenched-clt",
         config=config,
         records=[{"replicate": j, "statistic": float(v)} for j, v in enumerate(stats)],
         estimates={
-            "percolation": _estimates_dict(est),
+            "percolation": asdict(est),
             "variance_exact_target": variance_exact,
             "variance_asymptotic_target": variance_asymptotic,
             "square_sum_density_graph": ssd,
@@ -585,7 +531,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         },
         predictions={"quenched-clt": prediction},
         tests=tests,
-        seeds=_seed_audit(
+        seeds=seed_audit(
             seed,
             [
                 ("graph", 1),
@@ -593,13 +539,11 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
                 ("estimate-graph", config.graph_replicates),
             ],
         ),
-        timing={},
         samples={"statistic": [float(v) for v in stats]},
     )
-    result.timing = {"wall_seconds": time.perf_counter() - t0}
-    return result
 
 
+@timed
 def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     """Independent pairs: fluctuations of the centered full-box color sum.
 
@@ -607,7 +551,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     gamma from the declared regime, both through the gamma sampler and, when
     a closed form exists, through that form.
     """
-    t0 = time.perf_counter()
     if config.regime is None:
         raise ValueError("annealed fluctuation runs need an explicit regime")
     warn_if_near_critical(config.d, config.p)
@@ -619,28 +562,9 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     sigma2 = config.nu.variance
     n_sites = lattice.site_count
 
-    def one(i: int) -> dict:
-        graph = sample_config(lattice, config.p, seed, f"graph:{i}")
-        labeling = label_clusters(graph, config.proxy_rule)
-        field_ = color_clusters(labeling, config.nu, seed, f"color:{i}")
-        row = labeling_functionals(labeling, margin)
-        total = float(np.dot(labeling.cluster_sizes, field_.cluster_color))
-        return {
-            "replicate": i,
-            "color_sum": total,
-            "z": field_.z,
-            "proxy_sites": int(labeling.proxy_site_count()),
-            "had_proxy": labeling.infinite_proxy is not None,
-            "k_n": labeling.k_n,
-            "square_sum_density": row["square_sum_density"],
-            "_row": row,
-        }
+    raw, est = _colored_replicates(config, lattice, margin)
 
-    raw = _map_indexed(one, reps, config.workers)
-    rows = [r.pop("_row") for r in raw]
-    est = _pool_rows(rows, lattice, margin, config.proxy_rule)
-
-    proxy_found = sum(1 for r in raw if r["had_proxy"])
+    proxy_found = sum(1 for r in raw if r["proxy_sites"] > 0)
     if config.regime == REGIME_SUPERCRITICAL and proxy_found <= reps / 2:
         raise RegimeMismatchError(
             f"supercritical declared but only {proxy_found}/{reps} replicates "
@@ -649,7 +573,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
 
     proxy_sites = np.array([r["proxy_sites"] for r in raw], dtype=np.float64)
     theta_box = float(proxy_sites.mean()) / n_sites
-    sigma_p2_batch = float(proxy_sites.var(ddof=1)) / n_sites if reps >= 2 else 0.0
+    sigma_p2_batch = est.sigma_p2_hat
 
     # Centering written as m + theta (z - m): algebraically the same as
     # (1-theta) m + theta z, but exactly zero under a point-mass measure.
@@ -664,6 +588,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     summary = summarize(q)
 
     tests: list[TestReport] = []
+    streams = [("graph", reps), ("color", reps)]
     if isinstance(closed, PointMass):
         all_zero = bool(np.all(np.abs(q) <= _EXACT_TOL))
         tests.append(
@@ -675,6 +600,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
         )
     else:
         reference = sampler.sample(derive_rng(seed, "gamma-sampler"), config.reference_draws)
+        streams.append(("gamma-sampler", 1))
         tests.append(
             ks_two_sample(
                 q,
@@ -695,6 +621,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
             )
         elif isinstance(closed, GaussianMixture):
             mixture_draws = closed.sample(derive_rng(seed, "gamma-mixture"), config.reference_draws)
+            streams.append(("gamma-mixture", 1))
             tests.append(
                 ks_two_sample(
                     q,
@@ -704,29 +631,24 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
                 )
             )
 
-    result = RunResult(
+    return RunResult(
         experiment="annealed-clt",
         config=config,
         records=raw,
         estimates={
-            "percolation": _estimates_dict(est),
+            "percolation": asdict(est),
             "theta_pooled_box": theta_box,
             "sigma_p2_batch": sigma_p2_batch,
             "statistic_summary": summary.to_dict(),
         },
         predictions={"gamma": closed, "gamma-sampler": sampler},
         tests=tests,
-        seeds=_seed_audit(
-            seed,
-            [("graph", reps), ("color", reps), ("gamma-sampler", 1), ("gamma-mixture", 1)],
-        ),
-        timing={},
+        seeds=seed_audit(seed, streams),
         samples={"q_n": [float(v) for v in q]},
     )
-    result.timing = {"wall_seconds": time.perf_counter() - t0}
-    return result
 
 
+@timed
 def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     """Fluctuations of the stand-in cluster volume across box sizes.
 
@@ -734,7 +656,6 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     density, which makes the statistic average zero by construction. The
     Gaussian reference variance comes from the largest radius.
     """
-    t0 = time.perf_counter()
     warn_if_near_critical(config.d, config.p)
     seed = config.master_seed
     reps = config.graph_replicates
@@ -747,9 +668,7 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
         lattice = build_box(config.d, radius)
         n_sites = lattice.site_count
 
-        def one(i: int, radius: int = radius, lattice: BoxLattice = lattice) -> dict:
-            graph = sample_config(lattice, config.p, seed, f"graph:{radius}:{i}")
-            labeling = label_clusters(graph, config.proxy_rule)
+        def record(i: int, labeling: ClusterLabeling, radius: int = radius) -> dict:
             return {
                 "radius": radius,
                 "replicate": i,
@@ -757,7 +676,16 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
                 "k_n": labeling.k_n,
             }
 
-        batch = _map_indexed(one, reps, config.workers)
+        batch = map_labelings(
+            lattice,
+            config.p,
+            seed,
+            f"graph:{radius}",
+            reps,
+            record,
+            proxy_rule=config.proxy_rule,
+            workers=config.workers,
+        )
         counts = np.array([b["proxy_sites"] for b in batch], dtype=np.float64)
         theta_box = float(counts.mean()) / n_sites
         statistic = (counts - counts.mean()) / math.sqrt(n_sites)
@@ -819,7 +747,7 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
             )
         )
 
-    result = RunResult(
+    return RunResult(
         experiment="cluster-clt",
         config=config,
         records=records,
@@ -830,14 +758,12 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
         },
         predictions={"cluster-clt": prediction},
         tests=tests,
-        seeds=_seed_audit(seed, [(f"graph:{r}", reps) for r in config.radii]),
-        timing={},
+        seeds=seed_audit(seed, [(f"graph:{r}", reps) for r in config.radii]),
         samples=samples,
     )
-    result.timing = {"wall_seconds": time.perf_counter() - t0}
-    return result
 
 
+@timed
 def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     """Cluster-size-weighted color averages and their variance condition.
 
@@ -847,7 +773,6 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     Replicates whose configuration has no finite cluster are skipped with a
     diagnostic instead of dividing by zero.
     """
-    t0 = time.perf_counter()
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
     margin = config.margin_for(lattice)
@@ -856,42 +781,26 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     m = config.nu.mean
     sigma2 = config.nu.variance
 
-    def one(i: int) -> dict:
-        graph = sample_config(lattice, config.p, seed, f"graph:{i}")
-        labeling = label_clusters(graph, config.proxy_rule)
-        field_ = color_clusters(labeling, config.nu, seed, f"color:{i}")
-        row = labeling_functionals(labeling, margin)
+    def record(labeling: ClusterLabeling, field_: ColorField) -> dict:
         weights = labeling.finite_sizes().astype(np.float64)
         weight_sum = float(weights.sum())
-        record: dict = {
-            "replicate": i,
-            "k_n": labeling.k_n,
-            "proxy_sites": int(labeling.proxy_site_count()),
-            "_row": row,
-        }
         if weight_sum == 0.0:
-            record.update({"skipped": True, "weighted_average": None, "condition_ratio": None})
-            return record
+            return {"skipped": True, "weighted_average": None, "condition_ratio": None}
         square_sum = float(np.dot(weights, weights))
-        record.update(
-            {
-                "skipped": False,
-                "weighted_average": float(np.dot(weights, field_.cluster_color)) / weight_sum,
-                "condition_ratio": square_sum * labeling.k_n / weight_sum**2,
-                "weight_sum": weight_sum,
-                "weight_square_sum": square_sum,
-            }
-        )
-        return record
+        return {
+            "skipped": False,
+            "weighted_average": float(np.dot(weights, field_.cluster_color)) / weight_sum,
+            "condition_ratio": square_sum * labeling.k_n / weight_sum**2,
+            "weight_sum": weight_sum,
+            "weight_square_sum": square_sum,
+        }
 
-    raw = _map_indexed(one, reps, config.workers)
-    rows = [r.pop("_row") for r in raw]
-    est = _pool_rows(rows, lattice, margin, config.proxy_rule)
+    raw, est = _colored_replicates(config, lattice, margin, record)
 
     active = [r for r in raw if not r["skipped"]]
     skipped = len(raw) - len(active)
     tests: list[TestReport] = []
-    estimates: dict = {"percolation": _estimates_dict(est), "skipped_replicates": skipped}
+    estimates: dict = {"percolation": asdict(est), "skipped_replicates": skipped}
     predictions: dict[str, LimitLaw] = {"weighted-average-limit": PointMass(value=m)}
     samples: dict[str, list[float]] = {}
 
@@ -941,16 +850,13 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
             )
         )
 
-    result = RunResult(
+    return RunResult(
         experiment="weighted-lln",
         config=config,
         records=raw,
         estimates=estimates,
         predictions=predictions,
         tests=tests,
-        seeds=_seed_audit(seed, [("graph", reps), ("color", reps)]),
-        timing={},
+        seeds=seed_audit(seed, [("graph", reps), ("color", reps)]),
         samples=samples,
     )
-    result.timing = {"wall_seconds": time.perf_counter() - t0}
-    return result

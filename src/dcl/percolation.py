@@ -5,13 +5,18 @@ the connected components of the open subgraph, labeled by union-find with
 path compression and union by size. A boundary-touching largest cluster can
 be designated as the stand-in for the infinite cluster; everything measured
 "finite" excludes that stand-in.
+
+Every experiment draws its configurations through one replicate engine,
+map_labelings, and pools the per-configuration functionals in pool_functionals.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -274,26 +279,93 @@ def labeling_functionals(labeling: ClusterLabeling, margin: int) -> dict[str, fl
     }
 
 
-def _variance_se(values: np.ndarray, scale: float) -> float:
-    """Standard error of the sample variance of values, divided by scale.
+def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> list:
+    """Apply fn to 0..count-1 and return the results in index order.
 
-    Uses the classical formula Var(s^2) = m4/R - s^4 (R-3) / (R (R-1)) with
-    the empirical fourth central moment plugged in.
+    With several workers the calls run on a thread pool; the output order,
+    and so every reduction over it, does not depend on the scheduling.
     """
-    r = values.shape[0]
-    if r < 2:
-        return float("nan")
-    centered = values - values.mean()
-    s2 = float(np.dot(centered, centered)) / (r - 1)
-    m4 = float(np.mean(centered**4))
-    var_of_var = m4 / r - s2 * s2 * (r - 3) / (r * (r - 1))
-    return math.sqrt(max(0.0, var_of_var)) / scale
+    if workers <= 1 or count <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, i) for i in range(count)]
+        return [fut.result() for fut in futures]
 
 
-def _mean_se(values: np.ndarray) -> float:
-    if values.shape[0] < 2:
-        return float("nan")
-    return float(values.std(ddof=1)) / math.sqrt(values.shape[0])
+def map_labelings(
+    lattice: BoxLattice,
+    p: float,
+    seed: int,
+    role: str,
+    count: int,
+    observe: Callable[[int, ClusterLabeling], object],
+    *,
+    proxy_rule: str = PROXY_BOUNDARY_LARGEST,
+    workers: int = 1,
+) -> list:
+    """The replicate engine: sample, label and observe `count` configurations.
+
+    Configuration r is drawn from the stream (seed, f"{role}:{r}") and
+    labeled; only observe(r, labeling) is kept, so memory holds one labeling
+    per worker rather than one per replicate. Results come back in r order.
+    """
+
+    def one(r: int) -> object:
+        config = sample_config(lattice, p, seed, f"{role}:{r}")
+        return observe(r, label_clusters(config, proxy_rule))
+
+    return map_ordered(one, count, workers)
+
+
+def pool_functionals(
+    rows: list[dict[str, float]], lattice: BoxLattice, margin: int, proxy_rule: str
+) -> PercolationEstimates:
+    """Pool per-configuration labeling_functionals rows into estimates.
+
+    Means carry the usual standard error. sigma_p2 is the sample variance of
+    the stand-in volume over site_count, with the variance-of-variance
+    standard error Var(s^2) = m4/R - s^4 (R-3) / (R (R-1)), the empirical
+    fourth central moment plugged in. One row gives sigma_p2 = 0 and NaN
+    standard errors.
+    """
+    count = len(rows)
+    theta = np.array([row["theta"] for row in rows])
+    chi = np.array([row["chi_f"] for row in rows])
+    kappa = np.array([row["kappa"] for row in rows])
+    ssd = np.array([row["square_sum_density"] for row in rows])
+    proxy_sites = np.array([row["proxy_sites"] for row in rows])
+
+    def mean_se(values: np.ndarray) -> float:
+        if count < 2:
+            return float("nan")
+        return float(values.std(ddof=1)) / math.sqrt(count)
+
+    if count >= 2:
+        sigma_p2 = float(proxy_sites.var(ddof=1)) / lattice.site_count
+        centered = proxy_sites - proxy_sites.mean()
+        s2 = float(np.dot(centered, centered)) / (count - 1)
+        m4 = float(np.mean(centered**4))
+        var_of_var = max(0.0, m4 / count - s2 * s2 * (count - 3) / (count * (count - 1)))
+        sigma_p2_se = math.sqrt(var_of_var) / lattice.site_count
+    else:
+        sigma_p2 = 0.0
+        sigma_p2_se = float("nan")
+
+    return PercolationEstimates(
+        theta_hat=float(theta.mean()),
+        chi_f_hat=float(chi.mean()),
+        kappa_hat=float(kappa.mean()),
+        sigma_p2_hat=sigma_p2,
+        square_sum_density=float(ssd.mean()),
+        theta_se=mean_se(theta),
+        chi_f_se=mean_se(chi),
+        kappa_se=mean_se(kappa),
+        sigma_p2_se=sigma_p2_se,
+        square_sum_se=mean_se(ssd),
+        replicates=count,
+        margin=margin,
+        proxy_rule=proxy_rule,
+    )
 
 
 def estimate_functionals(
@@ -318,83 +390,16 @@ def estimate_functionals(
     warn_if_near_critical(lattice.d, p)
     if margin is None:
         margin = default_window_margin(lattice)
-
-    rows = []
-    for r in range(replicates):
-        config = sample_config(lattice, p, seed, f"{stream_role}:{r}")
-        labeling = label_clusters(config, proxy_rule)
-        rows.append(labeling_functionals(labeling, margin))
-
-    theta = np.array([row["theta"] for row in rows])
-    chi = np.array([row["chi_f"] for row in rows])
-    kappa = np.array([row["kappa"] for row in rows])
-    ssd = np.array([row["square_sum_density"] for row in rows])
-    proxy_sites = np.array([row["proxy_sites"] for row in rows])
-
-    if replicates >= 2:
-        sigma_p2 = float(proxy_sites.var(ddof=1)) / lattice.site_count
-        sigma_p2_se = _variance_se(proxy_sites, float(lattice.site_count))
-    else:
-        sigma_p2 = 0.0
-        sigma_p2_se = float("nan")
-
-    return PercolationEstimates(
-        theta_hat=float(theta.mean()),
-        chi_f_hat=float(chi.mean()),
-        kappa_hat=float(kappa.mean()),
-        sigma_p2_hat=sigma_p2,
-        square_sum_density=float(ssd.mean()),
-        theta_se=_mean_se(theta),
-        chi_f_se=_mean_se(chi),
-        kappa_se=_mean_se(kappa),
-        sigma_p2_se=sigma_p2_se,
-        square_sum_se=_mean_se(ssd),
-        replicates=replicates,
-        margin=margin,
+    rows = map_labelings(
+        lattice,
+        p,
+        seed,
+        stream_role,
+        replicates,
+        lambda r, labeling: labeling_functionals(labeling, margin),
         proxy_rule=proxy_rule,
     )
-
-
-@dataclass(frozen=True)
-class SigmaP2Estimate:
-    """Variance estimate for the scaled occupied-volume fluctuations."""
-
-    value: float
-    se: float
-    degenerate: bool
-
-
-def estimate_sigma_p2(
-    lattice: BoxLattice,
-    p: float,
-    replicates: int,
-    seed: int,
-    *,
-    proxy_rule: str = PROXY_BOUNDARY_LARGEST,
-    stream_role: str = "graph",
-) -> SigmaP2Estimate:
-    """Across-configuration variance of the stand-in cluster volume.
-
-    Returns Var(|box sites in the stand-in|) / site_count with a variance-of-
-    variance standard error. If no replicate produced a stand-in cluster the
-    value is 0 and the estimate is flagged degenerate.
-    """
-    if replicates < 2:
-        raise ValueError(f"replicates must be >= 2, got {replicates}")
-    warn_if_near_critical(lattice.d, p)
-    counts = np.empty(replicates, dtype=np.float64)
-    any_proxy = False
-    for r in range(replicates):
-        config = sample_config(lattice, p, seed, f"{stream_role}:{r}")
-        labeling = label_clusters(config, proxy_rule)
-        if labeling.infinite_proxy is not None:
-            any_proxy = True
-        counts[r] = labeling.proxy_site_count()
-    if not any_proxy:
-        return SigmaP2Estimate(value=0.0, se=0.0, degenerate=True)
-    value = float(counts.var(ddof=1)) / lattice.site_count
-    se = _variance_se(counts, float(lattice.site_count))
-    return SigmaP2Estimate(value=value, se=se, degenerate=False)
+    return pool_functionals(rows, lattice, margin, proxy_rule)
 
 
 def connectivity_profile(
@@ -409,17 +414,17 @@ def connectivity_profile(
     """Empirical probability that the origin is connected to origin+offset."""
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    targets = [tuple(offset) for offset in offsets]
+    sites = np.array([lattice.index_of(coords) for coords in targets], dtype=np.int64)
     origin = lattice.origin
-    targets = {}
-    for offset in offsets:
-        coords = tuple(offset)
-        targets[coords] = lattice.index_of(coords)
-    hits = {coords: 0 for coords in targets}
-    for r in range(replicates):
-        config = sample_config(lattice, p, seed, f"{stream_role}:{r}")
-        labeling = label_clusters(config, PROXY_DISABLED)
-        origin_label = labeling.cluster_id[origin]
-        for coords, target in targets.items():
-            if labeling.cluster_id[target] == origin_label:
-                hits[coords] += 1
-    return {coords: hits[coords] / replicates for coords in targets}
+    joined = map_labelings(
+        lattice,
+        p,
+        seed,
+        stream_role,
+        replicates,
+        lambda r, labeling: labeling.cluster_id[sites] == labeling.cluster_id[origin],
+        proxy_rule=PROXY_DISABLED,
+    )
+    hits = np.sum(joined, axis=0)
+    return {coords: int(h) / replicates for coords, h in zip(targets, hits)}

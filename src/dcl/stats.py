@@ -140,7 +140,9 @@ def _assemble_summary(n: int, mean: float, s2: float, m2: float, m3: float, m4: 
     nan = float("nan")
     se_mean = math.sqrt(s2 / n)
     se_variance = s2 * math.sqrt(2.0 / (n - 1))
-    if m2 <= 0.0:
+    # m2 * m2 is 0 for a constant sample and also when a tiny spread makes
+    # it underflow; the shape moments are then 0/0, so they are undefined.
+    if m2 * m2 == 0.0:
         return SampleSummary(n, mean, s2, nan, nan, se_mean, se_variance)
     if n >= 3:
         g1 = m3 / m2**1.5

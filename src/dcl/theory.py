@@ -21,8 +21,10 @@ from .coloring import (
     GaussianLaw,
     TwoPoint,
     double_factorial_odd,
+    is_discrete,
     is_point_mass,
 )
+from .stats import gaussian_cdf
 
 REGIME_SUBCRITICAL = "subcritical"
 REGIME_SUPERCRITICAL = "supercritical"
@@ -133,8 +135,7 @@ class GaussianMixture:
             if v == 0.0:
                 out += w * (x >= m)
             else:
-                s = math.sqrt(v)
-                out += w * 0.5 * (1.0 + _erf_vec((x - m) / (s * math.sqrt(2.0))))
+                out += w * gaussian_cdf(x, m, v)
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -193,10 +194,6 @@ class SampledLaw:
 
 
 LimitLaw = Union[PointMass, GaussianLaw, TwoPointLaw, GaussianMixture, SampledLaw]
-
-
-def _erf_vec(x: np.ndarray) -> np.ndarray:
-    return np.array([math.erf(v) for v in np.atleast_1d(x)]).reshape(np.shape(x))
 
 
 def _gaussian_raw_moment(mean: float, variance: float, r: int) -> float:
@@ -290,9 +287,7 @@ def gamma_law(
         base = chi_f * sigma2
         return GaussianLaw(mean=0.0, variance=base) if base > 0.0 else PointMass(value=0.0)
     m = nu.mean
-    if isinstance(nu, (TwoPoint, FiniteDiscrete)) or (
-        isinstance(nu, GaussianLaw) and nu.variance == 0.0
-    ):
+    if is_discrete(nu):
         pairs = nu.atoms() if not isinstance(nu, GaussianLaw) else ((nu.mean, 1.0),)
         components = tuple(
             (w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in pairs

@@ -178,6 +178,41 @@ def test_report_written_to_file(tmp_path, capsys):
     assert set(report) == TOP_KEYS
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--radius", "3", "--p", "0.3", "--replicates", "4"],
+        ["lln", "--mode", "quenched", "--radius", "2", "--radius", "4", "--p", "0.7",
+         "--graph-replicates", "3"],
+        ["lln", "--mode", "annealed", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
+        ["clt", "--mode", "quenched", "--radius", "4", "--p", "0.3",
+         "--color-replicates", "20", "--graph-replicates", "3"],
+        ["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--p", "0.2",
+         "--graph-replicates", "5", "--proxy", "disabled"],
+        ["cluster-clt", "--radius", "2", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
+        ["weighted-lln", "--radius", "4", "--p", "0.3", "--graph-replicates", "5"],
+        ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--samples", "50"],
+        ["check-identity", "--radius", "3", "--p", "0.4", "--configs", "5"],
+    ],
+    ids=[
+        "estimate", "lln-quenched", "lln-annealed", "clt-quenched", "clt-annealed",
+        "cluster-clt", "weighted-lln", "gamma-sample", "check-identity",
+    ],
+)
+def test_every_subcommand_writes_one_schema(argv, capsys):
+    code = main(argv + ["--seed", "4"])
+    assert code in (EXIT_PASS, EXIT_TEST_FAILURE)  # statistical outcome aside
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == TOP_KEYS
+    assert report["config"]["experiment"]
+    streams = report["seeds"]["streams"]
+    assert isinstance(streams, list) and streams
+    for stream in streams:
+        assert set(stream) == {"role", "count"}
+        assert isinstance(stream["role"], str) and isinstance(stream["count"], int)
+    assert isinstance(report["timing"]["wall_seconds"], float)
+
+
 def test_gamma_sample_csv_round_trip(tmp_path):
     out = tmp_path / "gamma.json"
     code = main(

@@ -16,7 +16,6 @@ from dcl.coloring import (
     TwoPoint,
     color_clusters,
     double_factorial_odd,
-    field_mean,
     moments,
     parse_color_measure,
 )
@@ -159,7 +158,6 @@ def test_point_mass_colors_every_site():
     field = color_clusters(labeling, TwoPoint(2.0, 2.0, 0.3), 9, "c")
     sites = np.arange(lat.site_count, dtype=np.int64)
     assert (field.values(sites) == 2.0).all()
-    assert field_mean(field, sites) == 2.0
 
 
 def test_site_color_lookup_matches_labels():
@@ -168,14 +166,6 @@ def test_site_color_lookup_matches_labels():
     field = color_clusters(labeling, GaussianLaw(0.0, 1.0), 2, "c")
     for i in (0, lat.origin, lat.site_count - 1):
         assert field.site_color(i) == field.cluster_color[labeling.cluster_id[i]]
-
-
-def test_field_mean_empty_window_rejected():
-    lat = build_box(2, 3)
-    labeling = label_clusters(sample_config(lat, 0.5, 2, "g"), PROXY_DISABLED)
-    field = color_clusters(labeling, GaussianLaw(0.0, 1.0), 2, "c")
-    with pytest.raises(ValueError):
-        field_mean(field, np.array([], dtype=np.int64))
 
 
 def test_windowed_sum_variance_identity_exact_enumeration():

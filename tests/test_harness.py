@@ -56,8 +56,6 @@ def test_config_validation():
         ExperimentConfig(**good, margin=9)  # exceeds the smallest radius
     with pytest.raises(ValueError):
         ExperimentConfig(**good, reference_draws=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(**good, out_format="xml")
 
 
 def test_config_promotes_and_parses():
@@ -70,12 +68,9 @@ def test_config_promotes_and_parses():
 
 
 def test_config_to_dict_excludes_plumbing():
-    cfg = ExperimentConfig(
-        d=2, radii=16, p=0.3, nu="two-point:-1,1,0.5",
-        workers=8, out_path="/tmp/x.json", out_format="csv",
-    )
+    cfg = ExperimentConfig(d=2, radii=16, p=0.3, nu="two-point:-1,1,0.5", workers=8)
     d = cfg.to_dict()
-    assert "workers" not in d and "out_path" not in d and "out_format" not in d
+    assert "workers" not in d
     assert d["d"] == 2 and d["radii"] == [16] and d["master_seed"] == 0
     assert d["nu"] == cfg.nu.to_dict()
     # identical science flags, different plumbing: same dict
@@ -202,6 +197,32 @@ def test_quenched_clt_point_mass_colors_degenerate():
     assert all(v == 0.0 for v in res.samples["statistic"])
     assert res.predictions["quenched-clt"] == PointMass(value=0.0)
     assert len(res.tests) == 1
+
+
+@pytest.mark.parametrize(
+    "run,nu,extra,roles",
+    [
+        # atomic lln-limit: compared by TV distance, no reference draws
+        (run_annealed_lln, "two-point:-1,1,0.7", {}, {"graph", "color"}),
+        # continuous lln-limit: KS against reference draws
+        (run_annealed_lln, "gaussian:0,1", {}, {"graph", "color", "reference"}),
+        # point-mass gamma: exact zero check, nothing sampled
+        (run_annealed_clt, "discrete:2.5:1", {"regime": "supercritical"}, {"graph", "color"}),
+        # Gaussian gamma: sampler draws only
+        (run_annealed_clt, "two-point:-1,1,0.5", {"regime": "supercritical"},
+         {"graph", "color", "gamma-sampler"}),
+        # Gaussian-mixture gamma: sampler and mixture draws
+        (run_annealed_clt, "two-point:-1,1,0.3", {"regime": "supercritical"},
+         {"graph", "color", "gamma-sampler", "gamma-mixture"}),
+    ],
+)
+def test_seed_audit_lists_only_drawn_streams(run, nu, extra, roles):
+    cfg = ExperimentConfig(
+        d=2, radii=8, p=0.7, nu=nu, mode="annealed", graph_replicates=6,
+        master_seed=3, reference_draws=200, **extra,
+    )
+    res = run(cfg)
+    assert {s["role"] for s in res.seeds["streams"]} == roles
 
 
 def test_annealed_clt_requires_regime():

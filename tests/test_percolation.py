@@ -20,9 +20,9 @@ from dcl.percolation import (
     connectivity_profile,
     default_window_margin,
     estimate_functionals,
-    estimate_sigma_p2,
     label_clusters,
     labeling_functionals,
+    map_labelings,
     sample_config,
     square_sum_density,
     square_sums,
@@ -194,6 +194,7 @@ def test_estimates_p0_exact():
     assert est.kappa_hat == 1.0
     assert est.square_sum_density == 1.0
     assert est.theta_se == est.chi_f_se == est.kappa_se == 0.0
+    assert est.sigma_p2_hat == 0.0  # no stand-in cluster, no volume fluctuation
 
 
 def test_estimates_p1_exact():
@@ -221,22 +222,21 @@ def test_estimate_replicate_validation():
     lat = build_box(1, 1)
     with pytest.raises(ValueError):
         estimate_functionals(lat, 0.5, 0, seed=1)
-    with pytest.raises(ValueError):
-        estimate_sigma_p2(lat, 0.5, 1, seed=1)
 
 
-def test_sigma_p2_degenerate_no_proxy():
+def test_map_labelings_streams_and_worker_count():
     lat = build_box(2, 3)
-    est = estimate_sigma_p2(lat, 0.2, 8, seed=4, proxy_rule=PROXY_DISABLED)
-    assert est.degenerate
-    assert est.value == 0.0
 
+    def observe(r, labeling):
+        return r, labeling.cluster_id.copy()
 
-def test_sigma_p2_p1_zero():
-    lat = build_box(2, 3)
-    est = estimate_sigma_p2(lat, 1.0, 8, seed=4)
-    assert not est.degenerate
-    assert est.value == 0.0
+    serial = map_labelings(lat, 0.45, 8, "eng", 12, observe, workers=1)
+    threaded = map_labelings(lat, 0.45, 8, "eng", 12, observe, workers=3)
+    assert [r for r, _ in serial] == list(range(12))
+    for (r, ids), (r3, ids3) in zip(serial, threaded):
+        assert r == r3 and np.array_equal(ids, ids3)
+        direct = label_clusters(sample_config(lat, 0.45, 8, f"eng:{r}"))
+        assert np.array_equal(ids, direct.cluster_id)
 
 
 def test_near_critical_warning_band():
