@@ -156,7 +156,6 @@ class RunResult:
     config: ExperimentConfig | None
     estimates: dict
     seeds: dict
-    records: list[dict] = field(default_factory=list)
     predictions: dict[str, LimitLaw] = field(default_factory=dict)
     tests: list[TestReport] = field(default_factory=list)
     timing: dict = field(default_factory=dict)
@@ -216,29 +215,24 @@ def _colored_replicates(
     config: ExperimentConfig,
     lattice: BoxLattice,
     margin: int,
-    record: Callable[[ClusterLabeling, ColorField], dict] | None = None,
+    extra: Callable[[ClusterLabeling, ColorField], dict] | None = None,
 ) -> tuple[list[dict], PercolationEstimates]:
-    """Independent (graph:i, color:i) pairs: one record each, plus pooled functionals.
+    """Independent (graph:i, color:i) pairs: one row each, plus pooled functionals.
 
-    Each record holds the replicate index, k_n, the stand-in volume, the
-    windowed square-sum density, the full-box color sum and the stand-in
-    color z, updated with record(labeling, field) when given.
+    Each row holds the stand-in volume, the full-box color sum and the
+    stand-in color z, updated with extra(labeling, field) when given.
     """
     seed = config.master_seed
 
     def observe(i: int, labeling: ClusterLabeling) -> tuple[dict, dict]:
         field_ = color_clusters(labeling, config.nu, seed, f"color:{i}")
-        row = labeling_functionals(labeling, margin)
-        rec = {
-            "replicate": i,
-            "k_n": labeling.k_n,
+        replicate = {
             "proxy_sites": int(labeling.proxy_site_count()),
-            "square_sum_density": row["square_sum_density"],
             "color_sum": float(np.dot(labeling.cluster_sizes, field_.cluster_color)),
             "z": field_.z,
-            **(record(labeling, field_) if record else {}),
+            **(extra(labeling, field_) if extra else {}),
         }
-        return rec, row
+        return replicate, labeling_functionals(labeling, margin)
 
     pairs = map_labelings(
         lattice,
@@ -251,7 +245,7 @@ def _colored_replicates(
         workers=config.workers,
     )
     rows = [row for _, row in pairs]
-    return [rec for rec, _ in pairs], pool_functionals(rows, lattice, margin, config.proxy_rule)
+    return [rep for rep, _ in pairs], pool_functionals(rows, lattice, margin, config.proxy_rule)
 
 
 @timed
@@ -303,13 +297,9 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
             )
         )
 
-    records = [
-        {"window_radius": int(r), "m_k": float(v)} for r, v in zip(config.radii, trajectory)
-    ]
     return RunResult(
         experiment="quenched-lln",
         config=config,
-        records=records,
         estimates={
             "percolation": asdict(est),
             "m_n": m_n,
@@ -422,7 +412,6 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     return RunResult(
         experiment="annealed-lln",
         config=config,
-        records=raw,
         estimates=estimates,
         predictions={"lln-limit": prediction},
         tests=tests,
@@ -521,7 +510,6 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     return RunResult(
         experiment="quenched-clt",
         config=config,
-        records=[{"replicate": j, "statistic": float(v)} for j, v in enumerate(stats)],
         estimates={
             "percolation": asdict(est),
             "variance_exact_target": variance_exact,
@@ -577,11 +565,9 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
 
     # Centering written as m + theta (z - m): algebraically the same as
     # (1-theta) m + theta z, but exactly zero under a point-mass measure.
-    sqrt_n = math.sqrt(n_sites)
-    for r in raw:
-        center = (m + theta_box * (r["z"] - m)) * n_sites
-        r["q_n"] = float((r["color_sum"] - center) / sqrt_n)
-    q = np.array([r["q_n"] for r in raw])
+    z = np.array([r["z"] for r in raw], dtype=np.float64)
+    color_sum = np.array([r["color_sum"] for r in raw], dtype=np.float64)
+    q = (color_sum - (m + theta_box * (z - m)) * n_sites) / math.sqrt(n_sites)
 
     closed = gamma_law(config.regime, est.chi_f_hat, sigma2, sigma_p2_batch, config.nu)
     sampler = gamma_sampler(est.chi_f_hat, sigma_p2_batch, config.nu)
@@ -634,7 +620,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     return RunResult(
         experiment="annealed-clt",
         config=config,
-        records=raw,
         estimates={
             "percolation": asdict(est),
             "theta_pooled_box": theta_box,
@@ -660,39 +645,26 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     seed = config.master_seed
     reps = config.graph_replicates
 
-    records: list[dict] = []
     samples: dict[str, list[float]] = {}
     per_radius: dict[int, dict] = {}
     stats_by_radius: dict[int, np.ndarray] = {}
     for radius in config.radii:
         lattice = build_box(config.d, radius)
         n_sites = lattice.site_count
-
-        def record(i: int, labeling: ClusterLabeling, radius: int = radius) -> dict:
-            return {
-                "radius": radius,
-                "replicate": i,
-                "proxy_sites": int(labeling.proxy_site_count()),
-                "k_n": labeling.k_n,
-            }
-
-        batch = map_labelings(
+        proxy_sites = map_labelings(
             lattice,
             config.p,
             seed,
             f"graph:{radius}",
             reps,
-            record,
+            lambda i, labeling: labeling.proxy_site_count(),
             proxy_rule=config.proxy_rule,
             workers=config.workers,
         )
-        counts = np.array([b["proxy_sites"] for b in batch], dtype=np.float64)
+        counts = np.array(proxy_sites, dtype=np.float64)
         theta_box = float(counts.mean()) / n_sites
         statistic = (counts - counts.mean()) / math.sqrt(n_sites)
         sigma_p2 = float(counts.var(ddof=1)) / n_sites if reps >= 2 else 0.0
-        for b, v in zip(batch, statistic):
-            b["statistic"] = float(v)
-        records.extend(batch)
         samples[f"statistic_n{radius}"] = [float(v) for v in statistic]
         per_radius[radius] = {"theta_box": theta_box, "sigma_p2": sigma_p2}
         stats_by_radius[radius] = statistic
@@ -750,7 +722,6 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     return RunResult(
         experiment="cluster-clt",
         config=config,
-        records=records,
         estimates={
             "per_radius": {str(r): per_radius[r] for r in config.radii},
             "sigma_p2_reference": sigma_p2_ref,
@@ -781,7 +752,7 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     m = config.nu.mean
     sigma2 = config.nu.variance
 
-    def record(labeling: ClusterLabeling, field_: ColorField) -> dict:
+    def weighted(labeling: ClusterLabeling, field_: ColorField) -> dict:
         weights = labeling.finite_sizes().astype(np.float64)
         weight_sum = float(weights.sum())
         if weight_sum == 0.0:
@@ -795,7 +766,7 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
             "weight_square_sum": square_sum,
         }
 
-    raw, est = _colored_replicates(config, lattice, margin, record)
+    raw, est = _colored_replicates(config, lattice, margin, weighted)
 
     active = [r for r in raw if not r["skipped"]]
     skipped = len(raw) - len(active)
@@ -853,7 +824,6 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     return RunResult(
         experiment="weighted-lln",
         config=config,
-        records=raw,
         estimates=estimates,
         predictions=predictions,
         tests=tests,

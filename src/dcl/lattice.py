@@ -3,8 +3,8 @@
 A box of radius n is the vertex set {-n, ..., n}^d with free boundary and
 nearest-neighbor edges. Sites are flat indices under row-major (odometer)
 encoding of the shifted coordinates; coordinates are derived on demand and
-never stored per site, which keeps per-site memory at one integer during
-cluster labeling.
+not kept per site, so the box itself stores only the two endpoint arrays of
+its edges and the list of boundary sites.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Bernoulli bond configurations and cluster structure on a box.
 
 Each edge of the box is open independently with probability p. Clusters are
-the connected components of the open subgraph, labeled by union-find with
-path compression and union by size. A boundary-touching largest cluster can
-be designated as the stand-in for the infinite cluster; everything measured
-"finite" excludes that stand-in.
+the connected components of the open subgraph, labeled by vectorized
+min-label hooking so that cluster ids follow each cluster's smallest site. A
+boundary-touching largest cluster can be designated as the stand-in for the
+infinite cluster; everything measured "finite" excludes that stand-in.
 
 Every experiment draws its configurations through one replicate engine,
 map_labelings, and pools the per-configuration functionals in pool_functionals.
@@ -27,10 +27,12 @@ PROXY_BOUNDARY_LARGEST = "boundary-largest"
 PROXY_DISABLED = "disabled"
 PROXY_RULES = (PROXY_BOUNDARY_LARGEST, PROXY_DISABLED)
 
-# Half-width of the band around the d=2 critical point that the limit
+# Half-width of the band around the critical point that the limit
 # statements exclude.
 NEAR_CRITICAL_BAND = 0.02
-_CRITICAL_P_D2 = 0.5
+# Bond percolation thresholds of the cubic lattice: exact at d=2, and
+# 0.2488 at d=3 (Lorenz & Ziff, J. Phys. A 31, 8147, 1998).
+_CRITICAL_P = {2: 0.5, 3: 0.2488}
 
 
 class InvariantViolationError(RuntimeError):
@@ -38,14 +40,15 @@ class InvariantViolationError(RuntimeError):
 
 
 class NearCriticalWarning(UserWarning):
-    """p falls in the excluded band around the d=2 critical point."""
+    """p falls in the excluded band around the critical point of its dimension."""
 
 
 def warn_if_near_critical(d: int, p: float) -> None:
     """Warn when (d, p) sits where the limit theorems give no guarantees."""
-    if d == 2 and abs(p - _CRITICAL_P_D2) < NEAR_CRITICAL_BAND and p not in (0.0, 1.0):
+    p_c = _CRITICAL_P.get(d)
+    if p_c is not None and abs(p - p_c) < NEAR_CRITICAL_BAND and p not in (0.0, 1.0):
         warnings.warn(
-            f"p={p} is within {NEAR_CRITICAL_BAND} of the d=2 critical point 0.5; "
+            f"p={p} is within {NEAR_CRITICAL_BAND} of the d={d} critical point {p_c}; "
             "asymptotic predictions are unreliable here",
             NearCriticalWarning,
             stacklevel=3,
@@ -65,9 +68,6 @@ class EdgeConfig:
     p: float
     seed: int
     stream_tag: str
-
-    def open_count(self) -> int:
-        return int(np.count_nonzero(self.open))
 
 
 def sample_config(lattice: BoxLattice, p: float, seed: int, stream_tag: str = "graph") -> EdgeConfig:
@@ -94,7 +94,6 @@ class ClusterLabeling:
     cluster_sizes: np.ndarray = field(repr=False, compare=False)
     boundary_touching: frozenset[int]
     infinite_proxy: int | None
-    finite_cluster_reps: np.ndarray = field(repr=False, compare=False)
     k_n: int
     proxy_rule: str
 
@@ -115,62 +114,44 @@ class ClusterLabeling:
 def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST) -> ClusterLabeling:
     """Label clusters of the open subgraph.
 
-    Union-find with path halving and union by size; the final relabeling
-    pass assigns consecutive ids in order of first site occurrence. The
-    cluster count is cross-checked against the number of merging unions.
+    Min-label hooking: every site starts as its own root; each round, the
+    larger root of every open edge whose ends still disagree is hooked to
+    the smaller one, then pointer jumping flattens the forest. Roots only
+    ever move to smaller sites, so at the fixed point each site's root is
+    the smallest site of its cluster, and ranking the roots gives ids in
+    smallest-site order. Every open edge is cross-checked to join equal ids.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
     lattice = config.lattice
-    n_sites = lattice.site_count
+    u = lattice.edge_u[config.open]
+    v = lattice.edge_v[config.open]
 
-    parent = list(range(n_sites))
-    size = [1] * n_sites
-    merges = 0
-    open_u = lattice.edge_u[config.open].tolist()
-    open_v = lattice.edge_v[config.open].tolist()
-    for a, b in zip(open_u, open_v):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        merges += 1
-
-    # Resolve every site to its root by repeated pointer jumping; with
-    # union by size the forest depth is logarithmic, so this terminates in
-    # a handful of vectorized passes.
-    roots = np.asarray(parent, dtype=np.int64)
+    sites = np.arange(lattice.site_count, dtype=np.int64)
+    # Hooking writes into root in place; sites must stay intact for the root test.
+    root = sites.copy()
     while True:
-        jumped = roots[roots]
-        if np.array_equal(jumped, roots):
+        ru, rv = root[u], root[v]
+        if not (ru != rv).any():
             break
-        roots = jumped
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if not (jumped != root).any():
+                break
+            root = jumped
 
-    uniq, first_pos, inverse = np.unique(roots, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos, kind="stable")
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[order] = np.arange(uniq.shape[0], dtype=np.int64)
-    cluster_id = rank[inverse]
-
-    k_n = int(uniq.shape[0])
-    if k_n != n_sites - merges:
-        raise InvariantViolationError(
-            f"cluster count {k_n} != site count {n_sites} minus merges {merges}"
-        )
+    # Rank of each root among the roots, which are the clusters' smallest sites.
+    rank = (root == sites).cumsum() - 1
+    cluster_id = rank[root]
+    k_n = int(rank[-1]) + 1
+    if (cluster_id[u] != cluster_id[v]).any():
+        raise InvariantViolationError("an open edge joins two different cluster ids")
 
     cluster_sizes = np.bincount(cluster_id, minlength=k_n).astype(np.int64)
-    reps = np.sort(first_pos)
 
     boundary_ids = np.unique(cluster_id[lattice.boundary_sites])
-    boundary_touching = frozenset(int(c) for c in boundary_ids)
+    boundary_touching = frozenset(boundary_ids.tolist())
 
     infinite_proxy: int | None = None
     if proxy_rule == PROXY_BOUNDARY_LARGEST and boundary_ids.size > 0:
@@ -178,12 +159,6 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
         best = boundary_ids[b_sizes == b_sizes.max()].min()
         infinite_proxy = int(best)
 
-    if infinite_proxy is None:
-        finite_reps = reps
-    else:
-        finite_reps = reps[np.arange(k_n) != infinite_proxy]
-    finite_reps = finite_reps.copy()
-    finite_reps.setflags(write=False)
     cluster_id.setflags(write=False)
     cluster_sizes.setflags(write=False)
 
@@ -193,7 +168,6 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
         cluster_sizes=cluster_sizes,
         boundary_touching=boundary_touching,
         infinite_proxy=infinite_proxy,
-        finite_cluster_reps=finite_reps,
         k_n=k_n,
         proxy_rule=proxy_rule,
     )

@@ -54,18 +54,6 @@ def bfs_clusters(
     return labels
 
 
-def cluster_sets(labels: dict[tuple[int, ...], int]) -> list[set[tuple[int, ...]]]:
-    out: dict[int, set] = {}
-    for site, label in labels.items():
-        out.setdefault(label, set()).add(site)
-    return list(out.values())
-
-
-def partition_of(labels: dict[tuple[int, ...], int]) -> set[frozenset[tuple[int, ...]]]:
-    """Label-independent view of a clustering, for comparing two labelers."""
-    return {frozenset(c) for c in cluster_sets(labels)}
-
-
 def site_square_sum(labels: dict[tuple[int, ...], int]) -> int:
     """Sum over sites of own-cluster size; equals the sum of squared sizes."""
     sizes: dict[int, int] = {}

@@ -16,6 +16,7 @@ from dcl.percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
     ClusterLabeling,
+    EdgeConfig,
     NearCriticalWarning,
     connectivity_profile,
     default_window_margin,
@@ -28,42 +29,80 @@ from dcl.percolation import (
     square_sums,
 )
 
-from oracles import bfs_clusters, enumerate_box, partition_of
+from oracles import bfs_clusters, enumerate_box
 
 
-def _oracle_partition(lattice, open_mask):
+def _oracle_ids(lattice, open_mask):
+    """BFS cluster labels, listed in flat site order."""
     sites = [lattice.site_of(i) for i in range(lattice.site_count)]
     open_edges = [
         (lattice.site_of(int(u)), lattice.site_of(int(v)))
         for u, v, keep in zip(lattice.edge_u, lattice.edge_v, open_mask)
         if keep
     ]
-    return bfs_clusters(sites, open_edges)
+    labels = bfs_clusters(sites, open_edges)
+    return [labels[site] for site in sites]
 
 
-def _labeling_partition(lattice, labeling):
-    groups: dict[int, set] = {}
-    for i, label in enumerate(labeling.cluster_id.tolist()):
-        groups.setdefault(label, set()).add(lattice.site_of(i))
-    return {frozenset(g) for g in groups.values()}
+def _config(lattice, open_mask):
+    return EdgeConfig(lattice=lattice, open=open_mask, p=0.5, seed=0, stream_tag="manual")
 
 
-@pytest.mark.parametrize("d,n,p", [(1, 4, 0.5), (2, 4, 0.3), (2, 4, 0.7), (3, 2, 0.25)])
-def test_labels_match_bfs_oracle(d, n, p):
+def _open_mask(lattice, pairs):
+    """Open-edge mask holding exactly the given site pairs."""
+    wanted = {(min(a, b), max(a, b)) for a, b in pairs}
+    return np.array([(int(u), int(v)) in wanted for u, v in zip(lattice.edge_u, lattice.edge_v)])
+
+
+def serpentine(lattice):
+    """A path through the 2D box: left to right on one row, right to left on the next."""
+    s = lattice.side
+    pairs = []
+    for r in range(s):
+        pairs += [(r * s + c, r * s + c + 1) for c in range(s - 1)]
+        if r + 1 < s:
+            turn = s - 1 if r % 2 == 0 else 0
+            pairs.append((r * s + turn, (r + 1) * s + turn))
+    return _open_mask(lattice, pairs)
+
+
+def comb(lattice):
+    """Vertical teeth on every other column of the 2D box, joined only by the last row."""
+    s = lattice.side
+    pairs = [(r * s + c, (r + 1) * s + c) for c in range(0, s, 2) for r in range(s - 1)]
+    pairs += [((s - 1) * s + c, (s - 1) * s + c + 1) for c in range(s - 1)]
+    return _open_mask(lattice, pairs)
+
+
+@pytest.mark.parametrize(
+    "d,n,edges",
+    [
+        (1, 4, 0.5),
+        (2, 4, 0.3),
+        (2, 4, 0.7),
+        (3, 2, 0.25),
+        (4, 2, 0.2),
+        (2, 1, serpentine),
+        (2, 5, serpentine),
+        (2, 1, comb),
+        (2, 5, comb),
+    ],
+)
+def test_labels_match_bfs_oracle(d, n, edges):
+    # edges is a density to sample ten configurations at, or a function that
+    # builds one open-edge mask. The first hooking round leaves the serpentine
+    # and the comb split into several trees that only a second round joins.
+    # BFS labels count up in site order, as the package's ids do.
     lat = build_box(d, n)
-    for rep in range(10):
-        config = sample_config(lat, p, seed=11, stream_tag=f"g:{rep}")
-        labeling = label_clusters(config, PROXY_DISABLED)
-        oracle = bfs_clusters(
-            [lat.site_of(i) for i in range(lat.site_count)],
-            [
-                (lat.site_of(int(u)), lat.site_of(int(v)))
-                for u, v, keep in zip(lat.edge_u, lat.edge_v, config.open)
-                if keep
-            ],
-        )
-        assert _labeling_partition(lat, labeling) == partition_of(oracle)
-        assert labeling.k_n == len(set(oracle.values()))
+    if callable(edges):
+        masks = [edges(lat)]
+    else:
+        masks = [sample_config(lat, edges, seed=11, stream_tag=f"g:{rep}").open for rep in range(10)]
+    for open_mask in masks:
+        labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
+        oracle = _oracle_ids(lat, open_mask)
+        assert labeling.cluster_id.tolist() == oracle
+        assert labeling.k_n == len(set(oracle))
 
 
 @given(
@@ -151,17 +190,16 @@ def test_proxy_is_largest_boundary_cluster_smallest_id_ties():
 
 
 def test_square_sum_matches_enumeration_oracle():
-    # Exhaustive check on the 3x3 box: every config, full window, no proxy.
+    # Exhaustive check on the 3x3 box: every config, full window, no proxy,
+    # with exact ids against the BFS oracle.
     lat = build_box(2, 1)
     oracle = enumerate_box(2, 1, Fraction(1, 2))
     total = 0
     k_total = 0
     for mask in range(2**lat.edge_count):
         open_mask = np.array([(mask >> i) & 1 == 1 for i in range(lat.edge_count)])
-        config = sample_config(lat, 0.5, 1, "x").__class__(
-            lattice=lat, open=open_mask, p=0.5, seed=1, stream_tag="enum"
-        )
-        labeling = label_clusters(config, PROXY_DISABLED)
+        labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
+        assert labeling.cluster_id.tolist() == _oracle_ids(lat, open_mask)
         a, b = square_sums(labeling, 0)
         assert a == b
         total += a
@@ -247,9 +285,12 @@ def test_near_critical_warning_band():
     lat = build_box(2, 2)
     with pytest.warns(NearCriticalWarning):
         estimate_functionals(lat, 0.5 + NEAR_CRITICAL_BAND / 2, 2, seed=1)
-    with pytest.warns(NearCriticalWarning):
+    with pytest.warns(NearCriticalWarning, match="d=2 critical point 0.5"):
         warn_if_near_critical(2, 0.49)
-    for d, p in ((2, 0.3), (2, 0.5 + 2 * NEAR_CRITICAL_BAND), (2, 0.0), (2, 1.0), (3, 0.49)):
+    for p in (0.2488 - NEAR_CRITICAL_BAND / 2, 0.2488 + NEAR_CRITICAL_BAND / 2):
+        with pytest.warns(NearCriticalWarning, match="d=3 critical point 0.2488"):
+            warn_if_near_critical(3, p)
+    for d, p in ((2, 0.3), (2, 0.5 + 2 * NEAR_CRITICAL_BAND), (2, 0.0), (2, 1.0), (3, 0.49), (3, 0.30)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warn_if_near_critical(d, p)
