@@ -10,6 +10,8 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .coloring import parse_color_measure
 from .harness import (
     MODE_ANNEALED,
@@ -26,7 +28,7 @@ from .harness import (
     seed_audit,
     timed,
 )
-from .lattice import build_box
+from .lattice import BoxTooLargeError, build_box
 from .percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_RULES,
@@ -365,16 +367,17 @@ def _run_check_identity(invocation: CliInvocation) -> RunResult:
         margin = opts["margin"] if opts["margin"] is not None else default_window_margin(lattice)
         for p in opts["p_values"]:
             role = f"identity:{radius}:{p!r}"
-            sums = map_labelings(
+            # The two square-sum routes are compared copy by copy.
+            differs = map_labelings(
                 lattice,
                 p,
                 seed,
                 role,
                 opts["configs"],
-                lambda i, labeling: square_sums(labeling, margin),
+                lambda start, stack: {"differs": np.not_equal(*square_sums(stack, margin))},
                 proxy_rule=opts["proxy_rule"],
-            )
-            violations = sum(1 for per_site, per_cluster in sums if per_site != per_cluster)
+            )["differs"]
+            violations = int(np.count_nonzero(differs))
             counts[f"n={radius},p={p!r}"] = {"configs": opts["configs"], "violations": violations}
             streams.append((role, opts["configs"]))
             tests.append(
@@ -421,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return execute(invocation)
-    except UsageError as exc:
+    except (UsageError, BoxTooLargeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - boundary: report and set status

@@ -23,6 +23,7 @@ from .percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_RULES,
     ClusterLabeling,
+    LabelingStack,
     PercolationEstimates,
     default_window_margin,
     estimate_functionals,
@@ -196,9 +197,9 @@ def _quenched_graph(
         config.master_seed,
         "graph",
         1,
-        lambda r, labeling: labeling,
+        lambda start, stack: {"labeling": [stack.view(0)]},
         proxy_rule=config.proxy_rule,
-    )
+    )["labeling"]
     est = estimate_functionals(
         lattice,
         config.p,
@@ -224,17 +225,22 @@ def _colored_replicates(
     """
     seed = config.master_seed
 
-    def observe(i: int, labeling: ClusterLabeling) -> tuple[dict, dict]:
-        field_ = color_clusters(labeling, config.nu, seed, f"color:{i}")
-        replicate = {
-            "proxy_sites": int(labeling.proxy_site_count()),
-            "color_sum": float(np.dot(labeling.cluster_sizes, field_.cluster_color)),
-            "z": field_.z,
-            **(extra(labeling, field_) if extra else {}),
-        }
-        return replicate, labeling_functionals(labeling, margin)
+    def observe(start: int, stack: LabelingStack) -> dict:
+        rows = []
+        for c in range(stack.copies):
+            labeling = stack.view(c)
+            field_ = color_clusters(labeling, config.nu, seed, f"color:{start + c}")
+            rows.append(
+                {
+                    "proxy_sites": int(labeling.proxy_site_count()),
+                    "color_sum": float(np.dot(labeling.cluster_sizes, field_.cluster_color)),
+                    "z": field_.z,
+                    **(extra(labeling, field_) if extra else {}),
+                }
+            )
+        return {"rows": rows, **labeling_functionals(stack, margin)}
 
-    pairs = map_labelings(
+    columns = map_labelings(
         lattice,
         config.p,
         seed,
@@ -244,8 +250,7 @@ def _colored_replicates(
         proxy_rule=config.proxy_rule,
         workers=config.workers,
     )
-    rows = [row for _, row in pairs]
-    return [rep for rep, _ in pairs], pool_functionals(rows, lattice, margin, config.proxy_rule)
+    return columns.pop("rows"), pool_functionals(columns, lattice, margin, config.proxy_rule)
 
 
 @timed
@@ -651,17 +656,16 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     for radius in config.radii:
         lattice = build_box(config.d, radius)
         n_sites = lattice.site_count
-        proxy_sites = map_labelings(
+        counts = map_labelings(
             lattice,
             config.p,
             seed,
             f"graph:{radius}",
             reps,
-            lambda i, labeling: labeling.proxy_site_count(),
+            lambda start, stack: {"proxy_sites": stack.proxy_sites},
             proxy_rule=config.proxy_rule,
             workers=config.workers,
-        )
-        counts = np.array(proxy_sites, dtype=np.float64)
+        )["proxy_sites"].astype(np.float64)
         theta_box = float(counts.mean()) / n_sites
         statistic = (counts - counts.mean()) / math.sqrt(n_sites)
         sigma_p2 = float(counts.var(ddof=1)) / n_sites if reps >= 2 else 0.0

@@ -9,6 +9,7 @@ its edges and the list of boundary sites.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -16,6 +17,22 @@ import numpy as np
 
 # Stay well under int64 so squared partial sums cannot overflow downstream.
 _MAX_COUNT = 2**62
+# Peak bytes per site of build_box plus one label_clusters call on the box are
+# about 48 + 40 d: tracemalloc measured 83, 123, 163 and 200 for d = 1..4.
+_BYTES_PER_SITE = 48
+_BYTES_PER_SITE_AND_AXIS = 40
+
+
+class BoxTooLargeError(ValueError):
+    """The requested box cannot be indexed, or would not fit in memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass(frozen=True)
@@ -64,17 +81,25 @@ class BoxLattice:
 def build_box(d: int, n: int) -> BoxLattice:
     """Construct the box lattice of dimension d and radius n.
 
-    Refuses boxes whose site count would not fit comfortably in an int64
-    index space.
+    Refuses, before allocating anything, boxes whose site count would not
+    fit comfortably in an int64 index space, and boxes that would need more
+    than the machine's physical memory to build and label once.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"radius must be a non-negative integer, got {n!r}")
     side = 2 * n + 1
-    if side**d > _MAX_COUNT:
-        raise ValueError(f"box side {side}^{d} exceeds the supported index range")
     site_count = side**d
+    if site_count > _MAX_COUNT:
+        raise BoxTooLargeError(f"box side {side}^{d} exceeds the supported index range")
+    needed = site_count * (_BYTES_PER_SITE + _BYTES_PER_SITE_AND_AXIS * d)
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise BoxTooLargeError(
+            f"box side {side}^{d} needs about {needed / 2**30:.3g} GiB to build and label, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     strides = tuple(side ** (d - 1 - axis) for axis in range(d))
 
     sites = np.arange(site_count, dtype=np.int64)
@@ -115,15 +140,11 @@ def inner_window(lattice: BoxLattice, margin: int) -> np.ndarray:
         raise ValueError(f"margin must be a non-negative integer, got {margin!r}")
     if margin > lattice.n:
         raise ValueError(f"margin {margin} exceeds box radius {lattice.n}")
-    if margin == 0:
-        return np.arange(lattice.site_count, dtype=np.int64)
     sites = np.arange(lattice.site_count, dtype=np.int64)
-    keep = np.ones(lattice.site_count, dtype=bool)
-    lo, hi = margin, lattice.side - 1 - margin
-    for stride in lattice.strides:
-        c = (sites // stride) % lattice.side
-        keep &= (c >= lo) & (c <= hi)
-    return sites[keep]
+    if margin == 0:
+        return sites
+    inner = slice(margin, lattice.side - margin)
+    return sites.reshape((lattice.side,) * lattice.d)[(inner,) * lattice.d].ravel()
 
 
 def window_site_count(lattice: BoxLattice, margin: int) -> int:

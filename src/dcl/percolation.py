@@ -7,11 +7,13 @@ boundary-touching largest cluster can be designated as the stand-in for the
 infinite cluster; everything measured "finite" excludes that stand-in.
 
 Every experiment draws its configurations through one replicate engine,
-map_labelings, and pools the per-configuration functionals in pool_functionals.
+map_labelings, which labels small boxes many copies at a time, and pools the
+per-configuration functionals in pool_functionals.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +35,8 @@ NEAR_CRITICAL_BAND = 0.02
 # Bond percolation thresholds of the cubic lattice: exact at d=2, and
 # 0.2488 at d=3 (Lorenz & Ziff, J. Phys. A 31, 8147, 1998).
 _CRITICAL_P = {2: 0.5, 3: 0.2488}
+# Sites per labeler call when map_labelings stacks copies of a small box.
+_STACK_SITES = 2**14
 
 
 class InvariantViolationError(RuntimeError):
@@ -57,10 +61,13 @@ def warn_if_near_critical(d: int, p: float) -> None:
 
 @dataclass(frozen=True)
 class EdgeConfig:
-    """One sampled bond configuration.
+    """One sampled bond configuration, or a stack of them on the same box.
 
-    The open bitset is reproducible from (lattice, p, seed, stream_tag)
-    alone, so a config never needs to be stored to be revisited.
+    open is (edge_count,) for one configuration, or (copies, edge_count) for
+    a stack. A stack tagged f"{role}:{a}..{b}" holds the configurations of
+    the streams f"{role}:{r}" for r = a..b, one per row. Either way the open
+    bits are reproducible from (lattice, p, seed, stream_tag) alone, so a
+    config never needs to be stored to be revisited.
     """
 
     lattice: BoxLattice
@@ -70,14 +77,29 @@ class EdgeConfig:
     stream_tag: str
 
 
-def sample_config(lattice: BoxLattice, p: float, seed: int, stream_tag: str = "graph") -> EdgeConfig:
-    """Draw a Bernoulli(p) bond configuration on the given box."""
+def _check_density(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
+def sample_config(lattice: BoxLattice, p: float, seed: int, stream_tag: str = "graph") -> EdgeConfig:
+    """Draw a Bernoulli(p) bond configuration on the given box."""
+    _check_density(p)
     rng = derive_rng(seed, stream_tag)
     open_edges = rng.random(lattice.edge_count) < p
     open_edges.setflags(write=False)
     return EdgeConfig(lattice=lattice, open=open_edges, p=p, seed=seed, stream_tag=stream_tag)
+
+
+def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: int, copies: int) -> EdgeConfig:
+    """Configurations start..start+copies-1 of a role, drawn as sample_config draws each."""
+    _check_density(p)
+    draws = np.empty((copies, lattice.edge_count))
+    for i in range(copies):
+        derive_rng(seed, f"{role}:{start + i}").random(out=draws[i])
+    open_edges = draws < p
+    open_edges.setflags(write=False)
+    return EdgeConfig(lattice, open_edges, p, seed, f"{role}:{start}..{start + copies - 1}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +114,14 @@ class ClusterLabeling:
     lattice: BoxLattice
     cluster_id: np.ndarray = field(repr=False, compare=False)
     cluster_sizes: np.ndarray = field(repr=False, compare=False)
-    boundary_touching: frozenset[int]
     infinite_proxy: int | None
     k_n: int
     proxy_rule: str
+
+    @property
+    def boundary_touching(self) -> frozenset[int]:
+        """Ids of the clusters that reach the box boundary."""
+        return frozenset(np.unique(self.cluster_id[self.lattice.boundary_sites]).tolist())
 
     def finite_sizes(self) -> np.ndarray:
         """Cluster sizes with the infinite stand-in zeroed out."""
@@ -111,7 +137,66 @@ class ClusterLabeling:
         return int(self.cluster_sizes[self.infinite_proxy])
 
 
-def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST) -> ClusterLabeling:
+@dataclass(frozen=True)
+class LabelingStack:
+    """Connected components of a stack of configurations, labeled as one graph.
+
+    Ids run across the whole stack: copy c owns the ids first[c] ..
+    first[c] + k_n[c] - 1, in smallest-site order, so its own ids are these
+    minus first[c]. stack_id is (copies, site_count) and cluster_sizes is
+    indexed by stack id. proxy is each copy's stand-in as a stack id, or -1,
+    and proxy_sites its volume, or 0.
+    """
+
+    lattice: BoxLattice
+    stack_id: np.ndarray = field(repr=False, compare=False)
+    first: np.ndarray = field(repr=False, compare=False)
+    k_n: np.ndarray = field(repr=False, compare=False)
+    cluster_sizes: np.ndarray = field(repr=False, compare=False)
+    proxy: np.ndarray = field(repr=False, compare=False)
+    proxy_sites: np.ndarray = field(repr=False, compare=False)
+    proxy_rule: str
+
+    @property
+    def copies(self) -> int:
+        return self.stack_id.shape[0]
+
+    def view(self, c: int) -> ClusterLabeling:
+        """Copy c as a ClusterLabeling, with its own ids counting from 0."""
+        first = int(self.first[c])
+        cluster_id = self.stack_id[c]
+        if first:
+            cluster_id = cluster_id - first
+            cluster_id.setflags(write=False)
+        proxy = int(self.proxy[c])
+        return ClusterLabeling(
+            lattice=self.lattice,
+            cluster_id=cluster_id,
+            cluster_sizes=self.cluster_sizes[first : first + int(self.k_n[c])],
+            infinite_proxy=proxy - first if proxy >= 0 else None,
+            k_n=int(self.k_n[c]),
+            proxy_rule=self.proxy_rule,
+        )
+
+
+def _as_stack(labeling: ClusterLabeling | LabelingStack) -> LabelingStack:
+    """A labeling as a stack: itself, or the one-copy stack over a ClusterLabeling."""
+    if isinstance(labeling, LabelingStack):
+        return labeling
+    proxy = -1 if labeling.infinite_proxy is None else labeling.infinite_proxy
+    return LabelingStack(
+        lattice=labeling.lattice,
+        stack_id=labeling.cluster_id[None, :],
+        first=np.zeros(1, dtype=np.int64),
+        k_n=np.array([labeling.k_n]),
+        cluster_sizes=labeling.cluster_sizes,
+        proxy=np.array([proxy]),
+        proxy_sites=np.array([labeling.proxy_site_count()]),
+        proxy_rule=labeling.proxy_rule,
+    )
+
+
+def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST) -> ClusterLabeling | LabelingStack:
     """Label clusters of the open subgraph.
 
     Min-label hooking: every site starts as its own root; each round, the
@@ -120,14 +205,26 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     ever move to smaller sites, so at the fixed point each site's root is
     the smallest site of its cluster, and ranking the roots gives ids in
     smallest-site order. Every open edge is cross-checked to join equal ids.
+
+    A one-dimensional config.open gives a ClusterLabeling. A stack,
+    (copies, edge_count), gives a LabelingStack: copy c's sites are shifted
+    by c * site_count and the disjoint union goes through the same rounds.
+    No cluster crosses copies, so each copy's first site is a root and its
+    ids come out in the same order as if it were labeled alone.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
     lattice = config.lattice
-    u = lattice.edge_u[config.open]
-    v = lattice.edge_v[config.open]
+    site_count = lattice.site_count
+    copies = 1 if config.open.ndim == 1 else config.open.shape[0]
+    u, v = lattice.edge_u, lattice.edge_v
+    if copies > 1:
+        shift = np.arange(copies, dtype=np.int64)[:, None] * site_count
+        u, v = u + shift, v + shift
+    open_edges = config.open.reshape(u.shape)
+    u, v = u[open_edges], v[open_edges]
 
-    sites = np.arange(lattice.site_count, dtype=np.int64)
+    sites = np.arange(copies * site_count, dtype=np.int64)
     # Hooking writes into root in place; sites must stay intact for the root test.
     root = sites.copy()
     while True:
@@ -143,34 +240,41 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
 
     # Rank of each root among the roots, which are the clusters' smallest sites.
     rank = (root == sites).cumsum() - 1
-    cluster_id = rank[root]
-    k_n = int(rank[-1]) + 1
-    if (cluster_id[u] != cluster_id[v]).any():
+    stack_id = rank[root]
+    total = int(rank[-1]) + 1
+    if (stack_id[u] != stack_id[v]).any():
         raise InvariantViolationError("an open edge joins two different cluster ids")
 
-    cluster_sizes = np.bincount(cluster_id, minlength=k_n).astype(np.int64)
+    # Each copy's first site is a root, so its rank is the copy's first id.
+    first = rank[sites[::site_count]]
+    k_n = rank[sites[site_count - 1 :: site_count]] + 1 - first
+    cluster_sizes = np.bincount(stack_id, minlength=total)
+    stack_id = stack_id.reshape(copies, site_count)
 
-    boundary_ids = np.unique(cluster_id[lattice.boundary_sites])
-    boundary_touching = frozenset(boundary_ids.tolist())
+    if proxy_rule == PROXY_BOUNDARY_LARGEST:
+        # Per copy: the largest boundary cluster, ties to the smallest id.
+        boundary = stack_id[:, lattice.boundary_sites]
+        b_sizes = cluster_sizes[boundary]
+        largest = b_sizes == b_sizes.max(axis=1, keepdims=True)
+        proxy = np.where(largest, boundary, total).min(axis=1)
+        proxy_sites = cluster_sizes[proxy]
+    else:
+        proxy = np.full(copies, -1, dtype=np.int64)
+        proxy_sites = np.zeros(copies, dtype=np.int64)
 
-    infinite_proxy: int | None = None
-    if proxy_rule == PROXY_BOUNDARY_LARGEST and boundary_ids.size > 0:
-        b_sizes = cluster_sizes[boundary_ids]
-        best = boundary_ids[b_sizes == b_sizes.max()].min()
-        infinite_proxy = int(best)
-
-    cluster_id.setflags(write=False)
-    cluster_sizes.setflags(write=False)
-
-    return ClusterLabeling(
+    for array in (stack_id, first, k_n, cluster_sizes, proxy, proxy_sites):
+        array.setflags(write=False)
+    stack = LabelingStack(
         lattice=lattice,
-        cluster_id=cluster_id,
-        cluster_sizes=cluster_sizes,
-        boundary_touching=boundary_touching,
-        infinite_proxy=infinite_proxy,
+        stack_id=stack_id,
+        first=first,
         k_n=k_n,
+        cluster_sizes=cluster_sizes,
+        proxy=proxy,
+        proxy_sites=proxy_sites,
         proxy_rule=proxy_rule,
     )
+    return stack if config.open.ndim == 2 else stack.view(0)
 
 
 def default_window_margin(lattice: BoxLattice) -> int:
@@ -180,32 +284,37 @@ def default_window_margin(lattice: BoxLattice) -> int:
     return min(lattice.n, math.ceil(4.0 * math.log(lattice.side)))
 
 
-def square_sums(labeling: ClusterLabeling, window_margin: int) -> tuple[int, int]:
+def square_sums(labeling: ClusterLabeling | LabelingStack, window_margin: int) -> tuple:
     """Both exact integer routes to the windowed square sum.
 
     Returns (per_site, per_cluster) where per_site sums, over window sites
     outside the infinite stand-in, the size of the site's cluster piece
     inside the window, and per_cluster sums the squared piece sizes over
-    finite clusters. The two are equal for any correct labeling.
+    finite clusters. The two are equal for any correct labeling. A stack
+    gives one integer array per route, with one entry per copy.
     """
-    window = inner_window(labeling.lattice, window_margin)
-    labels = labeling.cluster_id[window]
-    if labeling.infinite_proxy is not None:
-        labels = labels[labels != labeling.infinite_proxy]
-    piece = np.bincount(labels, minlength=labeling.k_n).astype(np.int64)
-    per_cluster = int(np.dot(piece, piece))
-    per_site = int(piece[labels].sum())
+    stack = _as_stack(labeling)
+    window = inner_window(stack.lattice, window_margin)
+    labels = stack.stack_id[:, window]
+    finite = labels != stack.proxy[:, None]
+    piece = np.bincount(labels[finite], minlength=stack.cluster_sizes.shape[0])
+    per_cluster = np.add.reduceat(piece * piece, stack.first)
+    # The stand-in's piece is 0, so its sites add nothing here.
+    per_site = piece[labels].sum(axis=1)
+    if isinstance(labeling, ClusterLabeling):
+        return int(per_site[0]), int(per_cluster[0])
     return per_site, per_cluster
 
 
-def square_sum_density(labeling: ClusterLabeling, window_margin: int) -> float:
+def square_sum_density(labeling: ClusterLabeling | LabelingStack, window_margin: int):
     """Windowed mean of |C'(x) within the window| over window sites.
 
     Computed by two independent routes that must agree exactly as integers;
-    any discrepancy raises rather than returning a number.
+    any discrepancy raises rather than returning a number. A stack gives one
+    value per copy.
     """
     per_site, per_cluster = square_sums(labeling, window_margin)
-    if per_site != per_cluster:
+    if np.any(per_site != per_cluster):
         raise InvariantViolationError(
             f"square-sum identity violated: per-site {per_site} != per-cluster {per_cluster}"
         )
@@ -231,26 +340,29 @@ class PercolationEstimates:
     proxy_rule: str
 
 
-def labeling_functionals(labeling: ClusterLabeling, margin: int) -> dict[str, float]:
-    """Per-configuration functional values used by the pooled estimators."""
-    lattice = labeling.lattice
-    window = inner_window(lattice, margin)
-    labels_w = labeling.cluster_id[window]
-    if labeling.infinite_proxy is not None:
-        theta = float(np.count_nonzero(labels_w == labeling.infinite_proxy)) / window.shape[0]
-    else:
-        theta = 0.0
-    chi = float(labeling.finite_sizes()[labels_w].mean())
-    kappa = labeling.k_n / lattice.site_count
-    ssd = square_sum_density(labeling, margin)
-    return {
-        "theta": theta,
-        "chi_f": chi,
-        "kappa": kappa,
-        "square_sum_density": ssd,
-        "proxy_sites": float(labeling.proxy_site_count()),
-        "k_n": float(labeling.k_n),
+def labeling_functionals(labeling: ClusterLabeling | LabelingStack, margin: int) -> dict:
+    """Per-configuration functional values used by the pooled estimators.
+
+    A stack gives float columns with one entry per copy, a ClusterLabeling
+    one float each. Every value is an integer count over an integer.
+    """
+    stack = _as_stack(labeling)
+    window = inner_window(stack.lattice, margin)
+    labels = stack.stack_id[:, window]
+    in_proxy = np.count_nonzero(labels == stack.proxy[:, None], axis=1)
+    # Full-box sizes of the window sites' clusters, the stand-in counted as 0.
+    finite_mass = stack.cluster_sizes[labels].sum(axis=1) - in_proxy * stack.proxy_sites
+    columns = {
+        "theta": in_proxy / window.shape[0],
+        "chi_f": finite_mass / window.shape[0],
+        "kappa": stack.k_n / stack.lattice.site_count,
+        "square_sum_density": square_sum_density(stack, margin),
+        "proxy_sites": stack.proxy_sites.astype(np.float64),
+        "k_n": stack.k_n.astype(np.float64),
     }
+    if isinstance(labeling, ClusterLabeling):
+        return {name: float(values[0]) for name, values in columns.items()}
+    return columns
 
 
 def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> list:
@@ -266,48 +378,62 @@ def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> li
         return [fut.result() for fut in futures]
 
 
+def _join(parts: list) -> np.ndarray | list:
+    if isinstance(parts[0], np.ndarray):
+        return np.concatenate(parts)
+    return list(itertools.chain.from_iterable(parts))
+
+
 def map_labelings(
     lattice: BoxLattice,
     p: float,
     seed: int,
     role: str,
     count: int,
-    observe: Callable[[int, ClusterLabeling], object],
+    observe: Callable[[int, LabelingStack], dict],
     *,
     proxy_rule: str = PROXY_BOUNDARY_LARGEST,
     workers: int = 1,
-) -> list:
+) -> dict:
     """The replicate engine: sample, label and observe `count` configurations.
 
-    Configuration r is drawn from the stream (seed, f"{role}:{r}") and
-    labeled; only observe(r, labeling) is kept, so memory holds one labeling
-    per worker rather than one per replicate. Results come back in r order.
+    Configuration r is drawn from the stream (seed, f"{role}:{r}").
+    Configurations are labeled in stacks of max(1, _STACK_SITES //
+    site_count) copies, one label_clusters call per stack, so small boxes
+    share one set of hooking rounds. observe(start, stack) maps the stack
+    whose copy 0 is configuration `start` to columns: a dict of arrays or
+    lists with one entry per copy. Only the columns are kept, and each comes
+    back joined in r order whatever the worker count.
     """
+    copies = max(1, _STACK_SITES // lattice.site_count)
+    starts = range(0, count, copies)
 
-    def one(r: int) -> object:
-        config = sample_config(lattice, p, seed, f"{role}:{r}")
-        return observe(r, label_clusters(config, proxy_rule))
+    def one(k: int) -> dict:
+        start = starts[k]
+        config = _sample_stack(lattice, p, seed, role, start, min(copies, count - start))
+        return observe(start, label_clusters(config, proxy_rule))
 
-    return map_ordered(one, count, workers)
+    parts = map_ordered(one, len(starts), workers)
+    return {name: _join([part[name] for part in parts]) for name in parts[0]}
 
 
 def pool_functionals(
-    rows: list[dict[str, float]], lattice: BoxLattice, margin: int, proxy_rule: str
+    columns: dict[str, np.ndarray], lattice: BoxLattice, margin: int, proxy_rule: str
 ) -> PercolationEstimates:
-    """Pool per-configuration labeling_functionals rows into estimates.
+    """Pool per-configuration labeling_functionals columns into estimates.
 
     Means carry the usual standard error. sigma_p2 is the sample variance of
     the stand-in volume over site_count, with the variance-of-variance
     standard error Var(s^2) = m4/R - s^4 (R-3) / (R (R-1)), the empirical
-    fourth central moment plugged in. One row gives sigma_p2 = 0 and NaN
-    standard errors.
+    fourth central moment plugged in. One configuration gives sigma_p2 = 0
+    and NaN standard errors.
     """
-    count = len(rows)
-    theta = np.array([row["theta"] for row in rows])
-    chi = np.array([row["chi_f"] for row in rows])
-    kappa = np.array([row["kappa"] for row in rows])
-    ssd = np.array([row["square_sum_density"] for row in rows])
-    proxy_sites = np.array([row["proxy_sites"] for row in rows])
+    theta = columns["theta"]
+    chi = columns["chi_f"]
+    kappa = columns["kappa"]
+    ssd = columns["square_sum_density"]
+    proxy_sites = columns["proxy_sites"]
+    count = len(theta)
 
     def mean_se(values: np.ndarray) -> float:
         if count < 2:
@@ -364,16 +490,16 @@ def estimate_functionals(
     warn_if_near_critical(lattice.d, p)
     if margin is None:
         margin = default_window_margin(lattice)
-    rows = map_labelings(
+    columns = map_labelings(
         lattice,
         p,
         seed,
         stream_role,
         replicates,
-        lambda r, labeling: labeling_functionals(labeling, margin),
+        lambda start, stack: labeling_functionals(stack, margin),
         proxy_rule=proxy_rule,
     )
-    return pool_functionals(rows, lattice, margin, proxy_rule)
+    return pool_functionals(columns, lattice, margin, proxy_rule)
 
 
 def connectivity_profile(
@@ -390,15 +516,15 @@ def connectivity_profile(
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     targets = [tuple(offset) for offset in offsets]
     sites = np.array([lattice.index_of(coords) for coords in targets], dtype=np.int64)
-    origin = lattice.origin
+    origin = [lattice.origin]
     joined = map_labelings(
         lattice,
         p,
         seed,
         stream_role,
         replicates,
-        lambda r, labeling: labeling.cluster_id[sites] == labeling.cluster_id[origin],
+        lambda start, stack: {"joined": stack.stack_id[:, sites] == stack.stack_id[:, origin]},
         proxy_rule=PROXY_DISABLED,
-    )
+    )["joined"]
     hits = np.sum(joined, axis=0)
     return {coords: int(h) / replicates for coords, h in zip(targets, hits)}

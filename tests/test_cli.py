@@ -146,6 +146,13 @@ def test_exit_code_on_usage_error(capsys):
     assert "usage error" in err and "--p" in err
 
 
+def test_box_too_large_is_a_usage_error(capsys):
+    code = main(["estimate", "--dim", "2", "--radius", str(2**21), "--p", "0.4", "--replicates", "1"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: box side 4194305^2 needs about")
+
+
 def test_exit_code_on_unwritable_path(capsys):
     code = main(
         ["estimate", "--radius", "4", "--p", "0.4", "--replicates", "2",

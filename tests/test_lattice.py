@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcl.lattice import build_box, inner_window, window_site_count
+from dcl.lattice import BoxTooLargeError, build_box, inner_window, window_site_count
 
 from oracles import box_edges, box_sites
 
@@ -108,6 +111,23 @@ def test_arrays_are_read_only():
 def test_bad_shapes_rejected(d, n):
     with pytest.raises(ValueError):
         build_box(d, n)
+
+
+def test_box_beyond_physical_memory_rejected_before_allocating():
+    try:
+        os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError):
+        pytest.skip("physical memory size not available")
+    # 4194305^2 sites: about 1.8e13, far past any machine's memory but inside
+    # the int64 index range, so the memory estimate is what refuses it.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoxTooLargeError, match=r"needs about [\d.e+]+ GiB .* GiB of physical memory"):
+            build_box(2, 2**21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_bad_coordinates_rejected():

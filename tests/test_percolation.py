@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from dcl.lattice import build_box, inner_window, window_site_count
 from dcl.percolation import (
+    _STACK_SITES,
     NEAR_CRITICAL_BAND,
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
@@ -263,18 +266,99 @@ def test_estimate_replicate_validation():
 
 
 def test_map_labelings_streams_and_worker_count():
-    lat = build_box(2, 3)
+    # A 7x7 box takes one stack for 12 replicates; 3x3 boxes stack
+    # 16384 // 9 = 1820 copies per labeler call, so 4000 replicates run as
+    # three stacks, which three workers label concurrently.
+    for n, count in ((3, 12), (1, 4000)):
+        lat = build_box(2, n)
 
-    def observe(r, labeling):
-        return r, labeling.cluster_id.copy()
+        def observe(start, stack):
+            return {
+                "r": list(range(start, start + stack.copies)),
+                "ids": [stack.view(c).cluster_id.copy() for c in range(stack.copies)],
+            }
 
-    serial = map_labelings(lat, 0.45, 8, "eng", 12, observe, workers=1)
-    threaded = map_labelings(lat, 0.45, 8, "eng", 12, observe, workers=3)
-    assert [r for r, _ in serial] == list(range(12))
-    for (r, ids), (r3, ids3) in zip(serial, threaded):
-        assert r == r3 and np.array_equal(ids, ids3)
-        direct = label_clusters(sample_config(lat, 0.45, 8, f"eng:{r}"))
-        assert np.array_equal(ids, direct.cluster_id)
+        serial = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=1)
+        threaded = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=3)
+        assert serial["r"] == threaded["r"] == list(range(count))
+        for r, ids, ids3 in zip(serial["r"], serial["ids"], threaded["ids"]):
+            assert np.array_equal(ids, ids3)
+            direct = label_clusters(sample_config(lat, 0.45, 8, f"eng:{r}"))
+            assert np.array_equal(ids, direct.cluster_id)
+
+
+def _stack_copies(lattice):
+    return max(1, _STACK_SITES // lattice.site_count)
+
+
+@pytest.mark.parametrize("d,n", [(1, 1000), (2, 20), (3, 5), (4, 2)])
+def test_stacked_views_match_one_copy_labelings(d, n):
+    # Three copies past the first stack, so the second stack starts at a
+    # replicate index other than 0.
+    lat = build_box(d, n)
+    count = _stack_copies(lat) + 3
+    for p in (0.0, 0.3, 0.6, 1.0):
+        for rule in (PROXY_BOUNDARY_LARGEST, PROXY_DISABLED):
+            views = map_labelings(
+                lat,
+                p,
+                21,
+                "view",
+                count,
+                lambda start, stack: {"view": [stack.view(c) for c in range(stack.copies)]},
+                proxy_rule=rule,
+            )["view"]
+            assert len(views) == count
+            for r, view in enumerate(views):
+                direct = label_clusters(sample_config(lat, p, 21, f"view:{r}"), rule)
+                for name in [f.name for f in dataclasses.fields(ClusterLabeling)] + ["boundary_touching"]:
+                    got, want = getattr(view, name), getattr(direct, name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and np.array_equal(got, want), (r, name)
+                    else:
+                        assert got == want, (r, name)
+
+
+def _oracle_functionals(lattice, open_mask, margin, rule):
+    """labeling_functionals of one configuration, from BFS labels in plain Python."""
+    labels = _oracle_ids(lattice, open_mask)
+    coords = [lattice.site_of(i) for i in range(lattice.site_count)]
+    sizes = Counter(labels)
+    proxy = None
+    if rule == PROXY_BOUNDARY_LARGEST:
+        boundary = {label for label, c in zip(labels, coords) if any(abs(x) == lattice.n for x in c)}
+        proxy = min(boundary, key=lambda label: (-sizes[label], label))
+    window = [label for label, c in zip(labels, coords) if all(abs(x) <= lattice.n - margin for x in c)]
+    piece = Counter(label for label in window if label != proxy)
+    return {
+        "theta": sum(label == proxy for label in window) / len(window),
+        "chi_f": sum(sizes[label] for label in window if label != proxy) / len(window),
+        "kappa": len(sizes) / lattice.site_count,
+        "square_sum_density": sum(piece[label] for label in window if label != proxy) / len(window),
+        "proxy_sites": float(sizes[proxy] if proxy is not None else 0),
+        "k_n": float(len(sizes)),
+    }
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (1, 4)])
+def test_stacked_functional_columns_match_bfs_oracle(d, n):
+    lat = build_box(d, n)
+    count = _stack_copies(lat) + 3
+    for margin in (0, 1):
+        for rule in (PROXY_BOUNDARY_LARGEST, PROXY_DISABLED):
+            columns = map_labelings(
+                lat,
+                0.5,
+                4,
+                "cols",
+                count,
+                lambda start, stack: labeling_functionals(stack, margin),
+                proxy_rule=rule,
+            )
+            for r in range(count):
+                mask = sample_config(lat, 0.5, 4, f"cols:{r}").open
+                want = _oracle_functionals(lat, mask, margin, rule)
+                assert {name: float(columns[name][r]) for name in want} == want, r
 
 
 def test_near_critical_warning_band():
