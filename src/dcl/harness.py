@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import ColorField, ColorMeasure, color_clusters, parse_color_measure
+from .coloring import ColorMeasure, color_clusters, parse_color_measure
 from .lattice import BoxLattice, build_box, inner_window
 from .percolation import (
     PROXY_BOUNDARY_LARGEST,
@@ -213,32 +213,36 @@ def _quenched_graph(
 
 
 def _colored_replicates(
-    config: ExperimentConfig,
-    lattice: BoxLattice,
-    margin: int,
-    extra: Callable[[ClusterLabeling, ColorField], dict] | None = None,
-) -> tuple[list[dict], PercolationEstimates]:
-    """Independent (graph:i, color:i) pairs: one row each, plus pooled functionals.
+    config: ExperimentConfig, lattice: BoxLattice, margin: int
+) -> tuple[dict[str, np.ndarray], PercolationEstimates]:
+    """Independent (graph:i, color:i) pairs as columns, plus pooled functionals.
 
-    Each row holds the stand-in volume, the full-box color sum and the
-    stand-in color z, updated with extra(labeling, field) when given.
+    Besides the labeling_functionals columns, each copy has its full-box
+    color sum, the stand-in color z (0 without one), the color sum and the
+    exact square sum of its finite cluster sizes, and whether its stand-in
+    spans the box: holds a site on both faces orthogonal to the first axis.
     """
     seed = config.master_seed
 
     def observe(start: int, stack: LabelingStack) -> dict:
-        rows = []
+        color_sum, finite_color_sum, z = np.empty((3, stack.copies))
         for c in range(stack.copies):
             labeling = stack.view(c)
             field_ = color_clusters(labeling, config.nu, seed, f"color:{start + c}")
-            rows.append(
-                {
-                    "proxy_sites": int(labeling.proxy_site_count()),
-                    "color_sum": float(np.dot(labeling.cluster_sizes, field_.cluster_color)),
-                    "z": field_.z,
-                    **(extra(labeling, field_) if extra else {}),
-                }
-            )
-        return {"rows": rows, **labeling_functionals(stack, margin)}
+            color_sum[c] = np.dot(labeling.cluster_sizes, field_.cluster_color)
+            finite_color_sum[c] = np.dot(labeling.finite_sizes(), field_.cluster_color)
+            z[c] = field_.z
+        faces = stack.stack_id.reshape(stack.copies, lattice.side, -1)
+        proxy = stack.proxy[:, None]
+        return {
+            **labeling_functionals(stack, margin),
+            "color_sum": color_sum,
+            "finite_color_sum": finite_color_sum,
+            "z": z,
+            "finite_square_sum": np.add.reduceat(stack.cluster_sizes**2, stack.first)
+            - stack.proxy_sites**2,
+            "spans": (faces[:, 0] == proxy).any(axis=1) & (faces[:, -1] == proxy).any(axis=1),
+        }
 
     columns = map_labelings(
         lattice,
@@ -250,7 +254,13 @@ def _colored_replicates(
         proxy_rule=config.proxy_rule,
         workers=config.workers,
     )
-    return columns.pop("rows"), pool_functionals(columns, lattice, margin, config.proxy_rule)
+    return columns, pool_functionals(columns, lattice, margin, config.proxy_rule)
+
+
+def _zero_statistics_report(values: np.ndarray, context: str, tol: float = 0.0) -> TestReport:
+    """Exact check that a degenerate statistic is identically zero, up to tol."""
+    worst = float(np.max(np.abs(values))) if values.size else 0.0
+    return exact_check_report(worst <= tol, worst, context)
 
 
 @timed
@@ -357,9 +367,9 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     seed = config.master_seed
     reps = config.graph_replicates
 
-    raw, est = _colored_replicates(config, lattice, margin)
-    m_samples = np.array([r["color_sum"] for r in raw]) / lattice.site_count
-    theta_box = float(np.mean([r["proxy_sites"] for r in raw])) / lattice.site_count
+    columns, est = _colored_replicates(config, lattice, margin)
+    m_samples = columns["color_sum"] / lattice.site_count
+    theta_box = float(columns["proxy_sites"].mean()) / lattice.site_count
 
     prediction = lln_limit_law(config.nu, theta_box)
     tests: list[TestReport] = []
@@ -451,9 +461,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     scale = math.sqrt(window.shape[0])
 
     def one(j: int) -> float:
-        colors = np.asarray(
-            config.nu.sample(derive_rng(seed, f"color:{j}"), labeling.k_n), dtype=np.float64
-        )
+        colors = color_clusters(labeling, config.nu, seed, f"color:{j}").cluster_color
         return float(np.dot(piece, colors - m)) / scale
 
     stats = np.array(map_ordered(one, config.color_replicates, config.workers))
@@ -465,12 +473,9 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
 
     tests: list[TestReport] = []
     if variance_exact == 0.0:
-        all_zero = bool(np.all(stats == 0.0))
         tests.append(
-            exact_check_report(
-                all_zero,
-                float(np.max(np.abs(stats))) if stats.size else 0.0,
-                "quenched-clt: degenerate target requires identically zero statistics",
+            _zero_statistics_report(
+                stats, "quenched-clt: degenerate target requires identically zero statistics"
             )
         )
         prediction: LimitLaw = PointMass(value=0.0)
@@ -555,24 +560,24 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     sigma2 = config.nu.variance
     n_sites = lattice.site_count
 
-    raw, est = _colored_replicates(config, lattice, margin)
+    columns, est = _colored_replicates(config, lattice, margin)
 
-    proxy_found = sum(1 for r in raw if r["proxy_sites"] > 0)
-    if config.regime == REGIME_SUPERCRITICAL and proxy_found <= reps / 2:
+    # A supercritical box is spanned by its stand-in in most replicates, a
+    # subcritical one in few.
+    spanning = int(np.count_nonzero(columns["spans"]))
+    if (spanning > reps / 2) != (config.regime == REGIME_SUPERCRITICAL):
         raise RegimeMismatchError(
-            f"supercritical declared but only {proxy_found}/{reps} replicates "
-            "produced a stand-in infinite cluster"
+            f"{config.regime} declared but {spanning}/{reps} replicates have a "
+            "stand-in cluster spanning the box"
         )
 
-    proxy_sites = np.array([r["proxy_sites"] for r in raw], dtype=np.float64)
-    theta_box = float(proxy_sites.mean()) / n_sites
+    theta_box = float(columns["proxy_sites"].mean()) / n_sites
     sigma_p2_batch = est.sigma_p2_hat
 
     # Centering written as m + theta (z - m): algebraically the same as
     # (1-theta) m + theta z, but exactly zero under a point-mass measure.
-    z = np.array([r["z"] for r in raw], dtype=np.float64)
-    color_sum = np.array([r["color_sum"] for r in raw], dtype=np.float64)
-    q = (color_sum - (m + theta_box * (z - m)) * n_sites) / math.sqrt(n_sites)
+    z = columns["z"]
+    q = (columns["color_sum"] - (m + theta_box * (z - m)) * n_sites) / math.sqrt(n_sites)
 
     closed = gamma_law(config.regime, est.chi_f_hat, sigma2, sigma_p2_batch, config.nu)
     sampler = gamma_sampler(est.chi_f_hat, sigma_p2_batch, config.nu)
@@ -581,12 +586,9 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     tests: list[TestReport] = []
     streams = [("graph", reps), ("color", reps)]
     if isinstance(closed, PointMass):
-        all_zero = bool(np.all(np.abs(q) <= _EXACT_TOL))
         tests.append(
-            exact_check_report(
-                all_zero,
-                float(np.max(np.abs(q))) if q.size else 0.0,
-                "annealed-clt: degenerate gamma requires identically zero statistics",
+            _zero_statistics_report(
+                q, "annealed-clt: degenerate gamma requires identically zero statistics", _EXACT_TOL
             )
         )
     else:
@@ -714,11 +716,9 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
             )
     else:
         prediction = PointMass(value=0.0)
-        flat = np.concatenate([stats_by_radius[r] for r in config.radii])
         tests.append(
-            exact_check_report(
-                bool(np.all(flat == 0.0)),
-                float(np.max(np.abs(flat))) if flat.size else 0.0,
+            _zero_statistics_report(
+                np.concatenate([stats_by_radius[r] for r in config.radii]),
                 "cluster-clt: degenerate volume fluctuations are identically zero",
             )
         )
@@ -756,30 +756,19 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     m = config.nu.mean
     sigma2 = config.nu.variance
 
-    def weighted(labeling: ClusterLabeling, field_: ColorField) -> dict:
-        weights = labeling.finite_sizes().astype(np.float64)
-        weight_sum = float(weights.sum())
-        if weight_sum == 0.0:
-            return {"skipped": True, "weighted_average": None, "condition_ratio": None}
-        square_sum = float(np.dot(weights, weights))
-        return {
-            "skipped": False,
-            "weighted_average": float(np.dot(weights, field_.cluster_color)) / weight_sum,
-            "condition_ratio": square_sum * labeling.k_n / weight_sum**2,
-            "weight_sum": weight_sum,
-            "weight_square_sum": square_sum,
-        }
-
-    raw, est = _colored_replicates(config, lattice, margin, weighted)
-
-    active = [r for r in raw if not r["skipped"]]
-    skipped = len(raw) - len(active)
+    columns, est = _colored_replicates(config, lattice, margin)
+    # The weights are the finite cluster sizes; replicates without any are skipped.
+    active = lattice.site_count - columns["proxy_sites"] > 0
+    count = int(np.count_nonzero(active))
+    skipped = reps - count
+    weight_sum = lattice.site_count - columns["proxy_sites"][active]
+    square_sum = columns["finite_square_sum"][active].astype(np.float64)
     tests: list[TestReport] = []
     estimates: dict = {"percolation": asdict(est), "skipped_replicates": skipped}
     predictions: dict[str, LimitLaw] = {"weighted-average-limit": PointMass(value=m)}
     samples: dict[str, list[float]] = {}
 
-    if not active:
+    if count == 0:
         tests.append(
             exact_check_report(
                 True,
@@ -789,8 +778,8 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
             )
         )
     else:
-        averages = np.array([r["weighted_average"] for r in active])
-        ratios = np.array([r["condition_ratio"] for r in active])
+        averages = columns["finite_color_sum"][active] / weight_sum
+        ratios = square_sum * columns["k_n"][active] / weight_sum**2
         ratio_mean = float(ratios.mean())
         denom = (1.0 - est.theta_hat) ** 2
         predicted_ratio = est.chi_f_hat * est.kappa_hat / denom if denom > 0.0 else float("inf")
@@ -810,12 +799,12 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
                     f"rtol {config.ratio_rtol}",
                 )
             )
-        if len(active) >= 2:
-            se = float(averages.std(ddof=1)) / math.sqrt(len(active))
+        if count >= 2:
+            se = float(averages.std(ddof=1)) / math.sqrt(count)
         else:
             # Single graph: the conditional standard error of the weighted
             # average is sqrt(sigma2 sum w^2) / sum w.
-            se = math.sqrt(sigma2 * active[0]["weight_square_sum"]) / active[0]["weight_sum"]
+            se = math.sqrt(sigma2 * square_sum[0]) / float(weight_sum[0])
         err = abs(float(averages.mean()) - m)
         tests.append(
             exact_check_report(

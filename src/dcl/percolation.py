@@ -102,18 +102,19 @@ def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: in
     return EdgeConfig(lattice, open_edges, p, seed, f"{role}:{start}..{start + copies - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterLabeling:
     """Connected components of one configuration.
 
     Cluster ids are consecutive integers ordered by each cluster's smallest
     site index, so ids (and anything keyed by them, such as colors) are
     stable under relabeling runs and independent of edge processing order.
+    Labelings compare by identity: equal counts do not mean equal clusters.
     """
 
     lattice: BoxLattice
-    cluster_id: np.ndarray = field(repr=False, compare=False)
-    cluster_sizes: np.ndarray = field(repr=False, compare=False)
+    cluster_id: np.ndarray = field(repr=False)
+    cluster_sizes: np.ndarray = field(repr=False)
     infinite_proxy: int | None
     k_n: int
     proxy_rule: str
@@ -137,7 +138,7 @@ class ClusterLabeling:
         return int(self.cluster_sizes[self.infinite_proxy])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelingStack:
     """Connected components of a stack of configurations, labeled as one graph.
 
@@ -145,16 +146,16 @@ class LabelingStack:
     first[c] + k_n[c] - 1, in smallest-site order, so its own ids are these
     minus first[c]. stack_id is (copies, site_count) and cluster_sizes is
     indexed by stack id. proxy is each copy's stand-in as a stack id, or -1,
-    and proxy_sites its volume, or 0.
+    and proxy_sites its volume, or 0. Stacks compare by identity.
     """
 
     lattice: BoxLattice
-    stack_id: np.ndarray = field(repr=False, compare=False)
-    first: np.ndarray = field(repr=False, compare=False)
-    k_n: np.ndarray = field(repr=False, compare=False)
-    cluster_sizes: np.ndarray = field(repr=False, compare=False)
-    proxy: np.ndarray = field(repr=False, compare=False)
-    proxy_sites: np.ndarray = field(repr=False, compare=False)
+    stack_id: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    k_n: np.ndarray = field(repr=False)
+    cluster_sizes: np.ndarray = field(repr=False)
+    proxy: np.ndarray = field(repr=False)
+    proxy_sites: np.ndarray = field(repr=False)
     proxy_rule: str
 
     @property

@@ -90,58 +90,22 @@ def summarize(samples: Iterable[float]) -> SampleSummary:
     if n == 0:
         raise ValueError("cannot summarize an empty sample")
     mean = float(x.mean())
+    nan = float("nan")
     if n == 1:
-        nan = float("nan")
         return SampleSummary(1, mean, nan, nan, nan, nan, nan)
     if bool(np.all(x == x[0])):
         # guard the constant sample: the rounded mean can sit one ulp off
         # the common value, which would turn exact zeros into noise moments
-        nan = float("nan")
         return SampleSummary(n, float(x[0]), 0.0, nan, nan, 0.0, 0.0)
     d = x - mean
     s2 = float(np.dot(d, d)) / (n - 1)
     m2 = float(np.mean(d**2))
     m3 = float(np.mean(d**3))
     m4 = float(np.mean(d**4))
-    return _assemble_summary(n, mean, s2, m2, m3, m4)
-
-
-def summarize_onepass(samples: Iterable[float]) -> SampleSummary:
-    """Streaming moment summary (single pass, running central moments).
-
-    Exists as an independent route to the same numbers; agreement with
-    summarize() is part of the test suite.
-    """
-    n = 0
-    mean = 0.0
-    m2 = m3 = m4 = 0.0
-    for value in samples:
-        x = float(value)
-        n1 = n
-        n += 1
-        delta = x - mean
-        delta_n = delta / n
-        delta_n2 = delta_n * delta_n
-        term1 = delta * delta_n * n1
-        mean += delta_n
-        m4 += term1 * delta_n2 * (n * n - 3 * n + 3) + 6.0 * delta_n2 * m2 - 4.0 * delta_n * m3
-        m3 += term1 * delta_n * (n - 2) - 3.0 * delta_n * m2
-        m2 += term1
-    if n == 0:
-        raise ValueError("cannot summarize an empty sample")
-    if n == 1:
-        nan = float("nan")
-        return SampleSummary(1, mean, nan, nan, nan, nan, nan)
-    s2 = m2 / (n - 1)
-    return _assemble_summary(n, mean, s2, m2 / n, m3 / n, m4 / n)
-
-
-def _assemble_summary(n: int, mean: float, s2: float, m2: float, m3: float, m4: float) -> SampleSummary:
-    nan = float("nan")
     se_mean = math.sqrt(s2 / n)
     se_variance = s2 * math.sqrt(2.0 / (n - 1))
-    # m2 * m2 is 0 for a constant sample and also when a tiny spread makes
-    # it underflow; the shape moments are then 0/0, so they are undefined.
+    # m2 * m2 is 0 when a tiny spread makes it underflow; the shape moments
+    # are then 0/0, so they are undefined.
     if m2 * m2 == 0.0:
         return SampleSummary(n, mean, s2, nan, nan, se_mean, se_variance)
     if n >= 3:

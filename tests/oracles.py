@@ -9,8 +9,10 @@ meaning of "box", so agreement between the two is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 
 def box_sites(d: int, n: int) -> list[tuple[int, ...]]:
@@ -97,3 +99,52 @@ def path_graph_square_sums(n: int) -> list[int]:
         open_edges = [e for i, e in enumerate(edges) if mask >> i & 1]
         totals.append(site_square_sum(bfs_clusters(sites, open_edges)))
     return totals
+
+
+class Moments(NamedTuple):
+    count: int
+    mean: float
+    variance: float
+    skewness: float
+    excess_kurtosis: float
+    se_mean: float
+    se_variance: float
+
+
+def summarize_onepass(samples: Iterable[float]) -> Moments:
+    """Moment summary from running central moments, in one pass.
+
+    Welford's update extended to the third and fourth central moments, then
+    the sample skewness G1 and excess kurtosis G2 in the forms of Joanes and
+    Gill (1998); a shape moment whose denominator is 0 is NaN.
+    """
+    n = 0
+    mean = m2 = m3 = m4 = 0.0
+    for value in samples:
+        x = float(value)
+        n1 = n
+        n += 1
+        delta = x - mean
+        delta_n = delta / n
+        delta_n2 = delta_n * delta_n
+        term1 = delta * delta_n * n1
+        mean += delta_n
+        m4 += term1 * delta_n2 * (n * n - 3 * n + 3) + 6.0 * delta_n2 * m2 - 4.0 * delta_n * m3
+        m3 += term1 * delta_n * (n - 2) - 3.0 * delta_n * m2
+        m2 += term1
+    if n == 0:
+        raise ValueError("cannot summarize an empty sample")
+    nan = float("nan")
+    if n == 1:
+        return Moments(1, mean, nan, nan, nan, nan, nan)
+    variance = m2 / (n - 1)
+    c2, c3, c4 = m2 / n, m3 / n, m4 / n
+    skewness = excess_kurtosis = nan
+    if n >= 3 and c2**1.5 > 0.0:
+        skewness = math.sqrt(n * (n - 1)) / (n - 2) * c3 / c2**1.5
+    if n >= 4 and c2 * c2 > 0.0:
+        g2 = c4 / (c2 * c2) - 3.0
+        excess_kurtosis = (n - 1) / ((n - 2) * (n - 3)) * ((n + 1) * g2 + 6.0)
+    se_mean = math.sqrt(variance / n)
+    se_variance = variance * math.sqrt(2.0 / (n - 1))
+    return Moments(n, mean, variance, skewness, excess_kurtosis, se_mean, se_variance)

@@ -35,6 +35,7 @@ from dcl.percolation import (
     default_window_margin,
     estimate_functionals,
     label_clusters,
+    map_labelings,
     sample_config,
     square_sums,
 )
@@ -296,14 +297,19 @@ def test_adjacent_site_covariance(criterion):
     for alpha, p in ((0.5, 0.3), (0.3, 0.6)):
         nu = TwoPoint(a=-1.0, b=1.0, alpha=alpha)
         mean, variance, _ = moments(nu)
-        products = np.empty(reps)
-        for i in range(reps):
-            config = sample_config(line, p, SEED, f"acc9:{alpha!r}:{p!r}:{i}")
-            labeling = label_clusters(config, PROXY_DISABLED)
-            field = color_clusters(labeling, nu, SEED, f"acc9-color:{alpha!r}:{p!r}:{i}")
-            x0 = field.site_color(origin) - mean
-            x1 = field.site_color(neighbor) - mean
-            products[i] = x0 * x1
+
+        def observe(start, stack):
+            products = np.empty(stack.copies)
+            for c in range(stack.copies):
+                color_tag = f"acc9-color:{alpha!r}:{p!r}:{start + c}"
+                field = color_clusters(stack.view(c), nu, SEED, color_tag)
+                products[c] = (field.site_color(origin) - mean) * (field.site_color(neighbor) - mean)
+            return {"products": products}
+
+        # Configuration i is drawn from the stream f"acc9:{alpha!r}:{p!r}:{i}".
+        products = map_labelings(
+            line, p, SEED, f"acc9:{alpha!r}:{p!r}", reps, observe, proxy_rule=PROXY_DISABLED
+        )["products"]
         predicted = covariance_prediction(variance, p)
         se = products.std(ddof=1) / math.sqrt(reps)
         gap = abs(products.mean() - predicted)

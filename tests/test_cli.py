@@ -153,6 +153,15 @@ def test_box_too_large_is_a_usage_error(capsys):
     assert err.startswith("usage error: box side 4194305^2 needs about")
 
 
+def test_contradicted_regime_exits_1(capsys):
+    code = main(
+        ["clt", "--mode", "annealed", "--regime", "supercritical", "--radius", "8",
+         "--p", "0.1", "--graph-replicates", "10"]
+    )
+    assert code == EXIT_ERROR
+    assert "supercritical declared but 0/10 replicates" in capsys.readouterr().err
+
+
 def test_exit_code_on_unwritable_path(capsys):
     code = main(
         ["estimate", "--radius", "4", "--p", "0.4", "--replicates", "2",

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from dcl.coloring import color_clusters
 from dcl.harness import (
     ExperimentConfig,
     RegimeMismatchError,
     RunResult,
+    _colored_replicates,
     run_annealed_clt,
     run_annealed_lln,
     run_cluster_clt,
@@ -18,7 +20,14 @@ from dcl.harness import (
     run_quenched_lln,
     run_weighted_lln_check,
 )
-from dcl.percolation import NearCriticalWarning
+from dcl.lattice import build_box
+from dcl.percolation import (
+    PROXY_BOUNDARY_LARGEST,
+    PROXY_DISABLED,
+    NearCriticalWarning,
+    label_clusters,
+    sample_config,
+)
 from dcl.stats import TestReport
 from dcl.theory import GaussianLaw, GaussianMixture, PointMass, TwoPointLaw
 
@@ -243,6 +252,52 @@ def test_annealed_clt_detects_regime_mismatch():
     )
     with pytest.raises(RegimeMismatchError):
         run_annealed_clt(cfg)
+
+
+@pytest.mark.parametrize(
+    "regime,p,spanning",
+    [("supercritical", 0.1, 0), ("subcritical", 0.7, 20)],
+)
+def test_annealed_clt_rejects_contradicted_regime(regime, p, spanning):
+    # The default stand-in rule always finds a boundary cluster, so only
+    # spanning tells the regimes apart: at p=0.1 no stand-in crosses a
+    # 33x33 box, at p=0.7 every one does.
+    cfg = ExperimentConfig(
+        d=2, radii=16, p=p, nu="two-point:-1,1,0.5",
+        mode="annealed", graph_replicates=20, master_seed=19, regime=regime,
+    )
+    with pytest.raises(RegimeMismatchError, match=rf"^{regime} declared but {spanning}/20 replicates"):
+        run_annealed_clt(cfg)
+
+
+@pytest.mark.parametrize("d,n,count", [(2, 1, 1850), (2, 5, 6), (1, 3, 60), (3, 1, 50)])
+def test_colored_replicate_columns_match_one_copy_recompute(d, n, count):
+    # A 3x3 box stacks 1820 copies per labeler call, so 1850 replicates take
+    # two stacks and the second starts at replicate 1820; the first and last
+    # 40 replicates are checked.
+    lattice = build_box(d, n)
+    for p in (0.0, 0.45, 0.8, 1.0):
+        for rule in (PROXY_BOUNDARY_LARGEST, PROXY_DISABLED):
+            cfg = ExperimentConfig(
+                d=d, radii=n, p=p, nu="gaussian:0.5,2", graph_replicates=count,
+                master_seed=3, proxy_rule=rule,
+            )
+            columns, _ = _colored_replicates(cfg, lattice, 0)
+            for r in (r for r in range(count) if r < 40 or r >= count - 40):
+                labeling = label_clusters(sample_config(lattice, p, 3, f"graph:{r}"), rule)
+                colors = color_clusters(labeling, cfg.nu, 3, f"color:{r}").cluster_color
+                ids = labeling.cluster_id.tolist()
+                proxy = labeling.infinite_proxy
+                finite = [i for i in ids if i != proxy]
+                sizes = [ids.count(k) for k in range(labeling.k_n) if k != proxy]
+                faces = {lattice.site_of(x)[0] for x, i in enumerate(ids) if i == proxy}
+                assert columns["color_sum"][r] == pytest.approx(math.fsum(colors[ids]), abs=1e-9)
+                assert columns["finite_color_sum"][r] == pytest.approx(
+                    math.fsum(colors[finite]), abs=1e-9
+                )
+                assert columns["z"][r] == (colors[proxy] if proxy is not None else 0.0)
+                assert columns["finite_square_sum"][r] == sum(s * s for s in sizes)
+                assert columns["spans"][r] == ({-n, n} <= faces), (p, rule, r)
 
 
 def test_annealed_clt_subcritical_gaussian_route():

@@ -138,6 +138,23 @@ def test_labeling_properties(d, n, p, seed):
         assert a == b
 
 
+def test_labelings_with_equal_counts_but_different_clusters_differ():
+    # On the three-site line, opening either edge gives two clusters and no
+    # stand-in; only the cluster ids tell the two labelings apart.
+    line = build_box(1, 1)
+    left, right = (
+        label_clusters(EdgeConfig(line, np.array(bits), 0.5, 0, "manual"), PROXY_DISABLED)
+        for bits in ([True, False], [False, True])
+    )
+    assert left.k_n == right.k_n == 2 and left.infinite_proxy is right.infinite_proxy is None
+    assert left != right
+    stacked = np.array([[True, False], [False, True]])
+    a = label_clusters(EdgeConfig(line, stacked, 0.5, 0, "manual"), PROXY_DISABLED)
+    b = label_clusters(EdgeConfig(line, stacked[::-1], 0.5, 0, "manual"), PROXY_DISABLED)
+    assert np.array_equal(a.k_n, b.k_n) and np.array_equal(a.proxy, b.proxy)
+    assert a != b
+
+
 def test_open_fraction_tracks_p():
     lat = build_box(2, 16)
     config = sample_config(lat, 0.3, seed=5, stream_tag="frac")
