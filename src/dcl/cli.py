@@ -37,7 +37,7 @@ from .percolation import (
     map_labelings,
     square_sums,
 )
-from .rng import derive_rng
+from .rng import check_seed, derive_rng
 from .stats import exact_check_report, summarize
 from .theory import REGIME_SUPERCRITICAL, gamma_law, gamma_sampler
 
@@ -185,15 +185,20 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+    source = "--seed"
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR)
+        if raw is None:
+            return 0
+        source = f"${SEED_ENV_VAR}"
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, got {raw!r}") from None
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        return check_seed(seed)
+    except ValueError as exc:
+        raise UsageError(f"{source}: {exc}") from None
 
 
 def _parse_nu(text: str):

@@ -14,7 +14,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .percolation import ClusterLabeling
-from .rng import derive_rng
 
 _WEIGHT_TOL = 1e-12
 
@@ -218,16 +217,14 @@ class ColorField:
         return self.cluster_color[self.labeling.cluster_id[sites]]
 
 
-def color_clusters(
-    labeling: ClusterLabeling, nu: ColorMeasure, seed: int, stream_tag: str = "color"
-) -> ColorField:
-    """Draw one color per cluster from nu.
+def color_clusters(labeling: ClusterLabeling, nu: ColorMeasure, rng: np.random.Generator) -> ColorField:
+    """Draw one color per cluster from nu, taking the draws from rng.
 
     Draw j goes to the cluster with id j; ids are ordered by smallest site
-    index, so the assignment depends only on (labeling, seed, stream_tag)
-    and not on how the labeling was computed.
+    index, so the assignment depends only on the labeling and the stream
+    rng is on (derive_rng for one coloring, derive_streams for a run of
+    them), not on how the labeling was computed.
     """
-    rng = derive_rng(seed, stream_tag)
     colors = np.asarray(nu.sample(rng, labeling.k_n), dtype=np.float64)
     colors.setflags(write=False)
     z = float(colors[labeling.infinite_proxy]) if labeling.infinite_proxy is not None else 0.0

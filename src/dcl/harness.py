@@ -34,7 +34,7 @@ from .percolation import (
     square_sum_density,
     warn_if_near_critical,
 )
-from .rng import derive_rng
+from .rng import check_seed, derive_rng, derive_streams
 from .stats import (
     TestReport,
     exact_check_report,
@@ -58,6 +58,9 @@ from .theory import (
 MODE_QUENCHED = "quenched"
 MODE_ANNEALED = "annealed"
 MODES = (MODE_QUENCHED, MODE_ANNEALED)
+# Colorings per derive_streams call, and per task on the worker pool, in
+# the quenched-clt coloring loop.
+_COLOR_CHUNK = 256
 
 # Exact identities are allowed this much accumulated float rounding.
 _EXACT_TOL = 1e-9
@@ -130,6 +133,7 @@ class ExperimentConfig:
                 )
         if self.reference_draws < 2:
             raise ValueError("reference_draws must be >= 2")
+        check_seed(self.master_seed)
 
     @property
     def n_max(self) -> int:
@@ -226,9 +230,9 @@ def _colored_replicates(
 
     def observe(start: int, stack: LabelingStack) -> dict:
         color_sum, finite_color_sum, z = np.empty((3, stack.copies))
-        for c in range(stack.copies):
+        for c, rng in enumerate(derive_streams(seed, "color", start, stack.copies)):
             labeling = stack.view(c)
-            field_ = color_clusters(labeling, config.nu, seed, f"color:{start + c}")
+            field_ = color_clusters(labeling, config.nu, rng)
             color_sum[c] = np.dot(labeling.cluster_sizes, field_.cluster_color)
             finite_color_sum[c] = np.dot(labeling.finite_sizes(), field_.cluster_color)
             z[c] = field_.z
@@ -277,7 +281,7 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     seed = config.master_seed
 
     labeling, est = _quenched_graph(config, lattice, margin)
-    field_ = color_clusters(labeling, config.nu, seed, "color:0")
+    field_ = color_clusters(labeling, config.nu, derive_rng(seed, "color:0"))
 
     trajectory = []
     for radius in config.radii:
@@ -460,11 +464,17 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         piece[labeling.infinite_proxy] = 0.0
     scale = math.sqrt(window.shape[0])
 
-    def one(j: int) -> float:
-        colors = color_clusters(labeling, config.nu, seed, f"color:{j}").cluster_color
-        return float(np.dot(piece, colors - m)) / scale
+    starts = range(0, config.color_replicates, _COLOR_CHUNK)
 
-    stats = np.array(map_ordered(one, config.color_replicates, config.workers))
+    def chunk(k: int) -> np.ndarray:
+        count = min(_COLOR_CHUNK, config.color_replicates - starts[k])
+        colors = (
+            color_clusters(labeling, config.nu, rng).cluster_color
+            for rng in derive_streams(seed, "color", starts[k], count)
+        )
+        return np.array([float(np.dot(piece, c - m)) / scale for c in colors])
+
+    stats = np.concatenate(map_ordered(chunk, len(starts), config.workers))
 
     ssd = square_sum_density(labeling, margin)
     variance_exact = sigma2 * ssd

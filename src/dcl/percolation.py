@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import BoxLattice, inner_window, window_site_count
-from .rng import derive_rng
+from .rng import derive_rng, derive_streams
 
 PROXY_BOUNDARY_LARGEST = "boundary-largest"
 PROXY_DISABLED = "disabled"
@@ -95,8 +95,8 @@ def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: in
     """Configurations start..start+copies-1 of a role, drawn as sample_config draws each."""
     _check_density(p)
     draws = np.empty((copies, lattice.edge_count))
-    for i in range(copies):
-        derive_rng(seed, f"{role}:{start + i}").random(out=draws[i])
+    for row, rng in zip(draws, derive_streams(seed, role, start, copies)):
+        rng.random(out=row)
     open_edges = draws < p
     open_edges.setflags(write=False)
     return EdgeConfig(lattice, open_edges, p, seed, f"{role}:{start}..{start + copies - 1}")

@@ -39,7 +39,7 @@ from dcl.percolation import (
     sample_config,
     square_sums,
 )
-from dcl.rng import derive_rng
+from dcl.rng import derive_rng, derive_streams
 from dcl.stats import summarize
 from dcl.theory import (
     REGIME_SUPERCRITICAL,
@@ -300,9 +300,9 @@ def test_adjacent_site_covariance(criterion):
 
         def observe(start, stack):
             products = np.empty(stack.copies)
-            for c in range(stack.copies):
-                color_tag = f"acc9-color:{alpha!r}:{p!r}:{start + c}"
-                field = color_clusters(stack.view(c), nu, SEED, color_tag)
+            streams = derive_streams(SEED, f"acc9-color:{alpha!r}:{p!r}", start, stack.copies)
+            for c, rng in enumerate(streams):
+                field = color_clusters(stack.view(c), nu, rng)
                 products[c] = (field.site_color(origin) - mean) * (field.site_color(neighbor) - mean)
             return {"products": products}
 

@@ -153,6 +153,32 @@ def test_box_too_large_is_a_usage_error(capsys):
     assert err.startswith("usage error: box side 4194305^2 needs about")
 
 
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1, 2**128])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--radius", "2", "--p", "0.4", "--replicates", "3"],
+        ["gamma-sample", "--nu", "gaussian:0,1", "--samples", "10"],
+        ["check-identity", "--radius", "2", "--p", "0.4", "--configs", "3"],
+    ],
+)
+def test_out_of_range_seed_is_a_usage_error(argv, seed, monkeypatch, capsys):
+    monkeypatch.delenv("DCL_SEED", raising=False)
+    assert main(argv + ["--seed", str(seed)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --seed: master seed must lie in the signed 128-bit range")
+    monkeypatch.setenv("DCL_SEED", str(seed))
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("usage error: $DCL_SEED: master seed must lie in")
+
+
+def test_seed_range_endpoints_accepted(monkeypatch):
+    monkeypatch.delenv("DCL_SEED", raising=False)
+    for seed in (2**127 - 1, -(2**127)):
+        inv = parse_invocation(["estimate", "--radius", "2", "--p", "0.4", "--seed", str(seed)])
+        assert inv.config.master_seed == seed
+
+
 def test_contradicted_regime_exits_1(capsys):
     code = main(
         ["clt", "--mode", "annealed", "--regime", "supercritical", "--radius", "8",

@@ -134,9 +134,9 @@ def test_color_clusters_deterministic_and_keyed():
     lat = build_box(2, 5)
     labeling = label_clusters(sample_config(lat, 0.5, 3, "graph:0"), PROXY_BOUNDARY_LARGEST)
     nu = TwoPoint(-1.0, 1.0, 0.5)
-    a = color_clusters(labeling, nu, 3, "color:0")
-    b = color_clusters(labeling, nu, 3, "color:0")
-    c = color_clusters(labeling, nu, 3, "color:1")
+    a = color_clusters(labeling, nu, derive_rng(3, "color:0"))
+    b = color_clusters(labeling, nu, derive_rng(3, "color:0"))
+    c = color_clusters(labeling, nu, derive_rng(3, "color:1"))
     assert (a.cluster_color == b.cluster_color).all()
     assert not (a.cluster_color == c.cluster_color).all()
     assert a.cluster_color.shape == (labeling.k_n,)
@@ -146,16 +146,16 @@ def test_z_reads_proxy_color_or_zero():
     lat = build_box(2, 3)
     nu = TwoPoint(0.5, 2.5, 0.5)
     full = label_clusters(sample_config(lat, 1.0, 1, "g"), PROXY_BOUNDARY_LARGEST)
-    field = color_clusters(full, nu, 1, "c")
+    field = color_clusters(full, nu, derive_rng(1, "c"))
     assert field.z == field.cluster_color[full.infinite_proxy]
     empty = label_clusters(sample_config(lat, 0.0, 1, "g"), PROXY_DISABLED)
-    assert color_clusters(empty, nu, 1, "c").z == 0.0
+    assert color_clusters(empty, nu, derive_rng(1, "c")).z == 0.0
 
 
 def test_point_mass_colors_every_site():
     lat = build_box(2, 4)
     labeling = label_clusters(sample_config(lat, 0.4, 9, "g"), PROXY_BOUNDARY_LARGEST)
-    field = color_clusters(labeling, TwoPoint(2.0, 2.0, 0.3), 9, "c")
+    field = color_clusters(labeling, TwoPoint(2.0, 2.0, 0.3), derive_rng(9, "c"))
     sites = np.arange(lat.site_count, dtype=np.int64)
     assert (field.values(sites) == 2.0).all()
 
@@ -163,7 +163,7 @@ def test_point_mass_colors_every_site():
 def test_site_color_lookup_matches_labels():
     lat = build_box(2, 3)
     labeling = label_clusters(sample_config(lat, 0.5, 2, "g"), PROXY_DISABLED)
-    field = color_clusters(labeling, GaussianLaw(0.0, 1.0), 2, "c")
+    field = color_clusters(labeling, GaussianLaw(0.0, 1.0), derive_rng(2, "c"))
     for i in (0, lat.origin, lat.site_count - 1):
         assert field.site_color(i) == field.cluster_color[labeling.cluster_id[i]]
 
@@ -201,7 +201,7 @@ def test_colors_follow_measure(seed, alpha):
     lat = build_box(2, 6)
     labeling = label_clusters(sample_config(lat, 0.2, seed, "g"), PROXY_DISABLED)
     nu = TwoPoint(0.0, 1.0, alpha)
-    field = color_clusters(labeling, nu, seed, "c")
+    field = color_clusters(labeling, nu, derive_rng(seed, "c"))
     frac = field.cluster_color.mean()
     se = math.sqrt(alpha * (1 - alpha) / labeling.k_n)
     assert abs(frac - alpha) <= 5 * se + 1e-12

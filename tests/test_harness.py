@@ -9,6 +9,7 @@ import pytest
 
 from dcl.coloring import color_clusters
 from dcl.harness import (
+    _COLOR_CHUNK,
     ExperimentConfig,
     RegimeMismatchError,
     RunResult,
@@ -20,14 +21,16 @@ from dcl.harness import (
     run_quenched_lln,
     run_weighted_lln_check,
 )
-from dcl.lattice import build_box
+from dcl.lattice import build_box, inner_window
 from dcl.percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
     NearCriticalWarning,
     label_clusters,
+    map_labelings,
     sample_config,
 )
+from dcl.rng import derive_rng, derive_streams
 from dcl.stats import TestReport
 from dcl.theory import GaussianLaw, GaussianMixture, PointMass, TwoPointLaw
 
@@ -65,6 +68,8 @@ def test_config_validation():
         ExperimentConfig(**good, margin=9)  # exceeds the smallest radius
     with pytest.raises(ValueError):
         ExperimentConfig(**good, reference_draws=1)
+    with pytest.raises(ValueError, match="signed 128-bit range"):
+        ExperimentConfig(**good, master_seed=2**127)
 
 
 def test_config_promotes_and_parses():
@@ -285,7 +290,7 @@ def test_colored_replicate_columns_match_one_copy_recompute(d, n, count):
             columns, _ = _colored_replicates(cfg, lattice, 0)
             for r in (r for r in range(count) if r < 40 or r >= count - 40):
                 labeling = label_clusters(sample_config(lattice, p, 3, f"graph:{r}"), rule)
-                colors = color_clusters(labeling, cfg.nu, 3, f"color:{r}").cluster_color
+                colors = color_clusters(labeling, cfg.nu, derive_rng(3, f"color:{r}")).cluster_color
                 ids = labeling.cluster_id.tolist()
                 proxy = labeling.infinite_proxy
                 finite = [i for i in ids if i != proxy]
@@ -431,6 +436,54 @@ def test_worker_count_does_not_change_results():
     serial = run_quenched_clt(ExperimentConfig(**base, workers=1))
     threaded = run_quenched_clt(ExperimentConfig(**base, workers=3))
     assert _comparable(serial) == _comparable(threaded)
+
+
+def test_quenched_clt_color_chunks_match_per_coloring_streams():
+    # Two full chunks and a partial one; coloring j comes from f"color:{j}"
+    # whichever chunk and worker draws it.
+    reps = 2 * _COLOR_CHUNK + 37
+    base = dict(
+        d=2, radii=6, p=0.4, nu="gaussian:0,1", mode="quenched",
+        color_replicates=reps, master_seed=11, margin=2,
+    )
+    stats = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
+    assert len(stats) == reps
+    assert stats == run_quenched_clt(ExperimentConfig(**base, workers=3)).samples["statistic"]
+    nu = ExperimentConfig(**base).nu
+    lattice = build_box(2, 6)
+    labeling = label_clusters(sample_config(lattice, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
+    ids = labeling.cluster_id[inner_window(lattice, 2)]
+    finite = ids[ids != labeling.infinite_proxy]
+    assert ids.size == 81 and finite.size > 0
+    for j in (0, _COLOR_CHUNK - 1, _COLOR_CHUNK, 2 * _COLOR_CHUNK, reps - 1):
+        colors = color_clusters(labeling, nu, derive_rng(11, f"color:{j}")).cluster_color
+        assert stats[j] == pytest.approx(math.fsum(colors[finite]) / math.sqrt(ids.size), abs=1e-12)
+
+
+def test_colored_replicates_identical_across_workers_and_stacks():
+    # 1850 replicates of a 3x3 box take two stacks of 1820 and 30 copies.
+    lattice = build_box(2, 1)
+    base = dict(d=2, radii=1, p=0.45, nu="gaussian:0.5,2", graph_replicates=1850, master_seed=3)
+    serial, _ = _colored_replicates(ExperimentConfig(**base, workers=1), lattice, 0)
+    threaded, _ = _colored_replicates(ExperimentConfig(**base, workers=3), lattice, 0)
+    assert serial.keys() == threaded.keys()
+    for name in serial:
+        assert np.array_equal(serial[name], threaded[name]), name
+
+    nu = ExperimentConfig(**base).nu
+
+    def observe(start, stack):
+        same = [
+            np.array_equal(
+                color_clusters(stack.view(c), nu, rng).cluster_color,
+                color_clusters(stack.view(c), nu, derive_rng(3, f"color:{start + c}")).cluster_color,
+            )
+            for c, rng in enumerate(derive_streams(3, "color", start, stack.copies))
+        ]
+        return {"same": np.array(same)}
+
+    same = map_labelings(lattice, 0.45, 3, "graph", 1850, observe, workers=3)["same"]
+    assert same.shape == (1850,) and same.all()
 
 
 def test_harness_warns_near_critical():

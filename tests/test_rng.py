@@ -1,10 +1,17 @@
-"""Stream derivation: keyed, order-sensitive, stable across processes."""
+"""Stream derivation: keyed, order-sensitive, stable across processes.
+
+numpy's own SeedSequence and PCG64 seeding are the oracle for the batched
+derive_streams.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcl.rng import derive_key, derive_rng
+from dcl.rng import SEED_MAX, SEED_MIN, _pcg64_seeds, derive_key, derive_rng, derive_streams
 
 # Frozen on first implementation; a change here means every published seed
 # stops reproducing, so treat any diff as a breaking change.
@@ -61,3 +68,65 @@ def test_distinct_roles_give_distinct_draws():
     graph = derive_rng(5, "graph:0").random(4)
     color = derive_rng(5, "color:0").random(4)
     assert not (graph == color).all()
+
+
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1, 2**128])
+def test_out_of_range_seed_names_the_range(seed):
+    with pytest.raises(ValueError, match=r"signed 128-bit range \[-2\*\*127, 2\*\*127 - 1\]"):
+        derive_key(seed, "x")
+    with pytest.raises(ValueError, match="signed 128-bit range"):
+        next(derive_streams(seed, "x", 0, 1))
+
+
+def test_seed_range_endpoints_accepted():
+    assert derive_key(SEED_MIN, "x") != derive_key(SEED_MAX, "x")
+
+
+def _drawn(rng: np.random.Generator) -> tuple:
+    # An odd number of 32-bit integers leaves half a 64-bit word buffered in
+    # the bit generator, which reseating must drop.
+    return (rng.random(3).tolist(), rng.integers(0, 2**31, 3, dtype=np.int32).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.integers(SEED_MIN, SEED_MAX), st.sampled_from([SEED_MIN, SEED_MAX, -1, 0])),
+    role=st.text(max_size=12),
+    start=st.integers(0, 2**40),
+    # 1900 copies is more than one stack of a 3x3 box (1820).
+    count=st.sampled_from([0, 1, 2, 5, 1900]),
+)
+def test_derive_streams_matches_numpy_seeding(seed, role, start, count):
+    seen = 0
+    for i, rng in enumerate(derive_streams(seed, role, start, count)):
+        key = derive_key(seed, f"{role}:{start + i}")
+        assert rng.bit_generator.state == np.random.PCG64(key).state
+        assert _drawn(rng) == _drawn(np.random.Generator(np.random.PCG64(key)))
+        seen += 1
+    assert seen == count
+
+
+def test_derive_streams_calls_do_not_share_a_generator():
+    pairs = zip(derive_streams(7, "a", 0, 4), derive_streams(7, "b", 10, 4))
+    for i, (a, b) in enumerate(pairs):
+        assert a is not b
+        assert _drawn(a) == _drawn(derive_rng(7, f"a:{i}"))
+        assert _drawn(b) == _drawn(derive_rng(7, f"b:{10 + i}"))
+
+
+def _words(key: int) -> np.ndarray:
+    return np.array([[(key >> (32 * j)) & 0xFFFFFFFF for j in range(4)]], dtype=np.uint32)
+
+
+@pytest.mark.parametrize("zero_top_words", [0, 1, 2, 3, 4])
+def test_pcg64_seeds_match_seed_sequence(zero_top_words):
+    # SeedSequence takes a key with zero top words as shorter entropy; the
+    # batched mixing must still give the same state words.
+    rng = np.random.default_rng(zero_top_words)
+    keep = 2 ** (32 * (4 - zero_top_words)) - 1
+    keys = [int.from_bytes(rng.bytes(16), "little") & keep for _ in range(30)]
+    keys += [0, 1, keep]
+    got = _pcg64_seeds(np.concatenate([_words(k) for k in keys]))
+    assert got.dtype.itemsize == 8
+    for key, row in zip(keys, got):
+        assert row.tolist() == np.random.SeedSequence(key).generate_state(4, np.uint64).tolist()
