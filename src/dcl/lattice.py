@@ -3,8 +3,9 @@
 A box of radius n is the vertex set {-n, ..., n}^d with free boundary and
 nearest-neighbor edges. Sites are flat indices under row-major (odometer)
 encoding of the shifted coordinates; coordinates are derived on demand and
-not kept per site, so the box itself stores only the two endpoint arrays of
-its edges and the list of boundary sites.
+not kept per site. An edge is a site plus the axis it steps along, so the box
+stores only a (site, axis) mask of which such steps stay inside it, and the
+list of boundary sites.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import numpy as np
 
 # Stay well under int64 so squared partial sums cannot overflow downstream.
 _MAX_COUNT = 2**62
-# Peak bytes per site of build_box plus one label_clusters call on the box are
-# about 48 + 40 d: tracemalloc measured 83, 123, 163 and 200 for d = 1..4.
-_BYTES_PER_SITE = 48
-_BYTES_PER_SITE_AND_AXIS = 40
+# Peak bytes per site to build a box, then sample and label it with every edge
+# open, the worst case: tracemalloc measured 91, 142, 192 and 240 at d = 1..4.
+_BYTES_PER_SITE = 40
+_BYTES_PER_SITE_AND_AXIS = 52
 
 
 class BoxTooLargeError(ValueError):
@@ -39,10 +40,11 @@ def _physical_memory() -> int | None:
 class BoxLattice:
     """Immutable geometry of the box {-n..n}^d.
 
-    Edges join nearest neighbors inside the box and are enumerated
-    lexicographically by (site index, axis). That order is a pure function
-    of (d, n), so edge indices mean the same thing across runs, platforms,
-    and worker counts.
+    The edge (u, axis) joins site u to u + strides[axis]. The read-only
+    (site_count, d) mask has_edge is False where that leaves the box, on
+    each axis's far face. Edges are enumerated by (site index, axis), the
+    row-major order of has_edge, a pure function of (d, n), so edge indices
+    mean the same thing across runs, platforms, and worker counts.
     """
 
     d: int
@@ -50,8 +52,7 @@ class BoxLattice:
     side: int
     site_count: int
     edge_count: int
-    edge_u: np.ndarray = field(repr=False, compare=False)
-    edge_v: np.ndarray = field(repr=False, compare=False)
+    has_edge: np.ndarray = field(repr=False, compare=False)
     boundary_sites: np.ndarray = field(repr=False, compare=False)
     strides: tuple[int, ...] = field(repr=False, compare=False)
 
@@ -102,33 +103,23 @@ def build_box(d: int, n: int) -> BoxLattice:
         )
     strides = tuple(side ** (d - 1 - axis) for axis in range(d))
 
-    sites = np.arange(site_count, dtype=np.int64)
-    coords = (sites[:, None] // np.asarray(strides, dtype=np.int64)[None, :]) % side
-
-    # Row-major ravel of the (site, axis) mask yields the lexicographic
-    # (site index, axis) edge order.
-    has_edge = coords < side - 1
-    edge_u = np.broadcast_to(sites[:, None], (site_count, d))[has_edge]
-    edge_v = (sites[:, None] + np.asarray(strides, dtype=np.int64)[None, :])[has_edge]
-    edge_count = int(edge_u.shape[0])
-    expected = d * (2 * n) * side ** (d - 1)
-    if edge_count != expected:
-        raise AssertionError(f"edge enumeration produced {edge_count}, expected {expected}")
-
-    on_face = (coords == 0) | (coords == side - 1)
-    boundary_sites = sites[on_face.any(axis=1)]
-
-    edge_u.setflags(write=False)
-    edge_v.setflags(write=False)
+    # Along an axis of stride s, site u has coordinate (u // s) % side, so
+    # its far face is row side - 1 of the (-1, side, s) view of the sites.
+    has_edge = np.ones((site_count, d), dtype=bool)
+    on_face = np.zeros(site_count, dtype=bool)
+    for axis, stride in enumerate(strides):
+        has_edge.reshape(-1, side, stride, d)[:, side - 1, :, axis] = False
+        on_face.reshape(-1, side, stride)[:, [0, side - 1]] = True
+    boundary_sites = np.flatnonzero(on_face)
+    has_edge.setflags(write=False)
     boundary_sites.setflags(write=False)
     return BoxLattice(
         d=d,
         n=n,
         side=side,
         site_count=site_count,
-        edge_count=edge_count,
-        edge_u=edge_u,
-        edge_v=edge_v,
+        edge_count=d * (side - 1) * side ** (d - 1),
+        has_edge=has_edge,
         boundary_sites=boundary_sites,
         strides=strides,
     )

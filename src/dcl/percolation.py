@@ -63,11 +63,12 @@ def warn_if_near_critical(d: int, p: float) -> None:
 class EdgeConfig:
     """One sampled bond configuration, or a stack of them on the same box.
 
-    open is (edge_count,) for one configuration, or (copies, edge_count) for
-    a stack. A stack tagged f"{role}:{a}..{b}" holds the configurations of
-    the streams f"{role}:{r}" for r = a..b, one per row. Either way the open
-    bits are reproducible from (lattice, p, seed, stream_tag) alone, so a
-    config never needs to be stored to be revisited.
+    open is the boolean (site_count, d) mask of one configuration's open
+    edges (u, axis), False off lattice.has_edge, or (copies, site_count, d)
+    for a stack. A stack tagged f"{role}:{a}..{b}" holds the configurations
+    of the streams f"{role}:{r}" for r = a..b, one per row. Either way the
+    open bits are reproducible from (lattice, p, seed, stream_tag) alone, so
+    a config never needs to be stored to be revisited.
     """
 
     lattice: BoxLattice
@@ -82,13 +83,20 @@ def _check_density(p: float) -> None:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
 
+def _open_mask(lattice: BoxLattice, draws: np.ndarray, p: float) -> np.ndarray:
+    """The (..., site_count, d) mask of draws < p, edge k of a row taking its k-th draw."""
+    open_edges = np.zeros(draws.shape[:-1] + lattice.has_edge.shape, dtype=bool)
+    # A full-shape mask takes numpy's fast boolean-assignment path; [..., has_edge] does not.
+    open_edges[np.broadcast_to(lattice.has_edge, open_edges.shape)] = (draws < p).ravel()
+    open_edges.setflags(write=False)
+    return open_edges
+
+
 def sample_config(lattice: BoxLattice, p: float, seed: int, stream_tag: str = "graph") -> EdgeConfig:
     """Draw a Bernoulli(p) bond configuration on the given box."""
     _check_density(p)
-    rng = derive_rng(seed, stream_tag)
-    open_edges = rng.random(lattice.edge_count) < p
-    open_edges.setflags(write=False)
-    return EdgeConfig(lattice=lattice, open=open_edges, p=p, seed=seed, stream_tag=stream_tag)
+    draws = derive_rng(seed, stream_tag).random(lattice.edge_count)
+    return EdgeConfig(lattice, _open_mask(lattice, draws, p), p, seed, stream_tag)
 
 
 def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: int, copies: int) -> EdgeConfig:
@@ -97,9 +105,7 @@ def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: in
     draws = np.empty((copies, lattice.edge_count))
     for row, rng in zip(draws, derive_streams(seed, role, start, copies)):
         rng.random(out=row)
-    open_edges = draws < p
-    open_edges.setflags(write=False)
-    return EdgeConfig(lattice, open_edges, p, seed, f"{role}:{start}..{start + copies - 1}")
+    return EdgeConfig(lattice, _open_mask(lattice, draws, p), p, seed, f"{role}:{start}..{start + copies - 1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,23 +213,24 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     the smallest site of its cluster, and ranking the roots gives ids in
     smallest-site order. Every open edge is cross-checked to join equal ids.
 
-    A one-dimensional config.open gives a ClusterLabeling. A stack,
-    (copies, edge_count), gives a LabelingStack: copy c's sites are shifted
-    by c * site_count and the disjoint union goes through the same rounds.
-    No cluster crosses copies, so each copy's first site is a root and its
-    ids come out in the same order as if it were labeled alone.
+    Bit f of the flattened config.open is the edge from site f // d along
+    axis f % d. A (site_count, d) mask gives a ClusterLabeling; a stack,
+    (copies, site_count, d), a LabelingStack whose copy c holds the sites
+    from c * site_count on. No edge leaves its copy, so each copy's ids come
+    out as if it were labeled alone. Other shapes, and bits off has_edge, raise.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
     lattice = config.lattice
     site_count = lattice.site_count
-    copies = 1 if config.open.ndim == 1 else config.open.shape[0]
-    u, v = lattice.edge_u, lattice.edge_v
-    if copies > 1:
-        shift = np.arange(copies, dtype=np.int64)[:, None] * site_count
-        u, v = u + shift, v + shift
-    open_edges = config.open.reshape(u.shape)
-    u, v = u[open_edges], v[open_edges]
+    if config.open.ndim > 3 or config.open.shape[-2:] != lattice.has_edge.shape:
+        raise ValueError(f"open mask shape {config.open.shape} is not ([copies,] {site_count}, {lattice.d})")
+    if np.any(config.open & ~lattice.has_edge):
+        raise ValueError("open mask sets a bit on a far face, where the box has no edge")
+    copies = 1 if config.open.ndim == 2 else config.open.shape[0]
+    u, axis = np.divmod(np.flatnonzero(config.open), lattice.d)
+    v = u + np.array(lattice.strides, dtype=np.int64)[axis]
+    del axis  # off the hooking peak: 8 bytes per open edge
 
     sites = np.arange(copies * site_count, dtype=np.int64)
     # Hooking writes into root in place; sites must stay intact for the root test.
@@ -275,7 +282,7 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
         proxy_sites=proxy_sites,
         proxy_rule=proxy_rule,
     )
-    return stack if config.open.ndim == 2 else stack.view(0)
+    return stack if config.open.ndim == 3 else stack.view(0)
 
 
 def default_window_margin(lattice: BoxLattice) -> int:

@@ -106,6 +106,8 @@ def _update_part(h, part: int | str) -> None:
     if isinstance(part, bool) or not isinstance(part, (int, str)):
         raise TypeError(f"stream part must be int or str, got {type(part).__name__}")
     if isinstance(part, int):
+        if not SEED_MIN <= part <= SEED_MAX:
+            raise ValueError(f"stream part must lie in the signed 128-bit range [-2**127, 2**127 - 1], got {part}")
         h.update(b"i" + _int_bytes(part))
     else:
         raw = part.encode("utf-8")
@@ -117,8 +119,8 @@ def derive_key(master_seed: int, *parts: int | str) -> int:
 
     The key is a SHA-256 hash over a length-prefixed encoding of the parts,
     so distinct (master_seed, parts) tuples give independent streams and the
-    value is identical on every platform. The master seed must lie in
-    [SEED_MIN, SEED_MAX].
+    value is identical on every platform. The master seed and every int
+    part must lie in [SEED_MIN, SEED_MAX]; ValueError otherwise.
     """
     h = _seeded_hash(master_seed)
     for part in parts:
@@ -191,5 +193,5 @@ def _pcg64_seeds(keys: np.ndarray) -> np.ndarray:
 
 
 def _int_bytes(value: int) -> bytes:
-    # 16 signed bytes: check_seed bounds a master seed to this range first.
+    # 16 signed bytes: check_seed and _update_part bound the value to this range first.
     return value.to_bytes(16, "little", signed=True)

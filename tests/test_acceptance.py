@@ -138,7 +138,8 @@ def test_tiny_box_enumeration_agreement(criterion):
     line = build_box(1, 1)
     total = Fraction(0)
     for bits in range(4):
-        edges = np.array([bool(bits & 1), bool(bits & 2)])
+        # Line sites 0, 1, 2: edges 0-1 and 1-2 step up from sites 0 and 1.
+        edges = np.array([[bits & 1], [bits & 2], [0]], dtype=bool)
         config = EdgeConfig(lattice=line, open=edges, p=0.5, seed=0, stream_tag="manual")
         labeling = label_clusters(config, PROXY_DISABLED)
         per_site, per_cluster = square_sums(labeling, 0)

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcl
 from dcl.cli import (
     EXIT_ERROR,
     EXIT_PASS,
@@ -170,6 +175,24 @@ def test_out_of_range_seed_is_a_usage_error(argv, seed, monkeypatch, capsys):
     monkeypatch.setenv("DCL_SEED", str(seed))
     assert main(argv) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("usage error: $DCL_SEED: master seed must lie in")
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # Stream seeding imports numpy.random on first use, so start-up does not
+    # pay for it. Older numpy loads it with numpy itself; only what importing
+    # the CLI adds on top of plain `import numpy` counts.
+    code = (
+        "import sys, numpy\n"
+        "def loaded(): return {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']}\n"
+        "before = loaded()\n"
+        "import dcl.cli\n"
+        "print(sorted(loaded() - before))\n"
+    )
+    src = str(Path(dcl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_seed_range_endpoints_accepted(monkeypatch):

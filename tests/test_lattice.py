@@ -23,6 +23,8 @@ def test_site_and_edge_counts(d, n):
     assert lat.site_count == side**d
     assert lat.edge_count == d * (2 * n) * side ** (d - 1)
     assert lat.edge_count == len(box_edges(d, n))
+    assert lat.has_edge.shape == (lat.site_count, d) and lat.has_edge.dtype == bool
+    assert np.count_nonzero(lat.has_edge) == lat.edge_count
 
 
 def test_origin_is_center():
@@ -50,12 +52,14 @@ def test_site_enumeration_is_lexicographic():
     assert listed == box_sites(2, 1)
 
 
+def _edge_pairs(lat):
+    """The edges (u, u + strides[axis]) of has_edge, in its row-major order."""
+    return [(int(u), int(u) + lat.strides[axis]) for u, axis in np.argwhere(lat.has_edge)]
+
+
 def test_edges_match_oracle_pairs():
     lat = build_box(2, 2)
-    ours = {
-        frozenset((lat.site_of(int(u)), lat.site_of(int(v))))
-        for u, v in zip(lat.edge_u, lat.edge_v)
-    }
+    ours = {frozenset((lat.site_of(u), lat.site_of(v))) for u, v in _edge_pairs(lat)}
     oracle = {frozenset(e) for e in box_edges(2, 2)}
     assert ours == oracle
 
@@ -68,7 +72,7 @@ def test_edges_ordered_by_site_then_axis():
         for axis, stride in enumerate(lat.strides):
             if coords[axis] < lat.n:
                 expected.append((u, u + int(stride)))
-    assert list(zip(lat.edge_u.tolist(), lat.edge_v.tolist())) == expected
+    assert _edge_pairs(lat) == expected
 
 
 def test_boundary_sites_d2():
@@ -102,7 +106,7 @@ def test_inner_window_margins():
 def test_arrays_are_read_only():
     lat = build_box(2, 2)
     with pytest.raises(ValueError):
-        lat.edge_u[0] = 3
+        lat.has_edge[0, 0] = False
     with pytest.raises(ValueError):
         lat.boundary_sites[0] = 0
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dcl.lattice import build_box, inner_window, window_site_count
 from dcl.percolation import (
     _STACK_SITES,
+    _sample_stack,
     NEAR_CRITICAL_BAND,
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
@@ -31,18 +32,22 @@ from dcl.percolation import (
     square_sum_density,
     square_sums,
 )
+from dcl.rng import derive_rng
 
 from oracles import bfs_clusters, enumerate_box
 
 
 def _oracle_ids(lattice, open_mask):
-    """BFS cluster labels, listed in flat site order."""
+    """BFS cluster labels, listed in flat site order.
+
+    A set bit (u, axis) of the (site_count, d) mask is the edge from site u
+    to its neighbor one step up along axis, found by coordinates.
+    """
     sites = [lattice.site_of(i) for i in range(lattice.site_count)]
-    open_edges = [
-        (lattice.site_of(int(u)), lattice.site_of(int(v)))
-        for u, v, keep in zip(lattice.edge_u, lattice.edge_v, open_mask)
-        if keep
-    ]
+    open_edges = []
+    for u, axis in np.argwhere(open_mask):
+        a = sites[u]
+        open_edges.append((a, tuple(c + (k == axis) for k, c in enumerate(a))))
     labels = bfs_clusters(sites, open_edges)
     return [labels[site] for site in sites]
 
@@ -51,10 +56,20 @@ def _config(lattice, open_mask):
     return EdgeConfig(lattice=lattice, open=open_mask, p=0.5, seed=0, stream_tag="manual")
 
 
+def _edge_mask(lattice, bits):
+    """Open mask whose k-th edge in (site index, axis) order is open when bits[k] is."""
+    mask = np.zeros(lattice.has_edge.shape, dtype=bool)
+    mask[lattice.has_edge] = bits
+    return mask
+
+
 def _open_mask(lattice, pairs):
     """Open-edge mask holding exactly the given site pairs."""
-    wanted = {(min(a, b), max(a, b)) for a, b in pairs}
-    return np.array([(int(u), int(v)) in wanted for u, v in zip(lattice.edge_u, lattice.edge_v)])
+    mask = np.zeros(lattice.has_edge.shape, dtype=bool)
+    for a, b in pairs:
+        u, v = min(a, b), max(a, b)
+        mask[u, lattice.strides.index(v - u)] = True
+    return mask
 
 
 def serpentine(lattice):
@@ -143,22 +158,66 @@ def test_labelings_with_equal_counts_but_different_clusters_differ():
     # stand-in; only the cluster ids tell the two labelings apart.
     line = build_box(1, 1)
     left, right = (
-        label_clusters(EdgeConfig(line, np.array(bits), 0.5, 0, "manual"), PROXY_DISABLED)
+        label_clusters(EdgeConfig(line, _edge_mask(line, bits), 0.5, 0, "manual"), PROXY_DISABLED)
         for bits in ([True, False], [False, True])
     )
     assert left.k_n == right.k_n == 2 and left.infinite_proxy is right.infinite_proxy is None
     assert left != right
-    stacked = np.array([[True, False], [False, True]])
+    stacked = np.array([_edge_mask(line, [True, False]), _edge_mask(line, [False, True])])
     a = label_clusters(EdgeConfig(line, stacked, 0.5, 0, "manual"), PROXY_DISABLED)
     b = label_clusters(EdgeConfig(line, stacked[::-1], 0.5, 0, "manual"), PROXY_DISABLED)
     assert np.array_equal(a.k_n, b.k_n) and np.array_equal(a.proxy, b.proxy)
     assert a != b
 
 
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 3), (3, 2), (4, 1)])
+def test_draws_fill_the_mask_in_site_axis_order(d, n):
+    # Edge k of the (site index, axis) order takes the stream's k-th draw, so
+    # a configuration, and every report built on it, depends on its stream alone.
+    lat = build_box(d, n)
+    config = sample_config(lat, 0.4, 13, "order")
+    assert config.open.shape == lat.has_edge.shape and config.open.dtype == bool
+    want = derive_rng(13, "order").random(lat.edge_count) < 0.4
+    assert np.array_equal(config.open[lat.has_edge], want)
+    assert not config.open[~lat.has_edge].any()
+    stack = _sample_stack(lat, 0.4, 13, "order", 5, 3)
+    assert stack.open.shape == (3, *lat.has_edge.shape)
+    for c in range(3):
+        want = derive_rng(13, f"order:{5 + c}").random(lat.edge_count) < 0.4
+        assert np.array_equal(stack.open[c][lat.has_edge], want)
+        assert not stack.open[c][~lat.has_edge].any()
+
+
+# The 3x3 box has 9 sites, 2 axes and 12 edges; (12,) is a per-edge vector.
+@pytest.mark.parametrize("shape", [(12,), (18,), (9, 3), (9, 2, 1), (1, 1, 9, 2)])
+def test_mask_of_wrong_shape_rejected(shape):
+    lat = build_box(2, 1)
+    with pytest.raises(ValueError, match="open mask shape"):
+        label_clusters(_config(lat, np.zeros(shape, dtype=bool)))
+
+
+def test_bit_on_far_face_rejected():
+    # On the line {-1, 0, 1} the last site has no edge; a bit there would
+    # join copy 0 of a stack to copy 1, or step past a single box.
+    line = build_box(1, 1)
+    single = np.zeros((3, 1), dtype=bool)
+    single[2, 0] = True
+    stack = np.zeros((2, 3, 1), dtype=bool)
+    stack[0, 2, 0] = True
+    for mask in (single, stack):
+        with pytest.raises(ValueError, match="far face"):
+            label_clusters(_config(line, mask))
+    square = build_box(2, 1)
+    mask = np.zeros((9, 2), dtype=bool)
+    mask[square.index_of((1, -1)), 0] = True
+    with pytest.raises(ValueError, match="far face"):
+        label_clusters(_config(square, mask))
+
+
 def test_open_fraction_tracks_p():
     lat = build_box(2, 16)
     config = sample_config(lat, 0.3, seed=5, stream_tag="frac")
-    frac = config.open.mean()
+    frac = config.open[lat.has_edge].mean()
     assert abs(frac - 0.3) < 4 * math.sqrt(0.3 * 0.7 / lat.edge_count)
 
 
@@ -201,8 +260,7 @@ def test_proxy_is_largest_boundary_cluster_smallest_id_ties():
     lat = build_box(1, 2)
     base = sample_config(lat, 0.0, 1, "x")
     open_mask = base.open.copy()
-    open_mask[0] = True
-    open_mask[3] = True
+    open_mask[[0, 3], 0] = True
     config = base.__class__(lattice=lat, open=open_mask, p=0.5, seed=1, stream_tag="manual")
     labeling = label_clusters(config, PROXY_BOUNDARY_LARGEST)
     assert labeling.cluster_sizes[labeling.infinite_proxy] == 2
@@ -217,7 +275,7 @@ def test_square_sum_matches_enumeration_oracle():
     total = 0
     k_total = 0
     for mask in range(2**lat.edge_count):
-        open_mask = np.array([(mask >> i) & 1 == 1 for i in range(lat.edge_count)])
+        open_mask = _edge_mask(lat, [(mask >> i) & 1 == 1 for i in range(lat.edge_count)])
         labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
         assert labeling.cluster_id.tolist() == _oracle_ids(lat, open_mask)
         a, b = square_sums(labeling, 0)

@@ -82,6 +82,18 @@ def test_seed_range_endpoints_accepted():
     assert derive_key(SEED_MIN, "x") != derive_key(SEED_MAX, "x")
 
 
+@pytest.mark.parametrize("part", [2**127, -(2**127) - 1])
+def test_out_of_range_int_part_names_the_range(part):
+    with pytest.raises(ValueError, match=r"stream part must lie in the signed 128-bit range \[-2\*\*127, 2\*\*127 - 1\]"):
+        derive_key(0, "x", part)
+
+
+def test_int_part_range_endpoints_keep_their_keys():
+    # Frozen before int parts were range-checked: the check must not move them.
+    assert derive_key(0, "x", SEED_MAX) == 243809239315455078979761007303596331857
+    assert derive_key(0, "x", SEED_MIN) == 150581149665717947314296514947393556889
+
+
 def _drawn(rng: np.random.Generator) -> tuple:
     # An odd number of 32-bit integers leaves half a 64-bit word buffered in
     # the bit generator, which reseating must drop.
