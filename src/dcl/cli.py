@@ -224,8 +224,8 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
             "samples": args.samples,
             "master_seed": _resolve_seed(args.seed),
         }
-        if options["chi_f"] < 0.0 or options["sigma_p2"] < 0.0:
-            raise UsageError("--chi-f and --sigma-p2 must be nonnegative")
+        if not (0.0 <= options["chi_f"] < math.inf and 0.0 <= options["sigma_p2"] < math.inf):
+            raise UsageError("--chi-f and --sigma-p2 must be finite and nonnegative")
         return CliInvocation(sub, None, options, out_path, args.format)
 
     if sub == "check-identity":

@@ -8,7 +8,7 @@ the field is constant on clusters and independent across them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -18,6 +18,46 @@ from .percolation import ClusterLabeling
 _WEIGHT_TOL = 1e-12
 
 
+def draw_table(values) -> np.ndarray:
+    """Read-only float64 copy of values, built once per law and shared by every draw."""
+    table = np.array(values, dtype=np.float64)
+    table.setflags(write=False)
+    return table
+
+
+def atom_thresholds(weights) -> np.ndarray:
+    """Read-only partial sums of the weights before the last atom.
+
+    These are the thresholds atom_index counts; since a uniform u is < 1,
+    the last atom takes the rest of [0, 1) even when the weights sum to 1
+    only within a rounding tolerance.
+    """
+    return draw_table(np.cumsum(weights, dtype=np.float64)[:-1])
+
+
+def atom_index(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Atom index of each uniform in u: the number of thresholds <= it.
+
+    For sorted thresholds this is searchsorted(thresholds, u, side="right"),
+    but each threshold costs one comparison over all of u and one add, with
+    no branch per element, so a fresh random u is as fast as a fixed one.
+    The result indexes a table of atoms through ndarray.take.
+    """
+    dtype = np.min_scalar_type(thresholds.size)
+    if thresholds.size == 0:
+        return np.zeros(u.shape, dtype=dtype)
+    index = (u >= thresholds[0]).view(np.uint8).astype(dtype, copy=False)
+    for t in thresholds[1:]:
+        index += (u >= t).view(np.uint8)
+    return index
+
+
+def _check_finite(what: str, *values: float) -> None:
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{what} must be finite, got {bad[0]!r}")
+
+
 @dataclass(frozen=True)
 class TwoPoint:
     """Two-atom law: value b with probability alpha, else value a."""
@@ -25,10 +65,15 @@ class TwoPoint:
     a: float
     b: float
     alpha: float
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_finite("two-point a, b and alpha", self.a, self.b, self.alpha)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        object.__setattr__(self, "_values", draw_table((self.b, self.a)))
+        object.__setattr__(self, "_thresholds", draw_table((self.alpha,)))
 
     @property
     def mean(self) -> float:
@@ -46,7 +91,12 @@ class TwoPoint:
         return (1.0 - self.alpha) * (self.a - m) ** (2 * k) + self.alpha * (self.b - m) ** (2 * k)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.where(rng.random(size) < self.alpha, self.b, self.a)
+        """One uniform double u per draw: b where u < alpha, else a.
+
+        The atom index is the number of thresholds (alpha,) that are <= u,
+        gathered from the table (b, a).
+        """
+        return self._values.take(atom_index(rng.random(size), self._thresholds))
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         if self.a == self.b:
@@ -65,6 +115,7 @@ class GaussianLaw:
     variance: float
 
     def __post_init__(self) -> None:
+        _check_finite("gaussian mean and variance", self.mean, self.variance)
         if self.variance < 0.0:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
 
@@ -73,6 +124,7 @@ class GaussianLaw:
         return double_factorial_odd(k) * self.variance**k
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """One standard normal per draw, none when the variance is 0."""
         if self.variance == 0.0:
             return np.full(size, self.mean)
         return rng.normal(self.mean, math.sqrt(self.variance), size)
@@ -86,10 +138,13 @@ class FiniteDiscrete:
     """Finitely supported law given as ((value, weight), ...)."""
 
     atoms_spec: tuple[tuple[float, float], ...]
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.atoms_spec:
             raise ValueError("discrete law needs at least one atom")
+        _check_finite("atom values and weights", *(x for atom in self.atoms_spec for x in atom))
         total = math.fsum(w for _, w in self.atoms_spec)
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"atom weights must sum to 1, got {total}")
@@ -98,6 +153,8 @@ class FiniteDiscrete:
         values = [v for v, _ in self.atoms_spec]
         if len(set(values)) != len(values):
             raise ValueError("atom values must be distinct")
+        object.__setattr__(self, "_values", draw_table(values))
+        object.__setattr__(self, "_thresholds", atom_thresholds([w for _, w in self.atoms_spec]))
 
     @property
     def mean(self) -> float:
@@ -114,10 +171,12 @@ class FiniteDiscrete:
         return math.fsum(w * (v - m) ** (2 * k) for v, w in self.atoms_spec)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        values = np.array([v for v, _ in self.atoms_spec])
-        cum = np.cumsum([w for _, w in self.atoms_spec])
-        cum[-1] = 1.0
-        return values[np.searchsorted(cum, rng.random(size), side="right")]
+        """One uniform double u per draw, mapped to atom i of atoms_spec.
+
+        i is the number of partial weight sums before the last atom that
+        are <= u.
+        """
+        return self._values.take(atom_index(rng.random(size), self._thresholds))
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return self.atoms_spec
@@ -223,7 +282,10 @@ def color_clusters(labeling: ClusterLabeling, nu: ColorMeasure, rng: np.random.G
     Draw j goes to the cluster with id j; ids are ordered by smallest site
     index, so the assignment depends only on the labeling and the stream
     rng is on (derive_rng for one coloring, derive_streams for a run of
-    them), not on how the labeling was computed.
+    them), not on how the labeling was computed. The stream is read in one
+    call to nu.sample: for an atomic nu, one uniform double u per cluster,
+    whose atom index is the number of nu's thresholds <= u; for a Gaussian
+    nu, one normal per cluster, none when the variance is 0.
     """
     colors = np.asarray(nu.sample(rng, labeling.k_n), dtype=np.float64)
     colors.setflags(write=False)

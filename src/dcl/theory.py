@@ -10,7 +10,7 @@ Gaussians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -20,7 +20,10 @@ from .coloring import (
     FiniteDiscrete,
     GaussianLaw,
     TwoPoint,
+    atom_index,
+    atom_thresholds,
     double_factorial_odd,
+    draw_table,
     is_discrete,
     is_point_mass,
 )
@@ -62,6 +65,8 @@ class TwoPointLaw:
     """Law on two atoms, ((v1, p1), (v2, p2)) with p1 + p2 = 1."""
 
     atom_pairs: tuple[tuple[float, float], tuple[float, float]]
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         (v1, p1), (v2, p2) = self.atom_pairs
@@ -69,6 +74,8 @@ class TwoPointLaw:
             raise ValueError("two-point law needs distinct atoms; use PointMass")
         if abs(p1 + p2 - 1.0) > _HALF_TOL or p1 < 0.0 or p2 < 0.0:
             raise ValueError(f"atom probabilities must be a distribution, got {p1}, {p2}")
+        object.__setattr__(self, "_values", draw_table((v1, v2)))
+        object.__setattr__(self, "_thresholds", draw_table((p1,)))
 
     @property
     def mean(self) -> float:
@@ -80,8 +87,12 @@ class TwoPointLaw:
         return math.fsum(p * (v - m) ** 2 for v, p in self.atom_pairs)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        (v1, p1), (v2, _) = self.atom_pairs
-        return np.where(rng.random(size) < p1, v1, v2)
+        """One uniform double u per draw: v1 where u < p1, else v2.
+
+        The atom index is the number of thresholds (p1,) that are <= u,
+        gathered from the table (v1, v2).
+        """
+        return self._values.take(atom_index(rng.random(size), self._thresholds))
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return self.atom_pairs
@@ -95,6 +106,9 @@ class GaussianMixture:
     """Finite mixture of Gaussians, components ((weight, mean, variance), ...)."""
 
     components: tuple[tuple[float, float, float], ...]
+    _means: np.ndarray = field(init=False, repr=False, compare=False)
+    _stds: np.ndarray = field(init=False, repr=False, compare=False)
+    _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -104,6 +118,9 @@ class GaussianMixture:
             raise ValueError(f"mixture weights must sum to 1, got {total}")
         if any(w < 0.0 or v < 0.0 for w, _, v in self.components):
             raise ValueError("mixture weights and variances must be non-negative")
+        object.__setattr__(self, "_means", draw_table([m for _, m, _ in self.components]))
+        object.__setattr__(self, "_stds", draw_table([math.sqrt(v) for _, _, v in self.components]))
+        object.__setattr__(self, "_thresholds", atom_thresholds([w for w, _, _ in self.components]))
 
     @property
     def mean(self) -> float:
@@ -139,12 +156,14 @@ class GaussianMixture:
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cum = np.cumsum([w for w, _, _ in self.components])
-        cum[-1] = 1.0
-        which = np.searchsorted(cum, rng.random(size), side="right")
-        means = np.array([m for _, m, _ in self.components])
-        stds = np.array([math.sqrt(v) for _, _, v in self.components])
-        return means[which] + stds[which] * rng.standard_normal(size)
+        """One uniform double u, then one standard normal, per draw.
+
+        u picks component i, the number of partial weight sums before the
+        last component that are <= u, and the draw is mean_i + std_i times
+        the normal.
+        """
+        which = atom_index(rng.random(size), self._thresholds)
+        return self._means.take(which) + self._stds.take(which) * rng.standard_normal(size)
 
     def to_dict(self) -> dict:
         return {"type": "gaussian-mixture", "components": [[w, m, v] for w, m, v in self.components]}

@@ -90,6 +90,8 @@ def test_parse_gamma_sample_options():
         ["estimate", "--radius", "4", "--p", "0.5", "--format", "csv"],  # csv, no out
         ["gamma-sample", "--nu", "gaussian:0,1", "--chi-f", "-1"],
         ["no-such-subcommand"],
+        ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--chi-f", "nan"],
+        ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--sigma-p2", "inf"],
     ],
 )
 def test_parse_rejects_bad_input(argv):
@@ -149,6 +151,13 @@ def test_exit_code_on_usage_error(capsys):
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert "usage error" in err and "--p" in err
+
+
+def test_non_finite_color_measure_is_a_usage_error(capsys):
+    code = main(["lln", "--mode", "annealed", "--radius", "4", "--p", "0.5",
+                 "--nu", "discrete:1:nan,2:nan"])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("usage error: --nu: atom values and weights must be finite")
 
 
 def test_box_too_large_is_a_usage_error(capsys):

@@ -7,15 +7,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dcl.coloring import (
     FiniteDiscrete,
     GaussianLaw,
     TwoPoint,
+    atom_index,
     color_clusters,
     double_factorial_odd,
+    draw_table,
     moments,
     parse_color_measure,
 )
@@ -123,6 +125,17 @@ def test_parse_color_measure(text, expected):
         "discrete:",
         "discrete:1:0.4,2:0.4",
         "two-point:a,b,c",
+        "two-point:nan,1,0.5",
+        "two-point:-1,inf,0.5",
+        "two-point:-1,1,nan",
+        "gaussian:0,nan",
+        "gaussian:nan,1",
+        "gaussian:-inf,1",
+        "gaussian:0,inf",
+        "discrete:1:nan,2:nan",
+        "discrete:nan:0.5,2:0.5",
+        "discrete:1:0.5,inf:0.5",
+        "discrete:1:inf,2:-inf",
     ],
 )
 def test_parse_rejects_malformed(bad):
@@ -205,3 +218,102 @@ def test_colors_follow_measure(seed, alpha):
     frac = field.cluster_color.mean()
     se = math.sqrt(alpha * (1 - alpha) / labeling.k_n)
     assert abs(frac - alpha) <= 5 * se + 1e-12
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 255, 256, 300])
+def test_atom_index_counts_thresholds_at_or_below(count):
+    # Sorted thresholds with repeats, as zero-weight atoms give; u hits each
+    # threshold exactly, its neighbouring doubles, and both ends of [0, 1).
+    r = np.random.default_rng(count).random(count)
+    thresholds = draw_table(np.sort(np.concatenate([r, r[: count // 3]])))
+    u = np.concatenate([
+        thresholds,
+        np.nextafter(thresholds, 0.0),
+        np.nextafter(thresholds, 1.0),
+        [0.0, np.nextafter(1.0, 0.0)],
+    ])
+    index = atom_index(u, thresholds)
+    assert (index == np.searchsorted(thresholds, u, side="right")).all()
+
+
+SIZES = st.sampled_from([0, 1, 2, 17, 10_000])
+SEEDS = st.integers(min_value=0, max_value=2**63)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _assert_same_draws(got, expected, rng, ref_rng):
+    """Bitwise equal float64 draws, and both generators left in one state."""
+    expected = np.asarray(expected, dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def two_point_params(draw):
+    values = st.integers(-(2**31), 2**31) if draw(st.booleans()) else FINITE
+    a = draw(values)
+    b = a if draw(st.booleans()) else draw(values)
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
+    return a, b, alpha
+
+
+@given(two_point_params(), SIZES, SEEDS)
+@example((-1.0, 1.0, 0.0), 10_000, 1)
+@example((-1.0, 1.0, 1.0), 10_000, 1)
+@example((0.5, 0.5, 0.3), 1, 2)
+@example((-1, 1, 0.3), 10_000, 3)
+@settings(max_examples=150, deadline=None)
+def test_two_point_draws_match_former_formula(params, size, seed):
+    a, b, alpha = params
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = TwoPoint(a, b, alpha).sample(rng, size)
+    _assert_same_draws(got, np.where(ref_rng.random(size) < alpha, b, a), rng, ref_rng)
+
+
+@st.composite
+def discrete_atoms(draw):
+    k = draw(st.integers(min_value=1, max_value=8))
+    values = draw(st.lists(FINITE, min_size=k, max_size=k, unique=True))
+    raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=k, max_size=k))
+    zero_at = draw(st.sampled_from([None, 0, k // 2, k - 1]))
+    if zero_at is not None:
+        raw[zero_at] = 0.0
+    assume(math.fsum(raw) > 0.0)
+    weights = [x / math.fsum(raw) for x in raw]
+    # Move the total off 1 by up to the validation tolerance, keeping weights >= 0.
+    top = max(range(k), key=weights.__getitem__)
+    weights[top] = max(weights[top] + draw(st.floats(min_value=-1e-12, max_value=1e-12)), 0.0)
+    assume(abs(math.fsum(weights) - 1.0) <= 1e-12)
+    return tuple(zip(values, weights))
+
+
+@given(discrete_atoms(), SIZES, SEEDS)
+@example(((-1.0, 0.0), (0.0, 0.5), (2.0, 0.5)), 10_000, 1)
+@example(((-1.0, 0.5), (0.0, 0.0), (2.0, 0.5)), 10_000, 1)
+@example(((-1.0, 0.5), (0.0, 0.5 + 1e-13), (2.0, 0.0)), 10_000, 1)
+@example(((3, 1.0),), 0, 1)
+@settings(max_examples=150, deadline=None)
+def test_discrete_draws_match_former_formula(atoms, size, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = FiniteDiscrete(atoms).sample(rng, size)
+    values = np.array([v for v, _ in atoms])
+    cum = np.cumsum([w for _, w in atoms])
+    cum[-1] = 1.0
+    expected = values[np.searchsorted(cum, ref_rng.random(size), side="right")]
+    _assert_same_draws(got, expected, rng, ref_rng)
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [TwoPoint(-1.0, 1.0, 0.3), FiniteDiscrete(((-1.0, 0.2), (0.0, 0.0), (2.0, 0.8)))],
+    ids=["two-point", "discrete"],
+)
+def test_draw_tables_are_read_only(nu):
+    tables = [v for v in vars(nu).values() if isinstance(v, np.ndarray)]
+    assert len(tables) == 2
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    assert nu.sample(derive_rng(1, "c"), 3).flags.writeable

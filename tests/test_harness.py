@@ -460,6 +460,19 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams():
         assert stats[j] == pytest.approx(math.fsum(colors[finite]) / math.sqrt(ids.size), abs=1e-12)
 
 
+def test_quenched_clt_discrete_colors_identical_across_workers():
+    # Three chunks of colorings share one law, and with it its draw tables,
+    # across the pool threads.
+    reps = 2 * _COLOR_CHUNK + 37
+    base = dict(
+        d=2, radii=6, p=0.4, nu="discrete:-1:0.2,0:0,2:0.8", mode="quenched",
+        color_replicates=reps, master_seed=11, margin=2,
+    )
+    serial = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
+    assert len(serial) == reps and len(set(serial)) > 1
+    assert serial == run_quenched_clt(ExperimentConfig(**base, workers=3)).samples["statistic"]
+
+
 def test_colored_replicates_identical_across_workers_and_stacks():
     # 1850 replicates of a 3x3 box take two stacks of 1820 and 30 copies.
     lattice = build_box(2, 1)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dcl.coloring import FiniteDiscrete, GaussianLaw, TwoPoint, double_factorial_odd
 from dcl.rng import derive_rng
@@ -240,3 +242,82 @@ def test_gamma_law_rejects_unknown_regime():
     nu = TwoPoint(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         gamma_law("critical", 1.0, 1.0, 0.5, nu)
+
+
+SIZES = st.sampled_from([0, 1, 2, 17, 10_000])
+SEEDS = st.integers(min_value=0, max_value=2**63)
+FINITE = st.floats(min_value=-1e6, max_value=1e6)
+
+
+def _assert_same_draws(got, expected, rng, ref_rng):
+    """Bitwise equal float64 draws, and both generators left in one state."""
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert (got.view(np.uint64) == expected.view(np.uint64)).all()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(FINITE, FINITE, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.floats(-1e-12, 1e-12), SIZES, SEEDS)
+@example(-1.0, 1.0, 0.0, 0.0, 10_000, 1)
+@example(-1.0, 1.0, 1.0, 0.0, 10_000, 1)
+@settings(max_examples=150, deadline=None)
+def test_two_point_law_draws_match_former_formula(v1, v2, p1, slack, size, seed):
+    assume(v1 != v2)
+    p2 = max(1.0 - p1 + slack, 0.0)
+    assume(abs(p1 + p2 - 1.0) <= 1e-12)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = TwoPointLaw(((v1, p1), (v2, p2))).sample(rng, size)
+    expected = np.where(ref_rng.random(size) < p1, v1, v2)
+    _assert_same_draws(got, expected, rng, ref_rng)
+
+
+@st.composite
+def mixture_components(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=k, max_size=k))
+    zero_at = draw(st.sampled_from([None, 0, k // 2, k - 1]))
+    if zero_at is not None:
+        raw[zero_at] = 0.0
+    assume(math.fsum(raw) > 0.0)
+    weights = [x / math.fsum(raw) for x in raw]
+    top = max(range(k), key=weights.__getitem__)
+    weights[top] = max(weights[top] + draw(st.floats(min_value=-1e-12, max_value=1e-12)), 0.0)
+    assume(abs(math.fsum(weights) - 1.0) <= 1e-12)
+    means = draw(st.lists(FINITE, min_size=k, max_size=k))
+    variances = draw(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=k, max_size=k))
+    return tuple(zip(weights, means, variances))
+
+
+@given(mixture_components(), SIZES, SEEDS)
+@example(((0.0, -1.0, 1.0), (0.5, 0.0, 0.0), (0.5, 2.0, 4.0)), 10_000, 1)
+@example(((0.5, -1.0, 1.0), (0.0, 0.0, 0.0), (0.5, 2.0, 4.0)), 10_000, 1)
+@example(((0.5, -1.0, 1.0), (0.5 + 1e-13, 0.0, 2.0), (0.0, 2.0, 4.0)), 10_000, 1)
+@example(((1.0, 3.0, 2.0),), 0, 1)
+@settings(max_examples=150, deadline=None)
+def test_gaussian_mixture_draws_match_former_formula(components, size, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = GaussianMixture(components).sample(rng, size)
+    cum = np.cumsum([w for w, _, _ in components])
+    cum[-1] = 1.0
+    which = np.searchsorted(cum, ref_rng.random(size), side="right")
+    means = np.array([m for _, m, _ in components])
+    stds = np.array([math.sqrt(v) for _, _, v in components])
+    expected = means[which] + stds[which] * ref_rng.standard_normal(size)
+    _assert_same_draws(got, expected, rng, ref_rng)
+
+
+@pytest.mark.parametrize(
+    "law,count",
+    [
+        (TwoPointLaw(((-1.0, 0.3), (1.0, 0.7))), 2),
+        (GaussianMixture(((0.3, 0.0, 1.0), (0.7, 1.0, 2.0))), 3),
+    ],
+    ids=["two-point-law", "gaussian-mixture"],
+)
+def test_draw_tables_are_read_only(law, count):
+    tables = [v for v in vars(law).values() if isinstance(v, np.ndarray)]
+    assert len(tables) == count
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
