@@ -19,6 +19,7 @@ from .harness import (
     MODES,
     ExperimentConfig,
     RunResult,
+    _within,
     run_annealed_clt,
     run_annealed_lln,
     run_cluster_clt,
@@ -38,7 +39,7 @@ from .percolation import (
     square_sums,
 )
 from .rng import check_seed, derive_rng
-from .stats import exact_check_report, summarize
+from .stats import summarize
 from .theory import REGIME_SUPERCRITICAL, gamma_law, gamma_sampler
 
 SEED_ENV_VAR = "DCL_SEED"
@@ -84,6 +85,18 @@ def _positive(text: str) -> int:
     return value
 
 
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """The seed and output flags every subcommand takes."""
+    sub.add_argument("--seed", type=int, default=None, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
+    sub.add_argument("--out", default=None, help="report path (default stdout)")
+    sub.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="json writes the report only; csv additionally dumps per-sample files",
+    )
+
+
 def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool) -> None:
     sub.add_argument("--dim", type=_positive, default=2, help="lattice dimension d")
     sub.add_argument(
@@ -101,7 +114,6 @@ def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool) -> No
             help="color measure: two-point:a,b,alpha | gaussian:mean,variance | "
             "discrete:v1:w1,v2:w2,...",
         )
-    sub.add_argument("--seed", type=int, default=None, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
     sub.add_argument("--margin", type=int, default=None, help="inner-window margin (default 4 ln side)")
     sub.add_argument(
         "--proxy",
@@ -110,13 +122,7 @@ def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool) -> No
         help="stand-in rule for the infinite cluster",
     )
     sub.add_argument("--workers", type=_positive, default=1, help="thread count; never changes results")
-    sub.add_argument("--out", default=None, help="report path (default stdout)")
-    sub.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="json writes the report only; csv additionally dumps per-sample files",
-    )
+    _add_run_flags(sub)
 
 
 def _build_parser() -> _Parser:
@@ -158,9 +164,7 @@ def _build_parser() -> _Parser:
     gs.add_argument("--chi-f", type=float, default=1.0, help="finite-cluster mean size")
     gs.add_argument("--sigma-p2", type=float, default=0.5, help="cluster-volume variance density")
     gs.add_argument("--samples", type=_positive, default=100_000)
-    gs.add_argument("--seed", type=int, default=None)
-    gs.add_argument("--out", default=None)
-    gs.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_run_flags(gs)
 
     ci = subs.add_parser("check-identity", help="exact per-site vs per-cluster square-sum equality")
     ci.add_argument("--dim", type=_positive, default=2)
@@ -173,13 +177,11 @@ def _build_parser() -> _Parser:
         help="edge density; repeatable (default 0.2 0.5 0.8)",
     )
     ci.add_argument("--configs", type=_positive, default=1000, help="configurations per density")
-    ci.add_argument("--seed", type=int, default=None)
     ci.add_argument(
         "--proxy", choices=sorted(PROXY_RULES), default=PROXY_BOUNDARY_LARGEST
     )
     ci.add_argument("--margin", type=int, default=None)
-    ci.add_argument("--out", default=None)
-    ci.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_run_flags(ci)
 
     return parser
 
@@ -229,10 +231,15 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
         return CliInvocation(sub, None, options, out_path, args.format)
 
     if sub == "check-identity":
+        radii, p_values = args.radius or [16], args.p or [0.2, 0.5, 0.8]
+        if len(set(radii)) < len(radii) or len(set(p_values)) < len(p_values):
+            raise UsageError(f"--radius and --p values must be distinct, got {radii} and {p_values}")
+        if args.margin is not None and not 0 <= args.margin <= min(radii):
+            raise UsageError(f"--margin must lie in [0, {min(radii)}], got {args.margin}")
         options = {
             "d": args.dim,
-            "radii": args.radius or [16],
-            "p_values": args.p or [0.2, 0.5, 0.8],
+            "radii": radii,
+            "p_values": p_values,
             "configs": args.configs,
             "master_seed": _resolve_seed(args.seed),
             "proxy_rule": args.proxy,
@@ -386,9 +393,9 @@ def _run_check_identity(invocation: CliInvocation) -> RunResult:
             counts[f"n={radius},p={p!r}"] = {"configs": opts["configs"], "violations": violations}
             streams.append((role, opts["configs"]))
             tests.append(
-                exact_check_report(
-                    violations == 0,
+                _within(
                     float(violations),
+                    0.0,
                     f"identity: per-site vs per-cluster square sums on {opts['configs']} "
                     f"configs at n={radius}, p={p!r}",
                 )

@@ -5,6 +5,11 @@ what the design calls for, computes the observable, builds the predicted
 limit law from estimated functionals, and attaches test reports. Results
 are bit-identical for a fixed config regardless of worker count because
 every replicate draws from its own derived stream.
+
+Four shared rules live in one function each: _box (near-critical warning,
+largest box, window margin), _within (pass iff value <= bound; NaN fails),
+theory.centered_gaussian (zero variance is a point mass, never N(0, 0)) and
+percolation.stand_in_volume (the whole-box theta_box and sigma_p2).
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -32,6 +38,7 @@ from .percolation import (
     map_ordered,
     pool_functionals,
     square_sum_density,
+    stand_in_volume,
     warn_if_near_critical,
 )
 from .rng import check_seed, derive_rng, derive_streams
@@ -50,6 +57,7 @@ from .theory import (
     GaussianMixture,
     LimitLaw,
     PointMass,
+    centered_gaussian,
     gamma_law,
     gamma_sampler,
     lln_limit_law,
@@ -191,6 +199,18 @@ def seed_audit(master_seed: int, streams: list[tuple[str, int]]) -> dict:
     }
 
 
+def _box(config: ExperimentConfig) -> tuple[BoxLattice, int]:
+    """Warn near the critical point, then build the largest box and take its margin."""
+    warn_if_near_critical(config.d, config.p)
+    lattice = build_box(config.d, config.n_max)
+    return lattice, config.margin_for(lattice)
+
+
+def _within(value: float, bound: float, context: str) -> TestReport:
+    """Deterministic check that value <= bound; a NaN value fails."""
+    return exact_check_report(value <= bound, value, context)
+
+
 def _quenched_graph(
     config: ExperimentConfig, lattice: BoxLattice, margin: int
 ) -> tuple[ClusterLabeling, PercolationEstimates]:
@@ -261,12 +281,6 @@ def _colored_replicates(
     return columns, pool_functionals(columns, lattice, margin, config.proxy_rule)
 
 
-def _zero_statistics_report(values: np.ndarray, context: str, tol: float = 0.0) -> TestReport:
-    """Exact check that a degenerate statistic is identically zero, up to tol."""
-    worst = float(np.max(np.abs(values))) if values.size else 0.0
-    return exact_check_report(worst <= tol, worst, context)
-
-
 @timed
 def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     """One graph, one coloring: color averages over nested windows.
@@ -275,9 +289,7 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     into finite-cluster contributions plus the stand-in cluster term, and
     reports the terminal deviation of the average from its predicted limit.
     """
-    warn_if_near_critical(config.d, config.p)
-    lattice = build_box(config.d, config.n_max)
-    margin = config.margin_for(lattice)
+    lattice, margin = _box(config)
     seed = config.master_seed
 
     labeling, est = _quenched_graph(config, lattice, margin)
@@ -301,17 +313,17 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     rhs = float(np.dot(labeling.finite_sizes(), field_.cluster_color)) + z * labeling.proxy_site_count()
     decomposition_err = abs(lhs - rhs)
     tests = [
-        exact_check_report(
-            decomposition_err <= _EXACT_TOL * max(1.0, abs(lhs)),
+        _within(
             decomposition_err,
+            _EXACT_TOL * max(1.0, abs(lhs)),
             "quenched-lln: exact decomposition of the full-box color sum",
         )
     ]
     if config.lln_tolerance is not None:
         tests.append(
-            exact_check_report(
-                deviation <= config.lln_tolerance,
+            _within(
                 deviation,
+                config.lln_tolerance,
                 f"quenched-lln: terminal deviation vs tolerance {config.lln_tolerance}",
             )
         )
@@ -365,15 +377,13 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     variation for atomic predictions, by two-sample KS against the law's
     sampler otherwise.
     """
-    warn_if_near_critical(config.d, config.p)
-    lattice = build_box(config.d, config.n_max)
-    margin = config.margin_for(lattice)
+    lattice, margin = _box(config)
     seed = config.master_seed
     reps = config.graph_replicates
 
     columns, est = _colored_replicates(config, lattice, margin)
     m_samples = columns["color_sum"] / lattice.site_count
-    theta_box = float(columns["proxy_sites"].mean()) / lattice.site_count
+    theta_box, _ = stand_in_volume(columns["proxy_sites"], lattice.site_count)
 
     prediction = lln_limit_law(config.nu, theta_box)
     tests: list[TestReport] = []
@@ -387,32 +397,25 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     if hasattr(prediction, "atoms"):
         sample_sd = float(m_samples.std(ddof=1)) if m_samples.shape[0] >= 2 else 0.0
         tol = _atom_bin_tolerance(prediction, config.atom_tolerance, sample_sd)
-        empirical: dict[float, float] = {}
-        for v in m_samples:
-            empirical[float(v)] = empirical.get(float(v), 0.0) + 1.0
-        tv = tv_distance_discrete(empirical, prediction, tol=tol)
+        tv = tv_distance_discrete(Counter(m_samples.tolist()), prediction, tol=tol)
         tests.append(
-            exact_check_report(
-                tv <= config.tv_tolerance,
+            _within(
                 tv,
+                config.tv_tolerance,
                 f"annealed-lln: TV distance to lln-limit atoms vs tolerance {config.tv_tolerance}",
             )
         )
-        atom_values = np.array([v for v, _ in prediction.atoms()])
-        deviations = []
         locations = {}
-        for atom in atom_values:
+        for atom in (float(v) for v, _ in prediction.atoms()):
             near = m_samples[np.abs(m_samples - atom) <= tol]
             if near.shape[0] > 0:
-                loc = float(near.mean())
-                locations[float(atom)] = loc
-                deviations.append(abs(loc - float(atom)))
-        max_dev = max(deviations) if deviations else float("nan")
+                locations[atom] = float(near.mean())
+        max_dev = max((abs(loc - atom) for atom, loc in locations.items()), default=float("nan"))
         estimates["atom_locations"] = locations
         tests.append(
-            exact_check_report(
-                bool(deviations) and max_dev <= config.atom_tolerance,
+            _within(
                 max_dev,
+                config.atom_tolerance,
                 f"annealed-lln: empirical atom location error vs tolerance {config.atom_tolerance}",
             )
         )
@@ -449,9 +452,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     density, which is the sharp check; the mean-cluster-size form is the
     asymptotic check.
     """
-    warn_if_near_critical(config.d, config.p)
-    lattice = build_box(config.d, config.n_max)
-    margin = config.margin_for(lattice)
+    lattice, margin = _box(config)
     seed = config.master_seed
     m = config.nu.mean
     sigma2 = config.nu.variance
@@ -481,29 +482,29 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     variance_asymptotic = est.chi_f_hat * sigma2
     summary = summarize(stats)
 
+    prediction = centered_gaussian(variance_exact)
     tests: list[TestReport] = []
-    if variance_exact == 0.0:
+    if isinstance(prediction, PointMass):
         tests.append(
-            _zero_statistics_report(
-                stats, "quenched-clt: degenerate target requires identically zero statistics"
+            _within(
+                float(np.abs(stats).max(initial=0.0)),
+                0.0,
+                "quenched-clt: degenerate target requires identically zero statistics",
             )
         )
-        prediction: LimitLaw = PointMass(value=0.0)
     else:
-        rel_exact = abs(summary.variance - variance_exact) / variance_exact
         tests.append(
-            exact_check_report(
-                rel_exact <= config.variance_rtol,
-                rel_exact,
+            _within(
+                abs(summary.variance - variance_exact) / variance_exact,
+                config.variance_rtol,
                 f"quenched-clt: sample variance vs exact target, rtol {config.variance_rtol}",
             )
         )
         if variance_asymptotic > 0.0:
-            rel_asym = abs(summary.variance - variance_asymptotic) / variance_asymptotic
             tests.append(
-                exact_check_report(
-                    rel_asym <= config.variance_rtol_asymptotic,
-                    rel_asym,
+                _within(
+                    abs(summary.variance - variance_asymptotic) / variance_asymptotic,
+                    config.variance_rtol_asymptotic,
                     "quenched-clt: sample variance vs mean-cluster-size target, "
                     f"rtol {config.variance_rtol_asymptotic}",
                 )
@@ -517,15 +518,13 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
                 context="quenched-clt: KS against the exact-variance Gaussian",
             )
         )
-        mean_ok = abs(summary.mean) <= 4.0 * summary.se_mean
         tests.append(
-            exact_check_report(
-                mean_ok,
+            _within(
                 abs(summary.mean),
+                4.0 * summary.se_mean,
                 "quenched-clt: statistic mean within 4 standard errors of 0",
             )
         )
-        prediction = GaussianLaw(mean=0.0, variance=variance_exact)
 
     return RunResult(
         experiment="quenched-clt",
@@ -561,9 +560,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     """
     if config.regime is None:
         raise ValueError("annealed fluctuation runs need an explicit regime")
-    warn_if_near_critical(config.d, config.p)
-    lattice = build_box(config.d, config.n_max)
-    margin = config.margin_for(lattice)
+    lattice, margin = _box(config)
     seed = config.master_seed
     reps = config.graph_replicates
     m = config.nu.mean
@@ -581,8 +578,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
             "stand-in cluster spanning the box"
         )
 
-    theta_box = float(columns["proxy_sites"].mean()) / n_sites
-    sigma_p2_batch = est.sigma_p2_hat
+    theta_box, sigma_p2_batch = stand_in_volume(columns["proxy_sites"], n_sites)
 
     # Centering written as m + theta (z - m): algebraically the same as
     # (1-theta) m + theta z, but exactly zero under a point-mass measure.
@@ -597,8 +593,10 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     streams = [("graph", reps), ("color", reps)]
     if isinstance(closed, PointMass):
         tests.append(
-            _zero_statistics_report(
-                q, "annealed-clt: degenerate gamma requires identically zero statistics", _EXACT_TOL
+            _within(
+                float(np.abs(q).max(initial=0.0)),
+                _EXACT_TOL,
+                "annealed-clt: degenerate gamma requires identically zero statistics",
             )
         )
     else:
@@ -662,7 +660,6 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     seed = config.master_seed
     reps = config.graph_replicates
 
-    samples: dict[str, list[float]] = {}
     per_radius: dict[int, dict] = {}
     stats_by_radius: dict[int, np.ndarray] = {}
     for radius in config.radii:
@@ -678,26 +675,30 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
             proxy_rule=config.proxy_rule,
             workers=config.workers,
         )["proxy_sites"].astype(np.float64)
-        theta_box = float(counts.mean()) / n_sites
+        theta_box, sigma_p2 = stand_in_volume(counts, n_sites)
         statistic = (counts - counts.mean()) / math.sqrt(n_sites)
-        sigma_p2 = float(counts.var(ddof=1)) / n_sites if reps >= 2 else 0.0
-        samples[f"statistic_n{radius}"] = [float(v) for v in statistic]
         per_radius[radius] = {"theta_box": theta_box, "sigma_p2": sigma_p2}
         stats_by_radius[radius] = statistic
 
     ref_radius = config.radii[-1]
     sigma_p2_ref = per_radius[ref_radius]["sigma_p2"]
-    prediction: LimitLaw
+    prediction = centered_gaussian(sigma_p2_ref)
     tests: list[TestReport] = []
-    if sigma_p2_ref > 0.0:
-        prediction = GaussianLaw(mean=0.0, variance=sigma_p2_ref)
+    if isinstance(prediction, PointMass):
+        tests.append(
+            _within(
+                float(np.abs(np.concatenate(list(stats_by_radius.values()))).max(initial=0.0)),
+                0.0,
+                "cluster-clt: degenerate volume fluctuations are identically zero",
+            )
+        )
+    else:
         for radius in config.radii:
             stats_r = stats_by_radius[radius]
-            mean_err = abs(float(stats_r.mean()))
             tests.append(
-                exact_check_report(
-                    mean_err <= _EXACT_TOL,
-                    mean_err,
+                _within(
+                    abs(float(stats_r.mean())),
+                    _EXACT_TOL,
                     f"cluster-clt[n={radius}]: pooled centering gives exactly zero mean",
                 )
             )
@@ -724,14 +725,6 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
                     ),
                 )
             )
-    else:
-        prediction = PointMass(value=0.0)
-        tests.append(
-            _zero_statistics_report(
-                np.concatenate([stats_by_radius[r] for r in config.radii]),
-                "cluster-clt: degenerate volume fluctuations are identically zero",
-            )
-        )
 
     return RunResult(
         experiment="cluster-clt",
@@ -744,7 +737,7 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
         predictions={"cluster-clt": prediction},
         tests=tests,
         seeds=seed_audit(seed, [(f"graph:{r}", reps) for r in config.radii]),
-        samples=samples,
+        samples={f"statistic_n{r}": s.tolist() for r, s in stats_by_radius.items()},
     )
 
 
@@ -758,9 +751,7 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     Replicates whose configuration has no finite cluster are skipped with a
     diagnostic instead of dividing by zero.
     """
-    warn_if_near_critical(config.d, config.p)
-    lattice = build_box(config.d, config.n_max)
-    margin = config.margin_for(lattice)
+    lattice, margin = _box(config)
     seed = config.master_seed
     reps = config.graph_replicates
     m = config.nu.mean
@@ -800,11 +791,10 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
         samples["condition_ratio"] = [float(v) for v in ratios]
 
         if math.isfinite(predicted_ratio) and predicted_ratio > 0.0:
-            rel = abs(ratio_mean - predicted_ratio) / predicted_ratio
             tests.append(
-                exact_check_report(
-                    rel <= config.ratio_rtol,
-                    rel,
+                _within(
+                    abs(ratio_mean - predicted_ratio) / predicted_ratio,
+                    config.ratio_rtol,
                     f"weighted-lln: condition ratio vs chi_f kappa / (1-theta)^2, "
                     f"rtol {config.ratio_rtol}",
                 )
@@ -815,11 +805,10 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
             # Single graph: the conditional standard error of the weighted
             # average is sqrt(sigma2 sum w^2) / sum w.
             se = math.sqrt(sigma2 * square_sum[0]) / float(weight_sum[0])
-        err = abs(float(averages.mean()) - m)
         tests.append(
-            exact_check_report(
-                err <= 3.0 * se,
-                err,
+            _within(
+                abs(float(averages.mean()) - m),
+                3.0 * se,
                 "weighted-lln: weighted color average within 3 standard errors of m",
             )
         )

@@ -425,6 +425,13 @@ def map_labelings(
     return {name: _join([part[name] for part in parts]) for name in parts[0]}
 
 
+def stand_in_volume(proxy_sites: np.ndarray, site_count: int) -> tuple[float, float]:
+    """(theta_box, sigma_p2): mean and sample variance of the stand-in volume over site_count."""
+    theta_box = float(proxy_sites.mean()) / site_count
+    sigma_p2 = float(proxy_sites.var(ddof=1)) / site_count if len(proxy_sites) >= 2 else 0.0
+    return theta_box, sigma_p2
+
+
 def pool_functionals(
     columns: dict[str, np.ndarray], lattice: BoxLattice, margin: int, proxy_rule: str
 ) -> PercolationEstimates:
@@ -448,15 +455,14 @@ def pool_functionals(
             return float("nan")
         return float(values.std(ddof=1)) / math.sqrt(count)
 
+    _, sigma_p2 = stand_in_volume(proxy_sites, lattice.site_count)
     if count >= 2:
-        sigma_p2 = float(proxy_sites.var(ddof=1)) / lattice.site_count
         centered = proxy_sites - proxy_sites.mean()
         s2 = float(np.dot(centered, centered)) / (count - 1)
         m4 = float(np.mean(centered**4))
         var_of_var = max(0.0, m4 / count - s2 * s2 * (count - 3) / (count * (count - 1)))
         sigma_p2_se = math.sqrt(var_of_var) / lattice.site_count
     else:
-        sigma_p2 = 0.0
         sigma_p2_se = float("nan")
 
     return PercolationEstimates(

@@ -8,7 +8,7 @@ distance between an empirical sample and a law with finitely many atoms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -34,15 +34,7 @@ class SampleSummary:
     se_variance: float
 
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "se_mean": self.se_mean,
-            "se_variance": self.se_variance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -61,12 +53,7 @@ class TestReport:
         return self.decision == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "decision": self.decision,
-            "context": self.context,
-        }
+        return asdict(self)
 
 
 def exact_check_report(passed: bool, statistic: float, context: str) -> TestReport:

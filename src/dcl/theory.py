@@ -20,6 +20,7 @@ from .coloring import (
     FiniteDiscrete,
     GaussianLaw,
     TwoPoint,
+    _check_finite,
     atom_index,
     atom_thresholds,
     double_factorial_odd,
@@ -70,6 +71,7 @@ class TwoPointLaw:
 
     def __post_init__(self) -> None:
         (v1, p1), (v2, p2) = self.atom_pairs
+        _check_finite("two-point law atoms and probabilities", v1, p1, v2, p2)
         if v1 == v2:
             raise ValueError("two-point law needs distinct atoms; use PointMass")
         if abs(p1 + p2 - 1.0) > _HALF_TOL or p1 < 0.0 or p2 < 0.0:
@@ -113,6 +115,7 @@ class GaussianMixture:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("mixture needs at least one component")
+        _check_finite("mixture weights, means and variances", *(x for c in self.components for x in c))
         total = math.fsum(w for w, _, _ in self.components)
         if abs(total - 1.0) > _HALF_TOL:
             raise ValueError(f"mixture weights must sum to 1, got {total}")
@@ -303,8 +306,7 @@ def gamma_law(
     _check_nonneg("sigma2", sigma2)
     _check_nonneg("sigma_p2", sigma_p2)
     if regime == REGIME_SUBCRITICAL:
-        base = chi_f * sigma2
-        return GaussianLaw(mean=0.0, variance=base) if base > 0.0 else PointMass(value=0.0)
+        return centered_gaussian(chi_f * sigma2)
     m = nu.mean
     if is_discrete(nu):
         pairs = nu.atoms() if not isinstance(nu, GaussianLaw) else ((nu.mean, 1.0),)
@@ -313,10 +315,16 @@ def gamma_law(
         )
         variances = {v for _, _, v in components}
         if len(variances) == 1:
-            v = variances.pop()
-            return GaussianLaw(mean=0.0, variance=v) if v > 0.0 else PointMass(value=0.0)
+            return centered_gaussian(variances.pop())
         return GaussianMixture(components=components)
     return gamma_sampler(chi_f, sigma_p2, nu)
+
+
+def centered_gaussian(variance: float) -> LimitLaw:
+    """N(0, variance), or the point mass at 0 when variance is not > 0: never N(0, 0)."""
+    if variance > 0.0:
+        return GaussianLaw(mean=0.0, variance=variance)
+    return PointMass(value=0.0)
 
 
 def is_gamma_gaussian(nu: ColorMeasure) -> bool:
@@ -359,5 +367,5 @@ def _check_theta(theta: float) -> None:
 
 
 def _check_nonneg(name: str, value: float) -> None:
-    if value < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")

@@ -92,6 +92,12 @@ def test_parse_gamma_sample_options():
         ["no-such-subcommand"],
         ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--chi-f", "nan"],
         ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--sigma-p2", "inf"],
+        # check-identity: repeated radii or densities, margin outside [0, min radius]
+        ["check-identity", "--radius", "3", "--radius", "3"],
+        ["check-identity", "--p", "0.2", "--p", "0.20"],
+        ["check-identity", "--radius", "5", "--radius", "3", "--margin", "4"],
+        ["check-identity", "--radius", "3", "--margin", "-1"],
+        ["check-identity", "--margin", "17"],
     ],
 )
 def test_parse_rejects_bad_input(argv):

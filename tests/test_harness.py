@@ -29,6 +29,7 @@ from dcl.percolation import (
     label_clusters,
     map_labelings,
     sample_config,
+    stand_in_volume,
 )
 from dcl.rng import derive_rng, derive_streams
 from dcl.stats import TestReport
@@ -355,6 +356,41 @@ def test_cluster_clt_two_radii():
     assert sum("stability" in c for c in contexts) == 1
     # centering is exact by construction
     assert abs(np.mean(res.samples["statistic_n32"])) <= 1e-9
+
+
+def test_cluster_clt_per_radius_is_stand_in_volume():
+    cfg = ExperimentConfig(
+        d=2, radii=(4, 6), p=0.6, nu="two-point:-1,1,0.5", graph_replicates=9, master_seed=5,
+    )
+    res = run_cluster_clt(cfg)
+    for radius in cfg.radii:
+        lattice = build_box(2, radius)
+        counts = map_labelings(
+            lattice, cfg.p, cfg.master_seed, f"graph:{radius}", cfg.graph_replicates,
+            lambda start, stack: {"proxy_sites": stack.proxy_sites},
+        )["proxy_sites"].astype(np.float64)
+        theta_box, sigma_p2 = stand_in_volume(counts, lattice.site_count)
+        assert res.estimates["per_radius"][str(radius)] == {"theta_box": theta_box, "sigma_p2": sigma_p2}
+
+
+def test_quenched_clt_nan_statistics_fail_their_bounds():
+    # One coloring has no sample variance and no standard error: NaN must fail.
+    cfg = ExperimentConfig(
+        d=2, radii=8, p=0.3, nu="two-point:-1,1,0.5", mode="quenched",
+        color_replicates=1, master_seed=2,
+    )
+    res = run_quenched_clt(cfg)
+    assert not res.passed()
+    checks = {t.context.split(",")[0]: t for t in res.tests if "KS" not in t.context}
+    assert set(checks) == {
+        "quenched-clt: sample variance vs exact target",
+        "quenched-clt: sample variance vs mean-cluster-size target",
+        "quenched-clt: statistic mean within 4 standard errors of 0",
+    }
+    for report in checks.values():
+        assert report.decision == "fail" and report.p_value == 0.0
+    variance_checks = [t for c, t in checks.items() if "variance" in c]
+    assert all(math.isnan(t.statistic) for t in variance_checks)
 
 
 def test_cluster_clt_degenerate_boxes():

@@ -28,9 +28,11 @@ from dcl.percolation import (
     label_clusters,
     labeling_functionals,
     map_labelings,
+    pool_functionals,
     sample_config,
     square_sum_density,
     square_sums,
+    stand_in_volume,
 )
 from dcl.rng import derive_rng
 
@@ -320,6 +322,22 @@ def test_estimates_p1_exact():
     assert est.chi_f_hat == 0.0
     assert est.kappa_hat == 1.0 / lat.site_count
     assert est.sigma_p2_hat == 0.0
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_stand_in_volume_is_the_pooled_sigma_p2(count):
+    lat = build_box(2, 5)
+    margin = default_window_margin(lat)
+    columns = map_labelings(
+        lat, 0.6, 11, "graph", count, lambda start, stack: labeling_functionals(stack, margin)
+    )
+    theta_box, sigma_p2 = stand_in_volume(columns["proxy_sites"], lat.site_count)
+    assert sigma_p2 == pool_functionals(columns, lat, margin, PROXY_BOUNDARY_LARGEST).sigma_p2_hat
+    assert theta_box == float(columns["proxy_sites"].mean()) / lat.site_count
+    if count == 1:
+        assert sigma_p2 == 0.0
+    else:
+        assert sigma_p2 == float(np.var(columns["proxy_sites"], ddof=1)) / lat.site_count
 
 
 def test_estimator_matches_enumeration_d1():

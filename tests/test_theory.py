@@ -19,6 +19,7 @@ from dcl.theory import (
     PointMass,
     SampledLaw,
     TwoPointLaw,
+    centered_gaussian,
     covariance_prediction,
     gamma_law,
     gamma_prime_moment,
@@ -236,6 +237,54 @@ def test_covariance_prediction():
 def test_two_point_law_requires_distinct_atoms():
     with pytest.raises(ValueError):
         TwoPointLaw(atom_pairs=((1.0, 0.5), (1.0, 0.5)))
+
+
+def test_centered_gaussian_zero_variance_is_a_point_mass():
+    assert centered_gaussian(0.0) == PointMass(value=0.0)
+    assert centered_gaussian(-0.0) == PointMass(value=0.0)
+    assert centered_gaussian(0.25) == GaussianLaw(mean=0.0, variance=0.25)
+    assert centered_gaussian(5e-324) == GaussianLaw(mean=0.0, variance=5e-324)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("slot", range(3))
+def test_gamma_parameters_must_be_finite(bad, slot):
+    nu = TwoPoint(-1.0, 1.0, 0.3)
+    args = [1.0, 1.0, 0.5]
+    args[slot] = bad
+    chi_f, sigma2, sigma_p2 = args
+    name = ("chi_f", "sigma2", "sigma_p2")[slot]
+    for regime in (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL):
+        with pytest.raises(ValueError, match=name):
+            gamma_law(regime, chi_f, sigma2, sigma_p2, nu)
+    if slot != 1:
+        with pytest.raises(ValueError, match=name):
+            gamma_sampler(chi_f, sigma_p2, nu)
+        with pytest.raises(ValueError, match="sigma_p2"):
+            gamma_prime_moment(1, nu, bad)
+        with pytest.raises(ValueError, match="sigma2"):
+            covariance_prediction(bad, 0.5)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("slot", range(4))
+def test_two_point_law_rejects_non_finite(bad, slot):
+    flat = [-1.0, 0.4, 1.0, 0.6]
+    flat[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        TwoPointLaw(atom_pairs=((flat[0], flat[1]), (flat[2], flat[3])))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("slot", range(3))
+def test_gaussian_mixture_rejects_non_finite(bad, slot):
+    first = [0.5, 0.0, 1.0]
+    first[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixture(components=(tuple(first), (0.5, 1.0, 2.0)))
 
 
 def test_gamma_law_rejects_unknown_regime():
