@@ -104,7 +104,8 @@ def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool) -> No
         type=_positive,
         action="append",
         required=True,
-        help="box radius n; repeat the flag for a window/size list",
+        help="box radius n; only lln --mode quenched (nested windows) and "
+        "cluster-clt (box sizes) take it more than once",
     )
     sub.add_argument("--p", type=_probability, required=True, help="edge density in [0, 1]")
     if with_colors:
@@ -251,6 +252,9 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
     regime = getattr(args, "regime", None)
     if sub == "clt" and mode == MODE_ANNEALED and regime is None:
         raise UsageError("clt --mode annealed requires --regime")
+    if len(args.radius) > 1 and sub != "cluster-clt" and (sub, mode) != ("lln", MODE_QUENCHED):
+        where = f"{sub} --mode {mode}" if hasattr(args, "mode") else sub
+        raise UsageError(f"{where} runs one box: give --radius once, got {args.radius}")
 
     try:
         config = ExperimentConfig(

@@ -129,6 +129,10 @@ class GaussianLaw:
             return np.full(size, self.mean)
         return rng.normal(self.mean, math.sqrt(self.variance), size)
 
+    def atoms(self) -> tuple[tuple[float, float], ...] | None:
+        """The single atom at the mean when the variance is 0; otherwise no atoms."""
+        return ((self.mean, 1.0),) if self.variance == 0.0 else None
+
     def to_dict(self) -> dict:
         return {"type": "gaussian", "mean": self.mean, "variance": self.variance}
 
@@ -206,19 +210,22 @@ def moments(nu: ColorMeasure) -> tuple[float, float, Callable[[int], float]]:
     return nu.mean, nu.variance, nu.central_even_moment
 
 
+def live_atoms(nu: ColorMeasure) -> tuple[tuple[float, float], ...] | None:
+    """The atoms of nu with positive weight, in nu's order, or None when nu has no atoms.
+
+    Whether nu is atomic is nu.atoms() alone; the point-mass rule, the
+    Gaussian-gamma rule and the atomic limit law read it through here.
+    """
+    atoms = nu.atoms()
+    if atoms is None:
+        return None
+    return tuple((v, w) for v, w in atoms if w > 0.0)
+
+
 def is_point_mass(nu: ColorMeasure) -> bool:
     """Whether nu is concentrated on a single value."""
-    if isinstance(nu, TwoPoint):
-        return nu.a == nu.b or nu.alpha in (0.0, 1.0)
-    if isinstance(nu, GaussianLaw):
-        return nu.variance == 0.0
-    return sum(1 for _, w in nu.atoms_spec if w > 0.0) <= 1
-
-
-def is_discrete(nu: ColorMeasure) -> bool:
-    return isinstance(nu, (TwoPoint, FiniteDiscrete)) or (
-        isinstance(nu, GaussianLaw) and nu.variance == 0.0
-    )
+    live = live_atoms(nu)
+    return live is not None and len(live) <= 1
 
 
 def parse_color_measure(text: str) -> ColorMeasure:

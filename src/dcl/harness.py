@@ -32,11 +32,12 @@ from .percolation import (
     LabelingStack,
     PercolationEstimates,
     default_window_margin,
-    estimate_functionals,
+    label_clusters,
     labeling_functionals,
     map_labelings,
     map_ordered,
     pool_functionals,
+    sample_config,
     square_sum_density,
     stand_in_volume,
     warn_if_near_critical,
@@ -215,25 +216,20 @@ def _quenched_graph(
     config: ExperimentConfig, lattice: BoxLattice, margin: int
 ) -> tuple[ClusterLabeling, PercolationEstimates]:
     """The one graph of a quenched run, plus functionals from separate graphs."""
-    [labeling] = map_labelings(
-        lattice,
-        config.p,
-        config.master_seed,
-        "graph",
-        1,
-        lambda start, stack: {"labeling": [stack.view(0)]},
-        proxy_rule=config.proxy_rule,
-    )["labeling"]
-    est = estimate_functionals(
-        lattice,
-        config.p,
-        config.graph_replicates,
-        config.master_seed,
-        margin,
-        proxy_rule=config.proxy_rule,
-        stream_role="estimate-graph",
+    labeling = label_clusters(
+        sample_config(lattice, config.p, config.master_seed, "graph:0"), config.proxy_rule
     )
-    return labeling, est
+    columns = map_labelings(
+        lattice,
+        config.p,
+        config.master_seed,
+        "estimate-graph",
+        config.graph_replicates,
+        lambda start, stack: labeling_functionals(stack, margin),
+        proxy_rule=config.proxy_rule,
+        workers=config.workers,
+    )
+    return labeling, pool_functionals(columns, lattice, margin, config.proxy_rule)
 
 
 def _colored_replicates(
@@ -394,7 +390,7 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
         "statistic_summary": summarize(m_samples).to_dict(),
     }
 
-    if hasattr(prediction, "atoms"):
+    if prediction.atoms() is not None:
         sample_sd = float(m_samples.std(ddof=1)) if m_samples.shape[0] >= 2 else 0.0
         tol = _atom_bin_tolerance(prediction, config.atom_tolerance, sample_sd)
         tv = tv_distance_discrete(Counter(m_samples.tolist()), prediction, tol=tol)

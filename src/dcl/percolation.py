@@ -13,7 +13,6 @@ per-configuration functionals in pool_functionals.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -386,12 +385,6 @@ def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> li
         return [fut.result() for fut in futures]
 
 
-def _join(parts: list) -> np.ndarray | list:
-    if isinstance(parts[0], np.ndarray):
-        return np.concatenate(parts)
-    return list(itertools.chain.from_iterable(parts))
-
-
 def map_labelings(
     lattice: BoxLattice,
     p: float,
@@ -409,9 +402,9 @@ def map_labelings(
     Configurations are labeled in stacks of max(1, _STACK_SITES //
     site_count) copies, one label_clusters call per stack, so small boxes
     share one set of hooking rounds. observe(start, stack) maps the stack
-    whose copy 0 is configuration `start` to columns: a dict of arrays or
-    lists with one entry per copy. Only the columns are kept, and each comes
-    back joined in r order whatever the worker count.
+    whose copy 0 is configuration `start` to columns: a dict of arrays with
+    one entry per copy. Only the columns are kept, and each comes back
+    concatenated in r order whatever the worker count.
     """
     copies = max(1, _STACK_SITES // lattice.site_count)
     starts = range(0, count, copies)
@@ -422,7 +415,7 @@ def map_labelings(
         return observe(start, label_clusters(config, proxy_rule))
 
     parts = map_ordered(one, len(starts), workers)
-    return {name: _join([part[name] for part in parts]) for name in parts[0]}
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 def stand_in_volume(proxy_sites: np.ndarray, site_count: int) -> tuple[float, float]:

@@ -206,15 +206,15 @@ def tv_distance_discrete(
 ) -> float:
     """Total variation distance between an empirical sample and an atomic law.
 
-    The law must expose atoms() -> ((value, weight), ...). Each empirical
+    The law's atoms() must give ((value, weight), ...), not None. Each empirical
     value is assigned to the nearest atom when within tol, otherwise its
     mass counts as fully missed. The default tol is 1e-9 max|atom|, intended
     for samples that sit numerically on the atoms; comparisons of noisy
     sample means should pass an explicit tolerance.
     """
-    if not hasattr(law, "atoms"):
+    pairs = law.atoms() if hasattr(law, "atoms") else None
+    if pairs is None:
         raise ValueError(f"law of type {type(law).__name__} has no atoms to compare against")
-    pairs = law.atoms()
     values = np.array([v for v, _ in pairs], dtype=np.float64)
     weights = np.array([w for _, w in pairs], dtype=np.float64)
     if tol is None:

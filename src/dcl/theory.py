@@ -19,14 +19,13 @@ from .coloring import (
     ColorMeasure,
     FiniteDiscrete,
     GaussianLaw,
-    TwoPoint,
     _check_finite,
     atom_index,
     atom_thresholds,
     double_factorial_odd,
     draw_table,
-    is_discrete,
     is_point_mass,
+    live_atoms,
 )
 from .stats import gaussian_cdf
 
@@ -174,48 +173,37 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class SampledLaw:
-    """Law given by a named sampler and its parameters.
+    """The supercritical gamma, given by its sampler x + y (z - m).
 
-    Used where no closed form is exposed; sampling is deterministic given
-    the generator passed in, so the law stays reproducible.
+    x ~ N(0, chi_f sigma2), y ~ N(0, sigma_p2) and z ~ nu are independent.
+    No closed form is exposed; sampling is deterministic given the
+    generator passed in, so the law stays reproducible.
     """
 
-    kind: str
-    chi_f: float = float("nan")
-    sigma_p2: float = float("nan")
-    theta: float = float("nan")
-    nu: ColorMeasure | None = None
+    chi_f: float
+    sigma_p2: float
+    nu: ColorMeasure
+    kind: str = field(default="gamma-supercritical", init=False)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.nu is None:
-            raise ValueError("sampled law needs its color measure")
-        if self.kind == "gamma-supercritical":
-            m = self.nu.mean
-            sigma2 = self.nu.variance
-            x = rng.normal(0.0, math.sqrt(self.chi_f * sigma2), size)
-            y = rng.normal(0.0, math.sqrt(self.sigma_p2), size)
-            z = self.nu.sample(rng, size)
-            return x + y * (z - m)
-        if self.kind == "lln-color-average":
-            m = self.nu.mean
-            z = self.nu.sample(rng, size)
-            return (1.0 - self.theta) * m + self.theta * z
-        raise ValueError(f"unknown sampler kind {self.kind!r}")
+        m = self.nu.mean
+        sigma2 = self.nu.variance
+        x = rng.normal(0.0, math.sqrt(self.chi_f * sigma2), size)
+        y = rng.normal(0.0, math.sqrt(self.sigma_p2), size)
+        z = self.nu.sample(rng, size)
+        return x + y * (z - m)
 
     def to_dict(self) -> dict:
-        out: dict = {"type": "sampled", "kind": self.kind}
-        if not math.isnan(self.chi_f):
-            out["chi_f"] = self.chi_f
-        if not math.isnan(self.sigma_p2):
-            out["sigma_p2"] = self.sigma_p2
-        if not math.isnan(self.theta):
-            out["theta"] = self.theta
-        if self.nu is not None:
-            out["nu"] = self.nu.to_dict()
-        return out
+        return {
+            "type": "sampled",
+            "kind": self.kind,
+            "chi_f": self.chi_f,
+            "sigma_p2": self.sigma_p2,
+            "nu": self.nu.to_dict(),
+        }
 
 
-LimitLaw = Union[PointMass, GaussianLaw, TwoPointLaw, GaussianMixture, SampledLaw]
+LimitLaw = Union[PointMass, GaussianLaw, TwoPointLaw, FiniteDiscrete, GaussianMixture, SampledLaw]
 
 
 def _gaussian_raw_moment(mean: float, variance: float, r: int) -> float:
@@ -237,19 +225,21 @@ def lln_limit_law(nu: ColorMeasure, theta: float) -> LimitLaw:
 
     This is the limit of the spatial color average: the finite clusters
     contribute their mean color m, the infinite cluster contributes its own
-    single color Z with spatial weight theta.
+    single color Z with spatial weight theta. For atomic nu it is the image
+    of nu's live atoms, a TwoPointLaw for two of them and a FiniteDiscrete
+    for more.
     """
     _check_theta(theta)
     m = nu.mean
     if theta == 0.0 or is_point_mass(nu):
         return PointMass(value=m)
-    if isinstance(nu, TwoPoint):
-        lo = (1.0 - theta) * m + theta * nu.a
-        hi = (1.0 - theta) * m + theta * nu.b
-        return TwoPointLaw(atom_pairs=((lo, 1.0 - nu.alpha), (hi, nu.alpha)))
-    if isinstance(nu, GaussianLaw):
+    live = live_atoms(nu)
+    if live is None:
         return GaussianLaw(mean=m, variance=theta**2 * nu.variance)
-    return SampledLaw(kind="lln-color-average", theta=theta, nu=nu)
+    image = tuple(((1.0 - theta) * m + theta * v, w) for v, w in live)
+    if len(image) == 2:
+        return TwoPointLaw(atom_pairs=image)
+    return FiniteDiscrete(atoms_spec=image)
 
 
 def two_point_magnetization(alpha: float, theta: float) -> LimitLaw:
@@ -286,7 +276,7 @@ def gamma_sampler(chi_f: float, sigma_p2: float, nu: ColorMeasure) -> SampledLaw
     x ~ N(0, chi_f sigma2), y ~ N(0, sigma_p2), z ~ nu."""
     _check_nonneg("chi_f", chi_f)
     _check_nonneg("sigma_p2", sigma_p2)
-    return SampledLaw(kind="gamma-supercritical", chi_f=chi_f, sigma_p2=sigma_p2, nu=nu)
+    return SampledLaw(chi_f=chi_f, sigma_p2=sigma_p2, nu=nu)
 
 
 def gamma_law(
@@ -308,8 +298,8 @@ def gamma_law(
     if regime == REGIME_SUBCRITICAL:
         return centered_gaussian(chi_f * sigma2)
     m = nu.mean
-    if is_discrete(nu):
-        pairs = nu.atoms() if not isinstance(nu, GaussianLaw) else ((nu.mean, 1.0),)
+    pairs = nu.atoms()
+    if pairs is not None:
         components = tuple(
             (w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in pairs
         )
@@ -333,14 +323,10 @@ def is_gamma_gaussian(nu: ColorMeasure) -> bool:
     True exactly when nu puts weight 1/2 on each of two atoms; a point mass
     counts as the degenerate case with both atoms equal.
     """
-    if is_point_mass(nu):
-        return True
-    if isinstance(nu, TwoPoint):
-        return abs(nu.alpha - 0.5) <= _HALF_TOL
-    if isinstance(nu, FiniteDiscrete):
-        live = [(v, w) for v, w in nu.atoms_spec if w > 0.0]
-        return len(live) == 2 and all(abs(w - 0.5) <= _HALF_TOL for _, w in live)
-    return False
+    live = live_atoms(nu)
+    if live is None:
+        return False
+    return len(live) <= 1 or (len(live) == 2 and all(abs(w - 0.5) <= _HALF_TOL for _, w in live))
 
 
 def gamma_prime_moment(k: int, nu: ColorMeasure, sigma_p2: float) -> float:

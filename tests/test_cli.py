@@ -98,6 +98,13 @@ def test_parse_gamma_sample_options():
         ["check-identity", "--radius", "5", "--radius", "3", "--margin", "4"],
         ["check-identity", "--radius", "3", "--margin", "-1"],
         ["check-identity", "--margin", "17"],
+        # single-box subcommands: a repeated --radius would be ignored
+        ["estimate", "--radius", "4", "--radius", "8", "--p", "0.3"],
+        ["lln", "--mode", "annealed", "--radius", "4", "--radius", "8", "--p", "0.7"],
+        ["clt", "--mode", "quenched", "--radius", "4", "--radius", "8", "--p", "0.3"],
+        ["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--radius", "8",
+         "--p", "0.2"],
+        ["weighted-lln", "--radius", "4", "--radius", "8", "--p", "0.3"],
     ],
 )
 def test_parse_rejects_bad_input(argv):

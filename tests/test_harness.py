@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dcl.coloring import color_clusters
+from dcl.coloring import FiniteDiscrete, color_clusters
 from dcl.harness import (
     _COLOR_CHUNK,
     ExperimentConfig,
@@ -182,6 +183,24 @@ def test_annealed_lln_full_lattice_hits_atoms_exactly():
     assert set(res.samples["m_n"]) == {-1.0, 1.0}
     freq_hi = sum(1 for v in res.samples["m_n"] if v == 1.0) / 200.0
     assert freq_hi == pytest.approx(0.3, abs=0.1)
+
+
+def test_annealed_lln_discrete_colors_check_atoms():
+    # p=1 merges the box into the stand-in cluster, so theta is 1, the limit
+    # is nu itself and each replicate's average is exactly its color draw
+    cfg = ExperimentConfig(
+        d=2, radii=4, p=1.0, nu="discrete:-1:0.2,0:0.3,2:0.5",
+        mode="annealed", graph_replicates=200, master_seed=5,
+    )
+    res = run_annealed_lln(cfg)
+    assert res.passed()
+    assert res.predictions["lln-limit"] == FiniteDiscrete(((-1.0, 0.2), (0.0, 0.3), (2.0, 0.5)))
+    assert set(res.samples["m_n"]) == {-1.0, 0.0, 2.0}
+    assert res.estimates["atom_locations"] == {-1.0: -1.0, 0.0: 0.0, 2.0: 2.0}
+    contexts = [t.context for t in res.tests]
+    assert len(contexts) == 2
+    assert "TV distance" in contexts[0] and "atom location" in contexts[1]
+    assert "reference" not in {s["role"] for s in res.seeds["streams"]}
 
 
 def test_quenched_clt_empty_graph_gaussian_colors():
@@ -542,6 +561,18 @@ def test_harness_warns_near_critical():
     )
     with pytest.warns(NearCriticalWarning):
         run_quenched_lln(cfg)
+
+
+@pytest.mark.parametrize("run", [run_quenched_lln, run_quenched_clt])
+def test_quenched_runs_warn_near_critical_once(run):
+    cfg = ExperimentConfig(
+        d=2, radii=4, p=0.5, nu="two-point:-1,1,0.5",
+        mode="quenched", graph_replicates=2, color_replicates=20, master_seed=1,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(cfg)
+    assert sum(issubclass(w.category, NearCriticalWarning) for w in caught) == 1
 
 
 def test_runresult_passed_reflects_reports():

@@ -373,7 +373,8 @@ def test_map_labelings_streams_and_worker_count():
 
         serial = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=1)
         threaded = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=3)
-        assert serial["r"] == threaded["r"] == list(range(count))
+        # Every column comes back as one concatenated array.
+        assert serial["r"].tolist() == threaded["r"].tolist() == list(range(count))
         for r, ids, ids3 in zip(serial["r"], serial["ids"], threaded["ids"]):
             assert np.array_equal(ids, ids3)
             direct = label_clusters(sample_config(lat, 0.45, 8, f"eng:{r}"))

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dcl.coloring import FiniteDiscrete, GaussianLaw, TwoPoint, double_factorial_odd
+from dcl.coloring import (
+    FiniteDiscrete,
+    GaussianLaw,
+    TwoPoint,
+    double_factorial_odd,
+    is_point_mass,
+    parse_color_measure,
+)
 from dcl.rng import derive_rng
 from dcl.stats import ks_two_sample, summarize
 from dcl.theory import (
@@ -80,7 +87,7 @@ def test_lln_limit_gaussian():
 def test_lln_limit_discrete_sampler():
     nu = FiniteDiscrete(((-1.0, 0.25), (0.0, 0.25), (1.0, 0.5)))
     law = lln_limit_law(nu, 0.5)
-    assert isinstance(law, SampledLaw)
+    assert law == FiniteDiscrete(((-0.375, 0.25), (0.125, 0.25), (0.625, 0.5)))
     draws = law.sample(derive_rng(3, "lln"), 40000)
     # draws are (1-theta) m + theta z, so mean m and variance theta^2 var
     assert draws.mean() == pytest.approx(nu.mean, abs=0.01)
@@ -370,3 +377,121 @@ def test_draw_tables_are_read_only(law, count):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+# The atoms rule: the former per-type ladders, written out here, against
+# the one live_atoms rule that replaced them.
+
+_LADDER_HALF_TOL = 1e-12
+
+
+def _ladder_is_point_mass(nu):
+    if isinstance(nu, TwoPoint):
+        return nu.a == nu.b or nu.alpha in (0.0, 1.0)
+    if isinstance(nu, GaussianLaw):
+        return nu.variance == 0.0
+    return sum(1 for _, w in nu.atoms_spec if w > 0.0) <= 1
+
+
+def _ladder_is_gamma_gaussian(nu):
+    if _ladder_is_point_mass(nu):
+        return True
+    if isinstance(nu, TwoPoint):
+        return abs(nu.alpha - 0.5) <= _LADDER_HALF_TOL
+    if isinstance(nu, FiniteDiscrete):
+        live = [(v, w) for v, w in nu.atoms_spec if w > 0.0]
+        return len(live) == 2 and all(abs(w - 0.5) <= _LADDER_HALF_TOL for _, w in live)
+    return False
+
+
+def _ladder_gamma_law(chi_f, sigma2, sigma_p2, nu):
+    """The former supercritical gamma_law."""
+    m = nu.mean
+    if isinstance(nu, (TwoPoint, FiniteDiscrete)) or (
+        isinstance(nu, GaussianLaw) and nu.variance == 0.0
+    ):
+        pairs = nu.atoms() if not isinstance(nu, GaussianLaw) else ((nu.mean, 1.0),)
+        components = tuple((w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in pairs)
+        variances = {v for _, _, v in components}
+        if len(variances) == 1:
+            return centered_gaussian(variances.pop())
+        return GaussianMixture(components=components)
+    return gamma_sampler(chi_f, sigma_p2, nu)
+
+
+_atom_values = st.sampled_from([-1.0, 0.0, 2.5]) | st.floats(-5.0, 5.0)
+_unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _finite_discrete(draw):
+    values = draw(st.lists(_atom_values, min_size=1, max_size=4, unique=True))
+    raw = draw(st.lists(st.integers(0, 3), min_size=len(values), max_size=len(values)))
+    assume(sum(raw) > 0)
+    return FiniteDiscrete(tuple((v, r / sum(raw)) for v, r in zip(values, raw)))
+
+
+_color_measures = st.one_of(
+    st.builds(TwoPoint, a=_atom_values, b=_atom_values, alpha=_unit),
+    _finite_discrete(),
+    st.builds(
+        GaussianLaw,
+        mean=st.floats(-5.0, 5.0),
+        variance=st.sampled_from([0.0]) | st.floats(0.0, 4.0),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=_color_measures,
+    chi_f=st.floats(0.0, 10.0),
+    sigma_p2=st.sampled_from([0.0]) | st.floats(0.0, 2.0),
+)
+@example(nu=TwoPoint(1.0, 1.0, 0.3), chi_f=1.0, sigma_p2=0.5)
+@example(nu=TwoPoint(-1.0, 1.0, 0.0), chi_f=1.0, sigma_p2=0.5)
+@example(nu=TwoPoint(-1.0, 1.0, 1.0), chi_f=1.0, sigma_p2=0.5)
+@example(nu=TwoPoint(-1.0, 1.0, 0.5), chi_f=1.0, sigma_p2=0.5)
+@example(nu=GaussianLaw(2.0, 0.0), chi_f=1.0, sigma_p2=0.5)
+@example(nu=FiniteDiscrete(((-1.0, 0.5), (0.0, 0.0), (3.0, 0.5))), chi_f=1.0, sigma_p2=0.5)
+@example(nu=FiniteDiscrete(((-1.0, 0.0), (4.0, 1.0))), chi_f=1.0, sigma_p2=0.5)
+def test_atoms_rule_agrees_with_former_type_ladders(nu, chi_f, sigma_p2):
+    assert is_point_mass(nu) == _ladder_is_point_mass(nu)
+    assert is_gamma_gaussian(nu) == _ladder_is_gamma_gaussian(nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    assert law == _ladder_gamma_law(chi_f, nu.variance, sigma_p2, nu)
+    assert law.to_dict() == _ladder_gamma_law(chi_f, nu.variance, sigma_p2, nu).to_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.builds(TwoPoint, a=_atom_values, b=_atom_values, alpha=_unit), theta=_unit)
+@example(nu=TwoPoint(-1.0, 1.0, 0.7), theta=0.4)
+def test_lln_limit_two_point_is_the_former_two_point_law(nu, theta):
+    m = nu.mean
+    if theta == 0.0 or _ladder_is_point_mass(nu):
+        former = PointMass(value=m)
+    else:
+        lo = (1.0 - theta) * m + theta * nu.a
+        hi = (1.0 - theta) * m + theta * nu.b
+        assume(lo != hi)
+        former = TwoPointLaw(atom_pairs=((lo, 1.0 - nu.alpha), (hi, nu.alpha)))
+    law = lln_limit_law(nu, theta)
+    assert type(law) is type(former)
+    assert law == former
+    assert law.to_dict() == former.to_dict()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+def test_lln_limit_discrete_and_two_point_colors_agree(theta):
+    discrete = lln_limit_law(parse_color_measure("discrete:-1:0.5,1:0.5"), theta)
+    two_point = lln_limit_law(parse_color_measure("two-point:-1,1,0.5"), theta)
+    assert discrete == two_point
+    assert discrete.to_dict() == two_point.to_dict()
+
+
+def test_lln_limit_drops_zero_weight_atoms():
+    nu = FiniteDiscrete(((-1.0, 0.2), (0.0, 0.0), (2.0, 0.8)))
+    law = lln_limit_law(nu, 0.5)
+    assert isinstance(law, TwoPointLaw)
+    assert [w for _, w in law.atoms()] == [0.2, 0.8]
+    assert lln_limit_law(GaussianLaw(1.5, 0.0), 0.5) == PointMass(value=1.5)

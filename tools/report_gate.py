@@ -95,6 +95,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "lln", "--mode", "annealed", "--radius", "16", "--p", "0.7",
         "--nu", "discrete:-1:0.2,0:0,2:0.8", "--graph-replicates", "60",
     ],
+    # Three live atoms: the annealed limit is a FiniteDiscrete law.
+    "lln-annealed-discrete-live3": [
+        "lln", "--mode", "annealed", "--radius", "16", "--p", "0.7",
+        "--nu", "discrete:-1:0.2,0:0.3,2:0.5", "--graph-replicates", "60",
+    ],
     "clt-quenched-discrete-w2": _QUENCHED + [
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
         "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
