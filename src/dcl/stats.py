@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -168,6 +169,28 @@ def ks_two_sample(
     return _ks_report(d, p, level, context)
 
 
+def ks_one_sample(
+    samples: np.ndarray,
+    cdf: Callable[[np.ndarray], np.ndarray],
+    level: float = DEFAULT_LEVEL,
+    context: str = "",
+) -> TestReport:
+    """One-sample Kolmogorov-Smirnov test against a law given by its exact CDF.
+
+    cdf maps a sorted array of points to the law's CDF at each of them.
+    """
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("sample must be non-empty")
+    f = cdf(x)
+    upper = np.arange(1, n + 1) / n - f
+    lower = f - np.arange(0, n) / n
+    d = float(max(upper.max(), lower.max()))
+    p = kolmogorov_sf(math.sqrt(n) * d)
+    return _ks_report(d, p, level, context)
+
+
 def ks_one_sample_gaussian(
     samples: np.ndarray,
     mean: float,
@@ -176,16 +199,7 @@ def ks_one_sample_gaussian(
     context: str = "",
 ) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against N(mean, variance)."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("sample must be non-empty")
-    cdf = gaussian_cdf(x, mean, variance)
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
-    d = float(max(upper.max(), lower.max()))
-    p = kolmogorov_sf(math.sqrt(n) * d)
-    return _ks_report(d, p, level, context)
+    return ks_one_sample(samples, lambda x: gaussian_cdf(x, mean, variance), level, context)
 
 
 def _ks_report(d: float, p: float, level: float, context: str) -> TestReport:
@@ -216,7 +230,6 @@ def tv_distance_discrete(
     if pairs is None:
         raise ValueError(f"law of type {type(law).__name__} has no atoms to compare against")
     values = np.array([v for v, _ in pairs], dtype=np.float64)
-    weights = np.array([w for _, w in pairs], dtype=np.float64)
     if tol is None:
         tol = 1e-9 * float(np.max(np.abs(values))) if np.any(values != 0.0) else 1e-9
     if tol < 0.0:
@@ -226,16 +239,18 @@ def tv_distance_discrete(
     if np.any(np.diff(sorted_values) <= 2.0 * tol):
         raise ValueError("law atoms are not distinct beyond the assignment tolerance")
 
-    total = math.fsum(float(f) for f in empirical.values())
-    if total <= 0.0:
+    # Hits per atom are summed and compared exactly, then rounded once: float
+    # sums of masses like 1/60 can land an ulp above a band such as 0.1.
+    total = sum(Fraction(f) for f in empirical.values())
+    if total <= 0:
         raise ValueError("empirical frequencies must have positive total mass")
-    assigned = np.zeros(values.shape[0], dtype=np.float64)
-    unassigned = 0.0
+    assigned = [Fraction(0)] * values.shape[0]
+    unassigned = Fraction(0)
     for value, freq in empirical.items():
-        mass = float(freq) / total
         idx = int(np.argmin(np.abs(values - float(value))))
         if abs(values[idx] - float(value)) <= tol:
-            assigned[idx] += mass
+            assigned[idx] += Fraction(freq)
         else:
-            unassigned += mass
-    return 0.5 * (float(np.sum(np.abs(assigned - weights))) + unassigned)
+            unassigned += Fraction(freq)
+    misfit = sum(abs(c / total - Fraction(w)) for c, (_, w) in zip(assigned, pairs))
+    return float((misfit + unassigned / total) / 2)

@@ -33,7 +33,7 @@ REGIME_SUBCRITICAL = "subcritical"
 REGIME_SUPERCRITICAL = "supercritical"
 REGIMES = (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL)
 
-_HALF_TOL = 1e-12
+_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class TwoPointLaw:
         _check_finite("two-point law atoms and probabilities", v1, p1, v2, p2)
         if v1 == v2:
             raise ValueError("two-point law needs distinct atoms; use PointMass")
-        if abs(p1 + p2 - 1.0) > _HALF_TOL or p1 < 0.0 or p2 < 0.0:
+        if abs(p1 + p2 - 1.0) > _WEIGHT_TOL or p1 < 0.0 or p2 < 0.0:
             raise ValueError(f"atom probabilities must be a distribution, got {p1}, {p2}")
         object.__setattr__(self, "_values", draw_table((v1, v2)))
         object.__setattr__(self, "_thresholds", draw_table((p1,)))
@@ -116,7 +116,7 @@ class GaussianMixture:
             raise ValueError("mixture needs at least one component")
         _check_finite("mixture weights, means and variances", *(x for c in self.components for x in c))
         total = math.fsum(w for w, _, _ in self.components)
-        if abs(total - 1.0) > _HALF_TOL:
+        if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"mixture weights must sum to 1, got {total}")
         if any(w < 0.0 or v < 0.0 for w, _, v in self.components):
             raise ValueError("mixture weights and variances must be non-negative")
@@ -242,23 +242,6 @@ def lln_limit_law(nu: ColorMeasure, theta: float) -> LimitLaw:
     return FiniteDiscrete(atoms_spec=image)
 
 
-def two_point_magnetization(alpha: float, theta: float) -> LimitLaw:
-    """Limit law of the color average for nu on {-1, +1} with P(+1) = alpha.
-
-    Takes the value 2 alpha (1 - theta) + 2 theta - 1 with probability alpha
-    and 2 alpha (1 - theta) - 1 with probability 1 - alpha; at theta = 0 the
-    two coincide and the law degenerates to a point mass.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    _check_theta(theta)
-    hi = 2.0 * alpha * (1.0 - theta) + 2.0 * theta - 1.0
-    lo = 2.0 * alpha * (1.0 - theta) - 1.0
-    if hi == lo or alpha in (0.0, 1.0):
-        return PointMass(value=hi if alpha > 0.0 else lo)
-    return TwoPointLaw(atom_pairs=((lo, 1.0 - alpha), (hi, alpha)))
-
-
 def sign_deterministic(alpha: float, theta: float) -> bool:
     """Whether the limiting color average has almost surely constant sign.
 
@@ -285,10 +268,12 @@ def gamma_law(
     """Annealed fluctuation law gamma.
 
     Subcritical: N(0, chi_f sigma2) regardless of nu beyond its variance.
-    Supercritical with discrete nu: the mixture over atoms z of
-    N(0, chi_f sigma2 + (z - m)^2 sigma_p2); equal-variance components
-    collapse to a single Gaussian. Supercritical continuous nu: the sampler
-    form (no closed form is exposed).
+    Supercritical with atomic nu: the mixture over the live atoms z of
+    N(0, chi_f sigma2 + (z - m)^2 sigma_p2). It is one Gaussian exactly
+    when every live atom lies at the same distance from m or sigma_p2 is 0;
+    the distances agree for one live atom and for two of equal weight, and
+    never for three or more. Supercritical continuous nu: the sampler form
+    (no closed form is exposed).
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -297,17 +282,14 @@ def gamma_law(
     _check_nonneg("sigma_p2", sigma_p2)
     if regime == REGIME_SUBCRITICAL:
         return centered_gaussian(chi_f * sigma2)
+    live = live_atoms(nu)
+    if live is None:
+        return gamma_sampler(chi_f, sigma_p2, nu)
     m = nu.mean
-    pairs = nu.atoms()
-    if pairs is not None:
-        components = tuple(
-            (w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in pairs
-        )
-        variances = {v for _, _, v in components}
-        if len(variances) == 1:
-            return centered_gaussian(variances.pop())
-        return GaussianMixture(components=components)
-    return gamma_sampler(chi_f, sigma_p2, nu)
+    components = tuple((w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in live)
+    if len(live) == 1 or sigma_p2 == 0.0 or (len(live) == 2 and live[0][1] == live[1][1]):
+        return centered_gaussian(components[0][2])
+    return GaussianMixture(components=components)
 
 
 def centered_gaussian(variance: float) -> LimitLaw:
@@ -315,18 +297,6 @@ def centered_gaussian(variance: float) -> LimitLaw:
     if variance > 0.0:
         return GaussianLaw(mean=0.0, variance=variance)
     return PointMass(value=0.0)
-
-
-def is_gamma_gaussian(nu: ColorMeasure) -> bool:
-    """Whether gamma is Gaussian for every parameter choice.
-
-    True exactly when nu puts weight 1/2 on each of two atoms; a point mass
-    counts as the degenerate case with both atoms equal.
-    """
-    live = live_atoms(nu)
-    if live is None:
-        return False
-    return len(live) <= 1 or (len(live) == 2 and all(abs(w - 0.5) <= _HALF_TOL for _, w in live))
 
 
 def gamma_prime_moment(k: int, nu: ColorMeasure, sigma_p2: float) -> float:

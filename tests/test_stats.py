@@ -15,11 +15,13 @@ from dcl.stats import (
     exact_check_report,
     gaussian_cdf,
     kolmogorov_sf,
+    ks_one_sample,
     ks_one_sample_gaussian,
     ks_two_sample,
     summarize,
     tv_distance_discrete,
 )
+from dcl.theory import GaussianMixture
 from oracles import summarize_onepass
 
 
@@ -190,11 +192,44 @@ def test_ks_one_sample_gaussian_rejects_wrong_mean():
         ks_one_sample_gaussian(np.array([]), 0.0, 1.0)
 
 
+def test_ks_one_sample_gaussian_is_ks_one_sample_on_the_gaussian_cdf():
+    x = derive_rng(5, "stats-ks").normal(0.3, 2.0, size=500)
+    direct = ks_one_sample(x, lambda t: gaussian_cdf(t, 0.3, 4.0), context="c")
+    assert ks_one_sample_gaussian(x, 0.3, 4.0, context="c") == direct
+
+
+def test_ks_one_sample_level_on_exact_mixture_draws():
+    # 400 fixed seeds of 60 exact draws each: at level 0.05 the rejections
+    # are Binomial(400, 0.05) up to the asymptotic p-value's conservatism,
+    # mean 20 and sd 4.4; the band is 3 sd either side
+    law = GaussianMixture(((0.3, 0.0, 0.5), (0.7, 0.0, 2.5)))
+    rejected = sum(
+        not ks_one_sample(law.sample(derive_rng(seed, "ks-level"), 60), law.cdf, level=0.05).passed
+        for seed in range(400)
+    )
+    assert 7 <= rejected <= 33
+
+
+def test_ks_one_sample_rejects_the_single_gaussian_of_equal_variance():
+    law = GaussianMixture(((0.3, 0.0, 0.25), (0.7, 0.0, 4.0)))
+    x = law.sample(derive_rng(9, "ks-power"), 4000)
+    assert ks_one_sample(x, law.cdf).passed
+    assert not ks_one_sample_gaussian(x, 0.0, law.variance).passed
+
+
 def test_tv_distance_hand_example():
     law = AtomicStub(((-1.0, 0.5), (1.0, 0.5)))
     # 30/70 split against a fair law: TV = 0.2
     assert tv_distance_discrete({-1.0: 30, 1.0: 70}, law) == pytest.approx(0.2)
     assert tv_distance_discrete({-1.0: 50, 1.0: 50}, law) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("counts", [(6, 19, 35), (6, 23, 31), (11, 24, 25)])
+def test_tv_distance_is_rounded_once(counts):
+    # each split of 60 is 0.1 from the law up to the weights' binary
+    # rounding; masses of k/60 summed in floats land an ulp or two above it
+    law = AtomicStub(((-1.0, 0.2), (0.0, 0.3), (2.0, 0.5)))
+    assert tv_distance_discrete(dict(zip((-1.0, 0.0, 2.0), counts)), law) == 0.1
 
 
 def test_tv_distance_counts_misses():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dcl.coloring import (
     TwoPoint,
     double_factorial_odd,
     is_point_mass,
+    live_atoms,
     parse_color_measure,
 )
 from dcl.rng import derive_rng
@@ -31,10 +33,8 @@ from dcl.theory import (
     gamma_law,
     gamma_prime_moment,
     gamma_sampler,
-    is_gamma_gaussian,
     lln_limit_law,
     sign_deterministic,
-    two_point_magnetization,
 )
 
 
@@ -70,9 +70,12 @@ def test_lln_limit_two_point_matches_magnetization_formula():
     for alpha in (0.2, 0.5, 0.9):
         for theta in (0.1, 0.6, 1.0):
             via_lln = lln_limit_law(TwoPoint(-1.0, 1.0, alpha), theta)
-            direct = two_point_magnetization(alpha, theta)
+            # the magnetization formula: 2 alpha (1 - theta) + 2 theta - 1 with
+            # probability alpha, else 2 alpha (1 - theta) - 1
+            hi = 2.0 * alpha * (1.0 - theta) + 2.0 * theta - 1.0
+            lo = 2.0 * alpha * (1.0 - theta) - 1.0
             got = sorted(via_lln.atoms())
-            want = sorted(direct.atoms())
+            want = sorted(((lo, 1.0 - alpha), (hi, alpha)))
             assert len(got) == len(want)
             for (loc_g, w_g), (loc_w, w_w) in zip(got, want):
                 assert loc_g == pytest.approx(loc_w)
@@ -95,10 +98,13 @@ def test_lln_limit_discrete_sampler():
 
 
 def test_two_point_magnetization_degenerate():
-    assert two_point_magnetization(0.3, 0.0) == PointMass(value=-0.4)
-    assert two_point_magnetization(0.0, 0.5) == PointMass(value=-1.0)
-    assert two_point_magnetization(1.0, 0.5) == PointMass(value=1.0)
-    full = two_point_magnetization(0.3, 1.0)
+    def magnetization(alpha, theta):
+        return lln_limit_law(TwoPoint(-1.0, 1.0, alpha), theta)
+
+    assert magnetization(0.3, 0.0) == PointMass(value=pytest.approx(-0.4))
+    assert magnetization(0.0, 0.5) == PointMass(value=-1.0)
+    assert magnetization(1.0, 0.5) == PointMass(value=1.0)
+    full = magnetization(0.3, 1.0)
     assert weight_at(full.atoms(), 1.0) == pytest.approx(0.3)
     assert weight_at(full.atoms(), -1.0) == pytest.approx(0.7)
 
@@ -147,14 +153,20 @@ def test_gamma_law_gaussian_color_sampled():
     assert law.kind == "gamma-supercritical"
 
 
+def _gamma_is_gaussian(nu, chi_f=1.0, sigma_p2=0.5):
+    """Whether the supercritical gamma is one Gaussian (a point mass included)."""
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    return isinstance(law, (GaussianLaw, PointMass))
+
+
 def test_is_gamma_gaussian_dichotomy():
-    assert is_gamma_gaussian(TwoPoint(-1.0, 1.0, 0.5))
-    assert not is_gamma_gaussian(TwoPoint(-1.0, 1.0, 0.3))
-    assert is_gamma_gaussian(TwoPoint(3.0, 3.0, 0.2))  # point mass
-    assert not is_gamma_gaussian(GaussianLaw(0.0, 1.0))
-    assert is_gamma_gaussian(FiniteDiscrete(((-2.0, 0.5), (4.0, 0.5))))
-    assert not is_gamma_gaussian(FiniteDiscrete(((-2.0, 0.25), (4.0, 0.75))))
-    assert not is_gamma_gaussian(FiniteDiscrete(((-1.0, 0.4), (0.0, 0.2), (1.0, 0.4))))
+    assert _gamma_is_gaussian(TwoPoint(-1.0, 1.0, 0.5))
+    assert not _gamma_is_gaussian(TwoPoint(-1.0, 1.0, 0.3))
+    assert _gamma_is_gaussian(TwoPoint(3.0, 3.0, 0.2))  # point mass
+    assert not _gamma_is_gaussian(GaussianLaw(0.0, 1.0))
+    assert _gamma_is_gaussian(FiniteDiscrete(((-2.0, 0.5), (4.0, 0.5))))
+    assert not _gamma_is_gaussian(FiniteDiscrete(((-2.0, 0.25), (4.0, 0.75))))
+    assert not _gamma_is_gaussian(FiniteDiscrete(((-1.0, 0.4), (0.0, 0.2), (1.0, 0.4))))
 
 
 def test_gaussian_mixture_raw_moments():
@@ -457,10 +469,75 @@ _color_measures = st.one_of(
 @example(nu=FiniteDiscrete(((-1.0, 0.0), (4.0, 1.0))), chi_f=1.0, sigma_p2=0.5)
 def test_atoms_rule_agrees_with_former_type_ladders(nu, chi_f, sigma_p2):
     assert is_point_mass(nu) == _ladder_is_point_mass(nu)
-    assert is_gamma_gaussian(nu) == _ladder_is_gamma_gaussian(nu)
+    # The former Gaussian-gamma predicate took weights within 1e-12 of 1/2
+    # as equal; the shape rule in gamma_law compares them exactly.
+    if not (isinstance(nu, TwoPoint) and 0.0 < abs(nu.alpha - 0.5) <= _LADDER_HALF_TOL):
+        assert _gamma_is_gaussian(nu, chi_f) == _ladder_is_gamma_gaussian(nu)
     law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
-    assert law == _ladder_gamma_law(chi_f, nu.variance, sigma_p2, nu)
-    assert law.to_dict() == _ladder_gamma_law(chi_f, nu.variance, sigma_p2, nu).to_dict()
+    _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
+
+
+def _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law):
+    """law is the former ladder's, bit for bit, when nu has no zero-weight atom.
+
+    The former law kept zero-weight atoms as components and decided its
+    shape by comparing rounded variances. Two shapes therefore differ: two
+    equal-weight atoms whose variances differ in the last bits were a
+    two-component mixture and are now one Gaussian with the first atom's
+    variance, and components whose variances agree only after rounding
+    were one Gaussian and are now a mixture with that very variance in
+    every component.
+    """
+    if any(w == 0.0 for _, w in nu.atoms() or ()):
+        return
+    former = _ladder_gamma_law(chi_f, nu.variance, sigma_p2, nu)
+    if isinstance(former, GaussianMixture) and not isinstance(law, GaussianMixture):
+        live = live_atoms(nu)
+        assert len(live) == 2 and live[0][1] == live[1][1]
+        assert law == centered_gaussian(former.components[0][2])
+    elif isinstance(law, GaussianMixture) and not isinstance(former, GaussianMixture):
+        assert all(v == former.variance for _, _, v in law.components)
+    else:
+        assert law == former
+        assert law.to_dict() == former.to_dict()
+
+
+def _equidistant_from_mean(live):
+    """Whether every live atom lies at one distance from the mean, in exact arithmetic."""
+    weights = [Fraction(w) for _, w in live]
+    mean = sum(w * Fraction(z) for w, (z, _) in zip(weights, live)) / sum(weights)
+    return len({abs(Fraction(z) - mean) for z, _ in live}) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=_color_measures,
+    chi_f=st.floats(0.0, 10.0),
+    sigma_p2=st.sampled_from([0.0]) | st.floats(0.0, 2.0),
+)
+# two equal weights whose variances the former law split in the last digit
+@example(nu=TwoPoint(-0.369, 4.36, 0.5), chi_f=0.06, sigma_p2=0.05)
+# a zero-weight atom the former law kept as a third component
+@example(nu=FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5), (3.0, 0.0))), chi_f=1.0, sigma_p2=0.5)
+# variances that agree only after rounding: still a mixture
+@example(nu=TwoPoint(-1.0, 1.0, 0.3), chi_f=1.0, sigma_p2=1e-300)
+@example(nu=FiniteDiscrete(((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))), chi_f=2.0, sigma_p2=0.0)
+def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    live = live_atoms(nu)
+    if live is None:
+        assert law == gamma_sampler(chi_f, sigma_p2, nu)
+        return
+    # the first live atom's component variance, as the mixture would have it
+    first = chi_f * nu.variance + (live[0][0] - nu.mean) ** 2 * sigma_p2
+    if sigma_p2 == 0.0 or _equidistant_from_mean(live):
+        assert law == centered_gaussian(first)
+    else:
+        assert len(live) >= 2
+        assert isinstance(law, GaussianMixture)
+        assert [(w, m) for w, m, _ in law.components] == [(w, 0.0) for _, w in live]
+        assert law.components[0][2] == first
+    _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
 
 
 @settings(max_examples=300, deadline=None)

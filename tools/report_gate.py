@@ -108,6 +108,15 @@ INVOCATIONS: dict[str, list[str]] = {
         "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "two-point:-1,1,0.3",
         "--graph-replicates", "60",
     ],
+    # A zero-weight atom and two equal-weight atoms: gamma is one Gaussian.
+    "clt-annealed-zero-weight-atom": _ANNEALED + [
+        "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "discrete:-1:0.5,1:0.5,3:0",
+        "--graph-replicates", "60",
+    ],
+    "clt-annealed-equal-weights": _ANNEALED + [
+        "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "two-point:-0.369,4.36,0.5",
+        "--graph-replicates", "60",
+    ],
     "clt-annealed-subcritical-discrete": _ANNEALED + [
         "--regime", "subcritical", "--radius", "16", "--p", "0.2", "--nu", "discrete:-1:0.2,0:0.3,2:0.5",
         "--graph-replicates", "60",
@@ -118,6 +127,7 @@ INVOCATIONS: dict[str, list[str]] = {
         "--samples", "2000",
     ],
     "gamma-gaussian": ["gamma-sample", "--nu", "gaussian:1,0.5", "--samples", "2000"],
+    "gamma-equal-weights": ["gamma-sample", "--nu", "two-point:-0.369,4.36,0.5", "--samples", "2000"],
     # Degenerate branches: each check that reads max |statistic| or a point mass.
     "clt-quenched-point-mass": _QUENCHED + [
         "--radius", "8", "--p", "0.3", "--nu", "two-point:3,3,0.7", "--color-replicates", "50",
