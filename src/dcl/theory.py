@@ -269,11 +269,11 @@ def gamma_law(
 
     Subcritical: N(0, chi_f sigma2) regardless of nu beyond its variance.
     Supercritical with atomic nu: the mixture over the live atoms z of
-    N(0, chi_f sigma2 + (z - m)^2 sigma_p2). It is one Gaussian exactly
-    when every live atom lies at the same distance from m or sigma_p2 is 0;
-    the distances agree for one live atom and for two of equal weight, and
-    never for three or more. Supercritical continuous nu: the sampler form
-    (no closed form is exposed).
+    N(0, chi_f sigma2 + (z - m)^2 sigma_p2). It is one Gaussian, with the
+    first live atom's variance, when two live atoms have equal weight (both
+    then lie at one distance from m) or when every live component has the
+    same variance (one live atom and sigma_p2 = 0 among them). Supercritical
+    continuous nu: the sampler form (no closed form is exposed).
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -287,8 +287,11 @@ def gamma_law(
         return gamma_sampler(chi_f, sigma_p2, nu)
     m = nu.mean
     components = tuple((w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in live)
-    if len(live) == 1 or sigma_p2 == 0.0 or (len(live) == 2 and live[0][1] == live[1][1]):
-        return centered_gaussian(components[0][2])
+    variance = components[0][2]
+    if (len(live) == 2 and live[0][1] == live[1][1]) or all(
+        v == variance for _, _, v in components
+    ):
+        return centered_gaussian(variance)
     return GaussianMixture(components=components)
 
 

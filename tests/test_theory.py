@@ -467,12 +467,24 @@ _color_measures = st.one_of(
 @example(nu=GaussianLaw(2.0, 0.0), chi_f=1.0, sigma_p2=0.5)
 @example(nu=FiniteDiscrete(((-1.0, 0.5), (0.0, 0.0), (3.0, 0.5))), chi_f=1.0, sigma_p2=0.5)
 @example(nu=FiniteDiscrete(((-1.0, 0.0), (4.0, 1.0))), chi_f=1.0, sigma_p2=0.5)
+# unequal live weights whose variances underflow to one value
+@example(
+    nu=FiniteDiscrete(((-1.0, 0.0), (0.0, 1 / 3), (8.846117770095046e-300, 2 / 3))),
+    chi_f=0.0,
+    sigma_p2=0.0,
+)
 def test_atoms_rule_agrees_with_former_type_ladders(nu, chi_f, sigma_p2):
     assert is_point_mass(nu) == _ladder_is_point_mass(nu)
     # The former Gaussian-gamma predicate took weights within 1e-12 of 1/2
-    # as equal; the shape rule in gamma_law compares them exactly.
+    # as equal; the shape rule in gamma_law compares them exactly, and it
+    # also keeps one Gaussian where the live variances agree in floats.
     if not (isinstance(nu, TwoPoint) and 0.0 < abs(nu.alpha - 0.5) <= _LADDER_HALF_TOL):
-        assert _gamma_is_gaussian(nu, chi_f) == _ladder_is_gamma_gaussian(nu)
+        live_variances = {
+            chi_f * nu.variance + (z - nu.mean) ** 2 * 0.5 for z, _ in live_atoms(nu) or ()
+        }
+        assert _gamma_is_gaussian(nu, chi_f) == (
+            _ladder_is_gamma_gaussian(nu) or len(live_variances) == 1
+        )
     law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
     _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
 
@@ -481,12 +493,10 @@ def _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law):
     """law is the former ladder's, bit for bit, when nu has no zero-weight atom.
 
     The former law kept zero-weight atoms as components and decided its
-    shape by comparing rounded variances. Two shapes therefore differ: two
-    equal-weight atoms whose variances differ in the last bits were a
-    two-component mixture and are now one Gaussian with the first atom's
-    variance, and components whose variances agree only after rounding
-    were one Gaussian and are now a mixture with that very variance in
-    every component.
+    shape by comparing rounded variances alone. One shape therefore
+    differs: two equal-weight atoms whose variances differ in the last bits
+    were a two-component mixture and are now one Gaussian with the first
+    atom's variance.
     """
     if any(w == 0.0 for _, w in nu.atoms() or ()):
         return
@@ -495,8 +505,6 @@ def _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law):
         live = live_atoms(nu)
         assert len(live) == 2 and live[0][1] == live[1][1]
         assert law == centered_gaussian(former.components[0][2])
-    elif isinstance(law, GaussianMixture) and not isinstance(former, GaussianMixture):
-        assert all(v == former.variance for _, _, v in law.components)
     else:
         assert law == former
         assert law.to_dict() == former.to_dict()
@@ -519,8 +527,6 @@ def _equidistant_from_mean(live):
 @example(nu=TwoPoint(-0.369, 4.36, 0.5), chi_f=0.06, sigma_p2=0.05)
 # a zero-weight atom the former law kept as a third component
 @example(nu=FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5), (3.0, 0.0))), chi_f=1.0, sigma_p2=0.5)
-# variances that agree only after rounding: still a mixture
-@example(nu=TwoPoint(-1.0, 1.0, 0.3), chi_f=1.0, sigma_p2=1e-300)
 @example(nu=FiniteDiscrete(((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))), chi_f=2.0, sigma_p2=0.0)
 def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
     law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
@@ -528,9 +534,10 @@ def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
     if live is None:
         assert law == gamma_sampler(chi_f, sigma_p2, nu)
         return
+    variances = [chi_f * nu.variance + (z - nu.mean) ** 2 * sigma_p2 for z, _ in live]
     # the first live atom's component variance, as the mixture would have it
-    first = chi_f * nu.variance + (live[0][0] - nu.mean) ** 2 * sigma_p2
-    if sigma_p2 == 0.0 or _equidistant_from_mean(live):
+    first = variances[0]
+    if _equidistant_from_mean(live) or len(set(variances)) == 1:
         assert law == centered_gaussian(first)
     else:
         assert len(live) >= 2
@@ -538,6 +545,22 @@ def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
         assert [(w, m) for w, m, _ in law.components] == [(w, 0.0) for _, w in live]
         assert law.components[0][2] == first
     _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
+
+
+@pytest.mark.parametrize(
+    "nu,sigma_p2,expected",
+    [
+        # every variance underflows to 0: the point mass, not N(0, 0) components
+        (parse_color_measure("discrete:0:0.3,1e-200:0.7"), 0.5, PointMass(value=0.0)),
+        # unequal weights whose variances agree after rounding: one Gaussian
+        (TwoPoint(-1.0, 1.0, 0.3), 1e-300, GaussianLaw(mean=0.0, variance=0.84)),
+    ],
+    ids=["underflow-point-mass", "rounded-equal-variances"],
+)
+def test_gamma_law_is_one_law_where_variances_agree_in_floats(nu, sigma_p2, expected):
+    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, nu.variance, sigma_p2, nu)
+    assert law == expected
+    assert law == _ladder_gamma_law(1.0, nu.variance, sigma_p2, nu)
 
 
 @settings(max_examples=300, deadline=None)
