@@ -9,14 +9,12 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .coloring import parse_color_measure
 from .harness import (
-    MODE_ANNEALED,
-    MODE_QUENCHED,
-    MODES,
     ExperimentConfig,
     RunResult,
     _within,
@@ -48,6 +46,8 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_TEST_FAILURE = 2
 
+MODES = ("annealed", "quenched")
+
 
 class UsageError(ValueError):
     """Bad flags or flag values.  Maps to exit status 1, never 2."""
@@ -62,9 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class CliInvocation:
-    """A validated command line, ready to execute."""
+    """A validated command line, ready to execute: run(config), or run(options) without a config."""
 
     subcommand: str
+    run: Callable[..., RunResult]
     config: ExperimentConfig | None
     options: dict
     out_path: Path | None
@@ -136,20 +137,19 @@ def _build_parser() -> _Parser:
 
     lln = subs.add_parser("lln", help="law of large numbers for the color average")
     _add_lattice_flags(lln, with_colors=True)
-    lln.add_argument("--mode", choices=sorted(MODES), required=True)
+    lln.add_argument("--mode", choices=MODES, required=True)
     lln.add_argument("--graph-replicates", type=_positive, default=100)
-    lln.add_argument("--color-replicates", type=_positive, default=1)
 
     clt = subs.add_parser("clt", help="fluctuations of the centered color sum")
     _add_lattice_flags(clt, with_colors=True)
-    clt.add_argument("--mode", choices=sorted(MODES), required=True)
+    clt.add_argument("--mode", choices=MODES, required=True)
     clt.add_argument("--graph-replicates", type=_positive, default=100)
-    clt.add_argument("--color-replicates", type=_positive, default=1000)
+    clt.add_argument("--color-replicates", type=_positive, help="--mode quenched only (default 1000)")
     clt.add_argument(
         "--regime",
         choices=("subcritical", "supercritical"),
         default=None,
-        help="required for --mode annealed",
+        help="--mode annealed only, and required there",
     )
 
     cc = subs.add_parser("cluster-clt", help="fluctuations of the stand-in cluster volume")
@@ -229,7 +229,7 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
         }
         if not (0.0 <= options["chi_f"] < math.inf and 0.0 <= options["sigma_p2"] < math.inf):
             raise UsageError("--chi-f and --sigma-p2 must be finite and nonnegative")
-        return CliInvocation(sub, None, options, out_path, args.format)
+        return CliInvocation(sub, _RUNS[sub, None], None, options, out_path, args.format)
 
     if sub == "check-identity":
         radii, p_values = args.radius or [16], args.p or [0.2, 0.5, 0.8]
@@ -246,14 +246,25 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
             "proxy_rule": args.proxy,
             "margin": args.margin,
         }
-        return CliInvocation(sub, None, options, out_path, args.format)
+        return CliInvocation(sub, _RUNS[sub, None], None, options, out_path, args.format)
 
-    mode = getattr(args, "mode", MODE_ANNEALED)
+    mode = getattr(args, "mode", None)
+    where = f"{sub} --mode {mode}" if mode is not None else sub
     regime = getattr(args, "regime", None)
-    if sub == "clt" and mode == MODE_ANNEALED and regime is None:
-        raise UsageError("clt --mode annealed requires --regime")
-    if len(args.radius) > 1 and sub != "cluster-clt" and (sub, mode) != ("lln", MODE_QUENCHED):
-        where = f"{sub} --mode {mode}" if hasattr(args, "mode") else sub
+    color_replicates = getattr(args, "color_replicates", None)
+    if (sub, mode) == ("clt", "quenched"):
+        if regime is not None:
+            raise UsageError(f"{where} reads no --regime, got {regime}")
+        color_replicates = color_replicates or 1000
+    elif sub == "clt":
+        if regime is None:
+            raise UsageError(f"{where} requires --regime")
+        if color_replicates not in (None, 1):
+            raise UsageError(
+                f"{where} draws one coloring per graph: --color-replicates must be 1, "
+                f"got {color_replicates}"
+            )
+    if len(args.radius) > 1 and sub != "cluster-clt" and (sub, mode) != ("lln", "quenched"):
         raise UsageError(f"{where} runs one box: give --radius once, got {args.radius}")
 
     try:
@@ -262,9 +273,8 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
             radii=args.radius,
             p=args.p,
             nu=_parse_nu(args.nu) if hasattr(args, "nu") else "two-point:-1,1,0.5",
-            mode=mode,
             graph_replicates=getattr(args, "graph_replicates", None) or getattr(args, "replicates", 100),
-            color_replicates=getattr(args, "color_replicates", 1),
+            color_replicates=color_replicates or 1,
             master_seed=_resolve_seed(args.seed),
             margin=args.margin,
             proxy_rule=args.proxy,
@@ -273,7 +283,7 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    return CliInvocation(sub, config, {}, out_path, args.format)
+    return CliInvocation(sub, _RUNS[sub, mode], config, {}, out_path, args.format)
 
 
 def _json_ready(value):
@@ -324,19 +334,8 @@ def _emit(report: dict, samples: dict[str, list[float]], invocation: CliInvocati
         dump.write_text("\n".join(lines) + "\n")
 
 
-_HARNESS_RUNS = {
-    ("lln", MODE_QUENCHED): run_quenched_lln,
-    ("lln", MODE_ANNEALED): run_annealed_lln,
-    ("clt", MODE_QUENCHED): run_quenched_clt,
-    ("clt", MODE_ANNEALED): run_annealed_clt,
-    ("cluster-clt", MODE_ANNEALED): run_cluster_clt,
-    ("weighted-lln", MODE_ANNEALED): run_weighted_lln_check,
-}
-
-
 @timed
-def _run_estimate(invocation: CliInvocation) -> RunResult:
-    config = invocation.config
+def _run_estimate(config: ExperimentConfig) -> RunResult:
     lattice = build_box(config.d, config.n_max)
     estimates = estimate_functionals(
         lattice,
@@ -345,6 +344,7 @@ def _run_estimate(invocation: CliInvocation) -> RunResult:
         config.master_seed,
         margin=config.margin,
         proxy_rule=config.proxy_rule,
+        workers=config.workers,
     )
     return RunResult(
         experiment="estimate",
@@ -355,8 +355,7 @@ def _run_estimate(invocation: CliInvocation) -> RunResult:
 
 
 @timed
-def _run_gamma_sample(invocation: CliInvocation) -> RunResult:
-    opts = invocation.options
+def _run_gamma_sample(opts: dict) -> RunResult:
     nu = opts["nu"]
     sampler = gamma_sampler(opts["chi_f"], opts["sigma_p2"], nu)
     law = gamma_law(REGIME_SUPERCRITICAL, opts["chi_f"], nu.variance, opts["sigma_p2"], nu)
@@ -372,8 +371,7 @@ def _run_gamma_sample(invocation: CliInvocation) -> RunResult:
 
 
 @timed
-def _run_check_identity(invocation: CliInvocation) -> RunResult:
-    opts = invocation.options
+def _run_check_identity(opts: dict) -> RunResult:
     seed = opts["master_seed"]
     tests = []
     counts: dict[str, dict[str, int]] = {}
@@ -413,20 +411,26 @@ def _run_check_identity(invocation: CliInvocation) -> RunResult:
     )
 
 
-_CLI_RUNS = {
-    "estimate": _run_estimate,
-    "gamma-sample": _run_gamma_sample,
-    "check-identity": _run_check_identity,
+# The run behind each subcommand and --mode; None where a subcommand has no --mode.
+_RUNS = {
+    ("estimate", None): _run_estimate,
+    ("gamma-sample", None): _run_gamma_sample,
+    ("check-identity", None): _run_check_identity,
+    ("lln", "quenched"): run_quenched_lln,
+    ("lln", "annealed"): run_annealed_lln,
+    ("clt", "quenched"): run_quenched_clt,
+    ("clt", "annealed"): run_annealed_clt,
+    ("cluster-clt", None): run_cluster_clt,
+    ("weighted-lln", None): run_weighted_lln_check,
 }
 
 
 def execute(invocation: CliInvocation) -> int:
     """Run the experiment behind a parsed invocation; returns the exit status."""
-    if invocation.subcommand in _CLI_RUNS:
-        result = _CLI_RUNS[invocation.subcommand](invocation)
+    if invocation.config is None:
+        result, config = invocation.run(invocation.options), invocation.options
     else:
-        result = _HARNESS_RUNS[(invocation.subcommand, invocation.config.mode)](invocation.config)
-    config = invocation.config.to_dict() if invocation.config is not None else invocation.options
+        result, config = invocation.run(invocation.config), invocation.config.to_dict()
     _emit(_report(result, config), result.samples, invocation)
     return EXIT_PASS if result.passed() else EXIT_TEST_FAILURE
 

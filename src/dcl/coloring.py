@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -203,11 +203,6 @@ def double_factorial_odd(k: int) -> float:
     if k <= 10:
         return float(math.factorial(2 * k) // (math.factorial(k) * 2**k))
     return math.exp(math.lgamma(2 * k + 1) - math.lgamma(k + 1) - k * math.log(2.0))
-
-
-def moments(nu: ColorMeasure) -> tuple[float, float, Callable[[int], float]]:
-    """Mean, variance, and the even central moment function of nu."""
-    return nu.mean, nu.variance, nu.central_even_moment
 
 
 def live_atoms(nu: ColorMeasure) -> tuple[tuple[float, float], ...] | None:

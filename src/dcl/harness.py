@@ -10,6 +10,10 @@ Four shared rules live in one function each: _box (near-critical warning,
 largest box, window margin), _within (pass iff value <= bound; NaN fails),
 theory.centered_gaussian (zero variance is a point mass, never N(0, 0)) and
 percolation.stand_in_volume (the whole-box theta_box and sigma_p2).
+
+ExperimentConfig holds only what a caller sets and a run reads. The
+decision bands are module constants, printed in each check's context, and
+every KS check runs at stats.DEFAULT_LEVEL.
 """
 
 from __future__ import annotations
@@ -65,15 +69,20 @@ from .theory import (
     lln_limit_law,
 )
 
-MODE_QUENCHED = "quenched"
-MODE_ANNEALED = "annealed"
-MODES = (MODE_QUENCHED, MODE_ANNEALED)
 # Colorings per derive_streams call, and per task on the worker pool, in
 # the quenched-clt coloring loop.
 _COLOR_CHUNK = 256
 
 # Exact identities are allowed this much accumulated float rounding.
 _EXACT_TOL = 1e-9
+
+# Fixed decision bands; each check prints its band in its context.
+_TV_TOLERANCE = 0.1
+_ATOM_TOLERANCE = 0.02
+_VARIANCE_RTOL = 0.05
+_VARIANCE_RTOL_ASYMPTOTIC = 0.15
+# gamma-sampler draws the annealed-clt statistic is compared against.
+_REFERENCE_DRAWS = 100_000
 
 
 class RegimeMismatchError(RuntimeError):
@@ -87,14 +96,15 @@ class ExperimentConfig:
     radii may hold several box radii: the quenched law-of-large-numbers run
     reads them as nested observation windows inside the largest box, the
     cluster fluctuation run as separate box sizes, and every other run uses
-    the largest one.
+    the largest one. Only the quenched fluctuation run reads color_replicates;
+    every other run draws one coloring per graph. Only the annealed
+    fluctuation run reads regime.
     """
 
     d: int
     radii: Sequence[int]
     p: float
     nu: ColorMeasure
-    mode: str = MODE_ANNEALED
     graph_replicates: int = 1
     color_replicates: int = 1
     master_seed: int = 0
@@ -102,14 +112,8 @@ class ExperimentConfig:
     proxy_rule: str = PROXY_BOUNDARY_LARGEST
     regime: str | None = None
     workers: int = 1
-    ks_level: float = 0.01
     lln_tolerance: float | None = None
-    tv_tolerance: float = 0.1
-    atom_tolerance: float = 0.02
-    variance_rtol: float = 0.05
-    variance_rtol_asymptotic: float = 0.15
     ratio_rtol: float = 0.15
-    reference_draws: int = 100_000
 
     def __post_init__(self) -> None:
         if isinstance(self.radii, int):
@@ -124,8 +128,6 @@ class ExperimentConfig:
             self.nu = parse_color_measure(self.nu)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.graph_replicates < 1 or self.color_replicates < 1:
             raise ValueError("replicate counts must be >= 1")
         if self.workers < 1:
@@ -141,8 +143,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"margin {self.margin} exceeds the smallest radius {min(self.radii)}"
                 )
-        if self.reference_draws < 2:
-            raise ValueError("reference_draws must be >= 2")
         check_seed(self.master_seed)
 
     @property
@@ -349,7 +349,7 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     )
 
 
-def _atom_bin_tolerance(law: LimitLaw, fallback: float, sample_sd: float) -> float:
+def _atom_bin_tolerance(law: LimitLaw, sample_sd: float) -> float:
     """Binning half-width for comparing noisy averages against law atoms.
 
     Multi-atom laws use just under half the smallest atom gap so nearest-atom
@@ -360,7 +360,7 @@ def _atom_bin_tolerance(law: LimitLaw, fallback: float, sample_sd: float) -> flo
     pairs = law.atoms()
     values = sorted(v for v, _ in pairs)
     if len(values) < 2:
-        return max(fallback, 5.0 * sample_sd)
+        return max(_ATOM_TOLERANCE, 5.0 * sample_sd)
     min_gap = min(b - a for a, b in zip(values, values[1:]))
     return 0.4999 * min_gap
 
@@ -393,13 +393,13 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
 
     if prediction.atoms() is not None:
         sample_sd = float(m_samples.std(ddof=1)) if m_samples.shape[0] >= 2 else 0.0
-        tol = _atom_bin_tolerance(prediction, config.atom_tolerance, sample_sd)
+        tol = _atom_bin_tolerance(prediction, sample_sd)
         tv = tv_distance_discrete(Counter(m_samples.tolist()), prediction, tol=tol)
         tests.append(
             _within(
                 tv,
-                config.tv_tolerance,
-                f"annealed-lln: TV distance to lln-limit atoms vs tolerance {config.tv_tolerance}",
+                _TV_TOLERANCE,
+                f"annealed-lln: TV distance to lln-limit atoms vs tolerance {_TV_TOLERANCE}",
             )
         )
         locations = {}
@@ -412,8 +412,8 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
         tests.append(
             _within(
                 max_dev,
-                config.atom_tolerance,
-                f"annealed-lln: empirical atom location error vs tolerance {config.atom_tolerance}",
+                _ATOM_TOLERANCE,
+                f"annealed-lln: empirical atom location error vs tolerance {_ATOM_TOLERANCE}",
             )
         )
     else:
@@ -422,7 +422,6 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
                 m_samples,
                 prediction.mean,
                 prediction.variance,
-                level=config.ks_level,
                 context="annealed-lln: KS of color averages against the lln-limit Gaussian",
             )
         )
@@ -492,17 +491,17 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         tests.append(
             _within(
                 abs(summary.variance - variance_exact) / variance_exact,
-                config.variance_rtol,
-                f"quenched-clt: sample variance vs exact target, rtol {config.variance_rtol}",
+                _VARIANCE_RTOL,
+                f"quenched-clt: sample variance vs exact target, rtol {_VARIANCE_RTOL}",
             )
         )
         if variance_asymptotic > 0.0:
             tests.append(
                 _within(
                     abs(summary.variance - variance_asymptotic) / variance_asymptotic,
-                    config.variance_rtol_asymptotic,
+                    _VARIANCE_RTOL_ASYMPTOTIC,
                     "quenched-clt: sample variance vs mean-cluster-size target, "
-                    f"rtol {config.variance_rtol_asymptotic}",
+                    f"rtol {_VARIANCE_RTOL_ASYMPTOTIC}",
                 )
             )
         tests.append(
@@ -510,7 +509,6 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
                 stats,
                 0.0,
                 variance_exact,
-                level=config.ks_level,
                 context="quenched-clt: KS against the exact-variance Gaussian",
             )
         )
@@ -596,13 +594,12 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
             )
         )
     else:
-        reference = sampler.sample(derive_rng(seed, "gamma-sampler"), config.reference_draws)
+        reference = sampler.sample(derive_rng(seed, "gamma-sampler"), _REFERENCE_DRAWS)
         streams.append(("gamma-sampler", 1))
         tests.append(
             ks_two_sample(
                 q,
                 reference,
-                level=config.ks_level,
                 context="annealed-clt: KS against the gamma sampler (prediction gamma-sampler)",
             )
         )
@@ -612,7 +609,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
                     q,
                     closed.mean,
                     closed.variance,
-                    level=config.ks_level,
                     context="annealed-clt: KS against the closed-form Gaussian gamma",
                 )
             )
@@ -621,7 +617,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
                 ks_one_sample(
                     q,
                     closed.cdf,
-                    level=config.ks_level,
                     context="annealed-clt: KS against the closed-form Gaussian mixture gamma",
                 )
             )
@@ -701,7 +696,6 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
                     stats_r,
                     0.0,
                     sigma_p2_ref,
-                    level=config.ks_level,
                     context=f"cluster-clt[n={radius}]: KS against N(0, sigma_p2 at n={ref_radius})",
                 )
             )

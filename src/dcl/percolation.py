@@ -484,6 +484,7 @@ def estimate_functionals(
     *,
     proxy_rule: str = PROXY_BOUNDARY_LARGEST,
     stream_role: str = "graph",
+    workers: int = 1,
 ) -> PercolationEstimates:
     """Estimate the cluster functionals from independent configurations.
 
@@ -505,6 +506,7 @@ def estimate_functionals(
         replicates,
         lambda start, stack: labeling_functionals(stack, margin),
         proxy_rule=proxy_rule,
+        workers=workers,
     )
     return pool_functionals(columns, lattice, margin, proxy_rule)
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dcl.cli import main
-from dcl.coloring import GaussianLaw, TwoPoint, color_clusters, moments
+from dcl.coloring import GaussianLaw, TwoPoint, color_clusters
 from dcl.harness import (
     ExperimentConfig,
     run_annealed_clt,
@@ -97,21 +97,21 @@ def test_degenerate_parameters_are_exact(criterion):
     point = "discrete:2.5:1"
     quenched = run_quenched_clt(
         ExperimentConfig(
-            d=2, radii=16, p=0.3, nu=point, mode="quenched",
+            d=2, radii=16, p=0.3, nu=point,
             color_replicates=100, master_seed=11,
         )
     )
     annealed_runs = [
         run_annealed_clt(
             ExperimentConfig(
-                d=2, radii=16, p=0.2, nu=point, mode="annealed",
+                d=2, radii=16, p=0.2, nu=point,
                 regime="subcritical", proxy_rule=PROXY_DISABLED,
                 graph_replicates=30, master_seed=11,
             )
         ),
         run_annealed_clt(
             ExperimentConfig(
-                d=2, radii=16, p=0.7, nu=point, mode="annealed",
+                d=2, radii=16, p=0.7, nu=point,
                 regime="supercritical", graph_replicates=30, master_seed=11,
             )
         ),
@@ -179,7 +179,7 @@ def test_tiny_box_enumeration_agreement(criterion):
 def test_quenched_fluctuation_normality(criterion):
     res = run_quenched_clt(
         ExperimentConfig(
-            d=2, radii=64, p=0.3, nu="two-point:-1,1,0.5", mode="quenched",
+            d=2, radii=64, p=0.3, nu="two-point:-1,1,0.5",
             color_replicates=10_000, master_seed=SEED,
         )
     )
@@ -192,7 +192,7 @@ def test_quenched_fluctuation_normality(criterion):
 def test_annealed_empirical_law(criterion):
     res = run_annealed_lln(
         ExperimentConfig(
-            d=2, radii=128, p=0.7, nu="two-point:-1,1,0.7", mode="annealed",
+            d=2, radii=128, p=0.7, nu="two-point:-1,1,0.7",
             graph_replicates=200, master_seed=SEED,
         )
     )
@@ -275,8 +275,7 @@ def test_prime_moment_agreement(criterion):
         rng = derive_rng(SEED, f"acc8:{tag}")
         y = rng.normal(0.0, math.sqrt(sigma_p2), n)
         z = np.asarray(nu.sample(rng, n))
-        mean, _, _ = moments(nu)
-        draws = y * (z - mean)
+        draws = y * (z - nu.mean)
         for k in (1, 2, 3):
             powers = draws ** (2 * k)
             se = powers.std(ddof=1) / math.sqrt(n)
@@ -297,7 +296,7 @@ def test_adjacent_site_covariance(criterion):
     details = []
     for alpha, p in ((0.5, 0.3), (0.3, 0.6)):
         nu = TwoPoint(a=-1.0, b=1.0, alpha=alpha)
-        mean, variance, _ = moments(nu)
+        mean, variance = nu.mean, nu.variance
 
         def observe(start, stack):
             products = np.empty(stack.copies)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dcl
+from dcl import percolation
 from dcl.cli import (
     EXIT_ERROR,
     EXIT_PASS,
@@ -24,6 +25,11 @@ from dcl.coloring import TwoPoint
 from dcl.stats import summarize
 
 TOP_KEYS = {"config", "estimates", "predictions", "tests", "seeds", "timing"}
+# The config block of every run an ExperimentConfig describes: its fields but workers.
+EXPERIMENT_KEYS = {
+    "experiment", "d", "radii", "p", "nu", "graph_replicates", "color_replicates",
+    "master_seed", "margin", "proxy_rule", "regime", "lln_tolerance", "ratio_rtol",
+}  # fmt: skip
 
 
 def test_parse_estimate_invocation():
@@ -47,7 +53,9 @@ def test_parse_clt_color_measure():
     )
     assert inv.config.nu == TwoPoint(-1.0, 1.0, 0.5)
     assert inv.config.regime == "subcritical"
-    assert inv.config.color_replicates == 1000  # clt default
+    assert inv.config.color_replicates == 1  # one coloring per graph
+    quenched = parse_invocation(["clt", "--mode", "quenched", "--radius", "16", "--p", "0.2"])
+    assert quenched.config.color_replicates == 1000  # quenched clt default
 
 
 def test_parse_repeatable_radius():
@@ -105,6 +113,12 @@ def test_parse_gamma_sample_options():
         ["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--radius", "8",
          "--p", "0.2"],
         ["weighted-lln", "--radius", "4", "--radius", "8", "--p", "0.3"],
+        # a flag the chosen run would not read
+        ["lln", "--mode", "annealed", "--radius", "4", "--p", "0.7", "--color-replicates", "50"],
+        ["lln", "--mode", "quenched", "--radius", "4", "--p", "0.7", "--color-replicates", "1"],
+        ["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--p", "0.2",
+         "--color-replicates", "1000"],
+        ["clt", "--mode", "quenched", "--regime", "supercritical", "--radius", "4", "--p", "0.3"],
     ],
 )
 def test_parse_rejects_bad_input(argv):
@@ -142,7 +156,6 @@ def test_report_schema_and_degenerate_estimate(capsys):
     assert config["experiment"] == "estimate"
     # resolved defaults are echoed; scheduling knobs are not
     assert config["proxy_rule"] == "disabled"
-    assert config["mode"] == "annealed"
     assert "workers" not in config
 
 
@@ -266,32 +279,37 @@ def test_report_written_to_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,config_keys",
     [
-        ["estimate", "--radius", "3", "--p", "0.3", "--replicates", "4"],
-        ["lln", "--mode", "quenched", "--radius", "2", "--radius", "4", "--p", "0.7",
-         "--graph-replicates", "3"],
-        ["lln", "--mode", "annealed", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
-        ["clt", "--mode", "quenched", "--radius", "4", "--p", "0.3",
-         "--color-replicates", "20", "--graph-replicates", "3"],
-        ["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--p", "0.2",
-         "--graph-replicates", "5", "--proxy", "disabled"],
-        ["cluster-clt", "--radius", "2", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
-        ["weighted-lln", "--radius", "4", "--p", "0.3", "--graph-replicates", "5"],
-        ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--samples", "50"],
-        ["check-identity", "--radius", "3", "--p", "0.4", "--configs", "5"],
+        (["estimate", "--radius", "3", "--p", "0.3", "--replicates", "4"], EXPERIMENT_KEYS),
+        (["lln", "--mode", "quenched", "--radius", "2", "--radius", "4", "--p", "0.7",
+          "--graph-replicates", "3"], EXPERIMENT_KEYS),
+        (["lln", "--mode", "annealed", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
+         EXPERIMENT_KEYS),
+        (["clt", "--mode", "quenched", "--radius", "4", "--p", "0.3",
+          "--color-replicates", "20", "--graph-replicates", "3"], EXPERIMENT_KEYS),
+        (["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--p", "0.2",
+          "--graph-replicates", "5", "--proxy", "disabled"], EXPERIMENT_KEYS),
+        (["cluster-clt", "--radius", "2", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
+         EXPERIMENT_KEYS),
+        (["weighted-lln", "--radius", "4", "--p", "0.3", "--graph-replicates", "5"], EXPERIMENT_KEYS),
+        (["gamma-sample", "--nu", "two-point:-1,1,0.3", "--samples", "50"],
+         {"experiment", "nu", "chi_f", "sigma_p2", "samples", "master_seed"}),
+        (["check-identity", "--radius", "3", "--p", "0.4", "--configs", "5"],
+         {"experiment", "d", "radii", "p_values", "configs", "master_seed", "proxy_rule", "margin"}),
     ],
     ids=[
         "estimate", "lln-quenched", "lln-annealed", "clt-quenched", "clt-annealed",
         "cluster-clt", "weighted-lln", "gamma-sample", "check-identity",
     ],
 )
-def test_every_subcommand_writes_one_schema(argv, capsys):
+def test_every_subcommand_writes_one_schema(argv, config_keys, capsys):
     code = main(argv + ["--seed", "4"])
     assert code in (EXIT_PASS, EXIT_TEST_FAILURE)  # statistical outcome aside
     report = json.loads(capsys.readouterr().out)
     assert set(report) == TOP_KEYS
     assert report["config"]["experiment"]
+    assert set(report["config"]) == config_keys
     streams = report["seeds"]["streams"]
     assert isinstance(streams, list) and streams
     for stream in streams:
@@ -334,6 +352,26 @@ def test_worker_count_reports_byte_identical(tmp_path):
     assert dump(a) == dump(b)
     # and the raw bytes differ only inside the timing block
     assert a != {} and set(a) == TOP_KEYS - {"timing"}
+
+
+def test_estimate_workers_reach_the_engine(tmp_path, monkeypatch):
+    seen = []
+    real = percolation.map_ordered
+
+    def spy(fn, count, workers=1):
+        seen.append(workers)
+        return real(fn, count, workers)
+
+    monkeypatch.setattr(percolation, "map_ordered", spy)
+    # 300 replicates of a 17x17 box fill six stacks, so two workers share them
+    argv = ["estimate", "--radius", "8", "--p", "0.3", "--replicates", "300", "--seed", "5"]
+    out1, out2 = tmp_path / "w1.json", tmp_path / "w2.json"
+    assert main(argv + ["--workers", "1", "--out", str(out1)]) == EXIT_PASS
+    assert main(argv + ["--workers", "2", "--out", str(out2)]) == EXIT_PASS
+    assert seen == [1, 2]
+    a, b = json.loads(out1.read_text()), json.loads(out2.read_text())
+    a.pop("timing"), b.pop("timing")
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_csv_dumps_per_sample_series(tmp_path):

@@ -18,7 +18,6 @@ from dcl.coloring import (
     color_clusters,
     double_factorial_odd,
     draw_table,
-    moments,
     parse_color_measure,
 )
 from dcl.lattice import build_box, inner_window
@@ -90,13 +89,10 @@ def test_double_factorial_odd():
     assert [double_factorial_odd(k) for k in range(1, 5)] == [1.0, 3.0, 15.0, 105.0]
 
 
-def test_moments_helper_consistency():
+def test_second_central_moment_is_the_variance():
     for nu in (TwoPoint(-1.0, 1.0, 0.4), GaussianLaw(0.5, 2.0),
                FiniteDiscrete(((0.0, 0.5), (3.0, 0.5)))):
-        m, sigma2, central = moments(nu)
-        assert m == nu.mean
-        assert sigma2 == nu.variance
-        assert central(1) == pytest.approx(sigma2)
+        assert nu.central_even_moment(1) == pytest.approx(nu.variance)
 
 
 @pytest.mark.parametrize(

@@ -53,8 +53,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(**{**good, "p": -0.1})
     with pytest.raises(ValueError):
-        ExperimentConfig(**good, mode="sideways")
-    with pytest.raises(ValueError):
         ExperimentConfig(**good, graph_replicates=0)
     with pytest.raises(ValueError):
         ExperimentConfig(**good, color_replicates=0)
@@ -68,8 +66,6 @@ def test_config_validation():
         ExperimentConfig(**good, margin=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(**good, margin=9)  # exceeds the smallest radius
-    with pytest.raises(ValueError):
-        ExperimentConfig(**good, reference_draws=1)
     with pytest.raises(ValueError, match="signed 128-bit range"):
         ExperimentConfig(**good, master_seed=2**127)
 
@@ -99,7 +95,7 @@ def test_quenched_lln_point_mass_colors():
     # average and the predicted limit are that color exactly
     cfg = ExperimentConfig(
         d=2, radii=(4, 8, 16), p=0.6, nu="two-point:2.5,2.5,0.4",
-        mode="quenched", graph_replicates=10, master_seed=6,
+        graph_replicates=10, master_seed=6,
     )
     res = run_quenched_lln(cfg)
     assert res.passed()
@@ -113,7 +109,7 @@ def test_quenched_lln_point_mass_colors():
 def test_quenched_lln_trajectory_and_reports():
     cfg = ExperimentConfig(
         d=2, radii=(8, 16, 32), p=0.7, nu="two-point:-1,1,0.7",
-        mode="quenched", graph_replicates=30, master_seed=9, lln_tolerance=0.2,
+        graph_replicates=30, master_seed=9, lln_tolerance=0.2,
     )
     res = run_quenched_lln(cfg)
     assert res.passed()
@@ -132,7 +128,7 @@ def test_quenched_lln_trajectory_and_reports():
 def test_annealed_lln_two_point_supercritical():
     cfg = ExperimentConfig(
         d=2, radii=32, p=0.7, nu="two-point:-1,1,0.7",
-        mode="annealed", graph_replicates=100, master_seed=7,
+        graph_replicates=100, master_seed=7,
     )
     res = run_annealed_lln(cfg)
     assert res.passed()
@@ -149,7 +145,7 @@ def test_annealed_lln_subcritical_point_mass_prediction():
     # prediction collapses to the color mean
     cfg = ExperimentConfig(
         d=2, radii=32, p=0.2, nu="two-point:-1,1,0.3",
-        mode="annealed", graph_replicates=100, master_seed=3, proxy_rule="disabled",
+        graph_replicates=100, master_seed=3, proxy_rule="disabled",
     )
     res = run_annealed_lln(cfg)
     assert res.passed()
@@ -161,7 +157,7 @@ def test_annealed_lln_subcritical_point_mass_prediction():
 def test_annealed_lln_gaussian_colors_uses_sampler_ks():
     cfg = ExperimentConfig(
         d=2, radii=32, p=0.7, nu="gaussian:0,1",
-        mode="annealed", graph_replicates=100, master_seed=11,
+        graph_replicates=100, master_seed=11,
     )
     res = run_annealed_lln(cfg)
     assert res.passed()
@@ -177,7 +173,7 @@ def test_annealed_lln_tv_band_is_exact_at_its_edge():
     # above the 0.1 band; hits counted exactly give 0.1 and pass
     cfg = ExperimentConfig(
         d=2, radii=16, p=0.7, nu="discrete:-1:0.2,0:0.3,2:0.5",
-        mode="annealed", graph_replicates=60, master_seed=107,
+        graph_replicates=60, master_seed=107,
     )
     res = run_annealed_lln(cfg)
     tv = res.tests[0]
@@ -191,7 +187,7 @@ def test_annealed_lln_full_lattice_hits_atoms_exactly():
     # average is exactly its color draw
     cfg = ExperimentConfig(
         d=2, radii=4, p=1.0, nu="two-point:-1,1,0.3",
-        mode="annealed", graph_replicates=200, master_seed=5,
+        graph_replicates=200, master_seed=5,
     )
     res = run_annealed_lln(cfg)
     assert res.passed()
@@ -206,7 +202,7 @@ def test_annealed_lln_discrete_colors_check_atoms():
     # is nu itself and each replicate's average is exactly its color draw
     cfg = ExperimentConfig(
         d=2, radii=4, p=1.0, nu="discrete:-1:0.2,0:0.3,2:0.5",
-        mode="annealed", graph_replicates=200, master_seed=5,
+        graph_replicates=200, master_seed=5,
     )
     res = run_annealed_lln(cfg)
     assert res.passed()
@@ -223,7 +219,7 @@ def test_quenched_clt_empty_graph_gaussian_colors():
     # p=0: every cluster is one site, the windowed square-sum density is 1,
     # and both variance targets equal the color variance exactly
     cfg = ExperimentConfig(
-        d=2, radii=16, p=0.0, nu="gaussian:0,2", mode="quenched",
+        d=2, radii=16, p=0.0, nu="gaussian:0,2",
         color_replicates=2000, master_seed=42, proxy_rule="disabled",
     )
     res = run_quenched_clt(cfg)
@@ -238,7 +234,7 @@ def test_quenched_clt_empty_graph_gaussian_colors():
 def test_quenched_clt_point_mass_colors_degenerate():
     cfg = ExperimentConfig(
         d=2, radii=8, p=0.3, nu="two-point:3,3,0.7",
-        mode="quenched", color_replicates=50, master_seed=1,
+        color_replicates=50, master_seed=1,
     )
     res = run_quenched_clt(cfg)
     assert res.passed()
@@ -267,8 +263,8 @@ def test_quenched_clt_point_mass_colors_degenerate():
 )
 def test_seed_audit_lists_only_drawn_streams(run, nu, extra, roles):
     cfg = ExperimentConfig(
-        d=2, radii=8, p=0.7, nu=nu, mode="annealed", graph_replicates=6,
-        master_seed=3, reference_draws=200, **extra,
+        d=2, radii=8, p=0.7, nu=nu, graph_replicates=6,
+        master_seed=3, **extra,
     )
     res = run(cfg)
     assert {s["role"] for s in res.seeds["streams"]} == roles
@@ -277,7 +273,7 @@ def test_seed_audit_lists_only_drawn_streams(run, nu, extra, roles):
 def test_annealed_clt_requires_regime():
     cfg = ExperimentConfig(
         d=2, radii=8, p=0.2, nu="two-point:-1,1,0.5",
-        mode="annealed", graph_replicates=5, master_seed=1,
+        graph_replicates=5, master_seed=1,
     )
     with pytest.raises(ValueError, match="regime"):
         run_annealed_clt(cfg)
@@ -288,7 +284,7 @@ def test_annealed_clt_detects_regime_mismatch():
     # a stand-in cluster, which the run must refuse to gloss over
     cfg = ExperimentConfig(
         d=2, radii=16, p=0.7, nu="two-point:-1,1,0.5",
-        mode="annealed", graph_replicates=10, master_seed=1,
+        graph_replicates=10, master_seed=1,
         proxy_rule="disabled", regime="supercritical",
     )
     with pytest.raises(RegimeMismatchError):
@@ -305,7 +301,7 @@ def test_annealed_clt_rejects_contradicted_regime(regime, p, spanning):
     # 33x33 box, at p=0.7 every one does.
     cfg = ExperimentConfig(
         d=2, radii=16, p=p, nu="two-point:-1,1,0.5",
-        mode="annealed", graph_replicates=20, master_seed=19, regime=regime,
+        graph_replicates=20, master_seed=19, regime=regime,
     )
     with pytest.raises(RegimeMismatchError, match=rf"^{regime} declared but {spanning}/20 replicates"):
         run_annealed_clt(cfg)
@@ -344,7 +340,7 @@ def test_colored_replicate_columns_match_one_copy_recompute(d, n, count):
 def test_annealed_clt_subcritical_gaussian_route():
     cfg = ExperimentConfig(
         d=2, radii=32, p=0.2, nu="two-point:-1,1,0.5",
-        mode="annealed", graph_replicates=200, master_seed=2,
+        graph_replicates=200, master_seed=2,
         proxy_rule="disabled", regime="subcritical",
     )
     res = run_annealed_clt(cfg)
@@ -362,7 +358,7 @@ def test_annealed_clt_supercritical_mixture_route():
     # Gaussian mixture and the run checks both the sampler and the mixture
     cfg = ExperimentConfig(
         d=2, radii=128, p=0.7, nu="two-point:-1,1,0.3",
-        mode="annealed", graph_replicates=150, master_seed=42,
+        graph_replicates=150, master_seed=42,
         regime="supercritical",
     )
     res = run_annealed_clt(cfg)
@@ -413,7 +409,7 @@ def test_cluster_clt_per_radius_is_stand_in_volume():
 def test_quenched_clt_nan_statistics_fail_their_bounds():
     # One coloring has no sample variance and no standard error: NaN must fail.
     cfg = ExperimentConfig(
-        d=2, radii=8, p=0.3, nu="two-point:-1,1,0.5", mode="quenched",
+        d=2, radii=8, p=0.3, nu="two-point:-1,1,0.5",
         color_replicates=1, master_seed=2,
     )
     res = run_quenched_clt(cfg)
@@ -494,7 +490,7 @@ def _comparable(res: RunResult):
 
 def test_worker_count_does_not_change_results():
     base = dict(
-        d=2, radii=16, p=0.2, nu="two-point:-1,1,0.5", mode="annealed",
+        d=2, radii=16, p=0.2, nu="two-point:-1,1,0.5",
         graph_replicates=40, master_seed=5, proxy_rule="disabled",
         regime="subcritical",
     )
@@ -503,7 +499,7 @@ def test_worker_count_does_not_change_results():
     assert _comparable(serial) == _comparable(threaded)
 
     base = dict(
-        d=2, radii=16, p=0.4, nu="gaussian:0,1", mode="quenched",
+        d=2, radii=16, p=0.4, nu="gaussian:0,1",
         color_replicates=200, master_seed=5,
     )
     serial = run_quenched_clt(ExperimentConfig(**base, workers=1))
@@ -516,7 +512,7 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams():
     # whichever chunk and worker draws it.
     reps = 2 * _COLOR_CHUNK + 37
     base = dict(
-        d=2, radii=6, p=0.4, nu="gaussian:0,1", mode="quenched",
+        d=2, radii=6, p=0.4, nu="gaussian:0,1",
         color_replicates=reps, master_seed=11, margin=2,
     )
     stats = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
@@ -538,7 +534,7 @@ def test_quenched_clt_discrete_colors_identical_across_workers():
     # across the pool threads.
     reps = 2 * _COLOR_CHUNK + 37
     base = dict(
-        d=2, radii=6, p=0.4, nu="discrete:-1:0.2,0:0,2:0.8", mode="quenched",
+        d=2, radii=6, p=0.4, nu="discrete:-1:0.2,0:0,2:0.8",
         color_replicates=reps, master_seed=11, margin=2,
     )
     serial = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
@@ -575,7 +571,7 @@ def test_colored_replicates_identical_across_workers_and_stacks():
 def test_harness_warns_near_critical():
     cfg = ExperimentConfig(
         d=2, radii=4, p=0.5, nu="two-point:-1,1,0.5",
-        mode="quenched", graph_replicates=2, master_seed=1,
+        graph_replicates=2, master_seed=1,
     )
     with pytest.warns(NearCriticalWarning):
         run_quenched_lln(cfg)
@@ -585,7 +581,7 @@ def test_harness_warns_near_critical():
 def test_quenched_runs_warn_near_critical_once(run):
     cfg = ExperimentConfig(
         d=2, radii=4, p=0.5, nu="two-point:-1,1,0.5",
-        mode="quenched", graph_replicates=2, color_replicates=20, master_seed=1,
+        graph_replicates=2, color_replicates=20, master_seed=1,
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
