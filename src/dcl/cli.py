@@ -18,14 +18,13 @@ from .harness import (
     ExperimentConfig,
     RunResult,
     _within,
+    recorded,
     run_annealed_clt,
     run_annealed_lln,
     run_cluster_clt,
     run_quenched_clt,
     run_quenched_lln,
     run_weighted_lln_check,
-    seed_audit,
-    timed,
 )
 from .lattice import BoxTooLargeError, build_box
 from .percolation import (
@@ -98,7 +97,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool) -> None:
+def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool, with_margin: bool = True) -> None:
     sub.add_argument("--dim", type=_positive, default=2, help="lattice dimension d")
     sub.add_argument(
         "--radius",
@@ -116,7 +115,8 @@ def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool) -> No
             help="color measure: two-point:a,b,alpha | gaussian:mean,variance | "
             "discrete:v1:w1,v2:w2,...",
         )
-    sub.add_argument("--margin", type=int, default=None, help="inner-window margin (default 4 ln side)")
+    if with_margin:
+        sub.add_argument("--margin", type=int, default=None, help="inner-window margin (default 4 ln side)")
     sub.add_argument(
         "--proxy",
         choices=sorted(PROXY_RULES),
@@ -153,7 +153,7 @@ def _build_parser() -> _Parser:
     )
 
     cc = subs.add_parser("cluster-clt", help="fluctuations of the stand-in cluster volume")
-    _add_lattice_flags(cc, with_colors=False)
+    _add_lattice_flags(cc, with_colors=False, with_margin=False)
     cc.add_argument("--graph-replicates", type=_positive, default=100)
 
     wl = subs.add_parser("weighted-lln", help="cluster-size-weighted color averages")
@@ -272,11 +272,11 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
             d=args.dim,
             radii=args.radius,
             p=args.p,
-            nu=_parse_nu(args.nu) if hasattr(args, "nu") else "two-point:-1,1,0.5",
+            nu=_parse_nu(args.nu) if hasattr(args, "nu") else None,
             graph_replicates=getattr(args, "graph_replicates", None) or getattr(args, "replicates", 100),
             color_replicates=color_replicates or 1,
             master_seed=_resolve_seed(args.seed),
-            margin=args.margin,
+            margin=getattr(args, "margin", None),
             proxy_rule=args.proxy,
             regime=regime,
             workers=args.workers,
@@ -334,7 +334,7 @@ def _emit(report: dict, samples: dict[str, list[float]], invocation: CliInvocati
         dump.write_text("\n".join(lines) + "\n")
 
 
-@timed
+@recorded
 def _run_estimate(config: ExperimentConfig) -> RunResult:
     lattice = build_box(config.d, config.n_max)
     estimates = estimate_functionals(
@@ -346,15 +346,10 @@ def _run_estimate(config: ExperimentConfig) -> RunResult:
         proxy_rule=config.proxy_rule,
         workers=config.workers,
     )
-    return RunResult(
-        experiment="estimate",
-        config=config,
-        estimates=asdict(estimates),
-        seeds=seed_audit(config.master_seed, [("graph", config.graph_replicates)]),
-    )
+    return RunResult(experiment="estimate", estimates=asdict(estimates))
 
 
-@timed
+@recorded
 def _run_gamma_sample(opts: dict) -> RunResult:
     nu = opts["nu"]
     sampler = gamma_sampler(opts["chi_f"], opts["sigma_p2"], nu)
@@ -362,20 +357,16 @@ def _run_gamma_sample(opts: dict) -> RunResult:
     draws = sampler.sample(derive_rng(opts["master_seed"], "gamma-sample"), opts["samples"])
     return RunResult(
         experiment="gamma-sample",
-        config=None,
         estimates={"draw_summary": summarize(draws).to_dict()},
-        seeds=seed_audit(opts["master_seed"], [("gamma-sample", 1)]),
         predictions={"gamma": law},
         samples={"gamma_draw": [float(v) for v in draws]},
     )
 
 
-@timed
+@recorded
 def _run_check_identity(opts: dict) -> RunResult:
-    seed = opts["master_seed"]
     tests = []
     counts: dict[str, dict[str, int]] = {}
-    streams = []
     for radius in opts["radii"]:
         lattice = build_box(opts["d"], radius)
         margin = opts["margin"] if opts["margin"] is not None else default_window_margin(lattice)
@@ -385,7 +376,7 @@ def _run_check_identity(opts: dict) -> RunResult:
             differs = map_labelings(
                 lattice,
                 p,
-                seed,
+                opts["master_seed"],
                 role,
                 opts["configs"],
                 lambda start, stack: {"differs": np.not_equal(*square_sums(stack, margin))},
@@ -393,7 +384,6 @@ def _run_check_identity(opts: dict) -> RunResult:
             )["differs"]
             violations = int(np.count_nonzero(differs))
             counts[f"n={radius},p={p!r}"] = {"configs": opts["configs"], "violations": violations}
-            streams.append((role, opts["configs"]))
             tests.append(
                 _within(
                     float(violations),
@@ -402,13 +392,7 @@ def _run_check_identity(opts: dict) -> RunResult:
                     f"configs at n={radius}, p={p!r}",
                 )
             )
-    return RunResult(
-        experiment="check-identity",
-        config=None,
-        estimates=counts,
-        seeds=seed_audit(seed, streams),
-        tests=tests,
-    )
+    return RunResult(experiment="check-identity", estimates=counts, tests=tests)
 
 
 # The run behind each subcommand and --mode; None where a subcommand has no --mode.

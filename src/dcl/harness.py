@@ -46,7 +46,7 @@ from .percolation import (
     stand_in_volume,
     warn_if_near_critical,
 )
-from .rng import check_seed, derive_rng, derive_streams
+from .rng import check_seed, derive_rng, derive_streams, stream_log
 from .stats import (
     TestReport,
     exact_check_report,
@@ -98,13 +98,13 @@ class ExperimentConfig:
     cluster fluctuation run as separate box sizes, and every other run uses
     the largest one. Only the quenched fluctuation run reads color_replicates;
     every other run draws one coloring per graph. Only the annealed
-    fluctuation run reads regime.
+    fluctuation run reads regime. Runs that color nothing leave nu None.
     """
 
     d: int
     radii: Sequence[int]
     p: float
-    nu: ColorMeasure
+    nu: ColorMeasure | None = None
     graph_replicates: int = 1
     color_replicates: int = 1
     master_seed: int = 0
@@ -159,18 +159,17 @@ class ExperimentConfig:
         # on how the run was scheduled.
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
         out["radii"] = list(self.radii)
-        out["nu"] = self.nu.to_dict()
+        out["nu"] = None if self.nu is None else self.nu.to_dict()
         return out
 
 
 @dataclass
 class RunResult:
-    """Everything one run produced; config is None when no ExperimentConfig describes the run."""
+    """Everything one run produced; the recorded wrapper fills in seeds and timing."""
 
     experiment: str
-    config: ExperimentConfig | None
     estimates: dict
-    seeds: dict
+    seeds: dict = field(default_factory=dict)
     predictions: dict[str, LimitLaw] = field(default_factory=dict)
     tests: list[TestReport] = field(default_factory=list)
     timing: dict = field(default_factory=dict)
@@ -180,29 +179,37 @@ class RunResult:
         return all(t.passed for t in self.tests)
 
 
-def timed(run: Callable[..., RunResult]) -> Callable[..., RunResult]:
-    """Wrap a run so that its result records the wall time the run took."""
+def recorded(run: Callable[..., RunResult]) -> Callable[..., RunResult]:
+    """Wrap a run so that its result records the wall time it took and the streams it drew.
+
+    seeds lists each role rng.stream_log counted, in first-derivation order,
+    under the run's one master seed; none, or several, raises.
+    """
 
     @functools.wraps(run)
-    def timed_run(*args, **kwargs) -> RunResult:
+    def recorded_run(*args, **kwargs) -> RunResult:
         t0 = time.perf_counter()
-        result = run(*args, **kwargs)
+        with stream_log() as log:
+            result = run(*args, **kwargs)
         result.timing = {"wall_seconds": time.perf_counter() - t0}
+        master_seeds = list(dict.fromkeys(seed for seed, _ in log))
+        if len(master_seeds) != 1:
+            raise RuntimeError(
+                f"{run.__name__} must derive its streams from one master seed, saw {master_seeds}"
+            )
+        result.seeds = {
+            "master_seed": master_seeds[0],
+            "streams": [{"role": role, "count": count} for (_, role), count in log.items()],
+        }
         return result
 
-    return timed_run
-
-
-def seed_audit(master_seed: int, streams: list[tuple[str, int]]) -> dict:
-    """The seeds block of a report: each stream role drawn and how often."""
-    return {
-        "master_seed": master_seed,
-        "streams": [{"role": role, "count": count} for role, count in streams],
-    }
+    return recorded_run
 
 
 def _box(config: ExperimentConfig) -> tuple[BoxLattice, int]:
-    """Warn near the critical point, then build the largest box and take its margin."""
+    """Refuse a missing nu, warn near the critical point, build the largest box, take its margin."""
+    if config.nu is None:
+        raise ValueError("this run colors clusters: give a color measure nu")
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
     return lattice, config.margin_for(lattice)
@@ -278,7 +285,7 @@ def _colored_replicates(
     return columns, pool_functionals(columns, lattice, margin, config.proxy_rule)
 
 
-@timed
+@recorded
 def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     """One graph, one coloring: color averages over nested windows.
 
@@ -287,10 +294,8 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     reports the terminal deviation of the average from its predicted limit.
     """
     lattice, margin = _box(config)
-    seed = config.master_seed
-
     labeling, est = _quenched_graph(config, lattice, margin)
-    field_ = color_clusters(labeling, config.nu, derive_rng(seed, "color:0"))
+    field_ = color_clusters(labeling, config.nu, derive_rng(config.master_seed, "color:0"))
 
     trajectory = []
     for radius in config.radii:
@@ -327,7 +332,6 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
 
     return RunResult(
         experiment="quenched-lln",
-        config=config,
         estimates={
             "percolation": asdict(est),
             "m_n": m_n,
@@ -338,10 +342,6 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
         },
         predictions={"lln-limit": PointMass(value=target)},
         tests=tests,
-        seeds=seed_audit(
-            seed,
-            [("graph", 1), ("color", 1), ("estimate-graph", config.graph_replicates)],
-        ),
         samples={
             "window_radius": [float(r) for r in config.radii],
             "m_k": [float(v) for v in trajectory],
@@ -365,7 +365,7 @@ def _atom_bin_tolerance(law: LimitLaw, sample_sd: float) -> float:
     return 0.4999 * min_gap
 
 
-@timed
+@recorded
 def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     """Independent (graph, coloring) pairs: the law of the color average.
 
@@ -375,16 +375,12 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     Gaussian limit's exact CDF.
     """
     lattice, margin = _box(config)
-    seed = config.master_seed
-    reps = config.graph_replicates
-
     columns, est = _colored_replicates(config, lattice, margin)
     m_samples = columns["color_sum"] / lattice.site_count
     theta_box, _ = stand_in_volume(columns["proxy_sites"], lattice.site_count)
 
     prediction = lln_limit_law(config.nu, theta_box)
     tests: list[TestReport] = []
-    streams = [("graph", reps), ("color", reps)]
     estimates: dict = {
         "percolation": asdict(est),
         "theta_pooled_box": theta_box,
@@ -428,16 +424,14 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
 
     return RunResult(
         experiment="annealed-lln",
-        config=config,
         estimates=estimates,
         predictions={"lln-limit": prediction},
         tests=tests,
-        seeds=seed_audit(seed, streams),
         samples={"m_n": [float(v) for v in m_samples]},
     )
 
 
-@timed
+@recorded
 def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     """One graph, many colorings: fluctuations of the windowed finite-part sum.
 
@@ -448,7 +442,6 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     asymptotic check.
     """
     lattice, margin = _box(config)
-    seed = config.master_seed
     m = config.nu.mean
     sigma2 = config.nu.variance
 
@@ -466,7 +459,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         count = min(_COLOR_CHUNK, config.color_replicates - starts[k])
         colors = (
             color_clusters(labeling, config.nu, rng).cluster_color
-            for rng in derive_streams(seed, "color", starts[k], count)
+            for rng in derive_streams(config.master_seed, "color", starts[k], count)
         )
         return np.array([float(np.dot(piece, c - m)) / scale for c in colors])
 
@@ -522,7 +515,6 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
 
     return RunResult(
         experiment="quenched-clt",
-        config=config,
         estimates={
             "percolation": asdict(est),
             "variance_exact_target": variance_exact,
@@ -532,19 +524,11 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         },
         predictions={"quenched-clt": prediction},
         tests=tests,
-        seeds=seed_audit(
-            seed,
-            [
-                ("graph", 1),
-                ("color", config.color_replicates),
-                ("estimate-graph", config.graph_replicates),
-            ],
-        ),
         samples={"statistic": [float(v) for v in stats]},
     )
 
 
-@timed
+@recorded
 def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     """Independent pairs: fluctuations of the centered full-box color sum.
 
@@ -555,7 +539,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     if config.regime is None:
         raise ValueError("annealed fluctuation runs need an explicit regime")
     lattice, margin = _box(config)
-    seed = config.master_seed
     reps = config.graph_replicates
     m = config.nu.mean
     sigma2 = config.nu.variance
@@ -584,7 +567,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     summary = summarize(q)
 
     tests: list[TestReport] = []
-    streams = [("graph", reps), ("color", reps)]
     if isinstance(closed, PointMass):
         tests.append(
             _within(
@@ -594,8 +576,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
             )
         )
     else:
-        reference = sampler.sample(derive_rng(seed, "gamma-sampler"), _REFERENCE_DRAWS)
-        streams.append(("gamma-sampler", 1))
+        reference = sampler.sample(derive_rng(config.master_seed, "gamma-sampler"), _REFERENCE_DRAWS)
         tests.append(
             ks_two_sample(
                 q,
@@ -623,7 +604,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
 
     return RunResult(
         experiment="annealed-clt",
-        config=config,
         estimates={
             "percolation": asdict(est),
             "theta_pooled_box": theta_box,
@@ -632,12 +612,11 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
         },
         predictions={"gamma": closed, "gamma-sampler": sampler},
         tests=tests,
-        seeds=seed_audit(seed, streams),
         samples={"q_n": [float(v) for v in q]},
     )
 
 
-@timed
+@recorded
 def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     """Fluctuations of the stand-in cluster volume across box sizes.
 
@@ -646,9 +625,6 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     Gaussian reference variance comes from the largest radius.
     """
     warn_if_near_critical(config.d, config.p)
-    seed = config.master_seed
-    reps = config.graph_replicates
-
     per_radius: dict[int, dict] = {}
     stats_by_radius: dict[int, np.ndarray] = {}
     for radius in config.radii:
@@ -657,9 +633,9 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
         counts = map_labelings(
             lattice,
             config.p,
-            seed,
+            config.master_seed,
             f"graph:{radius}",
-            reps,
+            config.graph_replicates,
             lambda start, stack: {"proxy_sites": stack.proxy_sites},
             proxy_rule=config.proxy_rule,
             workers=config.workers,
@@ -713,7 +689,6 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
 
     return RunResult(
         experiment="cluster-clt",
-        config=config,
         estimates={
             "per_radius": {str(r): per_radius[r] for r in config.radii},
             "sigma_p2_reference": sigma_p2_ref,
@@ -721,12 +696,11 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
         },
         predictions={"cluster-clt": prediction},
         tests=tests,
-        seeds=seed_audit(seed, [(f"graph:{r}", reps) for r in config.radii]),
         samples={f"statistic_n{r}": s.tolist() for r, s in stats_by_radius.items()},
     )
 
 
-@timed
+@recorded
 def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     """Cluster-size-weighted color averages and their variance condition.
 
@@ -737,8 +711,6 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     diagnostic instead of dividing by zero.
     """
     lattice, margin = _box(config)
-    seed = config.master_seed
-    reps = config.graph_replicates
     m = config.nu.mean
     sigma2 = config.nu.variance
 
@@ -746,7 +718,7 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     # The weights are the finite cluster sizes; replicates without any are skipped.
     active = lattice.site_count - columns["proxy_sites"] > 0
     count = int(np.count_nonzero(active))
-    skipped = reps - count
+    skipped = config.graph_replicates - count
     weight_sum = lattice.site_count - columns["proxy_sites"][active]
     square_sum = columns["finite_square_sum"][active].astype(np.float64)
     tests: list[TestReport] = []
@@ -800,10 +772,8 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
 
     return RunResult(
         experiment="weighted-lln",
-        config=config,
         estimates=estimates,
         predictions=predictions,
         tests=tests,
-        seeds=seed_audit(seed, [("graph", reps), ("color", reps)]),
         samples=samples,
     )

@@ -13,6 +13,7 @@ per-configuration functionals in pool_functionals.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -375,13 +376,14 @@ def labeling_functionals(labeling: ClusterLabeling | LabelingStack, margin: int)
 def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> list:
     """Apply fn to 0..count-1 and return the results in index order.
 
-    With several workers the calls run on a thread pool; the output order,
-    and so every reduction over it, does not depend on the scheduling.
+    With several workers the calls run on a thread pool, each in a copy of
+    the caller's context so that a run's stream log sees them; the output
+    order, and so every reduction over it, does not depend on the scheduling.
     """
     if workers <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i) for i in range(count)]
+        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(count)]
         return [fut.result() for fut in futures]
 
 
@@ -488,7 +490,7 @@ def estimate_functionals(
 ) -> PercolationEstimates:
     """Estimate the cluster functionals from independent configurations.
 
-    Replicate r draws its configuration from the stream (seed, stream_role, r),
+    Replicate r draws its configuration from the stream (seed, f"{stream_role}:{r}"),
     so estimates do not depend on scheduling. The infinite-cluster density is
     the window fraction occupied by the stand-in cluster; the finite mean
     cluster size averages full-box cluster sizes over window sites.

@@ -11,12 +11,18 @@ f"{role}:{start}" .. f"{role}:{start + count - 1}" bit-identical to
 derive_rng, but seeds them in bulk: numpy's SeedSequence mixing (NEP 19)
 runs for all keys at once in uint32 array arithmetic, and one PCG64 is
 reseated per stream with the state that PCG64(key) would start from.
+While a stream_log block is open both count what they derive, which is how
+a run reports the streams it drew.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import re
+import threading
+from contextvars import ContextVar
 from typing import Iterator
 
 import numpy as np
@@ -86,6 +92,35 @@ def _unseeded():
     return Unseeded()
 
 
+# {(master_seed, role): streams derived} in first-derivation order, while a
+# stream_log block is open in this context; None outside one.
+_STREAM_LOG: ContextVar[dict | None] = ContextVar("stream_log", default=None)
+_STREAM_LOG_LOCK = threading.Lock()
+_INDEX_SUFFIX = re.compile(r":\d+$")
+
+
+@contextlib.contextmanager
+def stream_log() -> Iterator[dict[tuple[int, str], int]]:
+    """Count the streams derived in this context, and in copies of it, until the block exits.
+
+    derive_rng counts 1 under its tag less a trailing ":<index>", so
+    "graph:0" counts as graph; derive_streams counts its whole run under its role.
+    """
+    log: dict[tuple[int, str], int] = {}
+    token = _STREAM_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _STREAM_LOG.reset(token)
+
+
+def _count(master_seed: int, role: str, count: int) -> None:
+    log = _STREAM_LOG.get()
+    if log is not None:
+        with _STREAM_LOG_LOCK:
+            log[master_seed, role] = log.get((master_seed, role), 0) + count
+
+
 def check_seed(master_seed: int) -> int:
     """The seed itself, if the key encoding can hold it; ValueError otherwise."""
     if not SEED_MIN <= master_seed <= SEED_MAX:
@@ -130,7 +165,9 @@ def derive_key(master_seed: int, *parts: int | str) -> int:
 
 def derive_rng(master_seed: int, *parts: int | str) -> np.random.Generator:
     """PCG64 generator on the stream keyed by (master_seed, *parts)."""
-    return np.random.Generator(np.random.PCG64(derive_key(master_seed, *parts)))
+    generator = np.random.Generator(np.random.PCG64(derive_key(master_seed, *parts)))
+    _count(master_seed, _INDEX_SUFFIX.sub("", ":".join(map(str, parts))), 1)
+    return generator
 
 
 def derive_streams(master_seed: int, role: str, start: int, count: int) -> Iterator[np.random.Generator]:
@@ -142,6 +179,7 @@ def derive_streams(master_seed: int, role: str, start: int, count: int) -> Itera
     on different threads do not interfere.
     """
     base = _seeded_hash(master_seed)
+    _count(master_seed, role, count)
     digests = []
     for i in range(count):
         h = base.copy()

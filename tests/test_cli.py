@@ -119,6 +119,7 @@ def test_parse_gamma_sample_options():
         ["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--p", "0.2",
          "--color-replicates", "1000"],
         ["clt", "--mode", "quenched", "--regime", "supercritical", "--radius", "4", "--p", "0.3"],
+        ["cluster-clt", "--radius", "4", "--radius", "8", "--p", "0.7", "--margin", "2"],
     ],
 )
 def test_parse_rejects_bad_input(argv):
@@ -157,6 +158,19 @@ def test_report_schema_and_degenerate_estimate(capsys):
     # resolved defaults are echoed; scheduling knobs are not
     assert config["proxy_rule"] == "disabled"
     assert "workers" not in config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--radius", "4", "--p", "0.3", "--replicates", "5"],
+        ["cluster-clt", "--radius", "2", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
+    ],
+    ids=["estimate", "cluster-clt"],
+)
+def test_colorless_reports_carry_no_color_measure(argv, capsys):
+    main(argv)
+    assert json.loads(capsys.readouterr().out)["config"]["nu"] is None
 
 
 def test_exit_code_on_failed_checks(capsys):
@@ -339,19 +353,32 @@ def test_gamma_sample_csv_round_trip(tmp_path):
         assert math.isclose(resummary[key], value, rel_tol=1e-12, abs_tol=1e-300)
 
 
-def test_worker_count_reports_byte_identical(tmp_path):
-    argv = ["lln", "--mode", "annealed", "--radius", "8", "--p", "0.7",
-            "--nu", "two-point:-1,1,0.7", "--graph-replicates", "20", "--seed", "5"]
-    out1, out8 = tmp_path / "w1.json", tmp_path / "w8.json"
-    main(argv + ["--workers", "1", "--out", str(out1)])
-    main(argv + ["--workers", "8", "--out", str(out8)])
-    a = json.loads(out1.read_text())
-    b = json.loads(out8.read_text())
-    a.pop("timing"), b.pop("timing")
-    dump = lambda r: json.dumps(r, sort_keys=True)  # noqa: E731
-    assert dump(a) == dump(b)
-    # and the raw bytes differ only inside the timing block
-    assert a != {} and set(a) == TOP_KEYS - {"timing"}
+# At radius 16 a stack holds 15 graphs, so 60 graphs are 4 stacks and
+# 1024 colorings are 4 chunks: several threads share each loop.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lln", "--mode", "annealed", "--radius", "16", "--p", "0.7",
+         "--nu", "two-point:-1,1,0.7", "--graph-replicates", "60"],
+        ["clt", "--mode", "quenched", "--radius", "16", "--p", "0.3",
+         "--graph-replicates", "60", "--color-replicates", "1024"],
+        ["clt", "--mode", "annealed", "--regime", "supercritical", "--radius", "16", "--p", "0.7",
+         "--nu", "two-point:-1,1,0.3", "--graph-replicates", "60"],
+    ],
+    ids=["lln-annealed", "clt-quenched", "clt-annealed"],
+)
+def test_worker_count_reports_byte_identical(argv, tmp_path):
+    reports = []
+    for workers in (1, 2, 8):
+        out = tmp_path / f"w{workers}.json"
+        main(argv + ["--seed", "5", "--workers", str(workers), "--out", str(out)])
+        report = json.loads(out.read_text())
+        report.pop("timing")
+        reports.append(json.dumps(report, sort_keys=True))
+    # every stream counted, whichever thread derived it
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    report = json.loads(reports[0])
+    assert set(report) == TOP_KEYS - {"timing"}
 
 
 def test_estimate_workers_reach_the_engine(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from dcl.harness import (
     RegimeMismatchError,
     RunResult,
     _colored_replicates,
+    recorded,
     run_annealed_clt,
     run_annealed_lln,
     run_cluster_clt,
@@ -244,21 +245,24 @@ def test_quenched_clt_point_mass_colors_degenerate():
     assert len(res.tests) == 1
 
 
+_PAIRS = [("graph", 6), ("color", 6)]
+
+
 @pytest.mark.parametrize(
     "run,nu,extra,roles",
     [
         # atomic lln-limit: compared by TV distance, no reference draws
-        (run_annealed_lln, "two-point:-1,1,0.7", {}, {"graph", "color"}),
+        (run_annealed_lln, "two-point:-1,1,0.7", {}, _PAIRS),
         # continuous lln-limit: KS against its exact CDF, nothing sampled
-        (run_annealed_lln, "gaussian:0,1", {}, {"graph", "color"}),
+        (run_annealed_lln, "gaussian:0,1", {}, _PAIRS),
         # point-mass gamma: exact zero check, nothing sampled
-        (run_annealed_clt, "discrete:2.5:1", {"regime": "supercritical"}, {"graph", "color"}),
+        (run_annealed_clt, "discrete:2.5:1", {"regime": "supercritical"}, _PAIRS),
         # Gaussian gamma: sampler draws only
         (run_annealed_clt, "two-point:-1,1,0.5", {"regime": "supercritical"},
-         {"graph", "color", "gamma-sampler"}),
+         _PAIRS + [("gamma-sampler", 1)]),
         # Gaussian-mixture gamma: sampler draws; the mixture is checked by its exact CDF
         (run_annealed_clt, "two-point:-1,1,0.3", {"regime": "supercritical"},
-         {"graph", "color", "gamma-sampler"}),
+         _PAIRS + [("gamma-sampler", 1)]),
     ],
 )
 def test_seed_audit_lists_only_drawn_streams(run, nu, extra, roles):
@@ -267,7 +271,46 @@ def test_seed_audit_lists_only_drawn_streams(run, nu, extra, roles):
         master_seed=3, **extra,
     )
     res = run(cfg)
-    assert {s["role"] for s in res.seeds["streams"]} == roles
+    assert res.seeds["master_seed"] == 3
+    assert [(s["role"], s["count"]) for s in res.seeds["streams"]] == roles
+
+
+def test_recorded_run_refuses_several_master_seeds():
+    @recorded
+    def two_seeds() -> RunResult:
+        derive_rng(1, "a")
+        list(derive_streams(2, "b", 0, 3))
+        return RunResult(experiment="t", estimates={})
+
+    with pytest.raises(RuntimeError, match=r"one master seed, saw \[1, 2\]"):
+        two_seeds()
+
+
+def test_recorded_run_refuses_no_streams():
+    with pytest.raises(RuntimeError, match=r"saw \[\]"):
+        recorded(lambda: RunResult(experiment="t", estimates={}))()
+
+
+def test_streams_derived_before_a_run_are_not_counted():
+    cfg = ExperimentConfig(
+        d=2, radii=8, p=0.7, nu="two-point:-1,1,0.7", graph_replicates=6, master_seed=3,
+    )
+    derive_rng(3, "graph:99")
+    list(derive_streams(3, "color", 0, 4))
+    first = run_annealed_lln(cfg)
+    assert [(s["role"], s["count"]) for s in first.seeds["streams"]] == _PAIRS
+    # and one run's count does not carry into the next
+    assert run_annealed_lln(cfg).seeds == first.seeds
+
+
+@pytest.mark.parametrize(
+    "run",
+    [run_quenched_lln, run_annealed_lln, run_quenched_clt, run_annealed_clt, run_weighted_lln_check],
+)
+def test_coloring_runs_refuse_a_missing_color_measure(run):
+    cfg = ExperimentConfig(d=2, radii=4, p=0.7, graph_replicates=3, regime="supercritical")
+    with pytest.raises(ValueError, match="color measure"):
+        run(cfg)
 
 
 def test_annealed_clt_requires_regime():
@@ -590,11 +633,10 @@ def test_quenched_runs_warn_near_critical_once(run):
 
 
 def test_runresult_passed_reflects_reports():
-    cfg = ExperimentConfig(d=2, radii=4, p=0.3, nu="two-point:-1,1,0.5")
     fail = TestReport(statistic=1.0, p_value=0.0, decision="fail", context="x")
     ok = TestReport(statistic=0.0, p_value=1.0, decision="pass", context="y")
     res = RunResult(
-        experiment="t", config=cfg, estimates={},
+        experiment="t", estimates={},
         predictions={}, tests=[ok, fail], seeds={}, timing={},
     )
     assert not res.passed()

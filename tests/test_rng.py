@@ -6,12 +6,23 @@ derive_streams.
 
 from __future__ import annotations
 
+import contextvars
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcl.rng import SEED_MAX, SEED_MIN, _pcg64_seeds, derive_key, derive_rng, derive_streams
+from dcl.rng import (
+    SEED_MAX,
+    SEED_MIN,
+    _pcg64_seeds,
+    derive_key,
+    derive_rng,
+    derive_streams,
+    stream_log,
+)
 
 # Frozen on first implementation; a change here means every published seed
 # stops reproducing, so treat any diff as a breaking change.
@@ -142,3 +153,26 @@ def test_pcg64_seeds_match_seed_sequence(zero_top_words):
     assert got.dtype.itemsize == 8
     for key, row in zip(keys, got):
         assert row.tolist() == np.random.SeedSequence(key).generate_state(4, np.uint64).tolist()
+
+
+def test_stream_log_counts_roles_in_first_derivation_order():
+    derive_rng(1, "before")
+    with stream_log() as log:
+        derive_rng(7, "graph:0")
+        list(derive_streams(7, "color", 0, 5))
+        derive_rng(7, "gamma-sampler")
+        list(derive_streams(7, "graph", 1, 3))
+        derive_rng(7, "graph", 4)
+        derive_rng(8, "color:2")
+    derive_rng(7, "after")
+    assert list(log.items()) == [
+        ((7, "graph"), 5), ((7, "color"), 5), ((7, "gamma-sampler"), 1), ((8, "color"), 1),
+    ]
+
+
+def test_stream_log_sees_threads_only_through_a_context_copy():
+    with stream_log() as log, ThreadPoolExecutor(max_workers=2) as pool:
+        for i in range(4):
+            pool.submit(contextvars.copy_context().run, derive_rng, 3, f"copied:{i}").result()
+            pool.submit(derive_rng, 3, f"bare:{i}").result()
+    assert log == {(3, "copied"): 4}

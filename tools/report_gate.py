@@ -73,6 +73,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "--p", "0.7", "--graph-replicates", "5",
     ],
     "lln-annealed": ["lln", "--mode", "annealed", "--radius", "16", "--p", "0.7", "--graph-replicates", "60"],
+    # --workers 2 twins of lln-annealed and clt-annealed-mixture: 60 graphs are 4 stacks at n=16.
+    "lln-annealed-w2": [
+        "lln", "--mode", "annealed", "--radius", "16", "--p", "0.7", "--graph-replicates", "60",
+        "--workers", "2",
+    ],
     "weighted-lln": ["weighted-lln", "--radius", "16", "--p", "0.3", "--graph-replicates", "40"],
     "check-identity-d3": [
         "check-identity", "--dim", "3", "--radius", "1", "--radius", "2", "--radius", "4",
@@ -107,6 +112,10 @@ INVOCATIONS: dict[str, list[str]] = {
     "clt-annealed-mixture": _ANNEALED + [
         "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "two-point:-1,1,0.3",
         "--graph-replicates", "60",
+    ],
+    "clt-annealed-mixture-w2": _ANNEALED + [
+        "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "two-point:-1,1,0.3",
+        "--graph-replicates", "60", "--workers", "2",
     ],
     # A zero-weight atom and two equal-weight atoms: gamma is one Gaussian.
     "clt-annealed-zero-weight-atom": _ANNEALED + [
