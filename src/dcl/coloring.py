@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -52,6 +52,18 @@ def atom_index(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return index
 
 
+def atom_values(
+    values: np.ndarray, thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """values[atom_index(u, thresholds)], into out when given.
+
+    atom_index never leaves [0, values.size), so mode="clip" clips nothing;
+    it spares take the bounds check of its default mode, which converts and
+    buffers the indices and takes about four times as long.
+    """
+    return values.take(atom_index(u, thresholds), mode="clip", out=out)
+
+
 def _check_finite(what: str, *values: float) -> None:
     bad = [v for v in values if not math.isfinite(v)]
     if bad:
@@ -91,12 +103,16 @@ class TwoPoint:
         return (1.0 - self.alpha) * (self.a - m) ** (2 * k) + self.alpha * (self.b - m) ** (2 * k)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """One uniform double u per draw: b where u < alpha, else a.
+        """One uniform double u per draw, mapped by from_uniforms."""
+        return self.from_uniforms(rng.random(size))
+
+    def from_uniforms(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """b where u < alpha, else a, for each uniform double u (into out if given).
 
         The atom index is the number of thresholds (alpha,) that are <= u,
         gathered from the table (b, a).
         """
-        return self._values.take(atom_index(rng.random(size), self._thresholds))
+        return atom_values(self._values, self._thresholds, u, out)
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         if self.a == self.b:
@@ -175,12 +191,16 @@ class FiniteDiscrete:
         return math.fsum(w * (v - m) ** (2 * k) for v, w in self.atoms_spec)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """One uniform double u per draw, mapped to atom i of atoms_spec.
+        """One uniform double u per draw, mapped by from_uniforms."""
+        return self.from_uniforms(rng.random(size))
+
+    def from_uniforms(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Atom i of atoms_spec for each uniform double u (into out if given).
 
         i is the number of partial weight sums before the last atom that
         are <= u.
         """
-        return self._values.take(atom_index(rng.random(size), self._thresholds))
+        return atom_values(self._values, self._thresholds, u, out)
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return self.atoms_spec
@@ -278,18 +298,47 @@ class ColorField:
         return self.cluster_color[self.labeling.cluster_id[sites]]
 
 
+def color_block(
+    nu: ColorMeasure, streams: Iterable[np.random.Generator], lo: int, hi: int, out: np.ndarray
+) -> np.ndarray:
+    """Fill row i of out with the colors of ids lo..hi-1 under the i-th stream; return out.
+
+    Cluster j takes draw j of its stream, so row i is the slice [lo:hi] of
+    the coloring color_clusters draws from the same stream, bit for bit.
+    out has shape (rows, hi - lo), and streams yields at least rows
+    generators; exactly rows of them are read, each only before the next
+    is requested, as derive_streams requires. A law that reads one
+    uniform per draw (TwoPoint, FiniteDiscrete) skips the first lo draws
+    with PCG64.advance, in O(log lo) steps, fills each row with hi - lo
+    uniforms and maps the whole block at once. A Gaussian law cannot skip:
+    the ziggurat reads a varying number of outputs per normal, so each row
+    is the tail of a draw of hi.
+    """
+    rows = zip(out, streams)
+    if isinstance(nu, GaussianLaw):
+        for row, rng in rows:
+            row[:] = nu.sample(rng, hi)[lo:]
+        return out
+    for row, rng in rows:
+        if lo:
+            rng.bit_generator.advance(lo)
+        rng.random(out=row)
+    return nu.from_uniforms(out, out=out)
+
+
 def color_clusters(labeling: ClusterLabeling, nu: ColorMeasure, rng: np.random.Generator) -> ColorField:
     """Draw one color per cluster from nu, taking the draws from rng.
 
     Draw j goes to the cluster with id j; ids are ordered by smallest site
     index, so the assignment depends only on the labeling and the stream
     rng is on (derive_rng for one coloring, derive_streams for a run of
-    them), not on how the labeling was computed. The stream is read in one
-    call to nu.sample: for an atomic nu, one uniform double u per cluster,
+    them), not on how the labeling was computed. This is color_block for
+    ids 0..k_n-1: for an atomic nu, one uniform double u per cluster,
     whose atom index is the number of nu's thresholds <= u; for a Gaussian
     nu, one normal per cluster, none when the variance is 0.
     """
-    colors = np.asarray(nu.sample(rng, labeling.k_n), dtype=np.float64)
+    colors = np.empty(labeling.k_n)
+    color_block(nu, (rng,), 0, labeling.k_n, colors[None, :])
     colors.setflags(write=False)
     z = float(colors[labeling.infinite_proxy]) if labeling.infinite_proxy is not None else 0.0
     return ColorField(labeling=labeling, cluster_color=colors, z=z)

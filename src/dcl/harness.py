@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import ColorMeasure, color_clusters, parse_color_measure
+from .coloring import ColorMeasure, color_block, color_clusters, parse_color_measure
 from .lattice import BoxLattice, build_box, inner_window
 from .percolation import (
     PROXY_BOUNDARY_LARGEST,
@@ -72,6 +72,12 @@ from .theory import (
 # Colorings per derive_streams call, and per task on the worker pool, in
 # the quenched-clt coloring loop.
 _COLOR_CHUNK = 256
+# Colors per block of that loop: a chunk is colored in blocks of
+# max(1, _COLOR_BLOCK_VALUES // read ids) colorings, one matrix-vector
+# product each, small enough to stay in cache. Blocks start at multiples of
+# that row count within a chunk, so a coloring's place in its block, and
+# with it the BLAS summation order, never depends on the worker count.
+_COLOR_BLOCK_VALUES = 2**15
 
 # Exact identities are allowed this much accumulated float rounding.
 _EXACT_TOL = 1e-9
@@ -98,7 +104,8 @@ class ExperimentConfig:
     cluster fluctuation run as separate box sizes, and every other run uses
     the largest one. Only the quenched fluctuation run reads color_replicates;
     every other run draws one coloring per graph. Only the annealed
-    fluctuation run reads regime. Runs that color nothing leave nu None.
+    fluctuation run reads regime. A run refuses either setting, away from its
+    default, when it does not read it. Runs that color nothing leave nu None.
     """
 
     d: int
@@ -206,10 +213,23 @@ def recorded(run: Callable[..., RunResult]) -> Callable[..., RunResult]:
     return recorded_run
 
 
-def _box(config: ExperimentConfig) -> tuple[BoxLattice, int]:
-    """Refuse a missing nu, warn near the critical point, build the largest box, take its margin."""
+def _refuse_unread(config: ExperimentConfig, reads: Sequence[str] = ()) -> None:
+    """Refuse a color_replicates or regime other than its default that the run does not read."""
+    for name, default in (("color_replicates", 1), ("regime", None)):
+        value = getattr(config, name)
+        if name not in reads and value != default:
+            raise ValueError(f"this run reads no {name}, got {value!r}")
+
+
+def _box(config: ExperimentConfig, reads: Sequence[str] = ()) -> tuple[BoxLattice, int]:
+    """The largest box and its window margin, for a run that colors clusters.
+
+    Refuses a missing nu, then any setting the run does not read (reads
+    names those it does), and warns near the critical point.
+    """
     if config.nu is None:
         raise ValueError("this run colors clusters: give a color measure nu")
+    _refuse_unread(config, reads)
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
     return lattice, config.margin_for(lattice)
@@ -441,7 +461,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     density, which is the sharp check; the mean-cluster-size form is the
     asymptotic check.
     """
-    lattice, margin = _box(config)
+    lattice, margin = _box(config, reads=("color_replicates",))
     m = config.nu.mean
     sigma2 = config.nu.variance
 
@@ -453,15 +473,24 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         piece[labeling.infinite_proxy] = 0.0
     scale = math.sqrt(window.shape[0])
 
+    # The statistic reads only ids lo..hi-1, the span of the clusters with a
+    # piece; at p=1 the stand-in covers the window and the span is empty.
+    read = np.flatnonzero(piece)
+    lo, hi = (int(read[0]), int(read[-1]) + 1) if read.size else (0, 0)
+    weights = piece[lo:hi]
+    rows = max(1, _COLOR_BLOCK_VALUES // max(hi - lo, 1))
     starts = range(0, config.color_replicates, _COLOR_CHUNK)
 
     def chunk(k: int) -> np.ndarray:
         count = min(_COLOR_CHUNK, config.color_replicates - starts[k])
-        colors = (
-            color_clusters(labeling, config.nu, rng).cluster_color
-            for rng in derive_streams(config.master_seed, "color", starts[k], count)
-        )
-        return np.array([float(np.dot(piece, c - m)) / scale for c in colors])
+        streams = derive_streams(config.master_seed, "color", starts[k], count)
+        block = np.empty((rows, hi - lo))
+        out = np.empty(count)
+        for b in range(0, count, rows):
+            colors = color_block(config.nu, streams, lo, hi, block[: min(rows, count - b)])
+            colors -= m
+            np.dot(colors, weights, out=out[b : b + colors.shape[0]])
+        return out / scale
 
     stats = np.concatenate(map_ordered(chunk, len(starts), config.workers))
 
@@ -538,7 +567,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     """
     if config.regime is None:
         raise ValueError("annealed fluctuation runs need an explicit regime")
-    lattice, margin = _box(config)
+    lattice, margin = _box(config, reads=("regime",))
     reps = config.graph_replicates
     m = config.nu.mean
     sigma2 = config.nu.variance
@@ -624,6 +653,7 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     density, which makes the statistic average zero by construction. The
     Gaussian reference variance comes from the largest radius.
     """
+    _refuse_unread(config)
     warn_if_near_critical(config.d, config.p)
     per_radius: dict[int, dict] = {}
     stats_by_radius: dict[int, np.ndarray] = {}

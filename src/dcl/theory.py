@@ -22,6 +22,7 @@ from .coloring import (
     _check_finite,
     atom_index,
     atom_thresholds,
+    atom_values,
     double_factorial_odd,
     draw_table,
     is_point_mass,
@@ -93,7 +94,7 @@ class TwoPointLaw:
         The atom index is the number of thresholds (p1,) that are <= u,
         gathered from the table (v1, v2).
         """
-        return self._values.take(atom_index(rng.random(size), self._thresholds))
+        return atom_values(self._values, self._thresholds, rng.random(size))
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return self.atom_pairs

@@ -354,14 +354,18 @@ def test_gamma_sample_csv_round_trip(tmp_path):
 
 
 # At radius 16 a stack holds 15 graphs, so 60 graphs are 4 stacks and
-# 1024 colorings are 4 chunks: several threads share each loop.
+# 1024 colorings are 4 chunks: several threads share each loop. With
+# margin 4 the quenched window reads about 400 cluster ids, so each chunk
+# holds several coloring blocks and ends in a partial one. Its colors are
+# not dyadic, so its sums round and a summation order that followed the
+# worker count would show.
 @pytest.mark.parametrize(
     "argv",
     [
         ["lln", "--mode", "annealed", "--radius", "16", "--p", "0.7",
          "--nu", "two-point:-1,1,0.7", "--graph-replicates", "60"],
-        ["clt", "--mode", "quenched", "--radius", "16", "--p", "0.3",
-         "--graph-replicates", "60", "--color-replicates", "1024"],
+        ["clt", "--mode", "quenched", "--radius", "16", "--p", "0.3", "--nu", "two-point:-0.3,1.1,0.3",
+         "--margin", "4", "--graph-replicates", "60", "--color-replicates", "1024"],
         ["clt", "--mode", "annealed", "--regime", "supercritical", "--radius", "16", "--p", "0.7",
          "--nu", "two-point:-1,1,0.3", "--graph-replicates", "60"],
     ],

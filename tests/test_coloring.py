@@ -15,6 +15,7 @@ from dcl.coloring import (
     GaussianLaw,
     TwoPoint,
     atom_index,
+    color_block,
     color_clusters,
     double_factorial_odd,
     draw_table,
@@ -28,7 +29,7 @@ from dcl.percolation import (
     sample_config,
     square_sums,
 )
-from dcl.rng import derive_rng
+from dcl.rng import derive_rng, derive_streams
 
 
 def test_two_point_moments():
@@ -313,3 +314,28 @@ def test_draw_tables_are_read_only(nu):
         with pytest.raises(ValueError):
             table[0] = 0.0
     assert nu.sample(derive_rng(1, "c"), 3).flags.writeable
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        TwoPoint(-1.0, 1.0, 0.3),
+        FiniteDiscrete(((-1.0, 0.2), (0.0, 0.0), (2.0, 0.8))),
+        GaussianLaw(0.5, 2.0),
+        GaussianLaw(0.5, 0.0),
+        TwoPoint(3.0, 3.0, 0.7),
+    ],
+    ids=["two-point", "discrete-zero-weight", "gaussian", "gaussian-variance-0", "point-mass"],
+)
+@pytest.mark.parametrize("lo,hi", [(0, 40), (17, 52), (0, 61), (23, 23)], ids=["head", "mid", "all", "empty"])
+def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
+    # Row i holds ids lo..hi-1 of the coloring on stream color:i, bit for bit.
+    lat = build_box(2, 6)
+    labeling = label_clusters(sample_config(lat, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
+    assert labeling.k_n == 61
+    rows = 5
+    block = color_block(nu, derive_streams(4, "color", 0, rows), lo, hi, np.empty((rows, hi - lo)))
+    assert block.shape == (rows, hi - lo)
+    for i in range(rows):
+        full = color_clusters(labeling, nu, derive_rng(4, f"color:{i}")).cluster_color
+        assert (block[i].view(np.uint64) == full[lo:hi].view(np.uint64)).all()

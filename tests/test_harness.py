@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from dcl import harness
 from dcl.coloring import FiniteDiscrete, color_clusters
 from dcl.harness import (
+    _COLOR_BLOCK_VALUES,
     _COLOR_CHUNK,
     ExperimentConfig,
     RegimeMismatchError,
@@ -313,6 +315,33 @@ def test_coloring_runs_refuse_a_missing_color_measure(run):
         run(cfg)
 
 
+_UNREAD = {
+    "color_replicates": (50, [run_quenched_lln, run_annealed_lln, run_annealed_clt, run_cluster_clt,
+                              run_weighted_lln_check]),
+    "regime": ("supercritical", [run_quenched_lln, run_annealed_lln, run_quenched_clt, run_cluster_clt,
+                                 run_weighted_lln_check]),
+}
+
+
+@pytest.mark.parametrize(
+    "setting,run",
+    [(name, run) for name, (_, runs) in _UNREAD.items() for run in runs],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_runs_refuse_settings_they_do_not_read(setting, run, monkeypatch):
+    # Refused before the box is built, so before any sampling.
+    def no_box(*args):
+        raise AssertionError("built a box")
+
+    monkeypatch.setattr(harness, "build_box", no_box)
+    base = dict(d=2, radii=4, p=0.7, nu="two-point:-1,1,0.3", graph_replicates=3)
+    if run is run_annealed_clt:
+        base["regime"] = "supercritical"
+    cfg = ExperimentConfig(**base, **{setting: _UNREAD[setting][0]})
+    with pytest.raises(ValueError, match=f"^this run reads no {setting}, got"):
+        run(cfg)
+
+
 def test_annealed_clt_requires_regime():
     cfg = ExperimentConfig(
         d=2, radii=8, p=0.2, nu="two-point:-1,1,0.5",
@@ -550,26 +579,45 @@ def test_worker_count_does_not_change_results():
     assert _comparable(serial) == _comparable(threaded)
 
 
-def test_quenched_clt_color_chunks_match_per_coloring_streams():
-    # Two full chunks and a partial one; coloring j comes from f"color:{j}"
-    # whichever chunk and worker draws it.
+@pytest.mark.parametrize(
+    "nu", ["gaussian:0,1", "two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5"]
+)
+def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
+    # Two full chunks and a partial one. The window reads ids 11..147 of 175,
+    # so a block holds 2**15 // 137 = 239 colorings and each chunk ends in a
+    # partial block. Coloring j comes from f"color:{j}" whichever chunk,
+    # block and worker draws it.
     reps = 2 * _COLOR_CHUNK + 37
-    base = dict(
-        d=2, radii=6, p=0.4, nu="gaussian:0,1",
-        color_replicates=reps, master_seed=11, margin=2,
-    )
+    base = dict(d=2, radii=12, p=0.4, nu=nu, color_replicates=reps, master_seed=11, margin=4)
     stats = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
     assert len(stats) == reps
     assert stats == run_quenched_clt(ExperimentConfig(**base, workers=3)).samples["statistic"]
-    nu = ExperimentConfig(**base).nu
-    lattice = build_box(2, 6)
+    law = ExperimentConfig(**base).nu
+    lattice = build_box(2, 12)
     labeling = label_clusters(sample_config(lattice, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
-    ids = labeling.cluster_id[inner_window(lattice, 2)]
+    ids = labeling.cluster_id[inner_window(lattice, 4)]
     finite = ids[ids != labeling.infinite_proxy]
-    assert ids.size == 81 and finite.size > 0
-    for j in (0, _COLOR_CHUNK - 1, _COLOR_CHUNK, 2 * _COLOR_CHUNK, reps - 1):
-        colors = color_clusters(labeling, nu, derive_rng(11, f"color:{j}")).cluster_color
-        assert stats[j] == pytest.approx(math.fsum(colors[finite]) / math.sqrt(ids.size), abs=1e-12)
+    lo, hi = int(finite.min()), int(finite.max()) + 1
+    rows = _COLOR_BLOCK_VALUES // (hi - lo)
+    assert (lo, hi, labeling.k_n) == (11, 148, 175)
+    assert _COLOR_CHUNK % rows and reps % _COLOR_CHUNK < rows
+    for j in range(reps):
+        colors = color_clusters(labeling, law, derive_rng(11, f"color:{j}")).cluster_color
+        expected = math.fsum(colors[finite] - law.mean) / math.sqrt(ids.size)
+        assert stats[j] == pytest.approx(expected, abs=1e-12)
+
+
+def test_quenched_clt_empty_read_range_still_counts_every_color_stream():
+    # At p=1 the stand-in covers the window, so the statistic reads no
+    # cluster: every value is exactly 0, and each coloring's stream is still
+    # derived and listed, on every worker.
+    cfg = ExperimentConfig(
+        d=2, radii=4, p=1.0, nu="two-point:-1,1,0.3", color_replicates=_COLOR_CHUNK + 37, workers=2
+    )
+    result = run_quenched_clt(cfg)
+    assert result.samples["statistic"] == [0.0] * cfg.color_replicates
+    assert result.seeds["streams"][-1] == {"role": "color", "count": cfg.color_replicates}
+    assert result.passed()
 
 
 def test_quenched_clt_discrete_colors_identical_across_workers():
@@ -623,8 +671,8 @@ def test_harness_warns_near_critical():
 @pytest.mark.parametrize("run", [run_quenched_lln, run_quenched_clt])
 def test_quenched_runs_warn_near_critical_once(run):
     cfg = ExperimentConfig(
-        d=2, radii=4, p=0.5, nu="two-point:-1,1,0.5",
-        graph_replicates=2, color_replicates=20, master_seed=1,
+        d=2, radii=4, p=0.5, nu="two-point:-1,1,0.5", graph_replicates=2,
+        color_replicates=20 if run is run_quenched_clt else 1, master_seed=1,
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

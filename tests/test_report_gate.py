@@ -30,3 +30,21 @@ def test_gate_invocation_parses(name, out_format, tmp_path):
 def test_gate_names_are_directory_safe():
     for name in report_gate.INVOCATIONS:
         assert name and all(c.isalnum() or c in "-._" for c in name)
+
+
+def _split_workers(argv: list[str]) -> tuple[list[str], str | None]:
+    """argv without its --workers pair, and that pair's value (None without one)."""
+    if "--workers" not in argv:
+        return argv, None
+    i = argv.index("--workers")
+    return argv[:i] + argv[i + 2 :], argv[i + 1]
+
+
+def test_twins_differ_from_their_base_only_in_workers():
+    twins = report_gate.twins()
+    assert set(twins) >= {"lln-annealed-w2", "clt-annealed-mixture-w2", "clt-quenched-alpha03-w2"}
+    for twin, base in twins.items():
+        twin_argv, twin_workers = _split_workers(report_gate.INVOCATIONS[twin])
+        base_argv, base_workers = _split_workers(report_gate.INVOCATIONS[base])
+        assert twin_argv == base_argv, twin
+        assert twin_workers == "2" and base_workers in (None, "1"), twin

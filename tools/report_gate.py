@@ -15,6 +15,15 @@ trees written from two checkouts then compare with a plain
     diff -r OUT_A OUT_B
 
 A change that must keep every report byte-identical shows no difference.
+
+An invocation named BASE-w2 whose BASE is also listed is BASE's twin: the
+same argv run with --workers 2, whose tree must equal BASE's. The twins'
+names print with
+
+    python tools/report_gate.py --twins
+
+so that, after a gate run into OUT_DIR, each compares with
+diff -r OUT_DIR/BASE OUT_DIR/BASE-w2.
 """
 
 from __future__ import annotations
@@ -109,6 +118,18 @@ INVOCATIONS: dict[str, list[str]] = {
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
         "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
     ],
+    # Non-dyadic colors, so their sums round: the twin shows the summation
+    # order of the coloring blocks does not follow the worker count. At
+    # margin 4 the window reads ~400 cluster ids, so a 256-coloring chunk
+    # is several blocks of 2**15 // 400 colorings, the last one partial.
+    "clt-quenched-alpha03": _QUENCHED + [
+        "--radius", "16", "--margin", "4", "--p", "0.3", "--nu", "two-point:-1,1,0.3",
+        "--color-replicates", "1500", "--graph-replicates", "3",
+    ],
+    "clt-quenched-alpha03-w2": _QUENCHED + [
+        "--radius", "16", "--margin", "4", "--p", "0.3", "--nu", "two-point:-1,1,0.3",
+        "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
+    ],
     "clt-annealed-mixture": _ANNEALED + [
         "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "two-point:-1,1,0.3",
         "--graph-replicates", "60",
@@ -145,6 +166,8 @@ INVOCATIONS: dict[str, list[str]] = {
         "--radius", "16", "--p", "0.0", "--nu", "gaussian:0,2", "--color-replicates", "500",
         "--proxy", "disabled",
     ],
+    # The stand-in covers the window: no cluster is read, yet all 50 color streams are listed.
+    "clt-quenched-full-proxy": _QUENCHED + ["--radius", "4", "--p", "1.0", "--color-replicates", "50"],
     "clt-quenched-one-coloring": _QUENCHED + [
         "--radius", "8", "--p", "0.3", "--color-replicates", "1", "--graph-replicates", "2",
     ],
@@ -164,6 +187,18 @@ INVOCATIONS: dict[str, list[str]] = {
         "lln", "--mode", "quenched", "--radius", "8", "--p", "0.5", "--graph-replicates", "3",
     ],
 }
+
+
+TWIN_SUFFIX = "-w2"
+
+
+def twins() -> dict[str, str]:
+    """{twin: base} for every invocation that repeats a listed base with --workers 2."""
+    return {
+        name: name.removesuffix(TWIN_SUFFIX)
+        for name in INVOCATIONS
+        if name.endswith(TWIN_SUFFIX) and name.removesuffix(TWIN_SUFFIX) in INVOCATIONS
+    }
 
 
 def gate_argv(argv: list[str], out: Path, out_format: str) -> list[str]:
@@ -195,6 +230,9 @@ def run_one(src_root: Path, base: list[str], out_format: str, out_dir: Path) -> 
 
 
 def main(argv: list[str]) -> int:
+    if argv == ["--twins"]:
+        print("\n".join(twins()))
+        return 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 1
