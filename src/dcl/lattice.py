@@ -19,9 +19,10 @@ import numpy as np
 # Stay well under int64 so squared partial sums cannot overflow downstream.
 _MAX_COUNT = 2**62
 # Peak bytes per site to build a box, then sample and label it with every edge
-# open, the worst case: tracemalloc measured 91, 142, 192 and 240 at d = 1..4.
-_BYTES_PER_SITE = 40
-_BYTES_PER_SITE_AND_AXIS = 52
+# open, the worst case: tracemalloc measured 50, 54, 57 and 61 at d = 1..4 on
+# boxes of 0.5-1 M sites, and up to 50, 54, 58 and 67 on boxes of 50-200 k.
+_BYTES_PER_SITE = 48
+_BYTES_PER_SITE_AND_AXIS = 6
 
 
 class BoxTooLargeError(ValueError):

@@ -206,18 +206,23 @@ def _as_stack(labeling: ClusterLabeling | LabelingStack) -> LabelingStack:
 def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST) -> ClusterLabeling | LabelingStack:
     """Label clusters of the open subgraph.
 
-    Min-label hooking: every site starts as its own root; each round, the
-    larger root of every open edge whose ends still disagree is hooked to
-    the smaller one, then pointer jumping flattens the forest. Roots only
-    ever move to smaller sites, so at the fixed point each site's root is
-    the smallest site of its cluster, and ranking the roots gives ids in
-    smallest-site order. Every open edge is cross-checked to join equal ids.
+    Min-label hooking: every site starts as its own root. A round takes the
+    axes in turn, and for every open edge along the axis whose ends still
+    disagree, hooks the larger of the two ends' parents to the smaller one;
+    pointer jumping then flattens the forest, and a round that hooks nothing
+    ends the labeling. Parents only ever move to smaller sites of the same
+    cluster, so at the fixed point each site's root is the smallest site of
+    its cluster, and ranking the roots gives ids in smallest-site order.
+    Every open edge is cross-checked to join equal ids.
 
-    Bit f of the flattened config.open is the edge from site f // d along
-    axis f % d. A (site_count, d) mask gives a ClusterLabeling; a stack,
-    (copies, site_count, d), a LabelingStack whose copy c holds the sites
-    from c * site_count on. No edge leaves its copy, so each copy's ids come
-    out as if it were labeled alone. Other shapes, and bits off has_edge, raise.
+    The open edges along an axis of stride s are the set bits of its column
+    of the mask, and they join root[:-s] to root[s:] position by position,
+    so a round compares those two shifted views, masked by the column, and
+    gathers parents only where the ends differ. A (site_count, d) mask gives a
+    ClusterLabeling; a stack, (copies, site_count, d), a LabelingStack whose
+    copy c holds the sites from c * site_count on. The far faces carry no
+    edge, so no edge leaves its copy, and each copy's ids come out as if it
+    were labeled alone. Other shapes, and bits off has_edge, raise.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
@@ -228,18 +233,27 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     if np.any(config.open & ~lattice.has_edge):
         raise ValueError("open mask sets a bit on a far face, where the box has no edge")
     copies = 1 if config.open.ndim == 2 else config.open.shape[0]
-    u, axis = np.divmod(np.flatnonzero(config.open), lattice.d)
-    v = u + np.array(lattice.strides, dtype=np.int64)[axis]
-    del axis  # off the hooking peak: 8 bytes per open edge
-
     sites = np.arange(copies * site_count, dtype=np.int64)
+    # Per axis, its stride s and the open bits of the edges u -> u + s, one
+    # per site u that has a site s further on. Each round reads every bit, so
+    # the axes' columns are copied out of the (sites, d) mask once, contiguous.
+    columns = np.ascontiguousarray(config.open.reshape(-1, lattice.d).T)
+    open_along = [(s, columns[axis, : sites.size - s]) for axis, s in enumerate(lattice.strides)]
+
     # Hooking writes into root in place; sites must stay intact for the root test.
     root = sites.copy()
     while True:
-        ru, rv = root[u], root[v]
-        if not (ru != rv).any():
+        hooked = False
+        for s, open_edges in open_along:
+            u = np.flatnonzero((root[:-s] != root[s:]) & open_edges)
+            if u.size:
+                ru, rv = root[u], root[s:][u]
+                lower = np.minimum(ru, rv)
+                np.minimum.at(root, np.maximum(ru, rv, out=ru), lower)
+                del u, ru, rv, lower  # off the next axis's peak: 32 bytes per hook
+                hooked = True
+        if not hooked:
             break
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             jumped = root[root]
             if not (jumped != root).any():
@@ -250,7 +264,7 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     rank = (root == sites).cumsum() - 1
     stack_id = rank[root]
     total = int(rank[-1]) + 1
-    if (stack_id[u] != stack_id[v]).any():
+    if any(((stack_id[:-s] != stack_id[s:]) & open_edges).any() for s, open_edges in open_along):
         raise InvariantViolationError("an open edge joins two different cluster ids")
 
     # Each copy's first site is a root, so its rank is the copy's first id.

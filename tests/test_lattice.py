@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcl.lattice import BoxTooLargeError, build_box, inner_window, window_site_count
+from dcl.lattice import (
+    _BYTES_PER_SITE,
+    _BYTES_PER_SITE_AND_AXIS,
+    BoxTooLargeError,
+    build_box,
+    inner_window,
+    window_site_count,
+)
+from dcl.percolation import label_clusters, sample_config
 
 from oracles import box_edges, box_sites
 
@@ -132,6 +140,25 @@ def test_box_beyond_physical_memory_rejected_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _full_box_peak(d, n):
+    """tracemalloc peak of building the box, then sampling and labeling it at p = 1."""
+    tracemalloc.start()
+    try:
+        label_clusters(sample_config(build_box(d, n), 1.0, 1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d,n", [(1, 100_000), (2, 220), (3, 29), (4, 10)])
+def test_memory_bound_covers_building_and_labeling_a_full_box(d, n):
+    # Boxes of about 200 k sites. Every edge open is the labeler's worst case.
+    # A small warm-up run first keeps one-off allocations out of the peak.
+    site_count = (2 * n + 1) ** d
+    _full_box_peak(d, 1)
+    assert _full_box_peak(d, n) < site_count * (_BYTES_PER_SITE + _BYTES_PER_SITE_AND_AXIS * d)
 
 
 def test_bad_coordinates_rejected():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcl import percolation
 from dcl.lattice import build_box, inner_window, window_site_count
 from dcl.percolation import (
     _STACK_SITES,
@@ -94,6 +95,27 @@ def comb(lattice):
     return _open_mask(lattice, pairs)
 
 
+class _HookCountingNumpy:
+    """numpy as the labeler sees it, counting its hooking calls, np.minimum.at.
+
+    It stands in for both the module and its minimum ufunc.
+    """
+
+    def __init__(self):
+        self.hooks = 0
+        self.minimum = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def __call__(self, *args):
+        return np.minimum(*args)
+
+    def at(self, *args):
+        self.hooks += 1
+        np.minimum.at(*args)
+
+
 @pytest.mark.parametrize(
     "d,n,edges",
     [
@@ -108,21 +130,50 @@ def comb(lattice):
         (2, 5, comb),
     ],
 )
-def test_labels_match_bfs_oracle(d, n, edges):
+def test_labels_match_bfs_oracle(d, n, edges, monkeypatch):
     # edges is a density to sample ten configurations at, or a function that
-    # builds one open-edge mask. The first hooking round leaves the serpentine
-    # and the comb split into several trees that only a second round joins.
+    # builds one open-edge mask. A round hooks along each axis in turn, and
+    # the first round leaves the serpentine and the comb split into several
+    # trees that only a second round joins: some axis hooks in two rounds, so
+    # the labeler makes more hooking calls than the box has axes.
     # BFS labels count up in site order, as the package's ids do.
     lat = build_box(d, n)
     if callable(edges):
         masks = [edges(lat)]
     else:
         masks = [sample_config(lat, edges, seed=11, stream_tag=f"g:{rep}").open for rep in range(10)]
+    counting = _HookCountingNumpy()
+    monkeypatch.setattr(percolation, "np", counting)
     for open_mask in masks:
         labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
         oracle = _oracle_ids(lat, open_mask)
         assert labeling.cluster_id.tolist() == oracle
         assert labeling.k_n == len(set(oracle))
+    if callable(edges):
+        assert counting.hooks > d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_single_edge_joins_its_two_ends(d, n):
+    # The first and the last edge of each axis sit at the ends of its shifted
+    # views; in the last copy of a stack, the last one ends on the stack's
+    # last site.
+    lat = build_box(d, n)
+    for axis, stride in enumerate(lat.strides):
+        on_axis = np.flatnonzero(lat.has_edge[:, axis])
+        for u in (on_axis[0], on_axis[-1]):
+            stack = np.zeros((3,) + lat.has_edge.shape, dtype=bool)
+            stack[-1, u, axis] = True
+            lone = label_clusters(_config(lat, stack[-1]), PROXY_DISABLED)
+            stacked = label_clusters(_config(lat, stack), PROXY_DISABLED)
+            oracle = _oracle_ids(lat, stack[-1])
+            for labeling in (lone, stacked.view(2)):
+                ids = labeling.cluster_id
+                assert ids[u] == ids[u + stride], (u, axis)
+                assert labeling.k_n == lat.site_count - 1
+                assert ids.tolist() == oracle
+            assert stacked.k_n.tolist() == [lat.site_count, lat.site_count, lat.site_count - 1]
 
 
 @given(

@@ -77,6 +77,8 @@ INVOCATIONS: dict[str, list[str]] = {
         "estimate", "--dim", "4", "--radius", "3", "--p", "0.3", "--replicates", "20",
         "--proxy", "disabled",
     ],
+    # Full 27-site stacks: every edge open, the last copy's last edge on each axis too.
+    "estimate-d3-full-stack": ["estimate", "--dim", "3", "--radius", "1", "--p", "1.0", "--replicates", "1000"],
     "lln-quenched": [
         "lln", "--mode", "quenched", "--radius", "8", "--radius", "16", "--radius", "32",
         "--p", "0.7", "--graph-replicates", "5",
