@@ -37,7 +37,7 @@ from .percolation import (
 )
 from .rng import check_seed, derive_rng
 from .stats import summarize
-from .theory import REGIME_SUPERCRITICAL, gamma_law, gamma_sampler
+from .theory import REGIME_SUPERCRITICAL, SampledLaw, gamma_law
 
 SEED_ENV_VAR = "DCL_SEED"
 
@@ -352,7 +352,7 @@ def _run_estimate(config: ExperimentConfig) -> RunResult:
 @recorded
 def _run_gamma_sample(opts: dict) -> RunResult:
     nu = opts["nu"]
-    sampler = gamma_sampler(opts["chi_f"], opts["sigma_p2"], nu)
+    sampler = SampledLaw(opts["chi_f"], opts["sigma_p2"], nu)
     law = gamma_law(REGIME_SUPERCRITICAL, opts["chi_f"], nu.variance, opts["sigma_p2"], nu)
     draws = sampler.sample(derive_rng(opts["master_seed"], "gamma-sample"), opts["samples"])
     return RunResult(

@@ -52,7 +52,6 @@ from .stats import (
     exact_check_report,
     ks_one_sample,
     ks_one_sample_gaussian,
-    ks_two_sample,
     summarize,
     tv_distance_discrete,
 )
@@ -60,12 +59,10 @@ from .theory import (
     REGIME_SUPERCRITICAL,
     REGIMES,
     GaussianLaw,
-    GaussianMixture,
     LimitLaw,
     PointMass,
     centered_gaussian,
     gamma_law,
-    gamma_sampler,
     lln_limit_law,
 )
 
@@ -87,8 +84,6 @@ _TV_TOLERANCE = 0.1
 _ATOM_TOLERANCE = 0.02
 _VARIANCE_RTOL = 0.05
 _VARIANCE_RTOL_ASYMPTOTIC = 0.15
-# gamma-sampler draws the annealed-clt statistic is compared against.
-_REFERENCE_DRAWS = 100_000
 
 
 class RegimeMismatchError(RuntimeError):
@@ -562,8 +557,8 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     """Independent pairs: fluctuations of the centered full-box color sum.
 
     Q subtracts the pooled-density centering, so its law is compared against
-    gamma from the declared regime, both through the gamma sampler and, when
-    a closed form exists, by one-sample KS against that form's exact CDF.
+    gamma from the declared regime by one-sample KS against gamma's exact
+    CDF; a point-mass gamma requires Q to be identically zero.
     """
     if config.regime is None:
         raise ValueError("annealed fluctuation runs need an explicit regime")
@@ -592,7 +587,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     q = (columns["color_sum"] - (m + theta_box * (z - m)) * n_sites) / math.sqrt(n_sites)
 
     closed = gamma_law(config.regime, est.chi_f_hat, sigma2, sigma_p2_batch, config.nu)
-    sampler = gamma_sampler(est.chi_f_hat, sigma_p2_batch, config.nu)
     summary = summarize(q)
 
     tests: list[TestReport] = []
@@ -604,32 +598,23 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
                 "annealed-clt: degenerate gamma requires identically zero statistics",
             )
         )
-    else:
-        reference = sampler.sample(derive_rng(config.master_seed, "gamma-sampler"), _REFERENCE_DRAWS)
+    elif isinstance(closed, GaussianLaw):
         tests.append(
-            ks_two_sample(
+            ks_one_sample_gaussian(
                 q,
-                reference,
-                context="annealed-clt: KS against the gamma sampler (prediction gamma-sampler)",
+                closed.mean,
+                closed.variance,
+                context="annealed-clt: KS against the closed-form Gaussian gamma",
             )
         )
-        if isinstance(closed, GaussianLaw):
-            tests.append(
-                ks_one_sample_gaussian(
-                    q,
-                    closed.mean,
-                    closed.variance,
-                    context="annealed-clt: KS against the closed-form Gaussian gamma",
-                )
+    else:
+        tests.append(
+            ks_one_sample(
+                q,
+                closed.cdf,
+                context="annealed-clt: KS against the closed-form Gaussian mixture gamma",
             )
-        elif isinstance(closed, GaussianMixture):
-            tests.append(
-                ks_one_sample(
-                    q,
-                    closed.cdf,
-                    context="annealed-clt: KS against the closed-form Gaussian mixture gamma",
-                )
-            )
+        )
 
     return RunResult(
         experiment="annealed-clt",
@@ -639,7 +624,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
             "sigma_p2_batch": sigma_p2_batch,
             "statistic_summary": summary.to_dict(),
         },
-        predictions={"gamma": closed, "gamma-sampler": sampler},
+        predictions={"gamma": closed},
         tests=tests,
         samples={"q_n": [float(v) for v in q]},
     )

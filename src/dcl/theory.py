@@ -3,8 +3,8 @@
 The laws here are the predicted limits: the law of the spatial color
 average, the fluctuation law for quenched sums over finite clusters, the
 annealed fluctuation law gamma, and the Gaussian law for occupied-volume
-fluctuations. Point masses are represented exactly, never as zero-variance
-Gaussians.
+fluctuations. Every law has a closed form; point masses are represented
+exactly, never as zero-variance Gaussians.
 """
 
 from __future__ import annotations
@@ -35,6 +35,25 @@ REGIME_SUPERCRITICAL = "supercritical"
 REGIMES = (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL)
 
 _WEIGHT_TOL = 1e-12
+
+
+def _half_normal_nodes() -> tuple[tuple[float, float], ...]:
+    """(w_k, u_k^2) pairs with E[g(|u|)] ~ sum_k w_k g(u_k) for u ~ N(0, 1).
+
+    The trapezoid rule with step h = 0.15 in s = log|u|, folded over the
+    sign of u: u_k = exp(h k) and w_k = 2 h phi(u_k) u_k (Trefethen &
+    Weideman, SIAM Rev. 56, 385, 2014). The nodes of weight >= 1e-15 are
+    kept: 231 of them, with weights summing to 1 within 5e-15. A Gaussian
+    scale mixture E[Phi(t / sqrt(a + b u^2))] on them is within 1e-14 of
+    its integral for every a, b >= 0, a = 0 included.
+    """
+    h = 0.15
+    u = np.exp(h * np.arange(-240, 40))
+    w = 2.0 * h * u * np.exp(-0.5 * u**2) / math.sqrt(2.0 * math.pi)
+    return tuple((float(wk), float(uk * uk)) for wk, uk in zip(w, u) if wk >= 1e-15)
+
+
+_HALF_NORMAL_NODES = _half_normal_nodes()
 
 
 @dataclass(frozen=True)
@@ -174,17 +193,20 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class SampledLaw:
-    """The supercritical gamma, given by its sampler x + y (z - m).
+    """Exact sampler of the supercritical gamma, x + y (z - m).
 
     x ~ N(0, chi_f sigma2), y ~ N(0, sigma_p2) and z ~ nu are independent.
-    No closed form is exposed; sampling is deterministic given the
-    generator passed in, so the law stays reproducible.
+    gamma_law gives the same law in closed form; sampling is deterministic
+    given the generator passed in, so the draws stay reproducible.
     """
 
     chi_f: float
     sigma_p2: float
     nu: ColorMeasure
-    kind: str = field(default="gamma-supercritical", init=False)
+
+    def __post_init__(self) -> None:
+        _check_nonneg("chi_f", self.chi_f)
+        _check_nonneg("sigma_p2", self.sigma_p2)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         m = self.nu.mean
@@ -194,17 +216,8 @@ class SampledLaw:
         z = self.nu.sample(rng, size)
         return x + y * (z - m)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "sampled",
-            "kind": self.kind,
-            "chi_f": self.chi_f,
-            "sigma_p2": self.sigma_p2,
-            "nu": self.nu.to_dict(),
-        }
 
-
-LimitLaw = Union[PointMass, GaussianLaw, TwoPointLaw, FiniteDiscrete, GaussianMixture, SampledLaw]
+LimitLaw = Union[PointMass, GaussianLaw, TwoPointLaw, FiniteDiscrete, GaussianMixture]
 
 
 def _gaussian_raw_moment(mean: float, variance: float, r: int) -> float:
@@ -243,38 +256,19 @@ def lln_limit_law(nu: ColorMeasure, theta: float) -> LimitLaw:
     return FiniteDiscrete(atoms_spec=image)
 
 
-def sign_deterministic(alpha: float, theta: float) -> bool:
-    """Whether the limiting color average has almost surely constant sign.
-
-    For the {-1, +1} measure the criterion is max(alpha, 1 - alpha)
-    (1 - theta) >= 1/2.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    _check_theta(theta)
-    return max(alpha, 1.0 - alpha) * (1.0 - theta) >= 0.5
-
-
-def gamma_sampler(chi_f: float, sigma_p2: float, nu: ColorMeasure) -> SampledLaw:
-    """Sampler form of gamma: x + y (z - m) with independent
-    x ~ N(0, chi_f sigma2), y ~ N(0, sigma_p2), z ~ nu."""
-    _check_nonneg("chi_f", chi_f)
-    _check_nonneg("sigma_p2", sigma_p2)
-    return SampledLaw(chi_f=chi_f, sigma_p2=sigma_p2, nu=nu)
-
-
 def gamma_law(
     regime: str, chi_f: float, sigma2: float, sigma_p2: float, nu: ColorMeasure
 ) -> LimitLaw:
     """Annealed fluctuation law gamma.
 
     Subcritical: N(0, chi_f sigma2) regardless of nu beyond its variance.
-    Supercritical with atomic nu: the mixture over the live atoms z of
-    N(0, chi_f sigma2 + (z - m)^2 sigma_p2). It is one Gaussian, with the
-    first live atom's variance, when two live atoms have equal weight (both
-    then lie at one distance from m) or when every live component has the
-    same variance (one live atom and sigma_p2 = 0 among them). Supercritical
-    continuous nu: the sampler form (no closed form is exposed).
+    Supercritical: the mixture of N(0, chi_f sigma2 + (z - m)^2 sigma_p2)
+    over the law of z ~ nu, given as (weight, (z - m)^2) pairs: the live
+    atoms for atomic nu, and the half-normal nodes scaled by nu's variance
+    for Gaussian nu. It is one Gaussian, with the first pair's variance,
+    when two live atoms have equal weight (both then lie at one distance
+    from m) or when every component has the same variance (one live atom
+    and sigma_p2 = 0 among them).
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -284,12 +278,14 @@ def gamma_law(
     if regime == REGIME_SUBCRITICAL:
         return centered_gaussian(chi_f * sigma2)
     live = live_atoms(nu)
-    if live is None:
-        return gamma_sampler(chi_f, sigma_p2, nu)
-    m = nu.mean
-    components = tuple((w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in live)
+    if live is None:  # Gaussian nu: z - m = sqrt(variance) u with u ~ N(0, 1)
+        pairs = tuple((w, nu.variance * u2) for w, u2 in _HALF_NORMAL_NODES)
+    else:
+        m = nu.mean
+        pairs = tuple((w, (z - m) ** 2) for z, w in live)
+    components = tuple((w, 0.0, chi_f * sigma2 + d2 * sigma_p2) for w, d2 in pairs)
     variance = components[0][2]
-    if (len(live) == 2 and live[0][1] == live[1][1]) or all(
+    if (len(pairs) == 2 and pairs[0][0] == pairs[1][0]) or all(
         v == variance for _, _, v in components
     ):
         return centered_gaussian(variance)

@@ -44,10 +44,10 @@ from dcl.stats import summarize
 from dcl.theory import (
     REGIME_SUPERCRITICAL,
     PointMass,
+    SampledLaw,
     covariance_prediction,
     gamma_law,
     gamma_prime_moment,
-    gamma_sampler,
 )
 from oracles import enumerate_box
 
@@ -243,11 +243,11 @@ def test_limit_kurtosis_separation(criterion):
     se = math.sqrt(24.0 / n)
 
     symmetric = TwoPoint(a=-1.0, b=1.0, alpha=0.5)
-    draws = gamma_sampler(1.0, 0.5, symmetric).sample(derive_rng(SEED, "acc7:sym"), n)
+    draws = SampledLaw(1.0, 0.5, symmetric).sample(derive_rng(SEED, "acc7:sym"), n)
     kurt_sym = summarize(draws).excess_kurtosis
 
     skewed = TwoPoint(a=-1.0, b=1.0, alpha=0.3)
-    draws = gamma_sampler(1.0, 0.5, skewed).sample(derive_rng(SEED, "acc7:skew"), n)
+    draws = SampledLaw(1.0, 0.5, skewed).sample(derive_rng(SEED, "acc7:skew"), n)
     kurt_skew = summarize(draws).excess_kurtosis
     law = gamma_law(REGIME_SUPERCRITICAL, 1.0, skewed.variance, 0.5, skewed)
     closed = law.excess_kurtosis()

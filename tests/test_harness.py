@@ -259,12 +259,10 @@ _PAIRS = [("graph", 6), ("color", 6)]
         (run_annealed_lln, "gaussian:0,1", {}, _PAIRS),
         # point-mass gamma: exact zero check, nothing sampled
         (run_annealed_clt, "discrete:2.5:1", {"regime": "supercritical"}, _PAIRS),
-        # Gaussian gamma: sampler draws only
-        (run_annealed_clt, "two-point:-1,1,0.5", {"regime": "supercritical"},
-         _PAIRS + [("gamma-sampler", 1)]),
-        # Gaussian-mixture gamma: sampler draws; the mixture is checked by its exact CDF
-        (run_annealed_clt, "two-point:-1,1,0.3", {"regime": "supercritical"},
-         _PAIRS + [("gamma-sampler", 1)]),
+        # Gaussian gamma: KS against its exact CDF, nothing sampled
+        (run_annealed_clt, "two-point:-1,1,0.5", {"regime": "supercritical"}, _PAIRS),
+        # Gaussian-mixture gamma: KS against its exact CDF, nothing sampled
+        (run_annealed_clt, "two-point:-1,1,0.3", {"regime": "supercritical"}, _PAIRS),
     ],
 )
 def test_seed_audit_lists_only_drawn_streams(run, nu, extra, roles):
@@ -421,13 +419,12 @@ def test_annealed_clt_subcritical_gaussian_route():
     assert res.estimates["sigma_p2_batch"] == 0.0
     assert isinstance(res.predictions["gamma"], GaussianLaw)
     contexts = [t.context for t in res.tests]
-    assert any("gamma sampler" in c for c in contexts)
-    assert any("Gaussian gamma" in c for c in contexts)
+    assert contexts == ["annealed-clt: KS against the closed-form Gaussian gamma"]
 
 
 def test_annealed_clt_supercritical_mixture_route():
     # asymmetric colors at p above the threshold: gamma is a two-component
-    # Gaussian mixture and the run checks both the sampler and the mixture
+    # Gaussian mixture, checked by one-sample KS against its exact CDF
     cfg = ExperimentConfig(
         d=2, radii=128, p=0.7, nu="two-point:-1,1,0.3",
         graph_replicates=150, master_seed=42,
@@ -437,8 +434,7 @@ def test_annealed_clt_supercritical_mixture_route():
     assert res.passed()
     assert isinstance(res.predictions["gamma"], GaussianMixture)
     contexts = [t.context for t in res.tests]
-    assert any("gamma sampler" in c for c in contexts)
-    assert any("mixture" in c for c in contexts)
+    assert contexts == ["annealed-clt: KS against the closed-form Gaussian mixture gamma"]
     assert len(res.samples["q_n"]) == 150
 
 

@@ -20,10 +20,11 @@ from dcl.coloring import (
     parse_color_measure,
 )
 from dcl.rng import derive_rng
-from dcl.stats import ks_two_sample, summarize
+from dcl.stats import ks_one_sample, summarize
 from dcl.theory import (
     REGIME_SUBCRITICAL,
     REGIME_SUPERCRITICAL,
+    _HALF_NORMAL_NODES,
     GaussianMixture,
     PointMass,
     SampledLaw,
@@ -32,9 +33,7 @@ from dcl.theory import (
     covariance_prediction,
     gamma_law,
     gamma_prime_moment,
-    gamma_sampler,
     lln_limit_law,
-    sign_deterministic,
 )
 
 
@@ -109,14 +108,6 @@ def test_two_point_magnetization_degenerate():
     assert weight_at(full.atoms(), -1.0) == pytest.approx(0.7)
 
 
-def test_sign_deterministic_threshold():
-    # max(alpha, 1-alpha)(1-theta) >= 1/2 keeps one atom's sign fixed
-    assert sign_deterministic(0.9, 0.4)        # 0.9*0.6 = 0.54
-    assert not sign_deterministic(0.6, 0.3)    # 0.6*0.7 = 0.42
-    assert sign_deterministic(5.0 / 6.0, 0.4)  # exactly 1/2
-    assert sign_deterministic(0.1, 0.4)        # symmetric in alpha
-
-
 def test_gamma_law_subcritical():
     nu = TwoPoint(-1.0, 1.0, 0.5)
     law = gamma_law(REGIME_SUBCRITICAL, 2.5, nu.variance, 0.4, nu)
@@ -146,11 +137,46 @@ def test_gamma_law_supercritical_asymmetric_mixture():
     assert all(mean == 0.0 for _, mean, _ in law.components)
 
 
-def test_gamma_law_gaussian_color_sampled():
+def test_gamma_law_gaussian_color_mixture():
     nu = GaussianLaw(0.0, 1.0)
     law = gamma_law(REGIME_SUPERCRITICAL, 1.0, 1.0, 0.5, nu)
-    assert isinstance(law, SampledLaw)
-    assert law.kind == "gamma-supercritical"
+    assert isinstance(law, GaussianMixture)
+    assert all(mean == 0.0 for _, mean, _ in law.components)
+    # sigma_p2 = 0: every component is N(0, chi_f sigma2)
+    assert gamma_law(REGIME_SUPERCRITICAL, 2.0, 1.0, 0.0, nu) == GaussianLaw(0.0, 2.0)
+    assert gamma_law(REGIME_SUPERCRITICAL, 0.0, 1.0, 0.0, nu) == PointMass(value=0.0)
+
+
+def _scale_mixture_cdf(t, a, b):
+    """E[Phi(t / sqrt(a + b u^2))] for u ~ N(0, 1), by adaptive quadrature."""
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
+
+    def integrand(u):
+        return 2.0 * special.ndtr(t / math.sqrt(a + b * u * u)) * math.exp(-0.5 * u * u)
+
+    value, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return value / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "chi_f,sigma_p2", [(0.0, 1.0), (1.0, 1e-6), (1.0, 0.5), (1.0, 5.0), (1.0, 500.0), (1.0, 5e4)]
+)
+def test_gaussian_color_gamma_matches_quadrature(chi_f, sigma_p2):
+    # nu = N(0.3, 1.7): a = chi_f sigma2 and b = sigma_p2 sigma2, so b/a is
+    # sigma_p2 / chi_f, and a = 0 needs no special case.
+    nu = GaussianLaw(0.3, 1.7)
+    a, b = chi_f * nu.variance, sigma_p2 * nu.variance
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    assert isinstance(law, GaussianMixture)
+    assert len(law.components) == 231
+    assert math.fsum(w for w, _, _ in law.components) == pytest.approx(1.0, abs=1e-14)
+    ts = math.sqrt(a + b) * np.linspace(-4.0, 4.0, 17)
+    got = law.cdf(ts)
+    for t, f in zip(ts, got):
+        assert abs(f - _scale_mixture_cdf(t, a, b)) <= 1e-13, t
+    assert law.variance == pytest.approx(a + b, rel=1e-11)
+    assert law.raw_moment(4) == pytest.approx(3 * a * a + 6 * a * b + 9 * b * b, rel=1e-11)
 
 
 def _gamma_is_gaussian(nu, chi_f=1.0, sigma_p2=0.5):
@@ -204,17 +230,29 @@ def test_gamma_sampler_matches_mixture_law():
     nu = TwoPoint(-1.0, 1.0, 0.3)
     chi_f, sigma_p2 = 1.5, 0.6
     law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
-    sampler = gamma_sampler(chi_f, sigma_p2, nu)
-    a = sampler.sample(derive_rng(5, "sampler"), 50000)
-    b = law.sample(derive_rng(6, "mixture"), 50000)
-    report = ks_two_sample(a, b, level=0.01, context="sampler vs mixture")
+    draws = SampledLaw(chi_f, sigma_p2, nu).sample(derive_rng(5, "sampler"), 50000)
+    report = ks_one_sample(draws, law.cdf, context="sampler vs mixture")
     assert report.passed, report.to_dict()
+
+
+def test_gamma_sampler_ks_level_on_gaussian_colors():
+    # An exact null: SampledLaw draws against the quadrature CDF of the same
+    # law. At level 0.01, P(Bin(200, 0.01) >= 8) is about 0.001.
+    nu = GaussianLaw(1.0, 0.5)
+    chi_f, sigma_p2 = 0.8, 2.0
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    sampler = SampledLaw(chi_f, sigma_p2, nu)
+    rejections = sum(
+        not ks_one_sample(sampler.sample(derive_rng(seed, "level"), 100), law.cdf, 0.01).passed
+        for seed in range(200)
+    )
+    assert rejections <= 7
 
 
 def test_gamma_sampler_moments():
     nu = GaussianLaw(0.5, 1.2)
     chi_f, sigma_p2 = 1.0, 0.8
-    draws = gamma_sampler(chi_f, sigma_p2, nu).sample(derive_rng(9, "s"), 200000)
+    draws = SampledLaw(chi_f, sigma_p2, nu).sample(derive_rng(9, "s"), 200000)
     # x + y (z - m): mean 0, variance chi_f sigma2 + sigma_p2 var(nu)
     assert draws.mean() == pytest.approx(0.0, abs=0.02)
     expected_var = chi_f * nu.variance + sigma_p2 * nu.variance
@@ -281,7 +319,7 @@ def test_gamma_parameters_must_be_finite(bad, slot):
             gamma_law(regime, chi_f, sigma2, sigma_p2, nu)
     if slot != 1:
         with pytest.raises(ValueError, match=name):
-            gamma_sampler(chi_f, sigma_p2, nu)
+            SampledLaw(chi_f, sigma_p2, nu)
         with pytest.raises(ValueError, match="sigma_p2"):
             gamma_prime_moment(1, nu, bad)
         with pytest.raises(ValueError, match="sigma2"):
@@ -417,7 +455,7 @@ def _ladder_is_gamma_gaussian(nu):
 
 
 def _ladder_gamma_law(chi_f, sigma2, sigma_p2, nu):
-    """The former supercritical gamma_law."""
+    """The former supercritical gamma_law; None where it had only a sampler."""
     m = nu.mean
     if isinstance(nu, (TwoPoint, FiniteDiscrete)) or (
         isinstance(nu, GaussianLaw) and nu.variance == 0.0
@@ -428,7 +466,7 @@ def _ladder_gamma_law(chi_f, sigma2, sigma_p2, nu):
         if len(variances) == 1:
             return centered_gaussian(variances.pop())
         return GaussianMixture(components=components)
-    return gamma_sampler(chi_f, sigma_p2, nu)
+    return None
 
 
 _atom_values = st.sampled_from([-1.0, 0.0, 2.5]) | st.floats(-5.0, 5.0)
@@ -501,6 +539,8 @@ def _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law):
     if any(w == 0.0 for _, w in nu.atoms() or ()):
         return
     former = _ladder_gamma_law(chi_f, nu.variance, sigma_p2, nu)
+    if former is None:
+        return  # Gaussian colors: test_gaussian_color_gamma_matches_quadrature
     if isinstance(former, GaussianMixture) and not isinstance(law, GaussianMixture):
         live = live_atoms(nu)
         assert len(live) == 2 and live[0][1] == live[1][1]
@@ -525,6 +565,9 @@ def _equidistant_from_mean(live):
 )
 # two equal weights whose variances the former law split in the last digit
 @example(nu=TwoPoint(-0.369, 4.36, 0.5), chi_f=0.06, sigma_p2=0.05)
+# Gaussian colors with chi_f = 0, and with sigma_p2 = 0
+@example(nu=GaussianLaw(1.0, 0.5), chi_f=0.0, sigma_p2=0.5)
+@example(nu=GaussianLaw(1.0, 0.5), chi_f=1.0, sigma_p2=0.0)
 # a zero-weight atom the former law kept as a third component
 @example(nu=FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5), (3.0, 0.0))), chi_f=1.0, sigma_p2=0.5)
 @example(nu=FiniteDiscrete(((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))), chi_f=2.0, sigma_p2=0.0)
@@ -532,17 +575,18 @@ def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
     law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
     live = live_atoms(nu)
     if live is None:
-        assert law == gamma_sampler(chi_f, sigma_p2, nu)
-        return
-    variances = [chi_f * nu.variance + (z - nu.mean) ** 2 * sigma_p2 for z, _ in live]
-    # the first live atom's component variance, as the mixture would have it
+        pairs = [(w, nu.variance * u2) for w, u2 in _HALF_NORMAL_NODES]
+    else:
+        pairs = [(w, (z - nu.mean) ** 2) for z, w in live]
+    variances = [chi_f * nu.variance + d2 * sigma_p2 for _, d2 in pairs]
+    # the first pair's component variance, as the mixture would have it
     first = variances[0]
-    if _equidistant_from_mean(live) or len(set(variances)) == 1:
+    if (live is not None and _equidistant_from_mean(live)) or len(set(variances)) == 1:
         assert law == centered_gaussian(first)
     else:
-        assert len(live) >= 2
+        assert len(pairs) >= 2
         assert isinstance(law, GaussianMixture)
-        assert [(w, m) for w, m, _ in law.components] == [(w, 0.0) for _, w in live]
+        assert [(w, m) for w, m, _ in law.components] == [(w, 0.0) for w, _ in pairs]
         assert law.components[0][2] == first
     _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
 

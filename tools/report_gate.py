@@ -149,6 +149,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "two-point:-0.369,4.36,0.5",
         "--graph-replicates", "60",
     ],
+    # Gaussian colors: gamma is a Gaussian scale mixture on quadrature nodes.
+    "clt-annealed-gaussian": _ANNEALED + [
+        "--regime", "supercritical", "--radius", "16", "--p", "0.7", "--nu", "gaussian:1,0.5",
+        "--graph-replicates", "60",
+    ],
     "clt-annealed-subcritical-discrete": _ANNEALED + [
         "--regime", "subcritical", "--radius", "16", "--p", "0.2", "--nu", "discrete:-1:0.2,0:0.3,2:0.5",
         "--graph-replicates", "60",
@@ -159,6 +164,8 @@ INVOCATIONS: dict[str, list[str]] = {
         "--samples", "2000",
     ],
     "gamma-gaussian": ["gamma-sample", "--nu", "gaussian:1,0.5", "--samples", "2000"],
+    # chi_f = 0: the mixture's components have no common Gaussian part.
+    "gamma-gaussian-chi0": ["gamma-sample", "--nu", "gaussian:1,0.5", "--chi-f", "0", "--samples", "2000"],
     "gamma-equal-weights": ["gamma-sample", "--nu", "two-point:-0.369,4.36,0.5", "--samples", "2000"],
     # Degenerate branches: each check that reads max |statistic| or a point mass.
     "clt-quenched-point-mass": _QUENCHED + [
