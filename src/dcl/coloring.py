@@ -298,32 +298,88 @@ class ColorField:
         return self.cluster_color[self.labeling.cluster_id[sites]]
 
 
-def color_block(
-    nu: ColorMeasure, streams: Iterable[np.random.Generator], lo: int, hi: int, out: np.ndarray
-) -> np.ndarray:
-    """Fill row i of out with the colors of ids lo..hi-1 under the i-th stream; return out.
+def cluster_draws(nu: ColorMeasure, rng: np.random.Generator, lo: int, out: np.ndarray) -> np.ndarray:
+    """Fill out with the draws of cluster ids lo..lo+out.size-1 from rng; return out.
 
-    Cluster j takes draw j of its stream, so row i is the slice [lo:hi] of
-    the coloring color_clusters draws from the same stream, bit for bit.
-    out has shape (rows, hi - lo), and streams yields at least rows
-    generators; exactly rows of them are read, each only before the next
-    is requested, as derive_streams requires. A law that reads one
-    uniform per draw (TwoPoint, FiniteDiscrete) skips the first lo draws
-    with PCG64.advance, in O(log lo) steps, fills each row with hi - lo
-    uniforms and maps the whole block at once. A Gaussian law cannot skip:
-    the ziggurat reads a varying number of outputs per normal, so each row
-    is the tail of a draw of hi.
+    Cluster j takes draw j of its stream, so every coloring reads its draws
+    here and a cluster's draw never depends on which ids are read. A law
+    that reads one uniform per draw (TwoPoint, FiniteDiscrete) gets those
+    uniforms: the reseated PCG64 skips the first lo draws with
+    PCG64.advance, in O(log lo) steps. A Gaussian law gets its colors: the
+    ziggurat reads a varying number of outputs per normal, so it cannot
+    skip and draws the prefix of lo + out.size normals.
     """
-    rows = zip(out, streams)
     if isinstance(nu, GaussianLaw):
-        for row, rng in rows:
-            row[:] = nu.sample(rng, hi)[lo:]
+        out[:] = nu.sample(rng, lo + out.size)[lo:]
         return out
-    for row, rng in rows:
-        if lo:
-            rng.bit_generator.advance(lo)
-        rng.random(out=row)
-    return nu.from_uniforms(out, out=out)
+    if lo:
+        rng.bit_generator.advance(lo)
+    return rng.random(out=out)
+
+
+def centered_sums(
+    nu: ColorMeasure,
+    streams: Iterable[np.random.Generator],
+    lo: int,
+    piece: np.ndarray,
+    rows: int,
+    out: np.ndarray,
+) -> np.ndarray:
+    """out[i] = sum_j (c_j - m) piece[j] for the coloring c on the i-th stream; return out.
+
+    c_j is the color color_clusters gives id lo + j from that stream, m is
+    nu's mean, and piece holds integer weights. The colorings are drawn in
+    blocks of rows, into buffers allocated once per call, and exactly
+    out.size streams are read, each only before the next is requested, as
+    derive_streams requires.
+
+    A Gaussian law colors each block, subtracts m and takes one
+    matrix-vector product with piece. An atomic law builds no colors: with
+    thresholds t_1 <= t_2 <= ... (atom_thresholds), d_k = sum_j piece[j]
+    1{u_j >= t_k} is one compare and one matrix-vector product per
+    threshold, d_0 = sum(piece), and atom k is drawn by clusters of total
+    weight B_k = d_k - d_{k+1}. The sum is then sum_k (v_k - m) B_k. Every
+    d_k and B_k is an exact integer in float64, in any BLAS summation
+    order, so a dead atom has B_k = 0 exactly and the sum of each coloring
+    does not depend on its place in its block.
+    """
+    count = out.size
+    block = np.empty((min(rows, count), piece.size))
+    if isinstance(nu, GaussianLaw):
+        for b in range(0, count, rows):
+            part = block[: min(rows, count - b)]
+            for row, rng in zip(part, streams):
+                cluster_draws(nu, rng, lo, row)
+            part -= nu.mean
+            np.dot(part, piece, out=out[b : b + part.shape[0]])
+        return out
+    thresholds = nu._thresholds
+    centered = (nu._values - nu.mean)[:, None]
+    # The uniforms are not read after the last compare, which writes its mask over them.
+    above = np.empty_like(block) if thresholds.size > 1 else block
+    # Row k holds d_k of the block's colorings; d_0 and the last row, 0, stay fixed.
+    weight = np.empty((thresholds.size + 2, block.shape[0]))
+    weight[0] = math.fsum(piece)
+    weight[-1] = 0.0
+    terms = np.empty((centered.size, block.shape[0]))
+    for b in range(0, count, rows):
+        n = min(rows, count - b)
+        part = block[:n]
+        for row, rng in zip(part, streams):
+            cluster_draws(nu, rng, lo, row)
+        for k, t in enumerate(thresholds, 1):
+            mask = part if k == thresholds.size else above[:n]
+            np.greater_equal(part, t, out=mask)
+            np.dot(mask, piece, out=weight[k, :n])
+        # (v_k - m) B_k, added in table order by elementwise ufuncs rather than
+        # BLAS, so no sum depends on its row's place in the block.
+        np.subtract(weight[:-1, :n], weight[1:, :n], out=terms[:, :n])
+        terms[:, :n] *= centered
+        sums = out[b : b + n]
+        sums[:] = terms[0, :n]
+        for term in terms[1:, :n]:
+            sums += term
+    return out
 
 
 def color_clusters(labeling: ClusterLabeling, nu: ColorMeasure, rng: np.random.Generator) -> ColorField:
@@ -332,13 +388,14 @@ def color_clusters(labeling: ClusterLabeling, nu: ColorMeasure, rng: np.random.G
     Draw j goes to the cluster with id j; ids are ordered by smallest site
     index, so the assignment depends only on the labeling and the stream
     rng is on (derive_rng for one coloring, derive_streams for a run of
-    them), not on how the labeling was computed. This is color_block for
-    ids 0..k_n-1: for an atomic nu, one uniform double u per cluster,
-    whose atom index is the number of nu's thresholds <= u; for a Gaussian
-    nu, one normal per cluster, none when the variance is 0.
+    them), not on how the labeling was computed. The draws are
+    cluster_draws from id 0: for an atomic nu, one uniform double u per
+    cluster, whose atom index is the number of nu's thresholds <= u; for a
+    Gaussian nu, one normal per cluster, none when the variance is 0.
     """
-    colors = np.empty(labeling.k_n)
-    color_block(nu, (rng,), 0, labeling.k_n, colors[None, :])
+    colors = cluster_draws(nu, rng, 0, np.empty(labeling.k_n))
+    if not isinstance(nu, GaussianLaw):
+        nu.from_uniforms(colors, out=colors)
     colors.setflags(write=False)
     z = float(colors[labeling.infinite_proxy]) if labeling.infinite_proxy is not None else 0.0
     return ColorField(labeling=labeling, cluster_color=colors, z=z)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coloring import ColorMeasure, color_block, color_clusters, parse_color_measure
+from .coloring import ColorMeasure, centered_sums, color_clusters, parse_color_measure
 from .lattice import BoxLattice, build_box, inner_window
 from .percolation import (
     PROXY_BOUNDARY_LARGEST,
@@ -69,11 +69,13 @@ from .theory import (
 # Colorings per derive_streams call, and per task on the worker pool, in
 # the quenched-clt coloring loop.
 _COLOR_CHUNK = 256
-# Colors per block of that loop: a chunk is colored in blocks of
-# max(1, _COLOR_BLOCK_VALUES // read ids) colorings, one matrix-vector
-# product each, small enough to stay in cache. Blocks start at multiples of
-# that row count within a chunk, so a coloring's place in its block, and
-# with it the BLAS summation order, never depends on the worker count.
+# Draws per block of that loop: a chunk is drawn in blocks of
+# max(1, _COLOR_BLOCK_VALUES // read ids) colorings, small enough to stay in
+# cache (coloring.centered_sums). An atomic law's sums come from exact
+# integer counts, so they do not depend on a coloring's place in its block.
+# A Gaussian block takes one matrix-vector product, whose BLAS summation
+# order may; blocks start at multiples of the row count within a chunk, so
+# that place never depends on the worker count.
 _COLOR_BLOCK_VALUES = 2**15
 
 # Exact identities are allowed this much accumulated float rounding.
@@ -457,7 +459,6 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     asymptotic check.
     """
     lattice, margin = _box(config, reads=("color_replicates",))
-    m = config.nu.mean
     sigma2 = config.nu.variance
 
     labeling, est = _quenched_graph(config, lattice, margin)
@@ -479,13 +480,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     def chunk(k: int) -> np.ndarray:
         count = min(_COLOR_CHUNK, config.color_replicates - starts[k])
         streams = derive_streams(config.master_seed, "color", starts[k], count)
-        block = np.empty((rows, hi - lo))
-        out = np.empty(count)
-        for b in range(0, count, rows):
-            colors = color_block(config.nu, streams, lo, hi, block[: min(rows, count - b)])
-            colors -= m
-            np.dot(colors, weights, out=out[b : b + colors.shape[0]])
-        return out / scale
+        return centered_sums(config.nu, streams, lo, weights, rows, np.empty(count)) / scale
 
     stats = np.concatenate(map_ordered(chunk, len(starts), config.workers))
 

@@ -15,7 +15,7 @@ from dcl.coloring import (
     GaussianLaw,
     TwoPoint,
     atom_index,
-    color_block,
+    centered_sums,
     color_clusters,
     double_factorial_odd,
     draw_table,
@@ -324,18 +324,34 @@ def test_draw_tables_are_read_only(nu):
         GaussianLaw(0.5, 2.0),
         GaussianLaw(0.5, 0.0),
         TwoPoint(3.0, 3.0, 0.7),
+        TwoPoint(-1.0, 1.0, 0.5),
+        TwoPoint(-1.0, 1.0, 0.0),
+        TwoPoint(-1.0, 1.0, 1.0),
+        FiniteDiscrete(((0.1, 0.0), (0.2, 0.0), (0.7, 1.0))),
     ],
-    ids=["two-point", "discrete-zero-weight", "gaussian", "gaussian-variance-0", "point-mass"],
+    ids=[
+        "two-point", "discrete-zero-weight", "gaussian", "gaussian-variance-0", "point-mass",
+        "signs", "alpha-0", "alpha-1", "dead-atoms",
+    ],
 )
 @pytest.mark.parametrize("lo,hi", [(0, 40), (17, 52), (0, 61), (23, 23)], ids=["head", "mid", "all", "empty"])
 def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
-    # Row i holds ids lo..hi-1 of the coloring on stream color:i, bit for bit.
+    # Coloring i, on stream color:i, sums (its colors on ids lo..hi-1 - m)
+    # against the pieces, whichever block of 2 rows holds it. Centered
+    # colors that are all integers sum exactly, so those sums are bit for bit.
     lat = build_box(2, 6)
     labeling = label_clusters(sample_config(lat, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
     assert labeling.k_n == 61
-    rows = 5
-    block = color_block(nu, derive_streams(4, "color", 0, rows), lo, hi, np.empty((rows, hi - lo)))
-    assert block.shape == (rows, hi - lo)
-    for i in range(rows):
-        full = color_clusters(labeling, nu, derive_rng(4, f"color:{i}")).cluster_color
-        assert (block[i].view(np.uint64) == full[lo:hi].view(np.uint64)).all()
+    piece = (np.arange(lo, hi) % 4).astype(np.float64)
+    count = 5
+    sums = centered_sums(nu, derive_streams(4, "color", 0, count), lo, piece, 2, np.empty(count))
+    atoms = nu.atoms()
+    exact = atoms is not None and all(float(v - nu.mean).is_integer() for v, _ in atoms)
+    for i in range(count):
+        colors = color_clusters(labeling, nu, derive_rng(4, f"color:{i}")).cluster_color[lo:hi]
+        expected = float(np.dot(colors - nu.mean, piece))
+        assert sums[i] == pytest.approx(expected, rel=1e-14, abs=1e-13)
+        if exact:
+            assert sums[i] == expected
+    if nu.variance == 0.0:
+        assert not sums.any()

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from dcl import harness
-from dcl.coloring import FiniteDiscrete, color_clusters
+from dcl.coloring import FiniteDiscrete, centered_sums, color_clusters
 from dcl.harness import (
     _COLOR_BLOCK_VALUES,
     _COLOR_CHUNK,
@@ -245,6 +246,22 @@ def test_quenched_clt_point_mass_colors_degenerate():
     assert all(v == 0.0 for v in res.samples["statistic"])
     assert res.predictions["quenched-clt"] == PointMass(value=0.0)
     assert len(res.tests) == 1
+
+
+@pytest.mark.parametrize(
+    "nu", ["discrete:0.1:0,0.2:0,0.7:1", "discrete:-0.3:0,0.1:0,0.7:0,1.9:1"], ids=["dead-2", "dead-3"]
+)
+def test_quenched_clt_dead_atoms_give_exactly_zero_statistics(nu):
+    # One live atom after dead ones: the dead atoms' thresholds are all 0, so
+    # every coloring's count of each dead atom is exactly 0 and the point-mass
+    # check, max |statistic| == 0, holds with no rounding left over. The
+    # window holds 160 sites outside the stand-in, a weight sum at which the
+    # telescoped form sum_k (v_k - v_{k-1}) d_k leaves a rounding residue.
+    cfg = ExperimentConfig(d=2, radii=8, p=0.3, nu=nu, color_replicates=50, master_seed=1, margin=2)
+    res = run_quenched_clt(cfg)
+    assert res.predictions["quenched-clt"] == PointMass(value=0.0)
+    assert res.samples["statistic"] == [0.0] * 50
+    assert res.passed()
 
 
 _PAIRS = [("graph", 6), ("color", 6)]
@@ -576,13 +593,14 @@ def test_worker_count_does_not_change_results():
 
 
 @pytest.mark.parametrize(
-    "nu", ["gaussian:0,1", "two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5"]
+    "nu", ["gaussian:0,1", "two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5", "two-point:-1,1,0.5"]
 )
 def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
     # Two full chunks and a partial one. The window reads ids 11..147 of 175,
     # so a block holds 2**15 // 137 = 239 colorings and each chunk ends in a
     # partial block. Coloring j comes from f"color:{j}" whichever chunk,
-    # block and worker draws it.
+    # block and worker draws it. With +-1 colors of mean 0 the sums are
+    # exact integers, so they equal the correctly rounded fsum bit for bit.
     reps = 2 * _COLOR_CHUNK + 37
     base = dict(d=2, radii=12, p=0.4, nu=nu, color_replicates=reps, master_seed=11, margin=4)
     stats = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
@@ -601,6 +619,37 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
         colors = color_clusters(labeling, law, derive_rng(11, f"color:{j}")).cluster_color
         expected = math.fsum(colors[finite] - law.mean) / math.sqrt(ids.size)
         assert stats[j] == pytest.approx(expected, abs=1e-12)
+        if nu == "two-point:-1,1,0.5":
+            assert stats[j] == expected
+
+
+@pytest.mark.parametrize("nu", ["two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5"])
+def test_quenched_color_loop_allocates_nothing_per_block(nu):
+    # numpy reports its buffers to tracemalloc. Over 1000 read ids a block
+    # holds 32 colorings, so one chunk is drawn in 8 blocks and 2 chunks and
+    # 37 more in 18. The traced peak is the same for both, up to the two
+    # Python ints above 256 that the longer loop's offsets need, so no block
+    # leaves anything behind. Above the block of uniforms (and one of masks
+    # for two or more thresholds) it stays under one bool mask of the block,
+    # so no block-sized temporary is made either. The generators are built
+    # before tracing starts, and a first call warms numpy up.
+    law = ExperimentConfig(d=2, radii=4, p=0.4, nu=nu).nu
+    lo, span = 11, 1000
+    piece = (np.arange(span) % 3).astype(np.float64)
+    rows = _COLOR_BLOCK_VALUES // span
+    peaks = []
+    for count in (_COLOR_CHUNK, _COLOR_CHUNK, 2 * _COLOR_CHUNK + 37):
+        streams = [derive_rng(11, f"color:{j}") for j in range(count)]
+        out = np.empty(count)
+        tracemalloc.start()
+        try:
+            centered_sums(law, iter(streams), lo, piece, rows, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) <= 64
+    buffers = (1 + (len(law.atoms()) > 2)) * rows * span * 8
+    assert buffers < peaks[1] < buffers + rows * span
 
 
 def test_quenched_clt_empty_read_range_still_counts_every_color_stream():

@@ -120,6 +120,15 @@ INVOCATIONS: dict[str, list[str]] = {
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
         "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
     ],
+    # Three live atoms, two thresholds per coloring, and its --workers 2 twin.
+    "clt-quenched-live3": _QUENCHED + [
+        "--radius", "16", "--margin", "4", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0.3,2.5:0.5",
+        "--color-replicates", "1500", "--graph-replicates", "3",
+    ],
+    "clt-quenched-live3-w2": _QUENCHED + [
+        "--radius", "16", "--margin", "4", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0.3,2.5:0.5",
+        "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
+    ],
     # Non-dyadic colors, so their sums round: the twin shows the summation
     # order of the coloring blocks does not follow the worker count. At
     # margin 4 the window reads ~400 cluster ids, so a 256-coloring chunk
@@ -170,6 +179,12 @@ INVOCATIONS: dict[str, list[str]] = {
     # Degenerate branches: each check that reads max |statistic| or a point mass.
     "clt-quenched-point-mass": _QUENCHED + [
         "--radius", "8", "--p", "0.3", "--nu", "two-point:3,3,0.7", "--color-replicates", "50",
+    ],
+    # One live atom after two dead ones: the statistics must still be exactly
+    # zero. Margin 2 leaves a 13x13 window; the default margin leaves 1 site.
+    "clt-quenched-point-mass-dead-atoms": _QUENCHED + [
+        "--radius", "8", "--margin", "2", "--p", "0.3", "--nu", "discrete:0.1:0,0.2:0,0.7:1",
+        "--color-replicates", "50",
     ],
     "clt-quenched-empty-graph": _QUENCHED + [
         "--radius", "16", "--p", "0.0", "--nu", "gaussian:0,2", "--color-replicates", "500",
