@@ -17,6 +17,7 @@ from .coloring import parse_color_measure
 from .harness import (
     ExperimentConfig,
     RunResult,
+    _refuse_unread,
     _within,
     recorded,
     run_annealed_clt,
@@ -215,6 +216,8 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
     """Validate argv into a CliInvocation; raises UsageError on bad input."""
     args = _build_parser().parse_args(argv)
     sub = args.subcommand
+    mode = getattr(args, "mode", None)
+    experiment = sub if mode is None else f"{mode}-{sub}"
     out_path = Path(args.out) if args.out is not None else None
     if args.format == "csv" and out_path is None:
         raise UsageError("--format csv needs --out to name the dump files")
@@ -229,7 +232,7 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
         }
         if not (0.0 <= options["chi_f"] < math.inf and 0.0 <= options["sigma_p2"] < math.inf):
             raise UsageError("--chi-f and --sigma-p2 must be finite and nonnegative")
-        return CliInvocation(sub, _RUNS[sub, None], None, options, out_path, args.format)
+        return CliInvocation(sub, _RUNS[experiment], None, options, out_path, args.format)
 
     if sub == "check-identity":
         radii, p_values = args.radius or [16], args.p or [0.2, 0.5, 0.8]
@@ -246,26 +249,10 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
             "proxy_rule": args.proxy,
             "margin": args.margin,
         }
-        return CliInvocation(sub, _RUNS[sub, None], None, options, out_path, args.format)
+        return CliInvocation(sub, _RUNS[experiment], None, options, out_path, args.format)
 
-    mode = getattr(args, "mode", None)
-    where = f"{sub} --mode {mode}" if mode is not None else sub
-    regime = getattr(args, "regime", None)
-    color_replicates = getattr(args, "color_replicates", None)
-    if (sub, mode) == ("clt", "quenched"):
-        if regime is not None:
-            raise UsageError(f"{where} reads no --regime, got {regime}")
-        color_replicates = color_replicates or 1000
-    elif sub == "clt":
-        if regime is None:
-            raise UsageError(f"{where} requires --regime")
-        if color_replicates not in (None, 1):
-            raise UsageError(
-                f"{where} draws one coloring per graph: --color-replicates must be 1, "
-                f"got {color_replicates}"
-            )
-    if len(args.radius) > 1 and sub != "cluster-clt" and (sub, mode) != ("lln", "quenched"):
-        raise UsageError(f"{where} runs one box: give --radius once, got {args.radius}")
+    # Only quenched clt reads --color-replicates; it defaults to 1000 colorings.
+    color_replicates = getattr(args, "color_replicates", None) or (1000 if experiment == "quenched-clt" else 1)
 
     try:
         config = ExperimentConfig(
@@ -274,16 +261,17 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
             p=args.p,
             nu=_parse_nu(args.nu) if hasattr(args, "nu") else None,
             graph_replicates=getattr(args, "graph_replicates", None) or getattr(args, "replicates", 100),
-            color_replicates=color_replicates or 1,
+            color_replicates=color_replicates,
             master_seed=_resolve_seed(args.seed),
             margin=getattr(args, "margin", None),
             proxy_rule=args.proxy,
-            regime=regime,
+            regime=getattr(args, "regime", None),
             workers=args.workers,
         )
+        _refuse_unread(config, experiment)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    return CliInvocation(sub, _RUNS[sub, mode], config, {}, out_path, args.format)
+    return CliInvocation(sub, _RUNS[experiment], config, {}, out_path, args.format)
 
 
 def _json_ready(value):
@@ -336,6 +324,7 @@ def _emit(report: dict, samples: dict[str, list[float]], invocation: CliInvocati
 
 @recorded
 def _run_estimate(config: ExperimentConfig) -> RunResult:
+    _refuse_unread(config, "estimate")
     lattice = build_box(config.d, config.n_max)
     estimates = estimate_functionals(
         lattice,
@@ -395,17 +384,17 @@ def _run_check_identity(opts: dict) -> RunResult:
     return RunResult(experiment="check-identity", estimates=counts, tests=tests)
 
 
-# The run behind each subcommand and --mode; None where a subcommand has no --mode.
+# The run behind each experiment: a subcommand, prefixed by its --mode where it has one.
 _RUNS = {
-    ("estimate", None): _run_estimate,
-    ("gamma-sample", None): _run_gamma_sample,
-    ("check-identity", None): _run_check_identity,
-    ("lln", "quenched"): run_quenched_lln,
-    ("lln", "annealed"): run_annealed_lln,
-    ("clt", "quenched"): run_quenched_clt,
-    ("clt", "annealed"): run_annealed_clt,
-    ("cluster-clt", None): run_cluster_clt,
-    ("weighted-lln", None): run_weighted_lln_check,
+    "estimate": _run_estimate,
+    "gamma-sample": _run_gamma_sample,
+    "check-identity": _run_check_identity,
+    "quenched-lln": run_quenched_lln,
+    "annealed-lln": run_annealed_lln,
+    "quenched-clt": run_quenched_clt,
+    "annealed-clt": run_annealed_clt,
+    "cluster-clt": run_cluster_clt,
+    "weighted-lln": run_weighted_lln_check,
 }
 
 
@@ -414,7 +403,8 @@ def execute(invocation: CliInvocation) -> int:
     if invocation.config is None:
         result, config = invocation.run(invocation.options), invocation.options
     else:
-        result, config = invocation.run(invocation.config), invocation.config.to_dict()
+        result = invocation.run(invocation.config)
+        config = invocation.config.to_dict(result.experiment)
     _emit(_report(result, config), result.samples, invocation)
     return EXIT_PASS if result.passed() else EXIT_TEST_FAILURE
 

@@ -11,9 +11,10 @@ largest box, window margin), _within (pass iff value <= bound; NaN fails),
 theory.centered_gaussian (zero variance is a point mass, never N(0, 0)) and
 percolation.stand_in_volume (the whole-box theta_box and sigma_p2).
 
-ExperimentConfig holds only what a caller sets and a run reads. The
-decision bands are module constants, printed in each check's context, and
-every KS check runs at stats.DEFAULT_LEVEL.
+ExperimentConfig holds only what a caller sets and a run reads; RUN_READS
+says which run reads what, for each report's config and for _refuse_unread,
+which the CLI calls at parse time too. Decision bands are module constants,
+printed in each check's context; every KS check runs at stats.DEFAULT_LEVEL.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .coloring import ColorMeasure, centered_sums, color_clusters, parse_color_m
 from .lattice import BoxLattice, build_box, inner_window
 from .percolation import (
     PROXY_BOUNDARY_LARGEST,
+    PROXY_DISABLED,
     PROXY_RULES,
     ClusterLabeling,
     LabelingStack,
@@ -92,17 +94,31 @@ class RegimeMismatchError(RuntimeError):
     """The declared regime contradicts what the sampled configurations show."""
 
 
+# What each run that takes an ExperimentConfig reads of it, by experiment
+# name, besides d, p, graph_replicates, master_seed, proxy_rule, workers and
+# its largest radius. Its report's config echoes what it reads but workers,
+# and _refuse_unread refuses the rest away from their defaults. A run that
+# lists radii reads every radius.
+RUN_READS = {
+    "estimate": ("margin",),
+    "quenched-lln": ("nu", "margin", "radii"),
+    "annealed-lln": ("nu", "margin"),
+    "quenched-clt": ("nu", "margin", "color_replicates"),
+    "annealed-clt": ("nu", "margin", "regime"),
+    "cluster-clt": ("ratio_rtol", "radii"),
+    "weighted-lln": ("nu", "margin", "ratio_rtol"),
+}
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved description of one experiment.
+    """Resolved description of one experiment; RUN_READS says which run reads what.
 
-    radii may hold several box radii: the quenched law-of-large-numbers run
-    reads them as nested observation windows inside the largest box, the
-    cluster fluctuation run as separate box sizes, and every other run uses
-    the largest one. Only the quenched fluctuation run reads color_replicates;
-    every other run draws one coloring per graph. Only the annealed
-    fluctuation run reads regime. A run refuses either setting, away from its
-    default, when it does not read it. Runs that color nothing leave nu None.
+    The quenched law-of-large-numbers run reads radii as nested observation
+    windows inside the largest box, the cluster fluctuation run as separate
+    box sizes. Only the quenched fluctuation run reads color_replicates;
+    every other run draws one coloring per graph. Runs that color nothing
+    leave nu None.
     """
 
     d: int
@@ -116,7 +132,6 @@ class ExperimentConfig:
     proxy_rule: str = PROXY_BOUNDARY_LARGEST
     regime: str | None = None
     workers: int = 1
-    lln_tolerance: float | None = None
     ratio_rtol: float = 0.15
 
     def __post_init__(self) -> None:
@@ -158,12 +173,13 @@ class ExperimentConfig:
             return min(self.margin, lattice.n)
         return default_window_margin(lattice)
 
-    def to_dict(self) -> dict:
-        # The worker count is deliberately left out: reports must not depend
-        # on how the run was scheduled.
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
-        out["radii"] = list(self.radii)
-        out["nu"] = None if self.nu is None else self.nu.to_dict()
+    def to_dict(self, experiment: str) -> dict:
+        """The report's config: the experiment name and the fields that run reads but workers."""
+        names = ("d", "p", "graph_replicates", "master_seed", "proxy_rule", *RUN_READS[experiment])
+        out = {name: getattr(self, name) for name in names}
+        out.update(experiment=experiment, radii=list(self.radii))
+        if out.get("nu") is not None:
+            out["nu"] = self.nu.to_dict()
         return out
 
 
@@ -210,23 +226,26 @@ def recorded(run: Callable[..., RunResult]) -> Callable[..., RunResult]:
     return recorded_run
 
 
-def _refuse_unread(config: ExperimentConfig, reads: Sequence[str] = ()) -> None:
-    """Refuse a color_replicates or regime other than its default that the run does not read."""
+def _refuse_unread(config: ExperimentConfig, experiment: str) -> None:
+    """Refuse settings the run named experiment does not read or cannot use, before it samples."""
+    reads = RUN_READS[experiment]
     for name, default in (("color_replicates", 1), ("regime", None)):
         value = getattr(config, name)
         if name not in reads and value != default:
             raise ValueError(f"this run reads no {name}, got {value!r}")
+    if "regime" in reads and config.regime is None:
+        raise ValueError(f"{experiment} needs an explicit regime")
+    if len(config.radii) > 1 and "radii" not in reads:
+        raise ValueError(f"{experiment} runs one box: give one radius, got {list(config.radii)}")
+    if config.regime == REGIME_SUPERCRITICAL and config.proxy_rule == PROXY_DISABLED:
+        raise ValueError(f"supercritical needs a stand-in spanning the box; proxy rule {PROXY_DISABLED!r} picks none")
 
 
-def _box(config: ExperimentConfig, reads: Sequence[str] = ()) -> tuple[BoxLattice, int]:
-    """The largest box and its window margin, for a run that colors clusters.
-
-    Refuses a missing nu, then any setting the run does not read (reads
-    names those it does), and warns near the critical point.
-    """
+def _box(config: ExperimentConfig, experiment: str) -> tuple[BoxLattice, int]:
+    """The largest box and its margin, for a run that colors clusters: nu is required."""
     if config.nu is None:
         raise ValueError("this run colors clusters: give a color measure nu")
-    _refuse_unread(config, reads)
+    _refuse_unread(config, experiment)
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
     return lattice, config.margin_for(lattice)
@@ -310,7 +329,7 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     into finite-cluster contributions plus the stand-in cluster term, and
     reports the terminal deviation of the average from its predicted limit.
     """
-    lattice, margin = _box(config)
+    lattice, margin = _box(config, "quenched-lln")
     labeling, est = _quenched_graph(config, lattice, margin)
     field_ = color_clusters(labeling, config.nu, derive_rng(config.master_seed, "color:0"))
 
@@ -338,14 +357,6 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
             "quenched-lln: exact decomposition of the full-box color sum",
         )
     ]
-    if config.lln_tolerance is not None:
-        tests.append(
-            _within(
-                deviation,
-                config.lln_tolerance,
-                f"quenched-lln: terminal deviation vs tolerance {config.lln_tolerance}",
-            )
-        )
 
     return RunResult(
         experiment="quenched-lln",
@@ -391,7 +402,7 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     variation for atomic predictions, otherwise by one-sample KS against the
     Gaussian limit's exact CDF.
     """
-    lattice, margin = _box(config)
+    lattice, margin = _box(config, "annealed-lln")
     columns, est = _colored_replicates(config, lattice, margin)
     m_samples = columns["color_sum"] / lattice.site_count
     theta_box, _ = stand_in_volume(columns["proxy_sites"], lattice.site_count)
@@ -458,7 +469,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     density, which is the sharp check; the mean-cluster-size form is the
     asymptotic check.
     """
-    lattice, margin = _box(config, reads=("color_replicates",))
+    lattice, margin = _box(config, "quenched-clt")
     sigma2 = config.nu.variance
 
     labeling, est = _quenched_graph(config, lattice, margin)
@@ -555,9 +566,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     gamma from the declared regime by one-sample KS against gamma's exact
     CDF; a point-mass gamma requires Q to be identically zero.
     """
-    if config.regime is None:
-        raise ValueError("annealed fluctuation runs need an explicit regime")
-    lattice, margin = _box(config, reads=("regime",))
+    lattice, margin = _box(config, "annealed-clt")
     reps = config.graph_replicates
     m = config.nu.mean
     sigma2 = config.nu.variance
@@ -633,7 +642,7 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     density, which makes the statistic average zero by construction. The
     Gaussian reference variance comes from the largest radius.
     """
-    _refuse_unread(config)
+    _refuse_unread(config, "cluster-clt")
     warn_if_near_critical(config.d, config.p)
     per_radius: dict[int, dict] = {}
     stats_by_radius: dict[int, np.ndarray] = {}
@@ -720,7 +729,7 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
     Replicates whose configuration has no finite cluster are skipped with a
     diagnostic instead of dividing by zero.
     """
-    lattice, margin = _box(config)
+    lattice, margin = _box(config, "weighted-lln")
     m = config.nu.mean
     sigma2 = config.nu.variance
 

@@ -25,11 +25,6 @@ from dcl.coloring import TwoPoint
 from dcl.stats import summarize
 
 TOP_KEYS = {"config", "estimates", "predictions", "tests", "seeds", "timing"}
-# The config block of every run an ExperimentConfig describes: its fields but workers.
-EXPERIMENT_KEYS = {
-    "experiment", "d", "radii", "p", "nu", "graph_replicates", "color_replicates",
-    "master_seed", "margin", "proxy_rule", "regime", "lln_tolerance", "ratio_rtol",
-}  # fmt: skip
 
 
 def test_parse_estimate_invocation():
@@ -120,6 +115,9 @@ def test_parse_gamma_sample_options():
          "--color-replicates", "1000"],
         ["clt", "--mode", "quenched", "--regime", "supercritical", "--radius", "4", "--p", "0.3"],
         ["cluster-clt", "--radius", "4", "--radius", "8", "--p", "0.7", "--margin", "2"],
+        # supercritical with no stand-in cluster: no replicate could span the box
+        ["clt", "--mode", "annealed", "--regime", "supercritical", "--radius", "8", "--p", "0.9",
+         "--proxy", "disabled"],
     ],
 )
 def test_parse_rejects_bad_input(argv):
@@ -170,7 +168,7 @@ def test_report_schema_and_degenerate_estimate(capsys):
 )
 def test_colorless_reports_carry_no_color_measure(argv, capsys):
     main(argv)
-    assert json.loads(capsys.readouterr().out)["config"]["nu"] is None
+    assert "nu" not in json.loads(capsys.readouterr().out)["config"]
 
 
 def test_exit_code_on_failed_checks(capsys):
@@ -295,18 +293,29 @@ def test_report_written_to_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,config_keys",
     [
-        (["estimate", "--radius", "3", "--p", "0.3", "--replicates", "4"], EXPERIMENT_KEYS),
+        (["estimate", "--radius", "3", "--p", "0.3", "--replicates", "4"],
+         {"experiment", "d", "radii", "p", "graph_replicates", "master_seed", "margin", "proxy_rule"}),
         (["lln", "--mode", "quenched", "--radius", "2", "--radius", "4", "--p", "0.7",
-          "--graph-replicates", "3"], EXPERIMENT_KEYS),
+          "--graph-replicates", "3"],
+         {"experiment", "d", "radii", "p", "nu", "graph_replicates", "master_seed", "margin",
+          "proxy_rule"}),
         (["lln", "--mode", "annealed", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
-         EXPERIMENT_KEYS),
+         {"experiment", "d", "radii", "p", "nu", "graph_replicates", "master_seed", "margin",
+          "proxy_rule"}),
         (["clt", "--mode", "quenched", "--radius", "4", "--p", "0.3",
-          "--color-replicates", "20", "--graph-replicates", "3"], EXPERIMENT_KEYS),
+          "--color-replicates", "20", "--graph-replicates", "3"],
+         {"experiment", "d", "radii", "p", "nu", "graph_replicates", "color_replicates",
+          "master_seed", "margin", "proxy_rule"}),
         (["clt", "--mode", "annealed", "--regime", "subcritical", "--radius", "4", "--p", "0.2",
-          "--graph-replicates", "5", "--proxy", "disabled"], EXPERIMENT_KEYS),
+          "--graph-replicates", "5", "--proxy", "disabled"],
+         {"experiment", "d", "radii", "p", "nu", "graph_replicates", "master_seed", "margin",
+          "proxy_rule", "regime"}),
         (["cluster-clt", "--radius", "2", "--radius", "4", "--p", "0.7", "--graph-replicates", "5"],
-         EXPERIMENT_KEYS),
-        (["weighted-lln", "--radius", "4", "--p", "0.3", "--graph-replicates", "5"], EXPERIMENT_KEYS),
+         {"experiment", "d", "radii", "p", "graph_replicates", "master_seed", "proxy_rule",
+          "ratio_rtol"}),
+        (["weighted-lln", "--radius", "4", "--p", "0.3", "--graph-replicates", "5"],
+         {"experiment", "d", "radii", "p", "nu", "graph_replicates", "master_seed", "margin",
+          "proxy_rule", "ratio_rtol"}),
         (["gamma-sample", "--nu", "two-point:-1,1,0.3", "--samples", "50"],
          {"experiment", "nu", "chi_f", "sigma_p2", "samples", "master_seed"}),
         (["check-identity", "--radius", "3", "--p", "0.4", "--configs", "5"],

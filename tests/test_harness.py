@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcl import harness
+from dcl import cli, harness
 from dcl.coloring import FiniteDiscrete, centered_sums, color_clusters
 from dcl.harness import (
     _COLOR_BLOCK_VALUES,
@@ -84,14 +84,20 @@ def test_config_promotes_and_parses():
 
 
 def test_config_to_dict_excludes_plumbing():
-    cfg = ExperimentConfig(d=2, radii=16, p=0.3, nu="two-point:-1,1,0.5", workers=8)
-    d = cfg.to_dict()
-    assert "workers" not in d
-    assert d["d"] == 2 and d["radii"] == [16] and d["master_seed"] == 0
-    assert d["nu"] == cfg.nu.to_dict()
+    cfg = ExperimentConfig(d=2, radii=16, p=0.3, nu="two-point:-1,1,0.5", color_replicates=20, workers=8)
+    d = cfg.to_dict("quenched-clt")
+    assert d == {
+        "experiment": "quenched-clt", "d": 2, "radii": [16], "p": 0.3, "nu": cfg.nu.to_dict(),
+        "graph_replicates": 1, "color_replicates": 20, "master_seed": 0, "margin": None,
+        "proxy_rule": "boundary-largest",
+    }  # fmt: skip
     # identical science flags, different plumbing: same dict
-    other = ExperimentConfig(d=2, radii=16, p=0.3, nu="two-point:-1,1,0.5")
-    assert other.to_dict() == d
+    other = ExperimentConfig(d=2, radii=16, p=0.3, nu="two-point:-1,1,0.5", color_replicates=20)
+    assert other.to_dict("quenched-clt") == d
+    # each run echoes only what it reads
+    assert set(cfg.to_dict("estimate")) == set(d) - {"nu", "color_replicates"}
+    assert set(cfg.to_dict("cluster-clt")) == set(d) - {"nu", "color_replicates", "margin"} | {"ratio_rtol"}
+    assert set(cfg.to_dict("annealed-clt")) == set(d) - {"color_replicates"} | {"regime"}
 
 
 def test_quenched_lln_point_mass_colors():
@@ -113,11 +119,11 @@ def test_quenched_lln_point_mass_colors():
 def test_quenched_lln_trajectory_and_reports():
     cfg = ExperimentConfig(
         d=2, radii=(8, 16, 32), p=0.7, nu="two-point:-1,1,0.7",
-        graph_replicates=30, master_seed=9, lln_tolerance=0.2,
+        graph_replicates=30, master_seed=9,
     )
     res = run_quenched_lln(cfg)
     assert res.passed()
-    assert len(res.tests) == 2  # decomposition plus the tolerance check
+    assert len(res.tests) == 1  # the exact decomposition
     assert res.samples["window_radius"] == [8.0, 16.0, 32.0]
     m_n = res.samples["m_k"][-1]
     assert res.estimates["m_n"] == m_n
@@ -338,6 +344,10 @@ _UNREAD = {
 }
 
 
+def _no_box(*args):
+    raise AssertionError("built a box")
+
+
 @pytest.mark.parametrize(
     "setting,run",
     [(name, run) for name, (_, runs) in _UNREAD.items() for run in runs],
@@ -345,10 +355,7 @@ _UNREAD = {
 )
 def test_runs_refuse_settings_they_do_not_read(setting, run, monkeypatch):
     # Refused before the box is built, so before any sampling.
-    def no_box(*args):
-        raise AssertionError("built a box")
-
-    monkeypatch.setattr(harness, "build_box", no_box)
+    monkeypatch.setattr(harness, "build_box", _no_box)
     base = dict(d=2, radii=4, p=0.7, nu="two-point:-1,1,0.3", graph_replicates=3)
     if run is run_annealed_clt:
         base["regime"] = "supercritical"
@@ -366,15 +373,36 @@ def test_annealed_clt_requires_regime():
         run_annealed_clt(cfg)
 
 
-def test_annealed_clt_detects_regime_mismatch():
-    # declaring supercritical while the stand-in rule is off can never see
-    # a stand-in cluster, which the run must refuse to gloss over
+@pytest.mark.parametrize(
+    "run",
+    [run_annealed_lln, run_quenched_clt, run_annealed_clt, run_weighted_lln_check, cli._run_estimate],
+    ids=lambda run: run.__name__,
+)
+def test_single_box_runs_refuse_several_radii(run, monkeypatch):
+    # A single-box run would read only the largest radius; it refuses the
+    # rest before a box is built.
+    monkeypatch.setattr(harness, "build_box", _no_box)
+    monkeypatch.setattr(cli, "build_box", _no_box)
+    base = dict(d=2, radii=(4, 8), p=0.7, graph_replicates=3)
+    if run is not cli._run_estimate:
+        base["nu"] = "two-point:-1,1,0.3"
+    if run is run_annealed_clt:
+        base["regime"] = "supercritical"
+    with pytest.raises(ValueError, match=r"runs one box: give one radius, got \[4, 8\]$"):
+        run(ExperimentConfig(**base))
+
+
+def test_annealed_clt_refuses_supercritical_without_stand_in(monkeypatch):
+    # With the stand-in rule off no replicate can span the box, so a declared
+    # supercritical regime is refused before a box is built, not after
+    # sampling every graph.
+    monkeypatch.setattr(harness, "build_box", _no_box)
     cfg = ExperimentConfig(
-        d=2, radii=16, p=0.7, nu="two-point:-1,1,0.5",
+        d=2, radii=16, p=0.9, nu="two-point:-1,1,0.5",
         graph_replicates=10, master_seed=1,
         proxy_rule="disabled", regime="supercritical",
     )
-    with pytest.raises(RegimeMismatchError):
+    with pytest.raises(ValueError, match="proxy rule 'disabled' picks none"):
         run_annealed_clt(cfg)
 
 
