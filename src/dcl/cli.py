@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -409,6 +410,12 @@ def execute(invocation: CliInvocation) -> int:
     return EXIT_PASS if result.passed() else EXIT_TEST_FAILURE
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # One line naming the warning, without the source file and line that
+    # warnings.showwarning adds, so that stderr does not move with the code.
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -417,7 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return execute(invocation)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return execute(invocation)
     except (UsageError, BoxTooLargeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR

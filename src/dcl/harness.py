@@ -23,7 +23,7 @@ import functools
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,10 +95,11 @@ class RegimeMismatchError(RuntimeError):
 
 
 # What each run that takes an ExperimentConfig reads of it, by experiment
-# name, besides d, p, graph_replicates, master_seed, proxy_rule, workers and
-# its largest radius. Its report's config echoes what it reads but workers,
-# and _refuse_unread refuses the rest away from their defaults. A run that
-# lists radii reads every radius.
+# name, besides _READ_BY_EVERY_RUN and its largest radius. Its report's
+# config echoes what it reads but workers, and _refuse_unread refuses every
+# other optional field away from its dataclass default. A run that lists
+# radii reads every radius.
+_READ_BY_EVERY_RUN = ("d", "p", "graph_replicates", "master_seed", "proxy_rule", "workers")
 RUN_READS = {
     "estimate": ("margin",),
     "quenched-lln": ("nu", "margin", "radii"),
@@ -175,7 +176,7 @@ class ExperimentConfig:
 
     def to_dict(self, experiment: str) -> dict:
         """The report's config: the experiment name and the fields that run reads but workers."""
-        names = ("d", "p", "graph_replicates", "master_seed", "proxy_rule", *RUN_READS[experiment])
+        names = (*(name for name in _READ_BY_EVERY_RUN if name != "workers"), *RUN_READS[experiment])
         out = {name: getattr(self, name) for name in names}
         out.update(experiment=experiment, radii=list(self.radii))
         if out.get("nu") is not None:
@@ -229,10 +230,12 @@ def recorded(run: Callable[..., RunResult]) -> Callable[..., RunResult]:
 def _refuse_unread(config: ExperimentConfig, experiment: str) -> None:
     """Refuse settings the run named experiment does not read or cannot use, before it samples."""
     reads = RUN_READS[experiment]
-    for name, default in (("color_replicates", 1), ("regime", None)):
-        value = getattr(config, name)
-        if name not in reads and value != default:
-            raise ValueError(f"this run reads no {name}, got {value!r}")
+    for setting in fields(config):
+        if setting.name in _READ_BY_EVERY_RUN or setting.name in reads or setting.default is MISSING:
+            continue
+        value = getattr(config, setting.name)
+        if value != setting.default:
+            raise ValueError(f"this run reads no {setting.name}, got {value!r}")
     if "regime" in reads and config.regime is None:
         raise ValueError(f"{experiment} needs an explicit regime")
     if len(config.radii) > 1 and "radii" not in reads:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import BoxLattice, inner_window, window_site_count
-from .rng import derive_rng, derive_streams
+from .rng import derive_rng, stream_uniforms
 
 PROXY_BOUNDARY_LARGEST = "boundary-largest"
 PROXY_DISABLED = "disabled"
@@ -102,9 +102,7 @@ def sample_config(lattice: BoxLattice, p: float, seed: int, stream_tag: str = "g
 def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: int, copies: int) -> EdgeConfig:
     """Configurations start..start+copies-1 of a role, drawn as sample_config draws each."""
     _check_density(p)
-    draws = np.empty((copies, lattice.edge_count))
-    for row, rng in zip(draws, derive_streams(seed, role, start, copies)):
-        rng.random(out=row)
+    draws = stream_uniforms(seed, role, start, copies, lattice.edge_count)
     return EdgeConfig(lattice, _open_mask(lattice, draws, p), p, seed, f"{role}:{start}..{start + copies - 1}")
 
 

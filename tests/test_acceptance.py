@@ -205,8 +205,7 @@ def test_cluster_count_normality_at_fixed_size():
     """Companion to the stability test: at one box size the count is Gaussian."""
     res = run_cluster_clt(
         ExperimentConfig(
-            d=2, radii=64, p=0.7, nu="two-point:-1,1,0.5",
-            graph_replicates=500, master_seed=SEED,
+            d=2, radii=64, p=0.7, graph_replicates=500, master_seed=SEED,
         )
     )
     assert res.passed(), [t.context for t in res.tests if t.decision != "pass"]
@@ -223,8 +222,7 @@ def test_cluster_count_normality_at_fixed_size():
 def test_cluster_variance_stability(criterion):
     res = run_cluster_clt(
         ExperimentConfig(
-            d=2, radii=(32, 64), p=0.7, nu="two-point:-1,1,0.5",
-            graph_replicates=500, master_seed=SEED, ratio_rtol=0.20,
+            d=2, radii=(32, 64), p=0.7, graph_replicates=500, master_seed=SEED, ratio_rtol=0.20,
         )
     )
     stability = next(t for t in res.tests if "stability" in t.context)

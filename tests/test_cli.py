@@ -258,6 +258,19 @@ def test_contradicted_regime_exits_1(capsys):
     assert "supercritical declared but 0/10 replicates" in capsys.readouterr().err
 
 
+def test_near_critical_warning_is_one_line_without_source(capsys):
+    # The report gate keeps stderr: it must not name a package file or line,
+    # or an edit above the warning's call would change it.
+    code = main(["lln", "--mode", "quenched", "--radius", "8", "--p", "0.5", "--graph-replicates", "3"])
+    assert code == EXIT_PASS
+    err = capsys.readouterr().err
+    assert err == (
+        "warning: NearCriticalWarning: p=0.5 is within 0.02 of the d=2 critical point 0.5; "
+        "asymptotic predictions are unreliable here\n"
+    )
+    assert "harness.py" not in err
+
+
 def test_exit_code_on_unwritable_path(capsys):
     code = main(
         ["estimate", "--radius", "4", "--p", "0.4", "--replicates", "2",

@@ -14,6 +14,7 @@ from dcl.coloring import FiniteDiscrete, centered_sums, color_clusters
 from dcl.harness import (
     _COLOR_BLOCK_VALUES,
     _COLOR_CHUNK,
+    RUN_READS,
     ExperimentConfig,
     RegimeMismatchError,
     RunResult,
@@ -336,11 +337,26 @@ def test_coloring_runs_refuse_a_missing_color_measure(run):
         run(cfg)
 
 
+_EXPERIMENT = {
+    run_quenched_lln: "quenched-lln",
+    run_annealed_lln: "annealed-lln",
+    run_quenched_clt: "quenched-clt",
+    run_annealed_clt: "annealed-clt",
+    run_cluster_clt: "cluster-clt",
+    run_weighted_lln_check: "weighted-lln",
+    cli._run_estimate: "estimate",
+}
+# Each optional field a run may not read, a value away from its default.
+_UNREAD_VALUES = {
+    "nu": "two-point:-1,1,0.3",
+    "color_replicates": 50,
+    "margin": 2,
+    "regime": "supercritical",
+    "ratio_rtol": 0.3,
+}
 _UNREAD = {
-    "color_replicates": (50, [run_quenched_lln, run_annealed_lln, run_annealed_clt, run_cluster_clt,
-                              run_weighted_lln_check]),
-    "regime": ("supercritical", [run_quenched_lln, run_annealed_lln, run_quenched_clt, run_cluster_clt,
-                                 run_weighted_lln_check]),
+    name: (value, [run for run, experiment in _EXPERIMENT.items() if name not in RUN_READS[experiment]])
+    for name, value in _UNREAD_VALUES.items()
 }
 
 
@@ -356,8 +372,12 @@ def _no_box(*args):
 def test_runs_refuse_settings_they_do_not_read(setting, run, monkeypatch):
     # Refused before the box is built, so before any sampling.
     monkeypatch.setattr(harness, "build_box", _no_box)
-    base = dict(d=2, radii=4, p=0.7, nu="two-point:-1,1,0.3", graph_replicates=3)
-    if run is run_annealed_clt:
+    monkeypatch.setattr(cli, "build_box", _no_box)
+    reads = RUN_READS[_EXPERIMENT[run]]
+    base = dict(d=2, radii=4, p=0.7, graph_replicates=3)
+    if "nu" in reads:
+        base["nu"] = "two-point:-1,1,0.3"
+    if "regime" in reads:
         base["regime"] = "supercritical"
     cfg = ExperimentConfig(**base, **{setting: _UNREAD[setting][0]})
     with pytest.raises(ValueError, match=f"^this run reads no {setting}, got"):
@@ -485,8 +505,7 @@ def test_annealed_clt_supercritical_mixture_route():
 
 def test_cluster_clt_two_radii():
     cfg = ExperimentConfig(
-        d=2, radii=(32, 64), p=0.7, nu="two-point:-1,1,0.5",
-        graph_replicates=150, master_seed=42, ratio_rtol=0.6,
+        d=2, radii=(32, 64), p=0.7, graph_replicates=150, master_seed=42, ratio_rtol=0.6,
     )
     res = run_cluster_clt(cfg)
     assert res.passed()
@@ -506,7 +525,7 @@ def test_cluster_clt_two_radii():
 
 def test_cluster_clt_per_radius_is_stand_in_volume():
     cfg = ExperimentConfig(
-        d=2, radii=(4, 6), p=0.6, nu="two-point:-1,1,0.5", graph_replicates=9, master_seed=5,
+        d=2, radii=(4, 6), p=0.6, graph_replicates=9, master_seed=5,
     )
     res = run_cluster_clt(cfg)
     for radius in cfg.radii:
@@ -542,8 +561,7 @@ def test_quenched_clt_nan_statistics_fail_their_bounds():
 def test_cluster_clt_degenerate_boxes():
     for p in (0.0, 1.0):
         cfg = ExperimentConfig(
-            d=2, radii=(4, 8), p=p, nu="two-point:-1,1,0.5",
-            graph_replicates=20, master_seed=3,
+            d=2, radii=(4, 8), p=p, graph_replicates=20, master_seed=3,
         )
         res = run_cluster_clt(cfg)
         assert res.passed()

@@ -35,7 +35,7 @@ from dcl.percolation import (
     square_sums,
     stand_in_volume,
 )
-from dcl.rng import derive_rng
+from dcl.rng import SHORT_STREAM_DRAWS, derive_rng
 
 from oracles import bfs_clusters, enumerate_box
 
@@ -239,6 +239,21 @@ def test_draws_fill_the_mask_in_site_axis_order(d, n):
         want = derive_rng(13, f"order:{5 + c}").random(lat.edge_count) < 0.4
         assert np.array_equal(stack.open[c][lat.has_edge], want)
         assert not stack.open[c][~lat.has_edge].any()
+
+
+# Boxes whose streams take each path of rng.stream_uniforms: a 3x3 box (12
+# draws), lines of exactly SHORT_STREAM_DRAWS and of two more draws, and a
+# 5x5x5 box (300 draws).
+@pytest.mark.parametrize(
+    "d,n", [(2, 1), (1, SHORT_STREAM_DRAWS // 2), (1, SHORT_STREAM_DRAWS // 2 + 1), (3, 2)]
+)
+def test_stack_equals_its_copies_sampled_alone(d, n):
+    lat = build_box(d, n)
+    stack = _sample_stack(lat, 0.5, 21, "side", 8, 4)
+    assert stack.stream_tag == "side:8..11"
+    for c in range(4):
+        alone = sample_config(lat, 0.5, 21, f"side:{8 + c}")
+        assert np.array_equal(stack.open[c], alone.open)
 
 
 # The 3x3 box has 9 sites, 2 axes and 12 edges; (12,) is a per-edge vector.

@@ -1,7 +1,7 @@
 """Stream derivation: keyed, order-sensitive, stable across processes.
 
 numpy's own SeedSequence and PCG64 seeding are the oracle for the batched
-derive_streams.
+derive_streams, and numpy's PCG64 draws for stream_uniforms.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from dcl.rng import (
     SEED_MAX,
     SEED_MIN,
+    SHORT_STREAM_DRAWS,
     _pcg64_seeds,
     derive_key,
     derive_rng,
     derive_streams,
     stream_log,
+    stream_uniforms,
 )
 
 # Frozen on first implementation; a change here means every published seed
@@ -87,6 +89,8 @@ def test_out_of_range_seed_names_the_range(seed):
         derive_key(seed, "x")
     with pytest.raises(ValueError, match="signed 128-bit range"):
         next(derive_streams(seed, "x", 0, 1))
+    with pytest.raises(ValueError, match="signed 128-bit range"):
+        stream_uniforms(seed, "x", 0, 1, 1)
 
 
 def test_seed_range_endpoints_accepted():
@@ -127,6 +131,34 @@ def test_derive_streams_matches_numpy_seeding(seed, role, start, count):
         assert _drawn(rng) == _drawn(np.random.Generator(np.random.PCG64(key)))
         seen += 1
     assert seen == count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(SEED_MIN, SEED_MAX), st.sampled_from([SEED_MIN, SEED_MAX, -1, 0])),
+    # Empty and non-ASCII roles: the part's length prefix counts UTF-8 bytes.
+    role=st.one_of(st.sampled_from(["", "graph", "é☃", "\U0001f600:x"]), st.text(max_size=6)),
+    # Runs that cross 9 -> 10 and 99 -> 100 digits, and starts near 2**40.
+    start=st.one_of(st.sampled_from([0, 7, 95, 995, 2**40 - 3]), st.integers(0, 2**40)),
+    count=st.sampled_from([0, 1, 5, 13]),
+    # Both paths, and the edge between them.
+    k=st.sampled_from([0, 1, 12, SHORT_STREAM_DRAWS, SHORT_STREAM_DRAWS + 1]),
+)
+def test_stream_uniforms_match_numpy_draws(seed, role, start, count, k):
+    with stream_log() as log:
+        got = stream_uniforms(seed, role, start, count, k)
+    assert got.shape == (count, k) and got.dtype == np.float64
+    for i in range(count):
+        assert got[i].tobytes() == derive_rng(seed, f"{role}:{start + i}").random(k).tobytes()
+    assert log == {(seed, role): count}
+
+
+@pytest.mark.parametrize("role", [None, 3, b"graph"])
+def test_stream_role_must_be_str(role):
+    with pytest.raises(TypeError, match="stream role must be str"):
+        stream_uniforms(0, role, 0, 1, 1)
+    with pytest.raises(TypeError, match="stream role must be str"):
+        next(derive_streams(0, role, 0, 1))
 
 
 def test_derive_streams_calls_do_not_share_a_generator():

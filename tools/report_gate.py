@@ -63,6 +63,12 @@ INVOCATIONS: dict[str, list[str]] = {
         "estimate", "--dim", "2", "--radius", "1", "--p", "0.7", "--replicates", "5000",
         "--margin", "0", "--proxy", "disabled", "--workers", "1",
     ],
+    # Its --workers 2 twin: 5000 replicates are three stacks of 3x3 boxes,
+    # whose short streams are drawn in numpy arrays on the worker threads.
+    "bench-tiny-p0.7-w2": [
+        "estimate", "--dim", "2", "--radius", "1", "--p", "0.7", "--replicates", "5000",
+        "--margin", "0", "--proxy", "disabled", "--workers", "2",
+    ],
     "bench-threads-d3": [
         "cluster-clt", "--dim", "3", "--radius", "12", "--radius", "20", "--p", "0.4",
         "--graph-replicates", "30", "--proxy", "boundary-largest", "--workers", "2",
