@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -48,6 +49,12 @@ EXIT_ERROR = 1
 EXIT_TEST_FAILURE = 2
 
 MODES = ("annealed", "quenched")
+
+# glibc's mallopt parameters (malloc.h) and the values a run sets them to.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
 
 
 class UsageError(ValueError):
@@ -416,6 +423,24 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
     print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc's allocator keep freed heap memory for reuse; elsewhere, do nothing.
+
+    A run frees and reallocates arrays of the same few sizes once per
+    replicate. By default glibc maps blocks past a threshold that adapts
+    upwards from 128 KiB as fresh pages and trims the heap top past twice
+    that, so each replicate faults those pages in again. Setting either
+    threshold turns the adaptation off, so both are set: blocks up to 32 MiB
+    come from the heap, and the heap is trimmed only past 1 GiB free.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -423,6 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    _keep_freed_heap()
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning

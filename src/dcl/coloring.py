@@ -359,7 +359,9 @@ def centered_sums(
     above = np.empty_like(block) if thresholds.size > 1 else block
     # Row k holds d_k of the block's colorings; d_0 and the last row, 0, stay fixed.
     weight = np.empty((thresholds.size + 2, block.shape[0]))
-    weight[0] = math.fsum(piece)
+    # piece holds integer counts that total at most a window's sites, far
+    # below 2**53, so every partial sum is exact and any order gives fsum's.
+    weight[0] = piece.sum()
     weight[-1] = 0.0
     terms = np.empty((centered.size, block.shape[0]))
     for b in range(0, count, rows):

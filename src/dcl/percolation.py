@@ -204,14 +204,23 @@ def _as_stack(labeling: ClusterLabeling | LabelingStack) -> LabelingStack:
 def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST) -> ClusterLabeling | LabelingStack:
     """Label clusters of the open subgraph.
 
-    Min-label hooking: every site starts as its own root. A round takes the
-    axes in turn, and for every open edge along the axis whose ends still
-    disagree, hooks the larger of the two ends' parents to the smaller one;
-    pointer jumping then flattens the forest, and a round that hooks nothing
-    ends the labeling. Parents only ever move to smaller sites of the same
-    cluster, so at the fixed point each site's root is the smallest site of
-    its cluster, and ranking the roots gives ids in smallest-site order.
-    Every open edge is cross-checked to join equal ids.
+    Min-label hooking (Shiloach and Vishkin, J. Algorithms 3, 57-67, 1982):
+    every site starts as its own root. A round takes the axes in turn, and
+    for every open edge along the axis whose ends still disagree, hooks the
+    larger of the two ends' parents to the smaller one; pointer jumping then
+    flattens the forest, and a round that hooks nothing ends the labeling.
+    Parents only ever move to smaller sites of the same cluster, so at the
+    fixed point each site's root is the smallest site of its cluster, and
+    ranking the roots gives ids in smallest-site order. Every open edge is
+    cross-checked to join equal ids.
+
+    A round starts from a flat forest, where every parent is a root, and a
+    hook writes min(ru, rv) at max(ru, rv), two values read from it. So a
+    round writes only to its starting roots, and only their values: every
+    other site still points at one of them. After round one, where every
+    site is a root and all are jumped to a fixed point, a round jumps only
+    the roots that moved, and one gather of every site then flattens the
+    whole forest.
 
     The open edges along an axis of stride s are the set bits of its column
     of the mask, and they join root[:-s] to root[s:] position by position,
@@ -238,36 +247,61 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     columns = np.ascontiguousarray(config.open.reshape(-1, lattice.d).T)
     open_along = [(s, columns[axis, : sites.size - s]) for axis, s in enumerate(lattice.strides)]
 
-    # Hooking writes into root in place; sites must stay intact for the root test.
+    # Hooking writes into root in place; sites must stay intact for the root
+    # test. spare takes each full gather of root, and the hook's ru, which
+    # is dead once its hook is done. Every index is a site, so np.take's
+    # mode="clip" never clips; unlike the default, it writes out= unbuffered.
     root = sites.copy()
+    spare = np.empty_like(root)
+    roots = None  # the roots a round starts from; None in round one, where all are
     while True:
         hooked = False
         for s, open_edges in open_along:
             u = np.flatnonzero((root[:-s] != root[s:]) & open_edges)
             if u.size:
-                ru, rv = root[u], root[s:][u]
+                ru = np.take(root, u, out=spare[: u.size], mode="clip")
+                rv = root[s:][u]
                 lower = np.minimum(ru, rv)
                 np.minimum.at(root, np.maximum(ru, rv, out=ru), lower)
-                del u, ru, rv, lower  # off the next axis's peak: 32 bytes per hook
+                del u, ru, rv, lower  # off the next axis's peak: 24 bytes per hook
                 hooked = True
         if not hooked:
             break
-        while True:
-            jumped = root[root]
-            if not (jumped != root).any():
-                break
-            root = jumped
+        if roots is None:
+            while True:
+                np.take(root, root, out=spare, mode="clip")
+                if not (spare != root).any():
+                    break
+                root, spare = spare, root
+            roots = np.flatnonzero(root == sites)
+        else:
+            # The roots that did not move stay roots; the forest of those
+            # that did is flattened, and one gather settles every other site.
+            kept = root[roots] == roots
+            moved = roots[~kept]
+            roots = roots[kept]
+            while True:
+                parent = root[moved]
+                grand = root[parent]
+                if not (grand != parent).any():
+                    break
+                root[moved] = grand
+            np.take(root, root, out=spare, mode="clip")
+            root, spare = spare, root
+    if roots is None:
+        roots = sites
 
-    # Rank of each root among the roots, which are the clusters' smallest sites.
-    rank = (root == sites).cumsum() - 1
-    stack_id = rank[root]
-    total = int(rank[-1]) + 1
+    # Ids rank the roots, which are the clusters' smallest sites, in site
+    # order; spare becomes the table from a root to its id.
+    total = roots.size
+    spare[roots] = np.arange(total)
+    stack_id = np.take(spare, root, mode="clip")
     if any(((stack_id[:-s] != stack_id[s:]) & open_edges).any() for s, open_edges in open_along):
         raise InvariantViolationError("an open edge joins two different cluster ids")
 
-    # Each copy's first site is a root, so its rank is the copy's first id.
-    first = rank[sites[::site_count]]
-    k_n = rank[sites[site_count - 1 :: site_count]] + 1 - first
+    # Each copy's first site is a root, so its id is the copy's first id.
+    first = spare[::site_count].copy()
+    k_n = np.diff(first, append=total)
     cluster_sizes = np.bincount(stack_id, minlength=total)
     stack_id = stack_id.reshape(copies, site_count)
 

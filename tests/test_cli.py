@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dcl
-from dcl import percolation
+from dcl import cli, percolation
 from dcl.cli import (
     EXIT_ERROR,
     EXIT_PASS,
@@ -301,6 +301,32 @@ def test_report_written_to_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
     assert set(report) == TOP_KEYS
+
+
+class _CLibrary:
+    """A C library as ctypes.CDLL(None) returns it, recording its mallopt calls if it has one."""
+
+    def __init__(self, has_mallopt):
+        self.calls = []
+        if has_mallopt:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+@pytest.mark.parametrize("has_mallopt", [True, False], ids=["glibc", "no-mallopt"])
+def test_run_sets_both_allocator_thresholds_or_none(has_mallopt, tmp_path, monkeypatch):
+    # glibc gets both thresholds, since setting one alone stops it adapting
+    # the other; a C library without mallopt is left alone. Either way the
+    # report is the one a run writes without the stand-in.
+    argv = ["estimate", "--radius", "6", "--p", "0.7", "--replicates", "20", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "real.json")]) == EXIT_PASS
+    library = _CLibrary(has_mallopt)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: library)
+    assert main(argv + ["--out", str(tmp_path / "stub.json")]) == EXIT_PASS
+    reports = [json.loads((tmp_path / f"{name}.json").read_text()) for name in ("real", "stub")]
+    for report in reports:
+        report.pop("timing")
+    assert reports[0] == reports[1]
+    assert library.calls == ([(-3, 32 << 20), (-1, 1 << 30)] if has_mallopt else [])
 
 
 @pytest.mark.parametrize(

@@ -95,6 +95,20 @@ def comb(lattice):
     return _open_mask(lattice, pairs)
 
 
+def serpentine_stack(lattice):
+    """The serpentine between an all-closed and an all-open copy of the box.
+
+    At n=5 the serpentine leaves round one as chains of trees whose roots
+    hook onto each other four levels deep in round two.
+    """
+    return np.array([np.zeros_like(lattice.has_edge), serpentine(lattice), lattice.has_edge.copy()])
+
+
+def closed_stack(lattice):
+    """Three copies of the box without an open edge."""
+    return np.zeros((3,) + lattice.has_edge.shape, dtype=bool)
+
+
 class _HookCountingNumpy:
     """numpy as the labeler sees it, counting its hooking calls, np.minimum.at.
 
@@ -128,14 +142,17 @@ class _HookCountingNumpy:
         (2, 5, serpentine),
         (2, 1, comb),
         (2, 5, comb),
+        (2, 5, serpentine_stack),
+        (2, 2, closed_stack),
     ],
 )
 def test_labels_match_bfs_oracle(d, n, edges, monkeypatch):
     # edges is a density to sample ten configurations at, or a function that
-    # builds one open-edge mask. A round hooks along each axis in turn, and
-    # the first round leaves the serpentine and the comb split into several
-    # trees that only a second round joins: some axis hooks in two rounds, so
-    # the labeler makes more hooking calls than the box has axes.
+    # builds one open-edge mask, or a stack of them. A round hooks along each
+    # axis in turn, and the first round leaves the serpentine and the comb
+    # split into several trees that only a second round joins: some axis
+    # hooks in two rounds, so the labeler makes more hooking calls than the
+    # box has axes. Each copy of a stack is also labeled alone.
     # BFS labels count up in site order, as the package's ids do.
     lat = build_box(d, n)
     if callable(edges):
@@ -146,10 +163,21 @@ def test_labels_match_bfs_oracle(d, n, edges, monkeypatch):
     monkeypatch.setattr(percolation, "np", counting)
     for open_mask in masks:
         labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
-        oracle = _oracle_ids(lat, open_mask)
-        assert labeling.cluster_id.tolist() == oracle
-        assert labeling.k_n == len(set(oracle))
-    if callable(edges):
+        if open_mask.ndim == 2:
+            copies = [(open_mask, labeling)]
+        else:
+            copies = [(open_mask[c], labeling.view(c)) for c in range(labeling.copies)]
+        for mask, view in copies:
+            oracle = _oracle_ids(lat, mask)
+            assert view.cluster_id.tolist() == oracle
+            assert view.k_n == len(set(oracle))
+            if open_mask.ndim == 3:
+                alone = label_clusters(_config(lat, mask), PROXY_DISABLED)
+                assert np.array_equal(view.cluster_id, alone.cluster_id)
+                assert np.array_equal(view.cluster_sizes, alone.cluster_sizes)
+    if not any(open_mask.any() for open_mask in masks):
+        assert counting.hooks == 0
+    elif callable(edges):
         assert counting.hooks > d
 
 

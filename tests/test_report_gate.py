@@ -42,7 +42,7 @@ def _split_workers(argv: list[str]) -> tuple[list[str], str | None]:
 
 def test_twins_differ_from_their_base_only_in_workers():
     twins = report_gate.twins()
-    assert set(twins) >= {"lln-annealed-w2", "clt-annealed-mixture-w2", "clt-quenched-alpha03-w2", "bench-tiny-p0.7-w2"}
+    assert set(twins) >= {"lln-annealed-w2", "clt-annealed-mixture-w2", "clt-quenched-alpha03-w2", "bench-tiny-p0.7-w2", "bench-annealed-d2-w2"}
     for twin, base in twins.items():
         twin_argv, twin_workers = _split_workers(report_gate.INVOCATIONS[twin])
         base_argv, base_workers = _split_workers(report_gate.INVOCATIONS[base])

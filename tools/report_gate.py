@@ -50,6 +50,12 @@ INVOCATIONS: dict[str, list[str]] = {
         "--nu", "two-point:-1,1,0.5", "--graph-replicates", "40", "--color-replicates", "1",
         "--margin", "23", "--proxy", "boundary-largest", "--workers", "1",
     ],
+    # Its --workers 2 twin: 40 boxes of 66049 sites, one per stack, labeled on worker threads.
+    "bench-annealed-d2-w2": _ANNEALED + [
+        "--regime", "supercritical", "--dim", "2", "--radius", "128", "--p", "0.7",
+        "--nu", "two-point:-1,1,0.5", "--graph-replicates", "40", "--color-replicates", "1",
+        "--margin", "23", "--proxy", "boundary-largest", "--workers", "2",
+    ],
     "bench-quenched-colors": _QUENCHED + [
         "--dim", "2", "--radius", "64", "--p", "0.3", "--nu", "two-point:-1,1,0.5",
         "--color-replicates", "10000", "--graph-replicates", "1", "--margin", "20",
