@@ -97,11 +97,6 @@ class TwoPoint:
     def variance(self) -> float:
         return self.alpha * (1.0 - self.alpha) * (self.b - self.a) ** 2
 
-    def central_even_moment(self, k: int) -> float:
-        _check_moment_order(k)
-        m = self.mean
-        return (1.0 - self.alpha) * (self.a - m) ** (2 * k) + self.alpha * (self.b - m) ** (2 * k)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """One uniform double u per draw, mapped by from_uniforms."""
         return self.from_uniforms(rng.random(size))
@@ -134,10 +129,6 @@ class GaussianLaw:
         _check_finite("gaussian mean and variance", self.mean, self.variance)
         if self.variance < 0.0:
             raise ValueError(f"variance must be >= 0, got {self.variance}")
-
-    def central_even_moment(self, k: int) -> float:
-        _check_moment_order(k)
-        return double_factorial_odd(k) * self.variance**k
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """One standard normal per draw, none when the variance is 0."""
@@ -185,11 +176,6 @@ class FiniteDiscrete:
         m = self.mean
         return math.fsum(w * (v - m) ** 2 for v, w in self.atoms_spec)
 
-    def central_even_moment(self, k: int) -> float:
-        _check_moment_order(k)
-        m = self.mean
-        return math.fsum(w * (v - m) ** (2 * k) for v, w in self.atoms_spec)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """One uniform double u per draw, mapped by from_uniforms."""
         return self.from_uniforms(rng.random(size))
@@ -210,19 +196,6 @@ class FiniteDiscrete:
 
 
 ColorMeasure = Union[TwoPoint, GaussianLaw, FiniteDiscrete]
-
-
-def _check_moment_order(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"moment order must be a positive integer, got {k!r}")
-
-
-def double_factorial_odd(k: int) -> float:
-    """(2k-1)!! = (2k)! / (k! 2^k), exact for small k, log-gamma above."""
-    _check_moment_order(k)
-    if k <= 10:
-        return float(math.factorial(2 * k) // (math.factorial(k) * 2**k))
-    return math.exp(math.lgamma(2 * k + 1) - math.lgamma(k + 1) - k * math.log(2.0))
 
 
 def live_atoms(nu: ColorMeasure) -> tuple[tuple[float, float], ...] | None:
@@ -289,9 +262,6 @@ class ColorField:
     labeling: ClusterLabeling
     cluster_color: np.ndarray
     z: float
-
-    def site_color(self, site: int) -> float:
-        return float(self.cluster_color[self.labeling.cluster_id[site]])
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         """Colors at the given flat site indices."""

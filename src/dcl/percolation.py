@@ -123,11 +123,6 @@ class ClusterLabeling:
     k_n: int
     proxy_rule: str
 
-    @property
-    def boundary_touching(self) -> frozenset[int]:
-        """Ids of the clusters that reach the box boundary."""
-        return frozenset(np.unique(self.cluster_id[self.lattice.boundary_sites]).tolist())
-
     def finite_sizes(self) -> np.ndarray:
         """Cluster sizes with the infinite stand-in zeroed out."""
         sizes = self.cluster_sizes.copy()
@@ -454,6 +449,8 @@ def map_labelings(
     one entry per copy. Only the columns are kept, and each comes back
     concatenated in r order whatever the worker count.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     copies = max(1, _STACK_SITES // lattice.site_count)
     starts = range(0, count, copies)
 
@@ -541,8 +538,6 @@ def estimate_functionals(
     the window fraction occupied by the stand-in cluster; the finite mean
     cluster size averages full-box cluster sizes over window sites.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
     warn_if_near_critical(lattice.d, p)
     if margin is None:
         margin = default_window_margin(lattice)
@@ -558,30 +553,3 @@ def estimate_functionals(
     )
     return pool_functionals(columns, lattice, margin, proxy_rule)
 
-
-def connectivity_profile(
-    lattice: BoxLattice,
-    p: float,
-    offsets: list[tuple[int, ...]],
-    replicates: int,
-    seed: int,
-    *,
-    stream_role: str = "graph",
-) -> dict[tuple[int, ...], float]:
-    """Empirical probability that the origin is connected to origin+offset."""
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    targets = [tuple(offset) for offset in offsets]
-    sites = np.array([lattice.index_of(coords) for coords in targets], dtype=np.int64)
-    origin = [lattice.origin]
-    joined = map_labelings(
-        lattice,
-        p,
-        seed,
-        stream_role,
-        replicates,
-        lambda start, stack: {"joined": stack.stack_id[:, sites] == stack.stack_id[:, origin]},
-        proxy_rule=PROXY_DISABLED,
-    )["joined"]
-    hits = np.sum(joined, axis=0)
-    return {coords: int(h) / replicates for coords, h in zip(targets, hits)}

@@ -23,7 +23,6 @@ from .coloring import (
     atom_index,
     atom_thresholds,
     atom_values,
-    double_factorial_odd,
     draw_table,
     is_point_mass,
     live_atoms,
@@ -153,20 +152,6 @@ class GaussianMixture:
         mean = self.mean
         return math.fsum(w * (v + (m - mean) ** 2) for w, m, v in self.components)
 
-    def raw_moment(self, r: int) -> float:
-        """E[X^r] from the exact Gaussian component moments."""
-        return math.fsum(w * _gaussian_raw_moment(m, v, r) for w, m, v in self.components)
-
-    def excess_kurtosis(self) -> float:
-        mean = self.mean
-        var = self.variance
-        if var == 0.0:
-            raise ValueError("kurtosis undefined for a degenerate mixture")
-        m4 = math.fsum(
-            w * _gaussian_raw_moment(m - mean, v, 4) for w, m, v in self.components
-        )
-        return m4 / var**2 - 3.0
-
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
@@ -218,20 +203,6 @@ class SampledLaw:
 
 
 LimitLaw = Union[PointMass, GaussianLaw, TwoPointLaw, FiniteDiscrete, GaussianMixture]
-
-
-def _gaussian_raw_moment(mean: float, variance: float, r: int) -> float:
-    """E[X^r] for X ~ N(mean, variance), by the standard recursion."""
-    if r < 0:
-        raise ValueError(f"moment order must be >= 0, got {r}")
-    prev2, prev1 = 1.0, mean
-    if r == 0:
-        return prev2
-    if r == 1:
-        return prev1
-    for order in range(2, r + 1):
-        prev2, prev1 = prev1, mean * prev1 + (order - 1) * variance * prev2
-    return prev1
 
 
 def lln_limit_law(nu: ColorMeasure, theta: float) -> LimitLaw:
@@ -297,24 +268,6 @@ def centered_gaussian(variance: float) -> LimitLaw:
     if variance > 0.0:
         return GaussianLaw(mean=0.0, variance=variance)
     return PointMass(value=0.0)
-
-
-def gamma_prime_moment(k: int, nu: ColorMeasure, sigma_p2: float) -> float:
-    """2k-th moment of gamma' = y (z - m), y ~ N(0, sigma_p2), z ~ nu.
-
-    Equals (2k)!/(k! 2^k) times the 2k-th central moment of nu times
-    sigma_p2^k. Exact integer combinatorics below k = 11, log-gamma above.
-    """
-    _check_nonneg("sigma_p2", sigma_p2)
-    return double_factorial_odd(k) * nu.central_even_moment(k) * sigma_p2**k
-
-
-def covariance_prediction(sigma2: float, connect_prob: float) -> float:
-    """Cov(X_0, X_k) = sigma2 P(k connected to 0) for the annealed field."""
-    _check_nonneg("sigma2", sigma2)
-    if not 0.0 <= connect_prob <= 1.0:
-        raise ValueError(f"connection probability must lie in [0, 1], got {connect_prob}")
-    return sigma2 * connect_prob
 
 
 def _check_theta(theta: float) -> None:

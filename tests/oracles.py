@@ -148,3 +148,38 @@ def summarize_onepass(samples: Iterable[float]) -> Moments:
     se_mean = math.sqrt(variance / n)
     se_variance = variance * math.sqrt(2.0 / (n - 1))
     return Moments(n, mean, variance, skewness, excess_kurtosis, se_mean, se_variance)
+
+
+def prime_moment(
+    k: int,
+    sigma_p2: float,
+    *,
+    atoms: Iterable[tuple[float, float]] | None = None,
+    variance: float | None = None,
+) -> float:
+    """E[(y (z - m))^(2k)] for y ~ N(0, sigma_p2) independent of z, m = E[z].
+
+    y and z - m are independent, so this is (2k-1)!! sigma_p2^k times the
+    2k-th central moment of z. z has the given (value, weight) atoms, or is
+    Gaussian with the given variance; pass exactly one of the two.
+    """
+    odd_double_factorial = math.prod(range(1, 2 * k, 2))
+    if atoms is None:
+        central = odd_double_factorial * variance**k
+    else:
+        atoms = list(atoms)
+        m = math.fsum(v * w for v, w in atoms)
+        central = math.fsum(w * (v - m) ** (2 * k) for v, w in atoms)
+    return odd_double_factorial * central * sigma_p2**k
+
+
+def scale_mixture_excess_kurtosis(pairs: Iterable[tuple[float, float]]) -> float:
+    """Excess kurtosis of a centered Gaussian scale mixture given as (weight, variance) pairs.
+
+    For X = sqrt(V) u with u ~ N(0, 1) independent of V, E[X^4] = 3 E[V^2]
+    and E[X^2] = E[V], so the excess kurtosis is 3 E[V^2] / E[V]^2 - 3.
+    """
+    pairs = list(pairs)
+    ev = math.fsum(w * v for w, v in pairs)
+    ev2 = math.fsum(w * v * v for w, v in pairs)
+    return 3.0 * ev2 / ev**2 - 3.0

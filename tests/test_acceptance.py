@@ -41,15 +41,8 @@ from dcl.percolation import (
 )
 from dcl.rng import derive_rng, derive_streams
 from dcl.stats import summarize
-from dcl.theory import (
-    REGIME_SUPERCRITICAL,
-    PointMass,
-    SampledLaw,
-    covariance_prediction,
-    gamma_law,
-    gamma_prime_moment,
-)
-from oracles import enumerate_box
+from dcl.theory import PointMass, SampledLaw
+from oracles import enumerate_box, prime_moment, scale_mixture_excess_kurtosis
 
 pytestmark = pytest.mark.acceptance
 
@@ -248,8 +241,11 @@ def test_limit_kurtosis_separation(criterion):
     skewed = TwoPoint(a=-1.0, b=1.0, alpha=0.3)
     draws = SampledLaw(1.0, 0.5, skewed).sample(derive_rng(SEED, "acc7:skew"), n)
     kurt_skew = summarize(draws).excess_kurtosis
-    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, skewed.variance, 0.5, skewed)
-    closed = law.excess_kurtosis()
+    # x + y (z - m) given z is N(0, chi_f sigma2 + sigma_p2 (z - m)^2), chi_f = 1, sigma_p2 = 0.5
+    atoms = ((-1.0, 0.7), (1.0, 0.3))
+    m = math.fsum(v * w for v, w in atoms)
+    sigma2 = math.fsum(w * (v - m) ** 2 for v, w in atoms)
+    closed = scale_mixture_excess_kurtosis((w, sigma2 + 0.5 * (v - m) ** 2) for v, w in atoms)
 
     ok = (
         abs(kurt_sym) < 0.05
@@ -269,8 +265,11 @@ def test_prime_moment_agreement(criterion):
     sigma_p2 = 0.5
     worst = 0.0
     ok = True
-    cases = [("two-point", TwoPoint(-1.0, 1.0, 0.5)), ("gaussian", GaussianLaw(0.0, 1.0))]
-    for tag, nu in cases:
+    cases = [
+        ("two-point", TwoPoint(-1.0, 1.0, 0.5), {"atoms": ((-1.0, 0.5), (1.0, 0.5))}),
+        ("gaussian", GaussianLaw(0.0, 1.0), {"variance": 1.0}),
+    ]
+    for tag, nu, law in cases:
         rng = derive_rng(SEED, f"acc8:{tag}")
         y = rng.normal(0.0, math.sqrt(sigma_p2), n)
         z = np.asarray(nu.sample(rng, n))
@@ -278,7 +277,7 @@ def test_prime_moment_agreement(criterion):
         for k in (1, 2, 3):
             powers = draws ** (2 * k)
             se = powers.std(ddof=1) / math.sqrt(n)
-            pull = abs(powers.mean() - gamma_prime_moment(k, nu, sigma_p2)) / se
+            pull = abs(powers.mean() - prime_moment(k, sigma_p2, **law)) / se
             worst = max(worst, pull)
             ok = ok and pull < 4.0
     detail = f"orders 2, 4, 6 for two color laws; worst pull {worst:.2f} se (limit 4)"
@@ -302,14 +301,15 @@ def test_adjacent_site_covariance(criterion):
             streams = derive_streams(SEED, f"acc9-color:{alpha!r}:{p!r}", start, stack.copies)
             for c, rng in enumerate(streams):
                 field = color_clusters(stack.view(c), nu, rng)
-                products[c] = (field.site_color(origin) - mean) * (field.site_color(neighbor) - mean)
+                x0, x1 = field.cluster_color[field.labeling.cluster_id[[origin, neighbor]]]
+                products[c] = (x0 - mean) * (x1 - mean)
             return {"products": products}
 
         # Configuration i is drawn from the stream f"acc9:{alpha!r}:{p!r}:{i}".
         products = map_labelings(
             line, p, SEED, f"acc9:{alpha!r}:{p!r}", reps, observe, proxy_rule=PROXY_DISABLED
         )["products"]
-        predicted = covariance_prediction(variance, p)
+        predicted = variance * p
         se = products.std(ddof=1) / math.sqrt(reps)
         gap = abs(products.mean() - predicted)
         ok = ok and gap < 3.0 * se

@@ -17,7 +17,6 @@ from dcl.coloring import (
     atom_index,
     centered_sums,
     color_clusters,
-    double_factorial_odd,
     draw_table,
     parse_color_measure,
 )
@@ -36,11 +35,6 @@ def test_two_point_moments():
     nu = TwoPoint(-1.0, 1.0, 0.3)
     assert nu.mean == pytest.approx(-0.4)
     assert nu.variance == pytest.approx(0.3 * 0.7 * 4.0)
-    # central even moments: alpha (b-m)^2k + (1-alpha)(a-m)^2k
-    m = nu.mean
-    for k in (1, 2, 3):
-        manual = 0.3 * (1.0 - m) ** (2 * k) + 0.7 * (-1.0 - m) ** (2 * k)
-        assert nu.central_even_moment(k) == pytest.approx(manual)
 
 
 def test_two_point_degenerate_mean_is_exact():
@@ -57,12 +51,7 @@ def test_two_point_alpha_bounds():
         TwoPoint(-1.0, 1.0, 1.5)
 
 
-def test_gaussian_law_central_moments():
-    nu = GaussianLaw(2.0, 1.7)
-    for k in (1, 2, 3, 4):
-        assert nu.central_even_moment(k) == pytest.approx(
-            double_factorial_odd(k) * 1.7**k
-        )
+def test_gaussian_law_rejects_negative_variance():
     with pytest.raises(ValueError):
         GaussianLaw(0.0, -1.0)
 
@@ -84,16 +73,6 @@ def test_finite_discrete_validation_and_moments():
         FiniteDiscrete(((0.0, 0.5), (0.0, 0.5)))
     with pytest.raises(ValueError):
         FiniteDiscrete(())
-
-
-def test_double_factorial_odd():
-    assert [double_factorial_odd(k) for k in range(1, 5)] == [1.0, 3.0, 15.0, 105.0]
-
-
-def test_second_central_moment_is_the_variance():
-    for nu in (TwoPoint(-1.0, 1.0, 0.4), GaussianLaw(0.5, 2.0),
-               FiniteDiscrete(((0.0, 0.5), (3.0, 0.5)))):
-        assert nu.central_even_moment(1) == pytest.approx(nu.variance)
 
 
 @pytest.mark.parametrize(
@@ -168,14 +147,6 @@ def test_point_mass_colors_every_site():
     field = color_clusters(labeling, TwoPoint(2.0, 2.0, 0.3), derive_rng(9, "c"))
     sites = np.arange(lat.site_count, dtype=np.int64)
     assert (field.values(sites) == 2.0).all()
-
-
-def test_site_color_lookup_matches_labels():
-    lat = build_box(2, 3)
-    labeling = label_clusters(sample_config(lat, 0.5, 2, "g"), PROXY_DISABLED)
-    field = color_clusters(labeling, GaussianLaw(0.0, 1.0), derive_rng(2, "c"))
-    for i in (0, lat.origin, lat.site_count - 1):
-        assert field.site_color(i) == field.cluster_color[labeling.cluster_id[i]]
 
 
 def test_windowed_sum_variance_identity_exact_enumeration():

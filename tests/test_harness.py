@@ -243,9 +243,10 @@ def test_quenched_clt_empty_graph_gaussian_colors():
 
 
 def test_quenched_clt_point_mass_colors_degenerate():
+    # margin=2 leaves a 13x13 window; the default margin at radius 8 leaves one site.
     cfg = ExperimentConfig(
         d=2, radii=8, p=0.3, nu="two-point:3,3,0.7",
-        color_replicates=50, master_seed=1,
+        color_replicates=50, master_seed=1, margin=2,
     )
     res = run_quenched_clt(cfg)
     assert res.passed()

@@ -23,7 +23,6 @@ from dcl.percolation import (
     ClusterLabeling,
     EdgeConfig,
     NearCriticalWarning,
-    connectivity_profile,
     default_window_margin,
     estimate_functionals,
     label_clusters,
@@ -227,7 +226,7 @@ def test_labeling_properties(d, n, p, seed):
     counts = np.bincount(ids, minlength=labeling.k_n)
     assert (counts == labeling.cluster_sizes).all()
     if labeling.infinite_proxy is not None:
-        assert labeling.infinite_proxy in labeling.boundary_touching
+        assert labeling.infinite_proxy in np.unique(ids[lat.boundary_sites])
     # both square-sum routes agree exactly, at every legal margin
     for margin in range(lat.n + 1):
         a, b = square_sums(labeling, margin)
@@ -447,9 +446,13 @@ def test_estimator_matches_enumeration_d1():
 
 
 def test_estimate_replicate_validation():
+    # The engine rejects an empty run; estimate_functionals relies on it.
     lat = build_box(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count must be >= 1"):
         estimate_functionals(lat, 0.5, 0, seed=1)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            map_labelings(lat, 0.5, 1, "empty", count, lambda start, stack: {})
 
 
 def test_map_labelings_streams_and_worker_count():
@@ -499,12 +502,14 @@ def test_stacked_views_match_one_copy_labelings(d, n):
             assert len(views) == count
             for r, view in enumerate(views):
                 direct = label_clusters(sample_config(lat, p, 21, f"view:{r}"), rule)
-                for name in [f.name for f in dataclasses.fields(ClusterLabeling)] + ["boundary_touching"]:
+                for name in [f.name for f in dataclasses.fields(ClusterLabeling)]:
                     got, want = getattr(view, name), getattr(direct, name)
                     if isinstance(want, np.ndarray):
                         assert got.dtype == want.dtype and np.array_equal(got, want), (r, name)
                     else:
                         assert got == want, (r, name)
+                touching = [np.unique(x.cluster_id[lat.boundary_sites]) for x in (view, direct)]
+                assert np.array_equal(*touching), r
 
 
 def _oracle_functionals(lattice, open_mask, margin, rule):
@@ -566,21 +571,6 @@ def test_near_critical_warning_band():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warn_if_near_critical(d, p)
-
-
-def test_connectivity_profile_trivial_offsets():
-    lat = build_box(2, 3)
-    profile = connectivity_profile(lat, 0.0, [(0, 0), (1, 0)], replicates=20, seed=6)
-    assert profile[(0, 0)] == 1.0
-    assert profile[(1, 0)] == 0.0
-
-
-def test_connectivity_profile_d1_adjacent_is_p():
-    lat = build_box(1, 2)
-    reps = 4000
-    profile = connectivity_profile(lat, 0.6, [(1,)], replicates=reps, seed=7)
-    se = math.sqrt(0.6 * 0.4 / reps)
-    assert abs(profile[(1,)] - 0.6) <= 3 * se
 
 
 def test_labeling_functionals_row_keys():

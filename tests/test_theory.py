@@ -14,7 +14,6 @@ from dcl.coloring import (
     FiniteDiscrete,
     GaussianLaw,
     TwoPoint,
-    double_factorial_odd,
     is_point_mass,
     live_atoms,
     parse_color_measure,
@@ -30,9 +29,7 @@ from dcl.theory import (
     SampledLaw,
     TwoPointLaw,
     centered_gaussian,
-    covariance_prediction,
     gamma_law,
-    gamma_prime_moment,
     lln_limit_law,
 )
 
@@ -176,7 +173,8 @@ def test_gaussian_color_gamma_matches_quadrature(chi_f, sigma_p2):
     for t, f in zip(ts, got):
         assert abs(f - _scale_mixture_cdf(t, a, b)) <= 1e-13, t
     assert law.variance == pytest.approx(a + b, rel=1e-11)
-    assert law.raw_moment(4) == pytest.approx(3 * a * a + 6 * a * b + 9 * b * b, rel=1e-11)
+    fourth = math.fsum(w * 3 * v * v for w, _, v in law.components)
+    assert fourth == pytest.approx(3 * a * a + 6 * a * b + 9 * b * b, rel=1e-11)
 
 
 def _gamma_is_gaussian(nu, chi_f=1.0, sigma_p2=0.5):
@@ -193,27 +191,6 @@ def test_is_gamma_gaussian_dichotomy():
     assert _gamma_is_gaussian(FiniteDiscrete(((-2.0, 0.5), (4.0, 0.5))))
     assert not _gamma_is_gaussian(FiniteDiscrete(((-2.0, 0.25), (4.0, 0.75))))
     assert not _gamma_is_gaussian(FiniteDiscrete(((-1.0, 0.4), (0.0, 0.2), (1.0, 0.4))))
-
-
-def test_gaussian_mixture_raw_moments():
-    mu, var = 0.7, 1.3
-    law = GaussianMixture(components=((1.0, mu, var),))
-    assert law.raw_moment(1) == pytest.approx(mu)
-    assert law.raw_moment(2) == pytest.approx(var + mu**2)
-    assert law.raw_moment(3) == pytest.approx(mu**3 + 3 * mu * var)
-    assert law.raw_moment(4) == pytest.approx(mu**4 + 6 * mu**2 * var + 3 * var**2)
-
-
-def test_gaussian_mixture_excess_kurtosis():
-    # Scale mixture of centered Gaussians: kurtosis has a closed form
-    # 3 E[V^2]/E[V]^2 - 3 with V the mixed variance.
-    w, v1, v2 = 0.3, 2.0, 0.5
-    law = GaussianMixture(components=((w, 0.0, v1), (1 - w, 0.0, v2)))
-    ev = w * v1 + (1 - w) * v2
-    ev2 = w * v1**2 + (1 - w) * v2**2
-    assert law.excess_kurtosis() == pytest.approx(3 * ev2 / ev**2 - 3)
-    single = GaussianMixture(components=((1.0, 0.0, 1.7),))
-    assert single.excess_kurtosis() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gaussian_mixture_cdf_and_sampling():
@@ -259,38 +236,6 @@ def test_gamma_sampler_moments():
     assert summarize(draws).variance == pytest.approx(expected_var, rel=0.03)
 
 
-def test_gamma_prime_moments_closed_form():
-    sigma_p2 = 0.7
-    symmetric = TwoPoint(-1.0, 1.0, 0.5)
-    gauss = GaussianLaw(0.0, 1.0)
-    for k in (1, 2, 3):
-        # symmetric two-point: central 2k-th moment is 1
-        assert gamma_prime_moment(k, symmetric, sigma_p2) == pytest.approx(
-            double_factorial_odd(k) * sigma_p2**k
-        )
-        # standard Gaussian: central 2k-th moment is (2k-1)!!
-        assert gamma_prime_moment(k, gauss, sigma_p2) == pytest.approx(
-            double_factorial_odd(k) ** 2 * sigma_p2**k
-        )
-
-
-def test_gamma_prime_moment_matches_direct_draws():
-    sigma_p2 = 0.5
-    nu = TwoPoint(-1.0, 1.0, 0.3)
-    rng = derive_rng(4, "gamma-prime")
-    y = rng.normal(0.0, math.sqrt(sigma_p2), size=300000)
-    z = nu.sample(rng, 300000)
-    x = y * (z - nu.mean)
-    for k in (1, 2, 3):
-        empirical = np.mean(x ** (2 * k))
-        se = np.std(x ** (2 * k), ddof=1) / math.sqrt(x.shape[0])
-        assert abs(empirical - gamma_prime_moment(k, nu, sigma_p2)) <= 4 * se
-
-
-def test_covariance_prediction():
-    assert covariance_prediction(1.2, 0.25) == pytest.approx(0.3)
-
-
 def test_two_point_law_requires_distinct_atoms():
     with pytest.raises(ValueError):
         TwoPointLaw(atom_pairs=((1.0, 0.5), (1.0, 0.5)))
@@ -320,10 +265,6 @@ def test_gamma_parameters_must_be_finite(bad, slot):
     if slot != 1:
         with pytest.raises(ValueError, match=name):
             SampledLaw(chi_f, sigma_p2, nu)
-        with pytest.raises(ValueError, match="sigma_p2"):
-            gamma_prime_moment(1, nu, bad)
-        with pytest.raises(ValueError, match="sigma2"):
-            covariance_prediction(bad, 0.5)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
