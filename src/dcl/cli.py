@@ -350,7 +350,7 @@ def _run_estimate(config: ExperimentConfig) -> RunResult:
 def _run_gamma_sample(opts: dict) -> RunResult:
     nu = opts["nu"]
     sampler = SampledLaw(opts["chi_f"], opts["sigma_p2"], nu)
-    law = gamma_law(REGIME_SUPERCRITICAL, opts["chi_f"], nu.variance, opts["sigma_p2"], nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, opts["chi_f"], opts["sigma_p2"], nu)
     draws = sampler.sample(derive_rng(opts["master_seed"], "gamma-sample"), opts["samples"])
     return RunResult(
         experiment="gamma-sample",

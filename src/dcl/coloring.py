@@ -70,6 +70,15 @@ def _check_finite(what: str, *values: float) -> None:
         raise ValueError(f"{what} must be finite, got {bad[0]!r}")
 
 
+def _check_variance(what: str, nu) -> None:
+    """Refuse a law whose finite atoms spread so far that its variance overflows a float."""
+    try:
+        variance = nu.variance
+    except OverflowError:  # float ** overflows with an error, not to inf
+        variance = math.inf
+    _check_finite(f"{what} variance", variance)
+
+
 @dataclass(frozen=True)
 class TwoPoint:
     """Two-atom law: value b with probability alpha, else value a."""
@@ -84,6 +93,7 @@ class TwoPoint:
         _check_finite("two-point a, b and alpha", self.a, self.b, self.alpha)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+        _check_variance("two-point", self)
         object.__setattr__(self, "_values", draw_table((self.b, self.a)))
         object.__setattr__(self, "_thresholds", draw_table((self.alpha,)))
 
@@ -95,6 +105,8 @@ class TwoPoint:
 
     @property
     def variance(self) -> float:
+        if self.alpha in (0.0, 1.0):
+            return 0.0  # a point mass, however far its dead atom lies
         return self.alpha * (1.0 - self.alpha) * (self.b - self.a) ** 2
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -164,6 +176,7 @@ class FiniteDiscrete:
         values = [v for v, _ in self.atoms_spec]
         if len(set(values)) != len(values):
             raise ValueError("atom values must be distinct")
+        _check_variance("discrete", self)
         object.__setattr__(self, "_values", draw_table(values))
         object.__setattr__(self, "_thresholds", atom_thresholds([w for _, w in self.atoms_spec]))
 
@@ -174,7 +187,7 @@ class FiniteDiscrete:
     @property
     def variance(self) -> float:
         m = self.mean
-        return math.fsum(w * (v - m) ** 2 for v, w in self.atoms_spec)
+        return math.fsum(w * (v - m) ** 2 for v, w in self.atoms_spec if w > 0.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """One uniform double u per draw, mapped by from_uniforms."""

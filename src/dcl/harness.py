@@ -156,23 +156,14 @@ class ExperimentConfig:
             raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {self.proxy_rule!r}")
         if self.regime is not None and self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.margin is not None:
-            if self.margin < 0:
-                raise ValueError(f"margin must be >= 0, got {self.margin}")
-            if self.margin > min(self.radii):
-                raise ValueError(
-                    f"margin {self.margin} exceeds the smallest radius {min(self.radii)}"
-                )
+        # The margin trims the largest box; smaller radii are windows inside it.
+        if self.margin is not None and not 0 <= self.margin <= self.n_max:
+            raise ValueError(f"margin must lie in [0, {self.n_max}], got {self.margin}")
         check_seed(self.master_seed)
 
     @property
     def n_max(self) -> int:
         return max(self.radii)
-
-    def margin_for(self, lattice: BoxLattice) -> int:
-        if self.margin is not None:
-            return min(self.margin, lattice.n)
-        return default_window_margin(lattice)
 
     def to_dict(self, experiment: str) -> dict:
         """The report's config: the experiment name and the fields that run reads but workers."""
@@ -251,7 +242,7 @@ def _box(config: ExperimentConfig, experiment: str) -> tuple[BoxLattice, int]:
     _refuse_unread(config, experiment)
     warn_if_near_critical(config.d, config.p)
     lattice = build_box(config.d, config.n_max)
-    return lattice, config.margin_for(lattice)
+    return lattice, default_window_margin(lattice) if config.margin is None else config.margin
 
 
 def _within(value: float, bound: float, context: str) -> TestReport:
@@ -572,7 +563,6 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     lattice, margin = _box(config, "annealed-clt")
     reps = config.graph_replicates
     m = config.nu.mean
-    sigma2 = config.nu.variance
     n_sites = lattice.site_count
 
     columns, est = _colored_replicates(config, lattice, margin)
@@ -593,7 +583,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     z = columns["z"]
     q = (columns["color_sum"] - (m + theta_box * (z - m)) * n_sites) / math.sqrt(n_sites)
 
-    closed = gamma_law(config.regime, est.chi_f_hat, sigma2, sigma_p2_batch, config.nu)
+    closed = gamma_law(config.regime, est.chi_f_hat, sigma_p2_batch, config.nu)
     summary = summarize(q)
 
     tests: list[TestReport] = []

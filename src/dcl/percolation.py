@@ -59,23 +59,17 @@ def warn_if_near_critical(d: int, p: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeConfig:
     """One sampled bond configuration, or a stack of them on the same box.
 
     open is the boolean (site_count, d) mask of one configuration's open
     edges (u, axis), False off lattice.has_edge, or (copies, site_count, d)
-    for a stack. A stack tagged f"{role}:{a}..{b}" holds the configurations
-    of the streams f"{role}:{r}" for r = a..b, one per row. Either way the
-    open bits are reproducible from (lattice, p, seed, stream_tag) alone, so
-    a config never needs to be stored to be revisited.
+    for a stack. Configs compare by identity.
     """
 
     lattice: BoxLattice
-    open: np.ndarray = field(repr=False, compare=False)
-    p: float
-    seed: int
-    stream_tag: str
+    open: np.ndarray = field(repr=False)
 
 
 def _check_density(p: float) -> None:
@@ -96,14 +90,14 @@ def sample_config(lattice: BoxLattice, p: float, seed: int, stream_tag: str = "g
     """Draw a Bernoulli(p) bond configuration on the given box."""
     _check_density(p)
     draws = derive_rng(seed, stream_tag).random(lattice.edge_count)
-    return EdgeConfig(lattice, _open_mask(lattice, draws, p), p, seed, stream_tag)
+    return EdgeConfig(lattice, _open_mask(lattice, draws, p))
 
 
 def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: int, copies: int) -> EdgeConfig:
     """Configurations start..start+copies-1 of a role, drawn as sample_config draws each."""
     _check_density(p)
     draws = stream_uniforms(seed, role, start, copies, lattice.edge_count)
-    return EdgeConfig(lattice, _open_mask(lattice, draws, p), p, seed, f"{role}:{start}..{start + copies - 1}")
+    return EdgeConfig(lattice, _open_mask(lattice, draws, p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +115,6 @@ class ClusterLabeling:
     cluster_sizes: np.ndarray = field(repr=False)
     infinite_proxy: int | None
     k_n: int
-    proxy_rule: str
 
     def finite_sizes(self) -> np.ndarray:
         """Cluster sizes with the infinite stand-in zeroed out."""
@@ -155,7 +148,6 @@ class LabelingStack:
     cluster_sizes: np.ndarray = field(repr=False)
     proxy: np.ndarray = field(repr=False)
     proxy_sites: np.ndarray = field(repr=False)
-    proxy_rule: str
 
     @property
     def copies(self) -> int:
@@ -175,7 +167,6 @@ class LabelingStack:
             cluster_sizes=self.cluster_sizes[first : first + int(self.k_n[c])],
             infinite_proxy=proxy - first if proxy >= 0 else None,
             k_n=int(self.k_n[c]),
-            proxy_rule=self.proxy_rule,
         )
 
 
@@ -192,7 +183,6 @@ def _as_stack(labeling: ClusterLabeling | LabelingStack) -> LabelingStack:
         cluster_sizes=labeling.cluster_sizes,
         proxy=np.array([proxy]),
         proxy_sites=np.array([labeling.proxy_site_count()]),
-        proxy_rule=labeling.proxy_rule,
     )
 
 
@@ -321,7 +311,6 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
         cluster_sizes=cluster_sizes,
         proxy=proxy,
         proxy_sites=proxy_sites,
-        proxy_rule=proxy_rule,
     )
     return stack if config.open.ndim == 3 else stack.view(0)
 

@@ -123,57 +123,68 @@ class TwoPointLaw:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Finite mixture of Gaussians, components ((weight, mean, variance), ...)."""
+    """The supercritical gamma, the law of x + y (z - m), written by its parameters.
 
-    components: tuple[tuple[float, float, float], ...]
-    _means: np.ndarray = field(init=False, repr=False, compare=False)
+    x ~ N(0, chi_f sigma2), y ~ N(0, sigma_p2) and z ~ nu are independent,
+    with m and sigma2 nu's mean and variance. Given z the law is
+    N(0, chi_f sigma2 + (z - m)^2 sigma_p2), and gamma mixes these over z,
+    through (weight, (z - m)^2) pairs: the live atoms for atomic nu, and the
+    half-normal nodes scaled by sigma2 for Gaussian nu. weights and
+    variances list the components in that order.
+    """
+
+    chi_f: float
+    sigma_p2: float
+    nu: ColorMeasure
+    weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    variances: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _stds: np.ndarray = field(init=False, repr=False, compare=False)
     _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        _check_finite("mixture weights, means and variances", *(x for c in self.components for x in c))
-        total = math.fsum(w for w, _, _ in self.components)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"mixture weights must sum to 1, got {total}")
-        if any(w < 0.0 or v < 0.0 for w, _, v in self.components):
-            raise ValueError("mixture weights and variances must be non-negative")
-        object.__setattr__(self, "_means", draw_table([m for _, m, _ in self.components]))
-        object.__setattr__(self, "_stds", draw_table([math.sqrt(v) for _, _, v in self.components]))
-        object.__setattr__(self, "_thresholds", atom_thresholds([w for w, _, _ in self.components]))
-
-    @property
-    def mean(self) -> float:
-        return math.fsum(w * m for w, m, _ in self.components)
-
-    @property
-    def variance(self) -> float:
-        mean = self.mean
-        return math.fsum(w * (v + (m - mean) ** 2) for w, m, v in self.components)
+        _check_nonneg("chi_f", self.chi_f)
+        _check_nonneg("sigma_p2", self.sigma_p2)
+        sigma2 = self.nu.variance
+        live = live_atoms(self.nu)
+        if live is None:  # Gaussian nu: z - m = sqrt(sigma2) u with u ~ N(0, 1)
+            pairs = tuple((w, sigma2 * u2) for w, u2 in _HALF_NORMAL_NODES)
+        else:
+            m = self.nu.mean
+            pairs = tuple((w, (z - m) ** 2) for z, w in live)
+        variances = tuple(self.chi_f * sigma2 + d2 * self.sigma_p2 for _, d2 in pairs)
+        _check_finite("gamma component variances", *variances)
+        object.__setattr__(self, "weights", tuple(w for w, _ in pairs))
+        object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "_stds", draw_table([math.sqrt(v) for v in variances]))
+        object.__setattr__(self, "_thresholds", atom_thresholds(self.weights))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
-        for w, m, v in self.components:
+        for w, v in zip(self.weights, self.variances):
             if v == 0.0:
-                out += w * (x >= m)
+                out += w * (x >= 0.0)
             else:
-                out += w * gaussian_cdf(x, m, v)
+                out += w * gaussian_cdf(x, 0.0, v)
         return out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """One uniform double u, then one standard normal, per draw.
 
         u picks component i, the number of partial weight sums before the
-        last component that are <= u, and the draw is mean_i + std_i times
-        the normal.
+        last component that are <= u, and the draw is std_i times the normal.
         """
         which = atom_index(rng.random(size), self._thresholds)
-        return self._means.take(which) + self._stds.take(which) * rng.standard_normal(size)
+        return self._stds.take(which) * rng.standard_normal(size)
 
     def to_dict(self) -> dict:
-        return {"type": "gaussian-mixture", "components": [[w, m, v] for w, m, v in self.components]}
+        return {
+            "type": "gaussian-mixture",
+            "chi_f": self.chi_f,
+            "sigma_p2": self.sigma_p2,
+            "nu": self.nu.to_dict(),
+            "components": len(self.weights),
+        }
 
 
 @dataclass(frozen=True)
@@ -227,40 +238,26 @@ def lln_limit_law(nu: ColorMeasure, theta: float) -> LimitLaw:
     return FiniteDiscrete(atoms_spec=image)
 
 
-def gamma_law(
-    regime: str, chi_f: float, sigma2: float, sigma_p2: float, nu: ColorMeasure
-) -> LimitLaw:
-    """Annealed fluctuation law gamma.
+def gamma_law(regime: str, chi_f: float, sigma_p2: float, nu: ColorMeasure) -> LimitLaw:
+    """Annealed fluctuation law gamma, with sigma2 nu's variance.
 
     Subcritical: N(0, chi_f sigma2) regardless of nu beyond its variance.
-    Supercritical: the mixture of N(0, chi_f sigma2 + (z - m)^2 sigma_p2)
-    over the law of z ~ nu, given as (weight, (z - m)^2) pairs: the live
-    atoms for atomic nu, and the half-normal nodes scaled by nu's variance
-    for Gaussian nu. It is one Gaussian, with the first pair's variance,
-    when two live atoms have equal weight (both then lie at one distance
-    from m) or when every component has the same variance (one live atom
-    and sigma_p2 = 0 among them).
+    Supercritical: GaussianMixture(chi_f, sigma_p2, nu). It is one Gaussian,
+    with the first component's variance, when two live atoms have equal
+    weight (both then lie at one distance from m) or when every component
+    has the same variance (one live atom and sigma_p2 = 0 among them).
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     _check_nonneg("chi_f", chi_f)
-    _check_nonneg("sigma2", sigma2)
     _check_nonneg("sigma_p2", sigma_p2)
     if regime == REGIME_SUBCRITICAL:
-        return centered_gaussian(chi_f * sigma2)
-    live = live_atoms(nu)
-    if live is None:  # Gaussian nu: z - m = sqrt(variance) u with u ~ N(0, 1)
-        pairs = tuple((w, nu.variance * u2) for w, u2 in _HALF_NORMAL_NODES)
-    else:
-        m = nu.mean
-        pairs = tuple((w, (z - m) ** 2) for z, w in live)
-    components = tuple((w, 0.0, chi_f * sigma2 + d2 * sigma_p2) for w, d2 in pairs)
-    variance = components[0][2]
-    if (len(pairs) == 2 and pairs[0][0] == pairs[1][0]) or all(
-        v == variance for _, _, v in components
-    ):
-        return centered_gaussian(variance)
-    return GaussianMixture(components=components)
+        return centered_gaussian(chi_f * nu.variance)
+    law = GaussianMixture(chi_f, sigma_p2, nu)
+    weights, variances = law.weights, law.variances
+    if (len(weights) == 2 and weights[0] == weights[1]) or all(v == variances[0] for v in variances):
+        return centered_gaussian(variances[0])
+    return law
 
 
 def centered_gaussian(variance: float) -> LimitLaw:

@@ -133,7 +133,7 @@ def test_tiny_box_enumeration_agreement(criterion):
     for bits in range(4):
         # Line sites 0, 1, 2: edges 0-1 and 1-2 step up from sites 0 and 1.
         edges = np.array([[bits & 1], [bits & 2], [0]], dtype=bool)
-        config = EdgeConfig(lattice=line, open=edges, p=0.5, seed=0, stream_tag="manual")
+        config = EdgeConfig(lattice=line, open=edges)
         labeling = label_clusters(config, PROXY_DISABLED)
         per_site, per_cluster = square_sums(labeling, 0)
         assert per_site == per_cluster

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -191,11 +192,22 @@ def test_exit_code_on_usage_error(capsys):
     assert "usage error" in err and "--p" in err
 
 
-def test_non_finite_color_measure_is_a_usage_error(capsys):
-    code = main(["lln", "--mode", "annealed", "--radius", "4", "--p", "0.5",
-                 "--nu", "discrete:1:nan,2:nan"])
-    assert code == EXIT_ERROR
-    assert capsys.readouterr().err.startswith("usage error: --nu: atom values and weights must be finite")
+@pytest.mark.parametrize(
+    "nu,message",
+    [
+        ("discrete:1:nan,2:nan", "atom values and weights must be finite"),
+        # finite atoms whose variance overflows a float, by an error or to inf
+        ("two-point:-1e200,1e200,0.5", "two-point variance must be finite"),
+        ("discrete:-1e200:0.5,1e200:0.5", "discrete variance must be finite"),
+        ("two-point:1e308,-1e308,0.5", "two-point variance must be finite"),
+    ],
+    ids=["nan-weights", "two-point-overflow", "discrete-overflow", "two-point-inf"],
+)
+def test_non_finite_color_measure_is_a_usage_error(nu, message, capsys):
+    for argv in (["lln", "--mode", "annealed"], ["clt", "--mode", "quenched"]):
+        code = main([*argv, "--radius", "4", "--p", "0.5", "--nu", nu])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"usage error: --nu: {message}")
 
 
 def test_box_too_large_is_a_usage_error(capsys):
@@ -378,6 +390,31 @@ def test_every_subcommand_writes_one_schema(argv, config_keys, capsys):
         assert set(stream) == {"role", "count"}
         assert isinstance(stream["role"], str) and isinstance(stream["count"], int)
     assert isinstance(report["timing"]["wall_seconds"], float)
+
+
+GAMMA_KEYS = {"type", "chi_f", "sigma_p2", "nu", "components"}
+
+
+def test_mixture_gamma_is_written_by_its_parameters(tmp_path, capsys):
+    code = main(["gamma-sample", "--nu", "two-point:-1,1,0.3", "--chi-f", "1.5",
+                 "--sigma-p2", "0.5", "--samples", "50", "--seed", "4"])
+    assert code == EXIT_PASS
+    gamma = json.loads(capsys.readouterr().out)["predictions"]["gamma"]
+    assert gamma == {
+        "type": "gaussian-mixture", "chi_f": 1.5, "sigma_p2": 0.5,
+        "nu": {"type": "two-point", "a": -1.0, "b": 1.0, "alpha": 0.3}, "components": 2,
+    }
+    # Gaussian colors: 231 quadrature components, written as their count.
+    gate_path = Path(__file__).resolve().parents[1] / "tools" / "report_gate.py"
+    spec = importlib.util.spec_from_file_location("report_gate", gate_path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    out = tmp_path / "report.json"
+    assert main(gate.gate_argv(gate.INVOCATIONS["clt-annealed-gaussian"], out, "json")) == EXIT_PASS
+    text = out.read_text()
+    gamma = json.loads(text)["predictions"]["gamma"]
+    assert set(gamma) == GAMMA_KEYS and gamma["components"] == 231
+    assert len(text.splitlines()) <= 100
 
 
 def test_gamma_sample_csv_round_trip(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ def test_finite_discrete_validation_and_moments():
         FiniteDiscrete(((0.0, 0.5), (0.0, 0.5)))
     with pytest.raises(ValueError):
         FiniteDiscrete(())
+
+
+def test_a_far_dead_atom_adds_no_variance():
+    # Each variance would overflow a float if the dead atom were counted.
+    assert TwoPoint(0.0, 1e200, 0.0).variance == 0.0
+    assert TwoPoint(1e200, 0.0, 1.0).variance == 0.0
+    assert FiniteDiscrete(((0.0, 1.0), (1e200, 0.0))).variance == 0.0
 
 
 @pytest.mark.parametrize(
@@ -207,6 +215,7 @@ def test_atom_index_counts_thresholds_at_or_below(count):
 SIZES = st.sampled_from([0, 1, 2, 17, 10_000])
 SEEDS = st.integers(min_value=0, max_value=2**63)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SQRT_MAX_FLOAT = math.sqrt(sys.float_info.max)
 
 
 def _assert_same_draws(got, expected, rng, ref_rng):
@@ -234,8 +243,14 @@ def two_point_params(draw):
 @settings(max_examples=150, deadline=None)
 def test_two_point_draws_match_former_formula(params, size, seed):
     a, b, alpha = params
+    try:
+        nu = TwoPoint(a, b, alpha)
+    except ValueError as exc:
+        # alpha (1 - alpha) <= 1/4, so only atoms further apart than sqrt(max float) get here
+        assert "variance must be finite" in str(exc) and abs(b - a) > SQRT_MAX_FLOAT
+        return
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = TwoPoint(a, b, alpha).sample(rng, size)
+    got = nu.sample(rng, size)
     _assert_same_draws(got, np.where(ref_rng.random(size) < alpha, b, a), rng, ref_rng)
 
 
@@ -263,8 +278,14 @@ def discrete_atoms(draw):
 @example(((3, 1.0),), 0, 1)
 @settings(max_examples=150, deadline=None)
 def test_discrete_draws_match_former_formula(atoms, size, seed):
+    try:
+        nu = FiniteDiscrete(atoms)
+    except ValueError as exc:
+        # a variance past max float needs an atom about sqrt(max float) from the mean
+        assert "variance must be finite" in str(exc) and max(abs(v) for v, _ in atoms) > 1e153
+        return
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = FiniteDiscrete(atoms).sample(rng, size)
+    got = nu.sample(rng, size)
     values = np.array([v for v, _ in atoms])
     cum = np.cumsum([w for _, w in atoms])
     cum[-1] = 1.0

@@ -69,8 +69,11 @@ def test_config_validation():
         ExperimentConfig(**good, regime="critical")
     with pytest.raises(ValueError):
         ExperimentConfig(**good, margin=-1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(**good, margin=9)  # exceeds the smallest radius
+    with pytest.raises(ValueError, match=r"margin must lie in \[0, 16\], got 17"):
+        ExperimentConfig(**good, margin=17)  # exceeds the largest radius
+    # The margin trims the radius-16 box; radius 8 is a window inside it.
+    for margin in (9, 16):
+        assert ExperimentConfig(**good, margin=margin).margin == margin
     with pytest.raises(ValueError, match="signed 128-bit range"):
         ExperimentConfig(**good, master_seed=2**127)
 

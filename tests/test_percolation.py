@@ -55,7 +55,7 @@ def _oracle_ids(lattice, open_mask):
 
 
 def _config(lattice, open_mask):
-    return EdgeConfig(lattice=lattice, open=open_mask, p=0.5, seed=0, stream_tag="manual")
+    return EdgeConfig(lattice=lattice, open=open_mask)
 
 
 def _edge_mask(lattice, bits):
@@ -238,14 +238,14 @@ def test_labelings_with_equal_counts_but_different_clusters_differ():
     # stand-in; only the cluster ids tell the two labelings apart.
     line = build_box(1, 1)
     left, right = (
-        label_clusters(EdgeConfig(line, _edge_mask(line, bits), 0.5, 0, "manual"), PROXY_DISABLED)
+        label_clusters(EdgeConfig(line, _edge_mask(line, bits)), PROXY_DISABLED)
         for bits in ([True, False], [False, True])
     )
     assert left.k_n == right.k_n == 2 and left.infinite_proxy is right.infinite_proxy is None
     assert left != right
     stacked = np.array([_edge_mask(line, [True, False]), _edge_mask(line, [False, True])])
-    a = label_clusters(EdgeConfig(line, stacked, 0.5, 0, "manual"), PROXY_DISABLED)
-    b = label_clusters(EdgeConfig(line, stacked[::-1], 0.5, 0, "manual"), PROXY_DISABLED)
+    a = label_clusters(EdgeConfig(line, stacked), PROXY_DISABLED)
+    b = label_clusters(EdgeConfig(line, stacked[::-1]), PROXY_DISABLED)
     assert np.array_equal(a.k_n, b.k_n) and np.array_equal(a.proxy, b.proxy)
     assert a != b
 
@@ -277,7 +277,6 @@ def test_draws_fill_the_mask_in_site_axis_order(d, n):
 def test_stack_equals_its_copies_sampled_alone(d, n):
     lat = build_box(d, n)
     stack = _sample_stack(lat, 0.5, 21, "side", 8, 4)
-    assert stack.stream_tag == "side:8..11"
     for c in range(4):
         alone = sample_config(lat, 0.5, 21, f"side:{8 + c}")
         assert np.array_equal(stack.open[c], alone.open)
@@ -356,7 +355,7 @@ def test_proxy_is_largest_boundary_cluster_smallest_id_ties():
     base = sample_config(lat, 0.0, 1, "x")
     open_mask = base.open.copy()
     open_mask[[0, 3], 0] = True
-    config = base.__class__(lattice=lat, open=open_mask, p=0.5, seed=1, stream_tag="manual")
+    config = base.__class__(lattice=lat, open=open_mask)
     labeling = label_clusters(config, PROXY_BOUNDARY_LARGEST)
     assert labeling.cluster_sizes[labeling.infinite_proxy] == 2
     assert labeling.infinite_proxy == labeling.cluster_id[0]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dcl.coloring import GaussianLaw, TwoPoint
 from dcl.rng import derive_rng
 from dcl.stats import (
     TestReport,
@@ -202,7 +203,8 @@ def test_ks_one_sample_level_on_exact_mixture_draws():
     # 400 fixed seeds of 60 exact draws each: at level 0.05 the rejections
     # are Binomial(400, 0.05) up to the asymptotic p-value's conservatism,
     # mean 20 and sd 4.4; the band is 3 sd either side
-    law = GaussianMixture(((0.3, 0.0, 0.5), (0.7, 0.0, 2.5)))
+    # components N(0, 0.78) with weight 0.7 and N(0, 2.38) with weight 0.3
+    law = GaussianMixture(0.5, 1.0, TwoPoint(-1.0, 1.0, 0.3))
     rejected = sum(
         not ks_one_sample(law.sample(derive_rng(seed, "ks-level"), 60), law.cdf, level=0.05).passed
         for seed in range(400)
@@ -211,10 +213,12 @@ def test_ks_one_sample_level_on_exact_mixture_draws():
 
 
 def test_ks_one_sample_rejects_the_single_gaussian_of_equal_variance():
-    law = GaussianMixture(((0.3, 0.0, 0.25), (0.7, 0.0, 4.0)))
+    # chi_f = 0 and standard normal colors: the law of y z, of variance 1
+    # and excess kurtosis 6
+    law = GaussianMixture(0.0, 1.0, GaussianLaw(0.0, 1.0))
     x = law.sample(derive_rng(9, "ks-power"), 4000)
     assert ks_one_sample(x, law.cdf).passed
-    assert not ks_one_sample_gaussian(x, 0.0, law.variance).passed
+    assert not ks_one_sample_gaussian(x, 0.0, 1.0).passed
 
 
 def test_tv_distance_hand_example():

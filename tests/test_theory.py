@@ -107,16 +107,16 @@ def test_two_point_magnetization_degenerate():
 
 def test_gamma_law_subcritical():
     nu = TwoPoint(-1.0, 1.0, 0.5)
-    law = gamma_law(REGIME_SUBCRITICAL, 2.5, nu.variance, 0.4, nu)
+    law = gamma_law(REGIME_SUBCRITICAL, 2.5, 0.4, nu)
     assert law == GaussianLaw(0.0, 2.5 * nu.variance)
-    degenerate = gamma_law(REGIME_SUBCRITICAL, 0.0, 0.0, 0.0, TwoPoint(1.0, 1.0, 0.5))
+    degenerate = gamma_law(REGIME_SUBCRITICAL, 0.0, 0.0, TwoPoint(1.0, 1.0, 0.5))
     assert degenerate == PointMass(value=0.0)
 
 
 def test_gamma_law_supercritical_symmetric_collapses():
     nu = TwoPoint(-1.0, 1.0, 0.5)
     chi_f, sigma_p2 = 2.0, 0.5
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
     assert isinstance(law, GaussianLaw)
     # (z - m)^2 = 1 for both atoms, so the mixture is a single Gaussian
     assert law.variance == pytest.approx(chi_f * nu.variance + sigma_p2)
@@ -125,23 +125,23 @@ def test_gamma_law_supercritical_symmetric_collapses():
 def test_gamma_law_supercritical_asymmetric_mixture():
     nu = TwoPoint(-1.0, 1.0, 0.3)
     chi_f, sigma_p2 = 2.0, 0.5
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
-    assert isinstance(law, GaussianMixture)
-    comps = [(w, var) for w, mean, var in law.components]
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    assert law == GaussianMixture(chi_f, sigma_p2, nu)
+    comps = list(zip(law.weights, law.variances))
     m = nu.mean
     assert weight_at(comps, 0.3) == pytest.approx(chi_f * nu.variance + (1 - m) ** 2 * sigma_p2)
     assert weight_at(comps, 0.7) == pytest.approx(chi_f * nu.variance + (-1 - m) ** 2 * sigma_p2)
-    assert all(mean == 0.0 for _, mean, _ in law.components)
+    assert law.cdf(0.0) == 0.5  # every component is centered
 
 
 def test_gamma_law_gaussian_color_mixture():
     nu = GaussianLaw(0.0, 1.0)
-    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, 1.0, 0.5, nu)
-    assert isinstance(law, GaussianMixture)
-    assert all(mean == 0.0 for _, mean, _ in law.components)
+    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, 0.5, nu)
+    assert law == GaussianMixture(1.0, 0.5, nu)
+    assert law.cdf(0.0) == pytest.approx(0.5, abs=1e-14)  # every component is centered
     # sigma_p2 = 0: every component is N(0, chi_f sigma2)
-    assert gamma_law(REGIME_SUPERCRITICAL, 2.0, 1.0, 0.0, nu) == GaussianLaw(0.0, 2.0)
-    assert gamma_law(REGIME_SUPERCRITICAL, 0.0, 1.0, 0.0, nu) == PointMass(value=0.0)
+    assert gamma_law(REGIME_SUPERCRITICAL, 2.0, 0.0, nu) == GaussianLaw(0.0, 2.0)
+    assert gamma_law(REGIME_SUPERCRITICAL, 0.0, 0.0, nu) == PointMass(value=0.0)
 
 
 def _scale_mixture_cdf(t, a, b):
@@ -164,22 +164,23 @@ def test_gaussian_color_gamma_matches_quadrature(chi_f, sigma_p2):
     # sigma_p2 / chi_f, and a = 0 needs no special case.
     nu = GaussianLaw(0.3, 1.7)
     a, b = chi_f * nu.variance, sigma_p2 * nu.variance
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
     assert isinstance(law, GaussianMixture)
-    assert len(law.components) == 231
-    assert math.fsum(w for w, _, _ in law.components) == pytest.approx(1.0, abs=1e-14)
+    assert len(law.weights) == len(law.variances) == 231
+    assert math.fsum(law.weights) == pytest.approx(1.0, abs=1e-14)
     ts = math.sqrt(a + b) * np.linspace(-4.0, 4.0, 17)
     got = law.cdf(ts)
     for t, f in zip(ts, got):
         assert abs(f - _scale_mixture_cdf(t, a, b)) <= 1e-13, t
-    assert law.variance == pytest.approx(a + b, rel=1e-11)
-    fourth = math.fsum(w * 3 * v * v for w, _, v in law.components)
+    components = list(zip(law.weights, law.variances))
+    assert math.fsum(w * v for w, v in components) == pytest.approx(a + b, rel=1e-11)
+    fourth = math.fsum(w * 3 * v * v for w, v in components)
     assert fourth == pytest.approx(3 * a * a + 6 * a * b + 9 * b * b, rel=1e-11)
 
 
 def _gamma_is_gaussian(nu, chi_f=1.0, sigma_p2=0.5):
     """Whether the supercritical gamma is one Gaussian (a point mass included)."""
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
     return isinstance(law, (GaussianLaw, PointMass))
 
 
@@ -194,19 +195,22 @@ def test_is_gamma_gaussian_dichotomy():
 
 
 def test_gaussian_mixture_cdf_and_sampling():
-    law = GaussianMixture(components=((0.4, -1.0, 0.5), (0.6, 2.0, 1.5)))
+    # m = 0.6 and sigma2 = 2.16: N(0, 1.08 + 1.8^2) with weight 0.4, N(0, 1.08 + 1.2^2) with 0.6
+    law = GaussianMixture(0.5, 1.0, FiniteDiscrete(((-1.2, 0.4), (1.8, 0.6))))
+    assert law.weights == (0.4, 0.6)
+    assert law.variances == pytest.approx((0.5 * 2.16 + 1.8**2, 0.5 * 2.16 + 1.2**2))
     assert law.cdf(-50.0) == pytest.approx(0.0, abs=1e-12)
     assert law.cdf(50.0) == pytest.approx(1.0, abs=1e-12)
-    # at x=0.5 nearly all of component one and little of component two
-    assert 0.3 < law.cdf(0.5) < 0.6
+    # at x=0.5: 0.4 Phi(0.24) + 0.6 Phi(0.31), about 0.61
+    assert 0.5 < law.cdf(0.5) < 0.7
     draws = law.sample(derive_rng(8, "mix"), 60000)
-    assert draws.mean() == pytest.approx(0.4 * -1.0 + 0.6 * 2.0, abs=0.03)
+    assert draws.mean() == pytest.approx(0.0, abs=0.03)
 
 
 def test_gamma_sampler_matches_mixture_law():
     nu = TwoPoint(-1.0, 1.0, 0.3)
     chi_f, sigma_p2 = 1.5, 0.6
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
     draws = SampledLaw(chi_f, sigma_p2, nu).sample(derive_rng(5, "sampler"), 50000)
     report = ks_one_sample(draws, law.cdf, context="sampler vs mixture")
     assert report.passed, report.to_dict()
@@ -217,7 +221,7 @@ def test_gamma_sampler_ks_level_on_gaussian_colors():
     # law. At level 0.01, P(Bin(200, 0.01) >= 8) is about 0.001.
     nu = GaussianLaw(1.0, 0.5)
     chi_f, sigma_p2 = 0.8, 2.0
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
     sampler = SampledLaw(chi_f, sigma_p2, nu)
     rejections = sum(
         not ks_one_sample(sampler.sample(derive_rng(seed, "level"), 100), law.cdf, 0.01).passed
@@ -254,17 +258,20 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("slot", range(3))
 def test_gamma_parameters_must_be_finite(bad, slot):
+    if slot == 1:
+        # sigma2 is nu's variance, which every color measure keeps finite
+        with pytest.raises(ValueError, match="variance"):
+            GaussianLaw(0.0, bad)
+        return
     nu = TwoPoint(-1.0, 1.0, 0.3)
-    args = [1.0, 1.0, 0.5]
-    args[slot] = bad
-    chi_f, sigma2, sigma_p2 = args
-    name = ("chi_f", "sigma2", "sigma_p2")[slot]
+    chi_f, sigma_p2 = (bad, 0.5) if slot == 0 else (1.0, bad)
+    name = ("chi_f", None, "sigma_p2")[slot]
     for regime in (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL):
         with pytest.raises(ValueError, match=name):
-            gamma_law(regime, chi_f, sigma2, sigma_p2, nu)
-    if slot != 1:
+            gamma_law(regime, chi_f, sigma_p2, nu)
+    for law in (SampledLaw, GaussianMixture):
         with pytest.raises(ValueError, match=name):
-            SampledLaw(chi_f, sigma_p2, nu)
+            law(chi_f, sigma_p2, nu)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -279,16 +286,26 @@ def test_two_point_law_rejects_non_finite(bad, slot):
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("slot", range(3))
 def test_gaussian_mixture_rejects_non_finite(bad, slot):
-    first = [0.5, 0.0, 1.0]
-    first[slot] = bad
+    # What a component is built from: chi_f, sigma_p2 and a color atom.
+    args = [1.0, 0.5, -1.0]
+    args[slot] = bad
+    chi_f, sigma_p2, atom = args
     with pytest.raises(ValueError, match="finite"):
-        GaussianMixture(components=(tuple(first), (0.5, 1.0, 2.0)))
+        GaussianMixture(chi_f, sigma_p2, TwoPoint(atom, 1.0, 0.3))
+
+
+def test_gaussian_mixture_rejects_overflowing_component_variances():
+    nu = TwoPoint(-1e150, 1e150, 0.3)
+    with pytest.raises(ValueError, match="gamma component variances must be finite"):
+        GaussianMixture(1e300, 0.5, nu)
+    with pytest.raises(ValueError, match="gamma component variances must be finite"):
+        gamma_law(REGIME_SUPERCRITICAL, 0.5, 1e300, nu)
 
 
 def test_gamma_law_rejects_unknown_regime():
     nu = TwoPoint(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        gamma_law("critical", 1.0, 1.0, 0.5, nu)
+        gamma_law("critical", 1.0, 0.5, nu)
 
 
 SIZES = st.sampled_from([0, 1, 2, 17, 10_000])
@@ -318,46 +335,11 @@ def test_two_point_law_draws_match_former_formula(v1, v2, p1, slack, size, seed)
     _assert_same_draws(got, expected, rng, ref_rng)
 
 
-@st.composite
-def mixture_components(draw):
-    k = draw(st.integers(min_value=1, max_value=6))
-    raw = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=k, max_size=k))
-    zero_at = draw(st.sampled_from([None, 0, k // 2, k - 1]))
-    if zero_at is not None:
-        raw[zero_at] = 0.0
-    assume(math.fsum(raw) > 0.0)
-    weights = [x / math.fsum(raw) for x in raw]
-    top = max(range(k), key=weights.__getitem__)
-    weights[top] = max(weights[top] + draw(st.floats(min_value=-1e-12, max_value=1e-12)), 0.0)
-    assume(abs(math.fsum(weights) - 1.0) <= 1e-12)
-    means = draw(st.lists(FINITE, min_size=k, max_size=k))
-    variances = draw(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=k, max_size=k))
-    return tuple(zip(weights, means, variances))
-
-
-@given(mixture_components(), SIZES, SEEDS)
-@example(((0.0, -1.0, 1.0), (0.5, 0.0, 0.0), (0.5, 2.0, 4.0)), 10_000, 1)
-@example(((0.5, -1.0, 1.0), (0.0, 0.0, 0.0), (0.5, 2.0, 4.0)), 10_000, 1)
-@example(((0.5, -1.0, 1.0), (0.5 + 1e-13, 0.0, 2.0), (0.0, 2.0, 4.0)), 10_000, 1)
-@example(((1.0, 3.0, 2.0),), 0, 1)
-@settings(max_examples=150, deadline=None)
-def test_gaussian_mixture_draws_match_former_formula(components, size, seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = GaussianMixture(components).sample(rng, size)
-    cum = np.cumsum([w for w, _, _ in components])
-    cum[-1] = 1.0
-    which = np.searchsorted(cum, ref_rng.random(size), side="right")
-    means = np.array([m for _, m, _ in components])
-    stds = np.array([math.sqrt(v) for _, _, v in components])
-    expected = means[which] + stds[which] * ref_rng.standard_normal(size)
-    _assert_same_draws(got, expected, rng, ref_rng)
-
-
 @pytest.mark.parametrize(
     "law,count",
     [
         (TwoPointLaw(((-1.0, 0.3), (1.0, 0.7))), 2),
-        (GaussianMixture(((0.3, 0.0, 1.0), (0.7, 1.0, 2.0))), 3),
+        (GaussianMixture(1.0, 0.5, TwoPoint(-1.0, 1.0, 0.3)), 2),
     ],
     ids=["two-point-law", "gaussian-mixture"],
 )
@@ -396,17 +378,20 @@ def _ladder_is_gamma_gaussian(nu):
 
 
 def _ladder_gamma_law(chi_f, sigma2, sigma_p2, nu):
-    """The former supercritical gamma_law; None where it had only a sampler."""
+    """The former supercritical gamma_law; None where it had only a sampler.
+
+    A mixture comes back as its (weight, variance) components, whose means were all 0.
+    """
     m = nu.mean
     if isinstance(nu, (TwoPoint, FiniteDiscrete)) or (
         isinstance(nu, GaussianLaw) and nu.variance == 0.0
     ):
         pairs = nu.atoms() if not isinstance(nu, GaussianLaw) else ((nu.mean, 1.0),)
-        components = tuple((w, 0.0, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in pairs)
-        variances = {v for _, _, v in components}
+        components = tuple((w, chi_f * sigma2 + (z - m) ** 2 * sigma_p2) for z, w in pairs)
+        variances = {v for _, v in components}
         if len(variances) == 1:
             return centered_gaussian(variances.pop())
-        return GaussianMixture(components=components)
+        return components
     return None
 
 
@@ -431,6 +416,40 @@ _color_measures = st.one_of(
         variance=st.sampled_from([0.0]) | st.floats(0.0, 4.0),
     ),
 )
+
+
+def _gamma_components(nu, chi_f, sigma_p2):
+    """gamma's (weights, variances), written out: N(0, chi_f sigma2 + (z - m)^2 sigma_p2) over z."""
+    live = live_atoms(nu)
+    if live is None:
+        pairs = [(w, nu.variance * u2) for w, u2 in _HALF_NORMAL_NODES]
+    else:
+        pairs = [(w, (z - nu.mean) ** 2) for z, w in live]
+    return [w for w, _ in pairs], [chi_f * nu.variance + d2 * sigma_p2 for _, d2 in pairs]
+
+
+@given(nu=_color_measures, chi_f=st.floats(0.0, 10.0), sigma_p2=st.floats(0.0, 2.0), size=SIZES, seed=SEEDS)
+@example(
+    nu=FiniteDiscrete(((-1.0, 0.0), (0.0, 0.5), (2.0, 0.5))), chi_f=1.0, sigma_p2=0.5, size=10_000, seed=1
+)
+@example(nu=FiniteDiscrete(((-1.0, 0.5), (0.0, 0.5 + 1e-13))), chi_f=1.0, sigma_p2=0.5, size=10_000, seed=1)
+# a zero-variance component: the atom at the mean, with chi_f = 0
+@example(
+    nu=FiniteDiscrete(((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))), chi_f=0.0, sigma_p2=0.5, size=10_000, seed=1
+)
+@example(nu=GaussianLaw(1.0, 0.5), chi_f=1.0, sigma_p2=0.5, size=10_000, seed=1)
+@example(nu=FiniteDiscrete(((3.0, 1.0),)), chi_f=1.0, sigma_p2=0.5, size=0, seed=1)
+@settings(max_examples=150, deadline=None)
+def test_gaussian_mixture_draws_match_former_formula(nu, chi_f, sigma_p2, size, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = GaussianMixture(chi_f, sigma_p2, nu).sample(rng, size)
+    weights, variances = _gamma_components(nu, chi_f, sigma_p2)
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    which = np.searchsorted(cum, ref_rng.random(size), side="right")
+    stds = np.array([math.sqrt(v) for v in variances])
+    expected = stds[which] * ref_rng.standard_normal(size)
+    _assert_same_draws(got, expected, rng, ref_rng)
 
 
 @settings(max_examples=300, deadline=None)
@@ -464,7 +483,7 @@ def test_atoms_rule_agrees_with_former_type_ladders(nu, chi_f, sigma_p2):
         assert _gamma_is_gaussian(nu, chi_f) == (
             _ladder_is_gamma_gaussian(nu) or len(live_variances) == 1
         )
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
     _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
 
 
@@ -482,10 +501,12 @@ def _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law):
     former = _ladder_gamma_law(chi_f, nu.variance, sigma_p2, nu)
     if former is None:
         return  # Gaussian colors: test_gaussian_color_gamma_matches_quadrature
-    if isinstance(former, GaussianMixture) and not isinstance(law, GaussianMixture):
+    if isinstance(former, tuple) and isinstance(law, GaussianMixture):
+        assert tuple(zip(law.weights, law.variances)) == former
+    elif isinstance(former, tuple):
         live = live_atoms(nu)
         assert len(live) == 2 and live[0][1] == live[1][1]
-        assert law == centered_gaussian(former.components[0][2])
+        assert law == centered_gaussian(former[0][1])
     else:
         assert law == former
         assert law.to_dict() == former.to_dict()
@@ -513,22 +534,18 @@ def _equidistant_from_mean(live):
 @example(nu=FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5), (3.0, 0.0))), chi_f=1.0, sigma_p2=0.5)
 @example(nu=FiniteDiscrete(((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))), chi_f=2.0, sigma_p2=0.0)
 def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
     live = live_atoms(nu)
-    if live is None:
-        pairs = [(w, nu.variance * u2) for w, u2 in _HALF_NORMAL_NODES]
-    else:
-        pairs = [(w, (z - nu.mean) ** 2) for z, w in live]
-    variances = [chi_f * nu.variance + d2 * sigma_p2 for _, d2 in pairs]
+    weights, variances = _gamma_components(nu, chi_f, sigma_p2)
     # the first pair's component variance, as the mixture would have it
     first = variances[0]
     if (live is not None and _equidistant_from_mean(live)) or len(set(variances)) == 1:
         assert law == centered_gaussian(first)
     else:
-        assert len(pairs) >= 2
-        assert isinstance(law, GaussianMixture)
-        assert [(w, m) for w, m, _ in law.components] == [(w, 0.0) for w, _ in pairs]
-        assert law.components[0][2] == first
+        assert len(weights) >= 2
+        assert law == GaussianMixture(chi_f, sigma_p2, nu)
+        assert law.weights == tuple(weights)
+        assert law.variances == tuple(variances)
     _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
 
 
@@ -543,7 +560,7 @@ def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
     ids=["underflow-point-mass", "rounded-equal-variances"],
 )
 def test_gamma_law_is_one_law_where_variances_agree_in_floats(nu, sigma_p2, expected):
-    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, nu.variance, sigma_p2, nu)
+    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, sigma_p2, nu)
     assert law == expected
     assert law == _ladder_gamma_law(1.0, nu.variance, sigma_p2, nu)
 

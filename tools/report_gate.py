@@ -95,6 +95,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "lln", "--mode", "quenched", "--radius", "8", "--radius", "16", "--radius", "32",
         "--p", "0.7", "--graph-replicates", "5",
     ],
+    # The margin applies to the radius-8 box; radius 4 is a window inside it.
+    "lln-quenched-wide-margin": [
+        "lln", "--mode", "quenched", "--radius", "4", "--radius", "8", "--margin", "6",
+        "--p", "0.7", "--graph-replicates", "5",
+    ],
     "lln-annealed": ["lln", "--mode", "annealed", "--radius", "16", "--p", "0.7", "--graph-replicates", "60"],
     # --workers 2 twins of lln-annealed and clt-annealed-mixture: 60 graphs are 4 stacks at n=16.
     "lln-annealed-w2": [
