@@ -238,8 +238,12 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
             "samples": args.samples,
             "master_seed": _resolve_seed(args.seed),
         }
-        if not (0.0 <= options["chi_f"] < math.inf and 0.0 <= options["sigma_p2"] < math.inf):
-            raise UsageError("--chi-f and --sigma-p2 must be finite and nonnegative")
+        # The law refuses what its run could not use: a negative or non-finite
+        # --chi-f or --sigma-p2, or component variances that overflow.
+        try:
+            gamma_law(REGIME_SUPERCRITICAL, options["chi_f"], options["sigma_p2"], options["nu"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return CliInvocation(sub, _RUNS[experiment], None, options, out_path, args.format)
 
     if sub == "check-identity":

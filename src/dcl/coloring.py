@@ -1,8 +1,9 @@
-"""Color measures and cluster-constant color fields.
+"""Color measures and cluster-constant colorings.
 
 A color measure is the single-site law nu. Coloring assigns every cluster
-one independent draw from nu; all sites of a cluster share that draw, so
-the field is constant on clusters and independent across them.
+one independent draw from nu, held in a plain array indexed by cluster id.
+Site x takes the color of its cluster's id, so the field is constant on
+clusters and independent across them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
-
-from .percolation import ClusterLabeling
 
 _WEIGHT_TOL = 1e-12
 
@@ -264,23 +263,6 @@ def parse_color_measure(text: str) -> ColorMeasure:
     raise ValueError(f"unknown color measure kind {head!r}")
 
 
-@dataclass(frozen=True)
-class ColorField:
-    """Cluster-constant color assignment for one labeling.
-
-    Z is the color of the infinite stand-in cluster, or 0 when the labeling
-    has none.
-    """
-
-    labeling: ClusterLabeling
-    cluster_color: np.ndarray
-    z: float
-
-    def values(self, sites: np.ndarray) -> np.ndarray:
-        """Colors at the given flat site indices."""
-        return self.cluster_color[self.labeling.cluster_id[sites]]
-
-
 def cluster_draws(nu: ColorMeasure, rng: np.random.Generator, lo: int, out: np.ndarray) -> np.ndarray:
     """Fill out with the draws of cluster ids lo..lo+out.size-1 from rng; return out.
 
@@ -367,8 +349,8 @@ def centered_sums(
     return out
 
 
-def color_clusters(labeling: ClusterLabeling, nu: ColorMeasure, rng: np.random.Generator) -> ColorField:
-    """Draw one color per cluster from nu, taking the draws from rng.
+def color_clusters(k_n: int, nu: ColorMeasure, rng: np.random.Generator) -> np.ndarray:
+    """The read-only colors of cluster ids 0..k_n-1, one draw from nu each, taken from rng.
 
     Draw j goes to the cluster with id j; ids are ordered by smallest site
     index, so the assignment depends only on the labeling and the stream
@@ -378,9 +360,8 @@ def color_clusters(labeling: ClusterLabeling, nu: ColorMeasure, rng: np.random.G
     cluster, whose atom index is the number of nu's thresholds <= u; for a
     Gaussian nu, one normal per cluster, none when the variance is 0.
     """
-    colors = cluster_draws(nu, rng, 0, np.empty(labeling.k_n))
+    colors = cluster_draws(nu, rng, 0, np.empty(k_n))
     if not isinstance(nu, GaussianLaw):
         nu.from_uniforms(colors, out=colors)
     colors.setflags(write=False)
-    z = float(colors[labeling.infinite_proxy]) if labeling.infinite_proxy is not None else 0.0
-    return ColorField(labeling=labeling, cluster_color=colors, z=z)
+    return colors

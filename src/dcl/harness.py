@@ -34,7 +34,6 @@ from .percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
     PROXY_RULES,
-    ClusterLabeling,
     LabelingStack,
     PercolationEstimates,
     default_window_margin,
@@ -252,9 +251,9 @@ def _within(value: float, bound: float, context: str) -> TestReport:
 
 def _quenched_graph(
     config: ExperimentConfig, lattice: BoxLattice, margin: int
-) -> tuple[ClusterLabeling, PercolationEstimates]:
-    """The one graph of a quenched run, plus functionals from separate graphs."""
-    labeling = label_clusters(
+) -> tuple[LabelingStack, PercolationEstimates]:
+    """The one graph of a quenched run, a stack of one copy, plus functionals from separate graphs."""
+    graph = label_clusters(
         sample_config(lattice, config.p, config.master_seed, "graph:0"), config.proxy_rule
     )
     columns = map_labelings(
@@ -267,7 +266,7 @@ def _quenched_graph(
         proxy_rule=config.proxy_rule,
         workers=config.workers,
     )
-    return labeling, pool_functionals(columns, lattice, margin, config.proxy_rule)
+    return graph, pool_functionals(columns, lattice, margin, config.proxy_rule)
 
 
 def _colored_replicates(
@@ -283,13 +282,18 @@ def _colored_replicates(
     seed = config.master_seed
 
     def observe(start: int, stack: LabelingStack) -> dict:
-        color_sum, finite_color_sum, z = np.empty((3, stack.copies))
+        color_sum, finite_color_sum, z = np.zeros((3, stack.copies))
         for c, rng in enumerate(derive_streams(seed, "color", start, stack.copies)):
-            labeling = stack.view(c)
-            field_ = color_clusters(labeling, config.nu, rng)
-            color_sum[c] = np.dot(labeling.cluster_sizes, field_.cluster_color)
-            finite_color_sum[c] = np.dot(labeling.finite_sizes(), field_.cluster_color)
-            z[c] = field_.z
+            first, k_n = int(stack.first[c]), int(stack.k_n[c])
+            sizes = stack.cluster_sizes[first : first + k_n]
+            colors = color_clusters(k_n, config.nu, rng)
+            finite = sizes.copy()
+            if stack.proxy[c] >= 0:
+                stand_in = stack.proxy[c] - first
+                finite[stand_in] = 0
+                z[c] = colors[stand_in]
+            color_sum[c] = np.dot(sizes, colors)
+            finite_color_sum[c] = np.dot(finite, colors)
         faces = stack.stack_id.reshape(stack.copies, lattice.side, -1)
         proxy = stack.proxy[:, None]
         return {
@@ -324,25 +328,29 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     reports the terminal deviation of the average from its predicted limit.
     """
     lattice, margin = _box(config, "quenched-lln")
-    labeling, est = _quenched_graph(config, lattice, margin)
-    field_ = color_clusters(labeling, config.nu, derive_rng(config.master_seed, "color:0"))
+    graph, est = _quenched_graph(config, lattice, margin)
+    ids = graph.stack_id[0]
+    colors = color_clusters(int(graph.k_n[0]), config.nu, derive_rng(config.master_seed, "color:0"))
+    proxy = int(graph.proxy[0])
 
     trajectory = []
     for radius in config.radii:
         window = inner_window(lattice, lattice.n - radius)
-        trajectory.append(float(field_.values(window).mean()))
+        trajectory.append(float(colors[ids[window]].mean()))
 
     m = config.nu.mean
-    z = field_.z
+    z = float(colors[proxy]) if proxy >= 0 else 0.0
     target = (1.0 - est.theta_hat) * m + est.theta_hat * z
     m_n = trajectory[-1]
     deviation = abs(m_n - target)
 
     # Exact decomposition: the site-by-site sum must match the per-cluster
     # weighted sum plus the stand-in cluster contribution.
-    all_sites = np.arange(lattice.site_count, dtype=np.int64)
-    lhs = float(field_.values(all_sites).sum())
-    rhs = float(np.dot(labeling.finite_sizes(), field_.cluster_color)) + z * labeling.proxy_site_count()
+    lhs = float(colors[ids].sum())
+    finite = graph.cluster_sizes.copy()
+    if proxy >= 0:
+        finite[proxy] = 0
+    rhs = float(np.dot(finite, colors)) + z * int(graph.proxy_sites[0])
     decomposition_err = abs(lhs - rhs)
     tests = [
         _within(
@@ -466,12 +474,11 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     lattice, margin = _box(config, "quenched-clt")
     sigma2 = config.nu.variance
 
-    labeling, est = _quenched_graph(config, lattice, margin)
+    graph, est = _quenched_graph(config, lattice, margin)
     window = inner_window(lattice, margin)
-    labels_w = labeling.cluster_id[window]
-    piece = np.bincount(labels_w, minlength=labeling.k_n).astype(np.float64)
-    if labeling.infinite_proxy is not None:
-        piece[labeling.infinite_proxy] = 0.0
+    piece = np.bincount(graph.stack_id[0, window], minlength=int(graph.k_n[0])).astype(np.float64)
+    if graph.proxy[0] >= 0:
+        piece[graph.proxy[0]] = 0.0
     scale = math.sqrt(window.shape[0])
 
     # The statistic reads only ids lo..hi-1, the span of the clusters with a
@@ -489,7 +496,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
 
     stats = np.concatenate(map_ordered(chunk, len(starts), config.workers))
 
-    ssd = square_sum_density(labeling, margin)
+    ssd = float(square_sum_density(graph, margin)[0])
     variance_exact = sigma2 * ssd
     variance_asymptotic = est.chi_f_hat * sigma2
     summary = summarize(stats)

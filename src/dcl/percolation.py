@@ -2,9 +2,10 @@
 
 Each edge of the box is open independently with probability p. Clusters are
 the connected components of the open subgraph, labeled by vectorized
-min-label hooking so that cluster ids follow each cluster's smallest site. A
-boundary-touching largest cluster can be designated as the stand-in for the
-infinite cluster; everything measured "finite" excludes that stand-in.
+min-label hooking so that cluster ids follow each cluster's smallest site.
+Every labeling is a LabelingStack, one configuration being a stack of one
+copy. A boundary-touching largest cluster can be designated as the stand-in
+for the infinite cluster; everything measured "finite" excludes that stand-in.
 
 Every experiment draws its configurations through one replicate engine,
 map_labelings, which labels small boxes many copies at a time, and pools the
@@ -101,44 +102,18 @@ def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: in
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterLabeling:
-    """Connected components of one configuration.
-
-    Cluster ids are consecutive integers ordered by each cluster's smallest
-    site index, so ids (and anything keyed by them, such as colors) are
-    stable under relabeling runs and independent of edge processing order.
-    Labelings compare by identity: equal counts do not mean equal clusters.
-    """
-
-    lattice: BoxLattice
-    cluster_id: np.ndarray = field(repr=False)
-    cluster_sizes: np.ndarray = field(repr=False)
-    infinite_proxy: int | None
-    k_n: int
-
-    def finite_sizes(self) -> np.ndarray:
-        """Cluster sizes with the infinite stand-in zeroed out."""
-        sizes = self.cluster_sizes.copy()
-        if self.infinite_proxy is not None:
-            sizes[self.infinite_proxy] = 0
-        return sizes
-
-    def proxy_site_count(self) -> int:
-        """Number of box sites in the infinite stand-in (0 if none)."""
-        if self.infinite_proxy is None:
-            return 0
-        return int(self.cluster_sizes[self.infinite_proxy])
-
-
-@dataclass(frozen=True, eq=False)
 class LabelingStack:
     """Connected components of a stack of configurations, labeled as one graph.
 
-    Ids run across the whole stack: copy c owns the ids first[c] ..
-    first[c] + k_n[c] - 1, in smallest-site order, so its own ids are these
-    minus first[c]. stack_id is (copies, site_count) and cluster_sizes is
-    indexed by stack id. proxy is each copy's stand-in as a stack id, or -1,
-    and proxy_sites its volume, or 0. Stacks compare by identity.
+    A single configuration is a stack of one copy. Ids run across the whole
+    stack: copy c owns the ids first[c] .. first[c] + k_n[c] - 1, in
+    smallest-site order, so its own ids are these minus first[c], and they
+    (and anything keyed by them, such as colors) do not depend on how the
+    copy was labeled. stack_id is (copies, site_count) and cluster_sizes is
+    indexed by stack id, so copy c's sizes are the slice
+    cluster_sizes[first[c] : first[c] + k_n[c]]. proxy is each copy's
+    stand-in as a stack id, or -1, and proxy_sites its volume, or 0. Stacks
+    compare by identity: equal counts do not mean equal clusters.
     """
 
     lattice: BoxLattice
@@ -153,40 +128,8 @@ class LabelingStack:
     def copies(self) -> int:
         return self.stack_id.shape[0]
 
-    def view(self, c: int) -> ClusterLabeling:
-        """Copy c as a ClusterLabeling, with its own ids counting from 0."""
-        first = int(self.first[c])
-        cluster_id = self.stack_id[c]
-        if first:
-            cluster_id = cluster_id - first
-            cluster_id.setflags(write=False)
-        proxy = int(self.proxy[c])
-        return ClusterLabeling(
-            lattice=self.lattice,
-            cluster_id=cluster_id,
-            cluster_sizes=self.cluster_sizes[first : first + int(self.k_n[c])],
-            infinite_proxy=proxy - first if proxy >= 0 else None,
-            k_n=int(self.k_n[c]),
-        )
 
-
-def _as_stack(labeling: ClusterLabeling | LabelingStack) -> LabelingStack:
-    """A labeling as a stack: itself, or the one-copy stack over a ClusterLabeling."""
-    if isinstance(labeling, LabelingStack):
-        return labeling
-    proxy = -1 if labeling.infinite_proxy is None else labeling.infinite_proxy
-    return LabelingStack(
-        lattice=labeling.lattice,
-        stack_id=labeling.cluster_id[None, :],
-        first=np.zeros(1, dtype=np.int64),
-        k_n=np.array([labeling.k_n]),
-        cluster_sizes=labeling.cluster_sizes,
-        proxy=np.array([proxy]),
-        proxy_sites=np.array([labeling.proxy_site_count()]),
-    )
-
-
-def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST) -> ClusterLabeling | LabelingStack:
+def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST) -> LabelingStack:
     """Label clusters of the open subgraph.
 
     Min-label hooking (Shiloach and Vishkin, J. Algorithms 3, 57-67, 1982):
@@ -210,11 +153,12 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     The open edges along an axis of stride s are the set bits of its column
     of the mask, and they join root[:-s] to root[s:] position by position,
     so a round compares those two shifted views, masked by the column, and
-    gathers parents only where the ends differ. A (site_count, d) mask gives a
-    ClusterLabeling; a stack, (copies, site_count, d), a LabelingStack whose
-    copy c holds the sites from c * site_count on. The far faces carry no
-    edge, so no edge leaves its copy, and each copy's ids come out as if it
-    were labeled alone. Other shapes, and bits off has_edge, raise.
+    gathers parents only where the ends differ. A stack of masks,
+    (copies, site_count, d), is labeled as one graph whose copy c holds the
+    sites from c * site_count on, and a (site_count, d) mask as a stack of
+    one copy. The far faces carry no edge, so no edge leaves its copy, and
+    each copy's ids come out as if it were labeled alone. Other shapes, and
+    bits off has_edge, raise.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
@@ -303,7 +247,7 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
 
     for array in (stack_id, first, k_n, cluster_sizes, proxy, proxy_sites):
         array.setflags(write=False)
-    stack = LabelingStack(
+    return LabelingStack(
         lattice=lattice,
         stack_id=stack_id,
         first=first,
@@ -312,7 +256,6 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
         proxy=proxy,
         proxy_sites=proxy_sites,
     )
-    return stack if config.open.ndim == 3 else stack.view(0)
 
 
 def default_window_margin(lattice: BoxLattice) -> int:
@@ -322,16 +265,14 @@ def default_window_margin(lattice: BoxLattice) -> int:
     return min(lattice.n, math.ceil(4.0 * math.log(lattice.side)))
 
 
-def square_sums(labeling: ClusterLabeling | LabelingStack, window_margin: int) -> tuple:
-    """Both exact integer routes to the windowed square sum.
+def square_sums(stack: LabelingStack, window_margin: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both exact integer routes to the windowed square sum, one entry per copy.
 
     Returns (per_site, per_cluster) where per_site sums, over window sites
     outside the infinite stand-in, the size of the site's cluster piece
     inside the window, and per_cluster sums the squared piece sizes over
-    finite clusters. The two are equal for any correct labeling. A stack
-    gives one integer array per route, with one entry per copy.
+    finite clusters. The two are equal for any correct labeling.
     """
-    stack = _as_stack(labeling)
     window = inner_window(stack.lattice, window_margin)
     labels = stack.stack_id[:, window]
     finite = labels != stack.proxy[:, None]
@@ -339,24 +280,21 @@ def square_sums(labeling: ClusterLabeling | LabelingStack, window_margin: int) -
     per_cluster = np.add.reduceat(piece * piece, stack.first)
     # The stand-in's piece is 0, so its sites add nothing here.
     per_site = piece[labels].sum(axis=1)
-    if isinstance(labeling, ClusterLabeling):
-        return int(per_site[0]), int(per_cluster[0])
     return per_site, per_cluster
 
 
-def square_sum_density(labeling: ClusterLabeling | LabelingStack, window_margin: int):
-    """Windowed mean of |C'(x) within the window| over window sites.
+def square_sum_density(stack: LabelingStack, window_margin: int) -> np.ndarray:
+    """Windowed mean of |C'(x) within the window| over window sites, one value per copy.
 
     Computed by two independent routes that must agree exactly as integers;
-    any discrepancy raises rather than returning a number. A stack gives one
-    value per copy.
+    any discrepancy raises rather than returning a number.
     """
-    per_site, per_cluster = square_sums(labeling, window_margin)
+    per_site, per_cluster = square_sums(stack, window_margin)
     if np.any(per_site != per_cluster):
         raise InvariantViolationError(
             f"square-sum identity violated: per-site {per_site} != per-cluster {per_cluster}"
         )
-    return per_site / window_site_count(labeling.lattice, window_margin)
+    return per_site / window_site_count(stack.lattice, window_margin)
 
 
 @dataclass(frozen=True)
@@ -378,19 +316,18 @@ class PercolationEstimates:
     proxy_rule: str
 
 
-def labeling_functionals(labeling: ClusterLabeling | LabelingStack, margin: int) -> dict:
+def labeling_functionals(stack: LabelingStack, margin: int) -> dict[str, np.ndarray]:
     """Per-configuration functional values used by the pooled estimators.
 
-    A stack gives float columns with one entry per copy, a ClusterLabeling
-    one float each. Every value is an integer count over an integer.
+    Float columns with one entry per copy; every value is an integer count
+    over an integer.
     """
-    stack = _as_stack(labeling)
     window = inner_window(stack.lattice, margin)
     labels = stack.stack_id[:, window]
     in_proxy = np.count_nonzero(labels == stack.proxy[:, None], axis=1)
     # Full-box sizes of the window sites' clusters, the stand-in counted as 0.
     finite_mass = stack.cluster_sizes[labels].sum(axis=1) - in_proxy * stack.proxy_sites
-    columns = {
+    return {
         "theta": in_proxy / window.shape[0],
         "chi_f": finite_mass / window.shape[0],
         "kappa": stack.k_n / stack.lattice.site_count,
@@ -398,9 +335,6 @@ def labeling_functionals(labeling: ClusterLabeling | LabelingStack, margin: int)
         "proxy_sites": stack.proxy_sites.astype(np.float64),
         "k_n": stack.k_n.astype(np.float64),
     }
-    if isinstance(labeling, ClusterLabeling):
-        return {name: float(values[0]) for name, values in columns.items()}
-    return columns
 
 
 def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> list:

@@ -19,6 +19,7 @@ from .coloring import (
     ColorMeasure,
     FiniteDiscrete,
     GaussianLaw,
+    _WEIGHT_TOL,
     _check_finite,
     atom_index,
     atom_thresholds,
@@ -32,8 +33,6 @@ from .stats import gaussian_cdf
 REGIME_SUBCRITICAL = "subcritical"
 REGIME_SUPERCRITICAL = "supercritical"
 REGIMES = (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL)
-
-_WEIGHT_TOL = 1e-12
 
 
 def _half_normal_nodes() -> tuple[tuple[float, float], ...]:

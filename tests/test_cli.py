@@ -96,6 +96,9 @@ def test_parse_gamma_sample_options():
         ["no-such-subcommand"],
         ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--chi-f", "nan"],
         ["gamma-sample", "--nu", "two-point:-1,1,0.3", "--sigma-p2", "inf"],
+        # finite options whose gamma component variances overflow
+        ["gamma-sample", "--nu", "gaussian:0,1e300", "--chi-f", "1e300"],
+        ["gamma-sample", "--nu", "two-point:-1e150,1e150,0.5", "--sigma-p2", "1e300"],
         # check-identity: repeated radii or densities, margin outside [0, min radius]
         ["check-identity", "--radius", "3", "--radius", "3"],
         ["check-identity", "--p", "0.2", "--p", "0.20"],

@@ -21,6 +21,7 @@ from dcl.coloring import (
     draw_table,
     parse_color_measure,
 )
+from dcl.harness import ExperimentConfig, run_quenched_lln
 from dcl.lattice import build_box, inner_window
 from dcl.percolation import (
     PROXY_BOUNDARY_LARGEST,
@@ -131,30 +132,36 @@ def test_color_clusters_deterministic_and_keyed():
     lat = build_box(2, 5)
     labeling = label_clusters(sample_config(lat, 0.5, 3, "graph:0"), PROXY_BOUNDARY_LARGEST)
     nu = TwoPoint(-1.0, 1.0, 0.5)
-    a = color_clusters(labeling, nu, derive_rng(3, "color:0"))
-    b = color_clusters(labeling, nu, derive_rng(3, "color:0"))
-    c = color_clusters(labeling, nu, derive_rng(3, "color:1"))
-    assert (a.cluster_color == b.cluster_color).all()
-    assert not (a.cluster_color == c.cluster_color).all()
-    assert a.cluster_color.shape == (labeling.k_n,)
+    k_n = int(labeling.k_n[0])
+    a = color_clusters(k_n, nu, derive_rng(3, "color:0"))
+    b = color_clusters(k_n, nu, derive_rng(3, "color:0"))
+    c = color_clusters(k_n, nu, derive_rng(3, "color:1"))
+    assert (a == b).all()
+    assert not (a == c).all()
+    assert a.shape == (k_n,)
+    assert not a.flags.writeable
 
 
 def test_z_reads_proxy_color_or_zero():
+    # A quenched run's z is the color of its graph's stand-in, and 0 without one.
     lat = build_box(2, 3)
     nu = TwoPoint(0.5, 2.5, 0.5)
-    full = label_clusters(sample_config(lat, 1.0, 1, "g"), PROXY_BOUNDARY_LARGEST)
-    field = color_clusters(full, nu, derive_rng(1, "c"))
-    assert field.z == field.cluster_color[full.infinite_proxy]
-    empty = label_clusters(sample_config(lat, 0.0, 1, "g"), PROXY_DISABLED)
-    assert color_clusters(empty, nu, derive_rng(1, "c")).z == 0.0
+    base = dict(d=2, radii=3, nu=nu, graph_replicates=2, master_seed=1)
+    full = label_clusters(sample_config(lat, 1.0, 1, "graph:0"), PROXY_BOUNDARY_LARGEST)
+    colors = color_clusters(int(full.k_n[0]), nu, derive_rng(1, "color:0"))
+    z = run_quenched_lln(ExperimentConfig(**base, p=1.0)).estimates["z"]
+    assert z == colors[full.proxy[0]]
+    empty = label_clusters(sample_config(lat, 0.0, 1, "graph:0"), PROXY_DISABLED)
+    assert empty.proxy.tolist() == [-1]
+    z = run_quenched_lln(ExperimentConfig(**base, p=0.0, proxy_rule=PROXY_DISABLED)).estimates["z"]
+    assert z == 0.0
 
 
 def test_point_mass_colors_every_site():
     lat = build_box(2, 4)
     labeling = label_clusters(sample_config(lat, 0.4, 9, "g"), PROXY_BOUNDARY_LARGEST)
-    field = color_clusters(labeling, TwoPoint(2.0, 2.0, 0.3), derive_rng(9, "c"))
-    sites = np.arange(lat.site_count, dtype=np.int64)
-    assert (field.values(sites) == 2.0).all()
+    colors = color_clusters(int(labeling.k_n[0]), TwoPoint(2.0, 2.0, 0.3), derive_rng(9, "c"))
+    assert (colors[labeling.stack_id[0]] == 2.0).all()
 
 
 def test_windowed_sum_variance_identity_exact_enumeration():
@@ -170,12 +177,13 @@ def test_windowed_sum_variance_identity_exact_enumeration():
     window = inner_window(lat, 0)
     nu = TwoPoint(-1.0, 1.0, 0.3)
     m = nu.mean
-    per_site, per_cluster = square_sums(labeling, 0)
+    (per_site,), (per_cluster,) = square_sums(labeling, 0)
     assert per_site == per_cluster
 
-    piece = np.bincount(labeling.cluster_id[window], minlength=labeling.k_n)
+    k_n = int(labeling.k_n[0])
+    piece = np.bincount(labeling.stack_id[0, window], minlength=k_n)
     total_sq = 0.0
-    for assignment in itertools.product((-1.0, 1.0), repeat=labeling.k_n):
+    for assignment in itertools.product((-1.0, 1.0), repeat=k_n):
         weight = 1.0
         for c in assignment:
             weight *= 0.3 if c == 1.0 else 0.7
@@ -190,9 +198,9 @@ def test_colors_follow_measure(seed, alpha):
     lat = build_box(2, 6)
     labeling = label_clusters(sample_config(lat, 0.2, seed, "g"), PROXY_DISABLED)
     nu = TwoPoint(0.0, 1.0, alpha)
-    field = color_clusters(labeling, nu, derive_rng(seed, "c"))
-    frac = field.cluster_color.mean()
-    se = math.sqrt(alpha * (1 - alpha) / labeling.k_n)
+    k_n = int(labeling.k_n[0])
+    frac = color_clusters(k_n, nu, derive_rng(seed, "c")).mean()
+    se = math.sqrt(alpha * (1 - alpha) / k_n)
     assert abs(frac - alpha) <= 5 * se + 1e-12
 
 
@@ -333,14 +341,14 @@ def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
     # colors that are all integers sum exactly, so those sums are bit for bit.
     lat = build_box(2, 6)
     labeling = label_clusters(sample_config(lat, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
-    assert labeling.k_n == 61
+    assert labeling.k_n.tolist() == [61]
     piece = (np.arange(lo, hi) % 4).astype(np.float64)
     count = 5
     sums = centered_sums(nu, derive_streams(4, "color", 0, count), lo, piece, 2, np.empty(count))
     atoms = nu.atoms()
     exact = atoms is not None and all(float(v - nu.mean).is_integer() for v, _ in atoms)
     for i in range(count):
-        colors = color_clusters(labeling, nu, derive_rng(4, f"color:{i}")).cluster_color[lo:hi]
+        colors = color_clusters(61, nu, derive_rng(4, f"color:{i}"))[lo:hi]
         expected = float(np.dot(colors - nu.mean, piece))
         assert sums[i] == pytest.approx(expected, rel=1e-14, abs=1e-13)
         if exact:

@@ -461,11 +461,12 @@ def test_colored_replicate_columns_match_one_copy_recompute(d, n, count):
             columns, _ = _colored_replicates(cfg, lattice, 0)
             for r in (r for r in range(count) if r < 40 or r >= count - 40):
                 labeling = label_clusters(sample_config(lattice, p, 3, f"graph:{r}"), rule)
-                colors = color_clusters(labeling, cfg.nu, derive_rng(3, f"color:{r}")).cluster_color
-                ids = labeling.cluster_id.tolist()
-                proxy = labeling.infinite_proxy
+                k_n = int(labeling.k_n[0])
+                colors = color_clusters(k_n, cfg.nu, derive_rng(3, f"color:{r}"))
+                ids = labeling.stack_id[0].tolist()
+                proxy = int(labeling.proxy[0]) if labeling.proxy[0] >= 0 else None
                 finite = [i for i in ids if i != proxy]
-                sizes = [ids.count(k) for k in range(labeling.k_n) if k != proxy]
+                sizes = [ids.count(k) for k in range(k_n) if k != proxy]
                 faces = {lattice.site_of(x)[0] for x, i in enumerate(ids) if i == proxy}
                 assert columns["color_sum"][r] == pytest.approx(math.fsum(colors[ids]), abs=1e-9)
                 assert columns["finite_color_sum"][r] == pytest.approx(
@@ -659,14 +660,14 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
     law = ExperimentConfig(**base).nu
     lattice = build_box(2, 12)
     labeling = label_clusters(sample_config(lattice, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
-    ids = labeling.cluster_id[inner_window(lattice, 4)]
-    finite = ids[ids != labeling.infinite_proxy]
+    ids = labeling.stack_id[0, inner_window(lattice, 4)]
+    finite = ids[ids != labeling.proxy[0]]
     lo, hi = int(finite.min()), int(finite.max()) + 1
     rows = _COLOR_BLOCK_VALUES // (hi - lo)
-    assert (lo, hi, labeling.k_n) == (11, 148, 175)
+    assert (lo, hi, labeling.k_n.tolist()) == (11, 148, [175])
     assert _COLOR_CHUNK % rows and reps % _COLOR_CHUNK < rows
     for j in range(reps):
-        colors = color_clusters(labeling, law, derive_rng(11, f"color:{j}")).cluster_color
+        colors = color_clusters(175, law, derive_rng(11, f"color:{j}"))
         expected = math.fsum(colors[finite] - law.mean) / math.sqrt(ids.size)
         assert stats[j] == pytest.approx(expected, abs=1e-12)
         if nu == "two-point:-1,1,0.5":
@@ -743,8 +744,8 @@ def test_colored_replicates_identical_across_workers_and_stacks():
     def observe(start, stack):
         same = [
             np.array_equal(
-                color_clusters(stack.view(c), nu, rng).cluster_color,
-                color_clusters(stack.view(c), nu, derive_rng(3, f"color:{start + c}")).cluster_color,
+                color_clusters(int(stack.k_n[c]), nu, rng),
+                color_clusters(int(stack.k_n[c]), nu, derive_rng(3, f"color:{start + c}")),
             )
             for c, rng in enumerate(derive_streams(3, "color", start, stack.copies))
         ]

@@ -20,8 +20,8 @@ from dcl.percolation import (
     NEAR_CRITICAL_BAND,
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
-    ClusterLabeling,
     EdgeConfig,
+    LabelingStack,
     NearCriticalWarning,
     default_window_margin,
     estimate_functionals,
@@ -56,6 +56,30 @@ def _oracle_ids(lattice, open_mask):
 
 def _config(lattice, open_mask):
     return EdgeConfig(lattice=lattice, open=open_mask)
+
+
+def _fields(stack):
+    """The array fields of a stack, by name."""
+    return {f.name: getattr(stack, f.name) for f in dataclasses.fields(LabelingStack) if f.name != "lattice"}
+
+
+def _copy_fields(stack, c):
+    """Copy c of a stack, sliced out as the fields of a one-copy stack: its own ids count from 0."""
+    first, k_n, proxy = stack.first[c], stack.k_n[c], stack.proxy[c : c + 1]
+    return {
+        "stack_id": stack.stack_id[c : c + 1] - first,
+        "first": stack.first[c : c + 1] - first,
+        "k_n": stack.k_n[c : c + 1],
+        "cluster_sizes": stack.cluster_sizes[first : first + k_n],
+        "proxy": proxy - first if proxy[0] >= 0 else proxy,
+        "proxy_sites": stack.proxy_sites[c : c + 1],
+    }
+
+
+def _assert_same_fields(got, want, context=None):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name].dtype == value.dtype and np.array_equal(got[name], value), (context, name)
 
 
 def _edge_mask(lattice, bits):
@@ -162,18 +186,15 @@ def test_labels_match_bfs_oracle(d, n, edges, monkeypatch):
     monkeypatch.setattr(percolation, "np", counting)
     for open_mask in masks:
         labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
-        if open_mask.ndim == 2:
-            copies = [(open_mask, labeling)]
-        else:
-            copies = [(open_mask[c], labeling.view(c)) for c in range(labeling.copies)]
-        for mask, view in copies:
+        copies = [open_mask] if open_mask.ndim == 2 else list(open_mask)
+        assert labeling.copies == len(copies)
+        for c, mask in enumerate(copies):
+            view = _copy_fields(labeling, c)
             oracle = _oracle_ids(lat, mask)
-            assert view.cluster_id.tolist() == oracle
-            assert view.k_n == len(set(oracle))
+            assert view["stack_id"][0].tolist() == oracle
+            assert view["k_n"][0] == len(set(oracle))
             if open_mask.ndim == 3:
-                alone = label_clusters(_config(lat, mask), PROXY_DISABLED)
-                assert np.array_equal(view.cluster_id, alone.cluster_id)
-                assert np.array_equal(view.cluster_sizes, alone.cluster_sizes)
+                _assert_same_fields(view, _fields(label_clusters(_config(lat, mask), PROXY_DISABLED)), c)
     if not any(open_mask.any() for open_mask in masks):
         assert counting.hooks == 0
     elif callable(edges):
@@ -195,10 +216,10 @@ def test_single_edge_joins_its_two_ends(d, n):
             lone = label_clusters(_config(lat, stack[-1]), PROXY_DISABLED)
             stacked = label_clusters(_config(lat, stack), PROXY_DISABLED)
             oracle = _oracle_ids(lat, stack[-1])
-            for labeling in (lone, stacked.view(2)):
-                ids = labeling.cluster_id
+            for labeling, c in ((lone, 0), (stacked, 2)):
+                ids = _copy_fields(labeling, c)["stack_id"][0]
                 assert ids[u] == ids[u + stride], (u, axis)
-                assert labeling.k_n == lat.site_count - 1
+                assert labeling.k_n[c] == lat.site_count - 1
                 assert ids.tolist() == oracle
             assert stacked.k_n.tolist() == [lat.site_count, lat.site_count, lat.site_count - 1]
 
@@ -214,23 +235,24 @@ def test_labeling_properties(d, n, p, seed):
     lat = build_box(d, n)
     config = sample_config(lat, p, seed, "hyp")
     labeling = label_clusters(config, PROXY_BOUNDARY_LARGEST)
-    ids = labeling.cluster_id
+    assert labeling.copies == 1 and labeling.first.tolist() == [0]
+    ids = labeling.stack_id[0]
     # first-occurrence order: id 0 at site 0, each new id is previous max + 1
     assert ids[0] == 0
     seen_max = -1
     for label in ids.tolist():
         assert label <= seen_max + 1
         seen_max = max(seen_max, label)
-    assert seen_max == labeling.k_n - 1
+    assert seen_max == labeling.k_n[0] - 1
     assert labeling.cluster_sizes.sum() == lat.site_count
-    counts = np.bincount(ids, minlength=labeling.k_n)
+    counts = np.bincount(ids, minlength=labeling.k_n[0])
     assert (counts == labeling.cluster_sizes).all()
-    if labeling.infinite_proxy is not None:
-        assert labeling.infinite_proxy in np.unique(ids[lat.boundary_sites])
+    if labeling.proxy[0] >= 0:
+        assert labeling.proxy[0] in np.unique(ids[lat.boundary_sites])
     # both square-sum routes agree exactly, at every legal margin
     for margin in range(lat.n + 1):
         a, b = square_sums(labeling, margin)
-        assert a == b
+        assert np.array_equal(a, b)
 
 
 def test_labelings_with_equal_counts_but_different_clusters_differ():
@@ -241,7 +263,8 @@ def test_labelings_with_equal_counts_but_different_clusters_differ():
         label_clusters(EdgeConfig(line, _edge_mask(line, bits)), PROXY_DISABLED)
         for bits in ([True, False], [False, True])
     )
-    assert left.k_n == right.k_n == 2 and left.infinite_proxy is right.infinite_proxy is None
+    assert left.k_n.tolist() == right.k_n.tolist() == [2]
+    assert left.proxy.tolist() == right.proxy.tolist() == [-1]
     assert left != right
     stacked = np.array([_edge_mask(line, [True, False]), _edge_mask(line, [False, True])])
     a = label_clusters(EdgeConfig(line, stacked), PROXY_DISABLED)
@@ -275,11 +298,19 @@ def test_draws_fill_the_mask_in_site_axis_order(d, n):
     "d,n", [(2, 1), (1, SHORT_STREAM_DRAWS // 2), (1, SHORT_STREAM_DRAWS // 2 + 1), (3, 2)]
 )
 def test_stack_equals_its_copies_sampled_alone(d, n):
+    # A stack's copies are drawn and labeled as if each were alone, and a
+    # (site_count, d) mask is labeled as the stack of one copy it reshapes to.
     lat = build_box(d, n)
     stack = _sample_stack(lat, 0.5, 21, "side", 8, 4)
+    labeled = label_clusters(stack)
     for c in range(4):
         alone = sample_config(lat, 0.5, 21, f"side:{8 + c}")
         assert np.array_equal(stack.open[c], alone.open)
+        one = label_clusters(alone)
+        reshaped = label_clusters(EdgeConfig(lat, alone.open.reshape(1, *alone.open.shape)))
+        assert isinstance(one, LabelingStack) and one.copies == 1
+        _assert_same_fields(_fields(one), _fields(reshaped), c)
+        _assert_same_fields(_copy_fields(labeled, c), _fields(one), c)
 
 
 # The 3x3 box has 9 sites, 2 axes and 12 edges; (12,) is a per-edge vector.
@@ -321,30 +352,31 @@ def test_coupled_monotonicity_in_p():
     configs = [sample_config(lat, p, seed=3, stream_tag="mono") for p in ps]
     for lo, hi in zip(configs, configs[1:]):
         assert (hi.open | lo.open == hi.open).all(), "open sets must be nested"
-    ks = [label_clusters(c, PROXY_DISABLED).k_n for c in configs]
+    ks = [int(label_clusters(c, PROXY_DISABLED).k_n[0]) for c in configs]
     assert ks == sorted(ks, reverse=True)
 
 
 def test_degenerate_p0():
     lat = build_box(2, 3)
     labeling = label_clusters(sample_config(lat, 0.0, 1, "x"), PROXY_DISABLED)
-    assert labeling.k_n == lat.site_count
+    assert labeling.k_n.tolist() == [lat.site_count]
     assert (labeling.cluster_sizes == 1).all()
-    assert labeling.infinite_proxy is None
-    assert square_sums(labeling, 0) == (lat.site_count, lat.site_count)
-    assert square_sum_density(labeling, 0) == 1.0
+    assert labeling.proxy.tolist() == [-1] and labeling.proxy_sites.tolist() == [0]
+    assert [route.tolist() for route in square_sums(labeling, 0)] == [[lat.site_count]] * 2
+    assert square_sum_density(labeling, 0).tolist() == [1.0]
 
 
 def test_degenerate_p1():
     lat = build_box(2, 3)
     labeling = label_clusters(sample_config(lat, 1.0, 1, "x"), PROXY_BOUNDARY_LARGEST)
-    assert labeling.k_n == 1
-    assert labeling.infinite_proxy == 0
-    assert labeling.proxy_site_count() == lat.site_count
-    assert (labeling.finite_sizes() == 0).all()
-    assert square_sum_density(labeling, 0) == 0.0
+    assert labeling.k_n.tolist() == [1]
+    assert labeling.proxy.tolist() == [0]
+    assert labeling.proxy_sites.tolist() == [lat.site_count]
+    # the stand-in holds every site, so no finite cluster is left
+    assert labeling.cluster_sizes.sum() == labeling.proxy_sites[0]
+    assert square_sum_density(labeling, 0).tolist() == [0.0]
     disabled = label_clusters(sample_config(lat, 1.0, 1, "x"), PROXY_DISABLED)
-    assert square_sum_density(disabled, 0) == float(lat.site_count)
+    assert square_sum_density(disabled, 0).tolist() == [float(lat.site_count)]
 
 
 def test_proxy_is_largest_boundary_cluster_smallest_id_ties():
@@ -357,8 +389,8 @@ def test_proxy_is_largest_boundary_cluster_smallest_id_ties():
     open_mask[[0, 3], 0] = True
     config = base.__class__(lattice=lat, open=open_mask)
     labeling = label_clusters(config, PROXY_BOUNDARY_LARGEST)
-    assert labeling.cluster_sizes[labeling.infinite_proxy] == 2
-    assert labeling.infinite_proxy == labeling.cluster_id[0]
+    assert labeling.cluster_sizes[labeling.proxy[0]] == 2
+    assert labeling.proxy[0] == labeling.stack_id[0, 0]
 
 
 def test_square_sum_matches_enumeration_oracle():
@@ -371,11 +403,11 @@ def test_square_sum_matches_enumeration_oracle():
     for mask in range(2**lat.edge_count):
         open_mask = _edge_mask(lat, [(mask >> i) & 1 == 1 for i in range(lat.edge_count)])
         labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
-        assert labeling.cluster_id.tolist() == _oracle_ids(lat, open_mask)
-        a, b = square_sums(labeling, 0)
+        assert labeling.stack_id[0].tolist() == _oracle_ids(lat, open_mask)
+        (a,), (b,) = square_sums(labeling, 0)
         assert a == b
-        total += a
-        k_total += labeling.k_n
+        total += int(a)
+        k_total += int(labeling.k_n[0])
     assert Fraction(total, 2**lat.edge_count) == oracle["mean_square_sum"]
     assert Fraction(k_total, 2**lat.edge_count) == oracle["mean_k"]
 
@@ -385,7 +417,7 @@ def test_windowed_square_sum_excludes_proxy():
     labeling = label_clusters(sample_config(lat, 1.0, 1, "x"), PROXY_BOUNDARY_LARGEST)
     # single cluster is the proxy, so every windowed square sum is empty
     for margin in range(3):
-        assert square_sums(labeling, margin) == (0, 0)
+        assert [route.tolist() for route in square_sums(labeling, margin)] == [[0], [0]]
 
 
 def test_default_window_margin():
@@ -464,7 +496,7 @@ def test_map_labelings_streams_and_worker_count():
         def observe(start, stack):
             return {
                 "r": list(range(start, start + stack.copies)),
-                "ids": [stack.view(c).cluster_id.copy() for c in range(stack.copies)],
+                "ids": stack.stack_id - stack.first[:, None],
             }
 
         serial = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=1)
@@ -474,7 +506,7 @@ def test_map_labelings_streams_and_worker_count():
         for r, ids, ids3 in zip(serial["r"], serial["ids"], threaded["ids"]):
             assert np.array_equal(ids, ids3)
             direct = label_clusters(sample_config(lat, 0.45, 8, f"eng:{r}"))
-            assert np.array_equal(ids, direct.cluster_id)
+            assert np.array_equal(ids, direct.stack_id[0])
 
 
 def _stack_copies(lattice):
@@ -489,25 +521,19 @@ def test_stacked_views_match_one_copy_labelings(d, n):
     count = _stack_copies(lat) + 3
     for p in (0.0, 0.3, 0.6, 1.0):
         for rule in (PROXY_BOUNDARY_LARGEST, PROXY_DISABLED):
-            views = map_labelings(
-                lat,
-                p,
-                21,
-                "view",
-                count,
-                lambda start, stack: {"view": [stack.view(c) for c in range(stack.copies)]},
-                proxy_rule=rule,
-            )["view"]
+            stacks = []
+
+            def keep(start, stack):
+                stacks.append(stack)
+                return {"start": [start]}
+
+            map_labelings(lat, p, 21, "view", count, keep, proxy_rule=rule)
+            views = [_copy_fields(stack, c) for stack in stacks for c in range(stack.copies)]
             assert len(views) == count
             for r, view in enumerate(views):
                 direct = label_clusters(sample_config(lat, p, 21, f"view:{r}"), rule)
-                for name in [f.name for f in dataclasses.fields(ClusterLabeling)]:
-                    got, want = getattr(view, name), getattr(direct, name)
-                    if isinstance(want, np.ndarray):
-                        assert got.dtype == want.dtype and np.array_equal(got, want), (r, name)
-                    else:
-                        assert got == want, (r, name)
-                touching = [np.unique(x.cluster_id[lat.boundary_sites]) for x in (view, direct)]
+                _assert_same_fields(view, _fields(direct), r)
+                touching = [np.unique(ids[0, lat.boundary_sites]) for ids in (view["stack_id"], direct.stack_id)]
                 assert np.array_equal(*touching), r
 
 
@@ -577,7 +603,7 @@ def test_labeling_functionals_row_keys():
     labeling = label_clusters(sample_config(lat, 0.4, 3, "row"), PROXY_BOUNDARY_LARGEST)
     row = labeling_functionals(labeling, margin=1)
     assert set(row) >= {"theta", "chi_f", "kappa", "square_sum_density", "proxy_sites"}
-    assert row["kappa"] == labeling.k_n / lat.site_count
+    assert row["kappa"].tolist() == [labeling.k_n[0] / lat.site_count]
 
 
 def test_estimates_deterministic_in_seed():

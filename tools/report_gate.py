@@ -100,6 +100,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "lln", "--mode", "quenched", "--radius", "4", "--radius", "8", "--margin", "6",
         "--p", "0.7", "--graph-replicates", "5",
     ],
+    # No stand-in: the quenched graph's colors and decomposition read no proxy cluster.
+    "lln-quenched-no-stand-in": [
+        "lln", "--mode", "quenched", "--radius", "8", "--radius", "16", "--p", "0.3",
+        "--proxy", "disabled", "--nu", "gaussian:0.5,2", "--graph-replicates", "3",
+    ],
     "lln-annealed": ["lln", "--mode", "annealed", "--radius", "16", "--p", "0.7", "--graph-replicates", "60"],
     # --workers 2 twins of lln-annealed and clt-annealed-mixture: 60 graphs are 4 stacks at n=16.
     "lln-annealed-w2": [
@@ -107,6 +112,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "--workers", "2",
     ],
     "weighted-lln": ["weighted-lln", "--radius", "16", "--p", "0.3", "--graph-replicates", "40"],
+    # Colored replicates with no stand-in: every copy's z is 0 and all its clusters are finite.
+    "weighted-lln-no-stand-in": [
+        "weighted-lln", "--radius", "8", "--p", "0.3", "--proxy", "disabled", "--nu", "gaussian:0.5,2",
+        "--graph-replicates", "40",
+    ],
     "check-identity-d3": [
         "check-identity", "--dim", "3", "--radius", "1", "--radius", "2", "--radius", "4",
         "--p", "0.3", "--p", "0.7", "--configs", "200",
