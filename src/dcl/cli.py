@@ -40,7 +40,7 @@ from .percolation import (
 )
 from .rng import check_seed, derive_rng
 from .stats import summarize
-from .theory import REGIME_SUPERCRITICAL, SampledLaw, gamma_law
+from .theory import SampledLaw, gamma_law
 
 SEED_ENV_VAR = "DCL_SEED"
 
@@ -241,7 +241,7 @@ def parse_invocation(argv: list[str]) -> CliInvocation:
         # The law refuses what its run could not use: a negative or non-finite
         # --chi-f or --sigma-p2, or component variances that overflow.
         try:
-            gamma_law(REGIME_SUPERCRITICAL, options["chi_f"], options["sigma_p2"], options["nu"])
+            gamma_law(options["chi_f"], options["sigma_p2"], options["nu"])
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         return CliInvocation(sub, _RUNS[experiment], None, options, out_path, args.format)
@@ -354,7 +354,7 @@ def _run_estimate(config: ExperimentConfig) -> RunResult:
 def _run_gamma_sample(opts: dict) -> RunResult:
     nu = opts["nu"]
     sampler = SampledLaw(opts["chi_f"], opts["sigma_p2"], nu)
-    law = gamma_law(REGIME_SUPERCRITICAL, opts["chi_f"], opts["sigma_p2"], nu)
+    law = gamma_law(opts["chi_f"], opts["sigma_p2"], nu)
     draws = sampler.sample(derive_rng(opts["master_seed"], "gamma-sample"), opts["samples"])
     return RunResult(
         experiment="gamma-sample",

@@ -57,8 +57,6 @@ from .stats import (
     tv_distance_discrete,
 )
 from .theory import (
-    REGIME_SUPERCRITICAL,
-    REGIMES,
     GaussianLaw,
     LimitLaw,
     PointMass,
@@ -87,6 +85,13 @@ _TV_TOLERANCE = 0.1
 _ATOM_TOLERANCE = 0.02
 _VARIANCE_RTOL = 0.05
 _VARIANCE_RTOL_ASYMPTOTIC = 0.15
+
+
+# The regime annealed clt declares; it is checked against the sample, and
+# gamma does not read it.
+REGIME_SUBCRITICAL = "subcritical"
+REGIME_SUPERCRITICAL = "supercritical"
+REGIMES = (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL)
 
 
 class RegimeMismatchError(RuntimeError):
@@ -276,8 +281,9 @@ def _colored_replicates(
 
     Besides the labeling_functionals columns, each copy has its full-box
     color sum, the stand-in color z (0 without one), the color sum and the
-    exact square sum of its finite cluster sizes, and whether its stand-in
+    exact square sum of its finite cluster sizes, and whether a cluster
     spans the box: holds a site on both faces orthogonal to the first axis.
+    That test reads no stand-in, so it holds under every proxy rule.
     """
     seed = config.master_seed
 
@@ -295,7 +301,9 @@ def _colored_replicates(
             color_sum[c] = np.dot(sizes, colors)
             finite_color_sum[c] = np.dot(finite, colors)
         faces = stack.stack_id.reshape(stack.copies, lattice.side, -1)
-        proxy = stack.proxy[:, None]
+        near, far = np.zeros((2, stack.cluster_sizes.shape[0]), dtype=bool)
+        near[faces[:, 0]] = True
+        far[faces[:, -1]] = True
         return {
             **labeling_functionals(stack, margin),
             "color_sum": color_sum,
@@ -303,7 +311,7 @@ def _colored_replicates(
             "z": z,
             "finite_square_sum": np.add.reduceat(stack.cluster_sizes**2, stack.first)
             - stack.proxy_sites**2,
-            "spans": (faces[:, 0] == proxy).any(axis=1) & (faces[:, -1] == proxy).any(axis=1),
+            "spans": np.logical_or.reduceat(near & far, stack.first),
         }
 
     columns = map_labelings(
@@ -564,8 +572,10 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     """Independent pairs: fluctuations of the centered full-box color sum.
 
     Q subtracts the pooled-density centering, so its law is compared against
-    gamma from the declared regime by one-sample KS against gamma's exact
-    CDF; a point-mass gamma requires Q to be identically zero.
+    gamma by one-sample KS against gamma's exact CDF; a point-mass gamma
+    requires Q to be identically zero. gamma is gamma_law(chi_f, sigma_p2,
+    nu) on either side of p_c. The declared regime does not change it: it is
+    checked against the share of replicates that a cluster spans.
     """
     lattice, margin = _box(config, "annealed-clt")
     reps = config.graph_replicates
@@ -574,13 +584,13 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
 
     columns, est = _colored_replicates(config, lattice, margin)
 
-    # A supercritical box is spanned by its stand-in in most replicates, a
-    # subcritical one in few.
+    # A cluster spans a supercritical box in most replicates, a subcritical
+    # one in few.
     spanning = int(np.count_nonzero(columns["spans"]))
     if (spanning > reps / 2) != (config.regime == REGIME_SUPERCRITICAL):
         raise RegimeMismatchError(
             f"{config.regime} declared but {spanning}/{reps} replicates have a "
-            "stand-in cluster spanning the box"
+            "cluster spanning the box"
         )
 
     theta_box, sigma_p2_batch = stand_in_volume(columns["proxy_sites"], n_sites)
@@ -590,7 +600,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     z = columns["z"]
     q = (columns["color_sum"] - (m + theta_box * (z - m)) * n_sites) / math.sqrt(n_sites)
 
-    closed = gamma_law(config.regime, est.chi_f_hat, sigma_p2_batch, config.nu)
+    closed = gamma_law(est.chi_f_hat, sigma_p2_batch, config.nu)
     summary = summarize(q)
 
     tests: list[TestReport] = []
@@ -626,6 +636,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
             "percolation": asdict(est),
             "theta_pooled_box": theta_box,
             "sigma_p2_batch": sigma_p2_batch,
+            "spanning_fraction": spanning / reps,
             "statistic_summary": summary.to_dict(),
         },
         predictions={"gamma": closed},

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -56,28 +55,6 @@ class BoxLattice:
     has_edge: np.ndarray = field(repr=False, compare=False)
     boundary_sites: np.ndarray = field(repr=False, compare=False)
     strides: tuple[int, ...] = field(repr=False, compare=False)
-
-    @property
-    def origin(self) -> int:
-        """Flat index of the center site (all coordinates zero)."""
-        return (self.site_count - 1) // 2
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        """Flat index of a site given centered coordinates in [-n, n]^d."""
-        if len(coords) != self.d:
-            raise ValueError(f"expected {self.d} coordinates, got {len(coords)}")
-        idx = 0
-        for c, stride in zip(coords, self.strides):
-            if not -self.n <= c <= self.n:
-                raise ValueError(f"coordinate {c} outside [-{self.n}, {self.n}]")
-            idx += (c + self.n) * stride
-        return idx
-
-    def site_of(self, index: int) -> tuple[int, ...]:
-        """Centered coordinates of a flat site index."""
-        if not 0 <= index < self.site_count:
-            raise ValueError(f"site index {index} outside [0, {self.site_count})")
-        return tuple((index // stride) % self.side - self.n for stride in self.strides)
 
 
 def build_box(d: int, n: int) -> BoxLattice:

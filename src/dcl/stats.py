@@ -147,9 +147,7 @@ def gaussian_cdf(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
     return out.reshape(np.shape(x))
 
 
-def ks_two_sample(
-    a: np.ndarray, b: np.ndarray, level: float = DEFAULT_LEVEL, context: str = ""
-) -> TestReport:
+def ks_two_sample(a: np.ndarray, b: np.ndarray, context: str = "") -> TestReport:
     """Two-sample Kolmogorov-Smirnov test with the asymptotic p-value.
 
     D is the sup-distance between the two empirical CDFs; the p-value is
@@ -166,14 +164,11 @@ def ks_two_sample(
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     effective = math.sqrt(n_a * n_b / (n_a + n_b))
     p = kolmogorov_sf(effective * d)
-    return _ks_report(d, p, level, context)
+    return _ks_report(d, p, context)
 
 
 def ks_one_sample(
-    samples: np.ndarray,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    level: float = DEFAULT_LEVEL,
-    context: str = "",
+    samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray], context: str = ""
 ) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a law given by its exact CDF.
 
@@ -188,27 +183,22 @@ def ks_one_sample(
     lower = f - np.arange(0, n) / n
     d = float(max(upper.max(), lower.max()))
     p = kolmogorov_sf(math.sqrt(n) * d)
-    return _ks_report(d, p, level, context)
+    return _ks_report(d, p, context)
 
 
 def ks_one_sample_gaussian(
-    samples: np.ndarray,
-    mean: float,
-    variance: float,
-    level: float = DEFAULT_LEVEL,
-    context: str = "",
+    samples: np.ndarray, mean: float, variance: float, context: str = ""
 ) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against N(mean, variance)."""
-    return ks_one_sample(samples, lambda x: gaussian_cdf(x, mean, variance), level, context)
+    return ks_one_sample(samples, lambda x: gaussian_cdf(x, mean, variance), context)
 
 
-def _ks_report(d: float, p: float, level: float, context: str) -> TestReport:
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+def _ks_report(d: float, p: float, context: str) -> TestReport:
+    """A KS test passes when its p-value is at least DEFAULT_LEVEL."""
     return TestReport(
         statistic=d,
         p_value=p,
-        decision="pass" if p >= level else "fail",
+        decision="pass" if p >= DEFAULT_LEVEL else "fail",
         context=context,
     )
 

@@ -4,7 +4,9 @@ The laws here are the predicted limits: the law of the spatial color
 average, the fluctuation law for quenched sums over finite clusters, the
 annealed fluctuation law gamma, and the Gaussian law for occupied-volume
 fluctuations. Every law has a closed form; point masses are represented
-exactly, never as zero-variance Gaussians.
+exactly, never as zero-variance Gaussians. gamma is one law on both sides
+of p_c: below it the stand-in volume has no variance density, sigma_p2 = 0,
+and the same formula gives the subcritical Gaussian.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ from .coloring import (
     live_atoms,
 )
 from .stats import gaussian_cdf
-
-REGIME_SUBCRITICAL = "subcritical"
-REGIME_SUPERCRITICAL = "supercritical"
-REGIMES = (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL)
 
 
 def _half_normal_nodes() -> tuple[tuple[float, float], ...]:
@@ -122,14 +120,15 @@ class TwoPointLaw:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """The supercritical gamma, the law of x + y (z - m), written by its parameters.
+    """gamma, the law of x + y (z - m) at any p, written by its parameters.
 
     x ~ N(0, chi_f sigma2), y ~ N(0, sigma_p2) and z ~ nu are independent,
     with m and sigma2 nu's mean and variance. Given z the law is
     N(0, chi_f sigma2 + (z - m)^2 sigma_p2), and gamma mixes these over z,
     through (weight, (z - m)^2) pairs: the live atoms for atomic nu, and the
     half-normal nodes scaled by sigma2 for Gaussian nu. weights and
-    variances list the components in that order.
+    variances list the components in that order. Below p_c, sigma_p2 = 0
+    and every component is N(0, chi_f sigma2).
     """
 
     chi_f: float
@@ -188,7 +187,7 @@ class GaussianMixture:
 
 @dataclass(frozen=True)
 class SampledLaw:
-    """Exact sampler of the supercritical gamma, x + y (z - m).
+    """Exact sampler of gamma, x + y (z - m).
 
     x ~ N(0, chi_f sigma2), y ~ N(0, sigma_p2) and z ~ nu are independent.
     gamma_law gives the same law in closed form; sampling is deterministic
@@ -237,21 +236,14 @@ def lln_limit_law(nu: ColorMeasure, theta: float) -> LimitLaw:
     return FiniteDiscrete(atoms_spec=image)
 
 
-def gamma_law(regime: str, chi_f: float, sigma_p2: float, nu: ColorMeasure) -> LimitLaw:
-    """Annealed fluctuation law gamma, with sigma2 nu's variance.
+def gamma_law(chi_f: float, sigma_p2: float, nu: ColorMeasure) -> LimitLaw:
+    """Annealed fluctuation law gamma, GaussianMixture(chi_f, sigma_p2, nu), for every p.
 
-    Subcritical: N(0, chi_f sigma2) regardless of nu beyond its variance.
-    Supercritical: GaussianMixture(chi_f, sigma_p2, nu). It is one Gaussian,
-    with the first component's variance, when two live atoms have equal
-    weight (both then lie at one distance from m) or when every component
-    has the same variance (one live atom and sigma_p2 = 0 among them).
+    It is one Gaussian, with the first component's variance, when two live
+    atoms have equal weight (both then lie at one distance from m) or when
+    every component has the same variance: sigma_p2 = 0, the subcritical
+    limit N(0, chi_f sigma2) with sigma2 nu's variance, or one live atom.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    _check_nonneg("chi_f", chi_f)
-    _check_nonneg("sigma_p2", sigma_p2)
-    if regime == REGIME_SUBCRITICAL:
-        return centered_gaussian(chi_f * nu.variance)
     law = GaussianMixture(chi_f, sigma_p2, nu)
     weights, variances = law.weights, law.variances
     if (len(weights) == 2 and weights[0] == weights[1]) or all(v == variances[0] for v in variances):

@@ -19,6 +19,23 @@ def box_sites(d: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(-n, n + 1), repeat=d))
 
 
+def site_index(d: int, n: int, coords: tuple[int, ...]) -> int:
+    """Row-major index of a site of {-n..n}^d: its place in box_sites(d, n)."""
+    index = 0
+    for c in coords:
+        index = index * (2 * n + 1) + c + n
+    return index
+
+
+def site_coords(d: int, n: int, index: int) -> tuple[int, ...]:
+    """The site at a row-major index of {-n..n}^d, the inverse of site_index."""
+    coords = []
+    for _ in range(d):
+        index, digit = divmod(index, 2 * n + 1)
+        coords.append(digit - n)
+    return tuple(reversed(coords))
+
+
 def box_edges(d: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Nearest-neighbor edges of {-n..n}^d as ordered coordinate pairs."""
     edges = []

@@ -42,7 +42,7 @@ from dcl.percolation import (
 from dcl.rng import derive_rng, derive_streams
 from dcl.stats import summarize
 from dcl.theory import PointMass, SampledLaw
-from oracles import enumerate_box, prime_moment, scale_mixture_excess_kurtosis
+from oracles import enumerate_box, prime_moment, scale_mixture_excess_kurtosis, site_index
 
 pytestmark = pytest.mark.acceptance
 
@@ -287,8 +287,8 @@ def test_prime_moment_agreement(criterion):
 def test_adjacent_site_covariance(criterion):
     """Cov(X_0, X_1) = sigma2 P(0 connected to 1) on the three-site line."""
     line = build_box(1, 1)
-    origin = line.index_of((0,))
-    neighbor = line.index_of((1,))
+    origin = site_index(1, 1, (0,))
+    neighbor = site_index(1, 1, (1,))
     reps = 100_000
     ok = True
     details = []

@@ -41,6 +41,8 @@ from dcl.rng import derive_rng, derive_streams
 from dcl.stats import TestReport
 from dcl.theory import GaussianLaw, GaussianMixture, PointMass, TwoPointLaw
 
+from oracles import box_sites
+
 
 def test_config_validation():
     good = dict(d=2, radii=(8, 16), p=0.5, nu="two-point:-1,1,0.5")
@@ -417,9 +419,10 @@ def test_single_box_runs_refuse_several_radii(run, monkeypatch):
 
 
 def test_annealed_clt_refuses_supercritical_without_stand_in(monkeypatch):
-    # With the stand-in rule off no replicate can span the box, so a declared
-    # supercritical regime is refused before a box is built, not after
-    # sampling every graph.
+    # With the stand-in rule off theta_box = sigma_p2 = 0, so gamma would
+    # leave out the giant cluster's term and chi_f would count the giant
+    # cluster as finite. A declared supercritical regime is refused before a
+    # box is built, not after sampling every graph.
     monkeypatch.setattr(harness, "build_box", _no_box)
     cfg = ExperimentConfig(
         d=2, radii=16, p=0.9, nu="two-point:-1,1,0.5",
@@ -431,16 +434,20 @@ def test_annealed_clt_refuses_supercritical_without_stand_in(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "regime,p,spanning",
-    [("supercritical", 0.1, 0), ("subcritical", 0.7, 20)],
+    "regime,p,spanning,proxy_rule",
+    [
+        pytest.param("supercritical", 0.1, 0, PROXY_BOUNDARY_LARGEST, id="supercritical-0.1-0"),
+        pytest.param("subcritical", 0.7, 20, PROXY_BOUNDARY_LARGEST, id="subcritical-0.7-20"),
+        pytest.param("subcritical", 0.7, 20, PROXY_DISABLED, id="subcritical-0.7-20-disabled"),
+    ],
 )
-def test_annealed_clt_rejects_contradicted_regime(regime, p, spanning):
+def test_annealed_clt_rejects_contradicted_regime(regime, p, spanning, proxy_rule):
     # The default stand-in rule always finds a boundary cluster, so only
-    # spanning tells the regimes apart: at p=0.1 no stand-in crosses a
-    # 33x33 box, at p=0.7 every one does.
+    # spanning tells the regimes apart: at p=0.1 no cluster crosses a 33x33
+    # box, at p=0.7 one does in every replicate, with or without a stand-in.
     cfg = ExperimentConfig(
         d=2, radii=16, p=p, nu="two-point:-1,1,0.5",
-        graph_replicates=20, master_seed=19, regime=regime,
+        graph_replicates=20, master_seed=19, regime=regime, proxy_rule=proxy_rule,
     )
     with pytest.raises(RegimeMismatchError, match=rf"^{regime} declared but {spanning}/20 replicates"):
         run_annealed_clt(cfg)
@@ -467,14 +474,17 @@ def test_colored_replicate_columns_match_one_copy_recompute(d, n, count):
                 proxy = int(labeling.proxy[0]) if labeling.proxy[0] >= 0 else None
                 finite = [i for i in ids if i != proxy]
                 sizes = [ids.count(k) for k in range(k_n) if k != proxy]
-                faces = {lattice.site_of(x)[0] for x, i in enumerate(ids) if i == proxy}
+                faces = {k: set() for k in range(k_n)}
+                for x, i in zip(box_sites(d, n), ids):
+                    faces[i].add(x[0])
                 assert columns["color_sum"][r] == pytest.approx(math.fsum(colors[ids]), abs=1e-9)
                 assert columns["finite_color_sum"][r] == pytest.approx(
                     math.fsum(colors[finite]), abs=1e-9
                 )
                 assert columns["z"][r] == (colors[proxy] if proxy is not None else 0.0)
                 assert columns["finite_square_sum"][r] == sum(s * s for s in sizes)
-                assert columns["spans"][r] == ({-n, n} <= faces), (p, rule, r)
+                spans = any({-n, n} <= first_coords for first_coords in faces.values())
+                assert columns["spans"][r] == spans, (p, rule, r)
 
 
 def test_annealed_clt_subcritical_gaussian_route():

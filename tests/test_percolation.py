@@ -36,7 +36,7 @@ from dcl.percolation import (
 )
 from dcl.rng import SHORT_STREAM_DRAWS, derive_rng
 
-from oracles import bfs_clusters, enumerate_box
+from oracles import bfs_clusters, box_sites, enumerate_box, site_index
 
 
 def _oracle_ids(lattice, open_mask):
@@ -45,7 +45,7 @@ def _oracle_ids(lattice, open_mask):
     A set bit (u, axis) of the (site_count, d) mask is the edge from site u
     to its neighbor one step up along axis, found by coordinates.
     """
-    sites = [lattice.site_of(i) for i in range(lattice.site_count)]
+    sites = box_sites(lattice.d, lattice.n)
     open_edges = []
     for u, axis in np.argwhere(open_mask):
         a = sites[u]
@@ -334,7 +334,7 @@ def test_bit_on_far_face_rejected():
             label_clusters(_config(line, mask))
     square = build_box(2, 1)
     mask = np.zeros((9, 2), dtype=bool)
-    mask[square.index_of((1, -1)), 0] = True
+    mask[site_index(2, 1, (1, -1)), 0] = True
     with pytest.raises(ValueError, match="far face"):
         label_clusters(_config(square, mask))
 
@@ -540,7 +540,7 @@ def test_stacked_views_match_one_copy_labelings(d, n):
 def _oracle_functionals(lattice, open_mask, margin, rule):
     """labeling_functionals of one configuration, from BFS labels in plain Python."""
     labels = _oracle_ids(lattice, open_mask)
-    coords = [lattice.site_of(i) for i in range(lattice.site_count)]
+    coords = box_sites(lattice.d, lattice.n)
     sizes = Counter(labels)
     proxy = None
     if rule == PROXY_BOUNDARY_LARGEST:

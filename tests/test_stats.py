@@ -168,10 +168,6 @@ def test_ks_two_sample_identical_and_disjoint():
 def test_ks_two_sample_validation():
     with pytest.raises(ValueError):
         ks_two_sample(np.array([]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        ks_two_sample(np.array([1.0]), np.array([1.0]), level=0.0)
-    with pytest.raises(ValueError):
-        ks_two_sample(np.array([1.0]), np.array([1.0]), level=1.0)
 
 
 def test_ks_one_sample_gaussian_accepts_matching_law():
@@ -206,7 +202,7 @@ def test_ks_one_sample_level_on_exact_mixture_draws():
     # components N(0, 0.78) with weight 0.7 and N(0, 2.38) with weight 0.3
     law = GaussianMixture(0.5, 1.0, TwoPoint(-1.0, 1.0, 0.3))
     rejected = sum(
-        not ks_one_sample(law.sample(derive_rng(seed, "ks-level"), 60), law.cdf, level=0.05).passed
+        ks_one_sample(law.sample(derive_rng(seed, "ks-level"), 60), law.cdf).p_value < 0.05
         for seed in range(400)
     )
     assert 7 <= rejected <= 33

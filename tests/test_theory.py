@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -21,8 +22,6 @@ from dcl.coloring import (
 from dcl.rng import derive_rng
 from dcl.stats import ks_one_sample, summarize
 from dcl.theory import (
-    REGIME_SUBCRITICAL,
-    REGIME_SUPERCRITICAL,
     _HALF_NORMAL_NODES,
     GaussianMixture,
     PointMass,
@@ -106,17 +105,18 @@ def test_two_point_magnetization_degenerate():
 
 
 def test_gamma_law_subcritical():
-    nu = TwoPoint(-1.0, 1.0, 0.5)
-    law = gamma_law(REGIME_SUBCRITICAL, 2.5, 0.4, nu)
-    assert law == GaussianLaw(0.0, 2.5 * nu.variance)
-    degenerate = gamma_law(REGIME_SUBCRITICAL, 0.0, 0.0, TwoPoint(1.0, 1.0, 0.5))
+    # Below p_c sigma_p2 = 0, and gamma is N(0, chi_f sigma2) for any nu.
+    three_atoms = FiniteDiscrete(((-1.0, 0.2), (0.0, 0.3), (2.0, 0.5)))
+    for nu in (TwoPoint(-1.0, 1.0, 0.5), TwoPoint(-1.0, 1.0, 0.3), three_atoms):
+        assert gamma_law(2.5, 0.0, nu) == GaussianLaw(0.0, 2.5 * nu.variance)
+    degenerate = gamma_law(0.0, 0.0, TwoPoint(1.0, 1.0, 0.5))
     assert degenerate == PointMass(value=0.0)
 
 
 def test_gamma_law_supercritical_symmetric_collapses():
     nu = TwoPoint(-1.0, 1.0, 0.5)
     chi_f, sigma_p2 = 2.0, 0.5
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     assert isinstance(law, GaussianLaw)
     # (z - m)^2 = 1 for both atoms, so the mixture is a single Gaussian
     assert law.variance == pytest.approx(chi_f * nu.variance + sigma_p2)
@@ -125,7 +125,7 @@ def test_gamma_law_supercritical_symmetric_collapses():
 def test_gamma_law_supercritical_asymmetric_mixture():
     nu = TwoPoint(-1.0, 1.0, 0.3)
     chi_f, sigma_p2 = 2.0, 0.5
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     assert law == GaussianMixture(chi_f, sigma_p2, nu)
     comps = list(zip(law.weights, law.variances))
     m = nu.mean
@@ -136,12 +136,12 @@ def test_gamma_law_supercritical_asymmetric_mixture():
 
 def test_gamma_law_gaussian_color_mixture():
     nu = GaussianLaw(0.0, 1.0)
-    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, 0.5, nu)
+    law = gamma_law(1.0, 0.5, nu)
     assert law == GaussianMixture(1.0, 0.5, nu)
     assert law.cdf(0.0) == pytest.approx(0.5, abs=1e-14)  # every component is centered
     # sigma_p2 = 0: every component is N(0, chi_f sigma2)
-    assert gamma_law(REGIME_SUPERCRITICAL, 2.0, 0.0, nu) == GaussianLaw(0.0, 2.0)
-    assert gamma_law(REGIME_SUPERCRITICAL, 0.0, 0.0, nu) == PointMass(value=0.0)
+    assert gamma_law(2.0, 0.0, nu) == GaussianLaw(0.0, 2.0)
+    assert gamma_law(0.0, 0.0, nu) == PointMass(value=0.0)
 
 
 def _scale_mixture_cdf(t, a, b):
@@ -164,7 +164,7 @@ def test_gaussian_color_gamma_matches_quadrature(chi_f, sigma_p2):
     # sigma_p2 / chi_f, and a = 0 needs no special case.
     nu = GaussianLaw(0.3, 1.7)
     a, b = chi_f * nu.variance, sigma_p2 * nu.variance
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     assert isinstance(law, GaussianMixture)
     assert len(law.weights) == len(law.variances) == 231
     assert math.fsum(law.weights) == pytest.approx(1.0, abs=1e-14)
@@ -180,7 +180,7 @@ def test_gaussian_color_gamma_matches_quadrature(chi_f, sigma_p2):
 
 def _gamma_is_gaussian(nu, chi_f=1.0, sigma_p2=0.5):
     """Whether the supercritical gamma is one Gaussian (a point mass included)."""
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     return isinstance(law, (GaussianLaw, PointMass))
 
 
@@ -210,7 +210,7 @@ def test_gaussian_mixture_cdf_and_sampling():
 def test_gamma_sampler_matches_mixture_law():
     nu = TwoPoint(-1.0, 1.0, 0.3)
     chi_f, sigma_p2 = 1.5, 0.6
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     draws = SampledLaw(chi_f, sigma_p2, nu).sample(derive_rng(5, "sampler"), 50000)
     report = ks_one_sample(draws, law.cdf, context="sampler vs mixture")
     assert report.passed, report.to_dict()
@@ -221,10 +221,10 @@ def test_gamma_sampler_ks_level_on_gaussian_colors():
     # law. At level 0.01, P(Bin(200, 0.01) >= 8) is about 0.001.
     nu = GaussianLaw(1.0, 0.5)
     chi_f, sigma_p2 = 0.8, 2.0
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     sampler = SampledLaw(chi_f, sigma_p2, nu)
     rejections = sum(
-        not ks_one_sample(sampler.sample(derive_rng(seed, "level"), 100), law.cdf, 0.01).passed
+        not ks_one_sample(sampler.sample(derive_rng(seed, "level"), 100), law.cdf).passed
         for seed in range(200)
     )
     assert rejections <= 7
@@ -266,10 +266,7 @@ def test_gamma_parameters_must_be_finite(bad, slot):
     nu = TwoPoint(-1.0, 1.0, 0.3)
     chi_f, sigma_p2 = (bad, 0.5) if slot == 0 else (1.0, bad)
     name = ("chi_f", None, "sigma_p2")[slot]
-    for regime in (REGIME_SUBCRITICAL, REGIME_SUPERCRITICAL):
-        with pytest.raises(ValueError, match=name):
-            gamma_law(regime, chi_f, sigma_p2, nu)
-    for law in (SampledLaw, GaussianMixture):
+    for law in (gamma_law, SampledLaw, GaussianMixture):
         with pytest.raises(ValueError, match=name):
             law(chi_f, sigma_p2, nu)
 
@@ -299,13 +296,14 @@ def test_gaussian_mixture_rejects_overflowing_component_variances():
     with pytest.raises(ValueError, match="gamma component variances must be finite"):
         GaussianMixture(1e300, 0.5, nu)
     with pytest.raises(ValueError, match="gamma component variances must be finite"):
-        gamma_law(REGIME_SUPERCRITICAL, 0.5, 1e300, nu)
+        gamma_law(0.5, 1e300, nu)
 
 
-def test_gamma_law_rejects_unknown_regime():
-    nu = TwoPoint(-1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        gamma_law("critical", 1.0, 0.5, nu)
+def test_gamma_law_takes_no_regime():
+    # One law for every p: the parameters, and nothing declared.
+    assert list(inspect.signature(gamma_law).parameters) == ["chi_f", "sigma_p2", "nu"]
+    with pytest.raises(TypeError):
+        gamma_law("subcritical", 1.0, 0.5, TwoPoint(-1.0, 1.0, 0.5))
 
 
 SIZES = st.sampled_from([0, 1, 2, 17, 10_000])
@@ -483,7 +481,7 @@ def test_atoms_rule_agrees_with_former_type_ladders(nu, chi_f, sigma_p2):
         assert _gamma_is_gaussian(nu, chi_f) == (
             _ladder_is_gamma_gaussian(nu) or len(live_variances) == 1
         )
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     _assert_former_gamma_law_kept(nu, chi_f, sigma_p2, law)
 
 
@@ -534,7 +532,7 @@ def _equidistant_from_mean(live):
 @example(nu=FiniteDiscrete(((-1.0, 0.5), (1.0, 0.5), (3.0, 0.0))), chi_f=1.0, sigma_p2=0.5)
 @example(nu=FiniteDiscrete(((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))), chi_f=2.0, sigma_p2=0.0)
 def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
-    law = gamma_law(REGIME_SUPERCRITICAL, chi_f, sigma_p2, nu)
+    law = gamma_law(chi_f, sigma_p2, nu)
     live = live_atoms(nu)
     weights, variances = _gamma_components(nu, chi_f, sigma_p2)
     # the first pair's component variance, as the mixture would have it
@@ -560,7 +558,7 @@ def test_gamma_law_shape_rule(nu, chi_f, sigma_p2):
     ids=["underflow-point-mass", "rounded-equal-variances"],
 )
 def test_gamma_law_is_one_law_where_variances_agree_in_floats(nu, sigma_p2, expected):
-    law = gamma_law(REGIME_SUPERCRITICAL, 1.0, sigma_p2, nu)
+    law = gamma_law(1.0, sigma_p2, nu)
     assert law == expected
     assert law == _ladder_gamma_law(1.0, nu.variance, sigma_p2, nu)
 

@@ -233,6 +233,12 @@ INVOCATIONS: dict[str, list[str]] = {
     "clt-annealed-regime-mismatch": _ANNEALED + [
         "--regime", "supercritical", "--radius", "8", "--p", "0.1", "--graph-replicates", "6",
     ],
+    # No stand-in, yet a cluster spans the box in every replicate: the
+    # declared subcritical regime is refused.
+    "clt-annealed-subcritical-disabled": _ANNEALED + [
+        "--regime", "subcritical", "--proxy", "disabled", "--radius", "16", "--p", "0.7",
+        "--graph-replicates", "60",
+    ],
     # p = 0.5 is critical in d=2: the run warns on stderr.
     "lln-quenched-near-critical": [
         "lln", "--mode", "quenched", "--radius", "8", "--p", "0.5", "--graph-replicates", "3",
