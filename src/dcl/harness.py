@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -53,6 +52,7 @@ from .stats import (
     exact_check_report,
     ks_one_sample,
     ks_one_sample_gaussian,
+    nearest_atoms,
     summarize,
     tv_distance_discrete,
 )
@@ -387,22 +387,6 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     )
 
 
-def _atom_bin_tolerance(law: LimitLaw, sample_sd: float) -> float:
-    """Binning half-width for comparing noisy averages against law atoms.
-
-    Multi-atom laws use just under half the smallest atom gap so nearest-atom
-    assignment is unambiguous; a single atom uses the larger of the location
-    tolerance and a few sample standard deviations, so finite-volume noise
-    around the atom still bins onto it.
-    """
-    pairs = law.atoms()
-    values = sorted(v for v, _ in pairs)
-    if len(values) < 2:
-        return max(_ATOM_TOLERANCE, 5.0 * sample_sd)
-    min_gap = min(b - a for a, b in zip(values, values[1:]))
-    return 0.4999 * min_gap
-
-
 @recorded
 def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     """Independent (graph, coloring) pairs: the law of the color average.
@@ -410,7 +394,9 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
     The empirical law of the full-box average is compared against the
     predicted limit built from the pooled occupied-volume fraction: by total
     variation for atomic predictions, otherwise by one-sample KS against the
-    Gaussian limit's exact CDF.
+    Gaussian limit's exact CDF. An atomic check bins the averages once
+    (stats.nearest_atoms); the bin counts give the TV distance and each
+    atom's location is the mean of its bin.
     """
     lattice, margin = _box(config, "annealed-lln")
     columns, est = _colored_replicates(config, lattice, margin)
@@ -425,10 +411,19 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
         "statistic_summary": summarize(m_samples).to_dict(),
     }
 
-    if prediction.atoms() is not None:
-        sample_sd = float(m_samples.std(ddof=1)) if m_samples.shape[0] >= 2 else 0.0
-        tol = _atom_bin_tolerance(prediction, sample_sd)
-        tv = tv_distance_discrete(Counter(m_samples.tolist()), prediction, tol=tol)
+    pairs = prediction.atoms()
+    if pairs is not None:
+        values, weights = zip(*pairs)
+        # Bins are just under half the smallest atom gap wide, so the nearest
+        # atom is unambiguous. A single atom takes the larger of the location
+        # tolerance and 5 sample SDs, so finite-volume noise still bins onto it.
+        if len(values) > 1:
+            tol = 0.4999 * float(np.diff(np.sort(values)).min())
+        else:
+            sample_sd = float(m_samples.std(ddof=1)) if m_samples.shape[0] >= 2 else 0.0
+            tol = max(_ATOM_TOLERANCE, 5.0 * sample_sd)
+        bins = nearest_atoms(m_samples, values, tol)
+        tv = tv_distance_discrete(bins, weights)
         tests.append(
             _within(
                 tv,
@@ -436,11 +431,7 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
                 f"annealed-lln: TV distance to lln-limit atoms vs tolerance {_TV_TOLERANCE}",
             )
         )
-        locations = {}
-        for atom in (float(v) for v, _ in prediction.atoms()):
-            near = m_samples[np.abs(m_samples - atom) <= tol]
-            if near.shape[0] > 0:
-                locations[atom] = float(near.mean())
+        locations = {v: float(m_samples[bins == k].mean()) for k, v in enumerate(values) if np.any(bins == k)}
         max_dev = max((abs(loc - atom) for atom, loc in locations.items()), default=float("nan"))
         estimates["atom_locations"] = locations
         tests.append(
@@ -786,18 +777,20 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
                     f"rtol {config.ratio_rtol}",
                 )
             )
-        if count >= 2:
-            se = float(averages.std(ddof=1)) / math.sqrt(count)
+        if sigma2 == 0.0:
+            # Point-mass colors: every weighted average is m up to rounding,
+            # and both standard errors below are 0, so the check is exact.
+            bound, band = _EXACT_TOL * max(1.0, abs(m)), "equals m, an exact check for point-mass colors"
         else:
-            # Single graph: the conditional standard error of the weighted
-            # average is sqrt(sigma2 sum w^2) / sum w.
-            se = math.sqrt(sigma2 * square_sum[0]) / float(weight_sum[0])
+            if count >= 2:
+                se = float(averages.std(ddof=1)) / math.sqrt(count)
+            else:
+                # Single graph: the conditional standard error of the weighted
+                # average is sqrt(sigma2 sum w^2) / sum w.
+                se = math.sqrt(sigma2 * square_sum[0]) / float(weight_sum[0])
+            bound, band = 3.0 * se, "within 3 standard errors of m"
         tests.append(
-            _within(
-                abs(float(averages.mean()) - m),
-                3.0 * se,
-                "weighted-lln: weighted color average within 3 standard errors of m",
-            )
+            _within(abs(float(averages.mean()) - m), bound, f"weighted-lln: weighted color average {band}")
         )
 
     return RunResult(

@@ -2,7 +2,9 @@
 
 Everything here is generic plumbing: moment summaries with standard errors,
 Kolmogorov-Smirnov tests with the asymptotic p-value, and total variation
-distance between an empirical sample and a law with finitely many atoms.
+distance between an empirical sample and a law with finitely many atoms:
+nearest_atoms bins the sample once, and tv_distance_discrete compares the
+bin counts with the atoms' weights.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -203,44 +205,39 @@ def _ks_report(d: float, p: float, context: str) -> TestReport:
     )
 
 
-def tv_distance_discrete(
-    empirical: Mapping[float, float],
-    law,
-    tol: float | None = None,
-) -> float:
-    """Total variation distance between an empirical sample and an atomic law.
+def nearest_atoms(samples: np.ndarray, values: Sequence[float], tol: float) -> np.ndarray:
+    """Each sample's nearest atom index into values, or -1 where none lies within tol.
 
-    The law's atoms() must give ((value, weight), ...), not None. Each empirical
-    value is assigned to the nearest atom when within tol, otherwise its
-    mass counts as fully missed. The default tol is 1e-9 max|atom|, intended
-    for samples that sit numerically on the atoms; comparisons of noisy
-    sample means should pass an explicit tolerance.
+    One broadcast |x - v| argmin over every sample and atom. The atoms must
+    lie more than 2 tol apart, so at most one atom is within tol of a sample.
     """
-    pairs = law.atoms() if hasattr(law, "atoms") else None
-    if pairs is None:
-        raise ValueError(f"law of type {type(law).__name__} has no atoms to compare against")
-    values = np.array([v for v, _ in pairs], dtype=np.float64)
-    if tol is None:
-        tol = 1e-9 * float(np.max(np.abs(values))) if np.any(values != 0.0) else 1e-9
+    x = np.asarray(samples, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64)
     if tol < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    order = np.argsort(values)
-    sorted_values = values[order]
-    if np.any(np.diff(sorted_values) <= 2.0 * tol):
-        raise ValueError("law atoms are not distinct beyond the assignment tolerance")
+    if np.any(np.diff(np.sort(v)) <= 2.0 * tol):
+        raise ValueError("atoms are not distinct beyond the assignment tolerance")
+    dist = np.abs(x[:, None] - v[None, :])
+    bins = np.argmin(dist, axis=1)
+    bins[dist.min(axis=1) > tol] = -1
+    return bins
 
-    # Hits per atom are summed and compared exactly, then rounded once: float
-    # sums of masses like 1/60 can land an ulp above a band such as 0.1.
-    total = sum(Fraction(f) for f in empirical.values())
-    if total <= 0:
-        raise ValueError("empirical frequencies must have positive total mass")
-    assigned = [Fraction(0)] * values.shape[0]
-    unassigned = Fraction(0)
-    for value, freq in empirical.items():
-        idx = int(np.argmin(np.abs(values - float(value))))
-        if abs(values[idx] - float(value)) <= tol:
-            assigned[idx] += Fraction(freq)
-        else:
-            unassigned += Fraction(freq)
-    misfit = sum(abs(c / total - Fraction(w)) for c, (_, w) in zip(assigned, pairs))
-    return float((misfit + unassigned / total) / 2)
+
+def tv_distance_discrete(bins: np.ndarray, weights: Sequence[float]) -> float:
+    """Total variation distance between binned samples and an atomic law.
+
+    bins holds each sample's atom index into weights, or -1 for a sample in
+    no atom's bin (nearest_atoms); that unassigned mass counts as fully
+    missed. np.bincount(bins + 1) counts the cells, cell 0 the unassigned.
+    """
+    b = np.asarray(bins, dtype=np.int64)
+    if b.shape[0] == 0:
+        raise ValueError("cannot compare an empty sample")
+    if b.min() < -1 or b.max() >= len(weights):
+        raise ValueError(f"bins must lie in [-1, {len(weights)}), got {b.min()}..{b.max()}")
+    counts = np.bincount(b + 1, minlength=len(weights) + 1).tolist()
+    # Hits per atom are compared exactly, then rounded once: float sums of
+    # masses like 1/60 can land an ulp above a band such as 0.1.
+    total = b.shape[0]
+    misfit = sum(abs(Fraction(c, total) - Fraction(w)) for c, w in zip(counts[1:], weights))
+    return float((misfit + Fraction(counts[0], total)) / 2)

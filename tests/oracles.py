@@ -200,3 +200,28 @@ def scale_mixture_excess_kurtosis(pairs: Iterable[tuple[float, float]]) -> float
     ev = math.fsum(w * v for w, v in pairs)
     ev2 = math.fsum(w * v * v for w, v in pairs)
     return 3.0 * ev2 / ev**2 - 3.0
+
+
+def tv_distance_to_atoms(samples: Iterable[float], atoms: Iterable[tuple[float, float]], tol: float) -> Fraction:
+    """Total variation distance between a sample's empirical law and (value, weight) atoms.
+
+    Each sample goes to its nearest atom, by a plain loop over the atoms,
+    when that atom lies within tol; otherwise its mass counts as fully
+    missed. Distances are the float |x - v| of the data; the masses are
+    exact fractions.
+    """
+    samples, atoms = list(samples), list(atoms)
+    hits = [0] * len(atoms)
+    missed = 0
+    for x in samples:
+        best = 0
+        for k, (v, _) in enumerate(atoms):
+            if abs(x - v) < abs(x - atoms[best][0]):
+                best = k
+        if abs(x - atoms[best][0]) <= tol:
+            hits[best] += 1
+        else:
+            missed += 1
+    n = len(samples)
+    misfit = sum(abs(Fraction(h, n) - Fraction(w)) for h, (_, w) in zip(hits, atoms))
+    return (misfit + Fraction(missed, n)) / 2

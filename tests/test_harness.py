@@ -41,7 +41,7 @@ from dcl.rng import derive_rng, derive_streams
 from dcl.stats import TestReport
 from dcl.theory import GaussianLaw, GaussianMixture, PointMass, TwoPointLaw
 
-from oracles import box_sites
+from oracles import box_sites, tv_distance_to_atoms
 
 
 def test_config_validation():
@@ -229,6 +229,29 @@ def test_annealed_lln_discrete_colors_check_atoms():
     assert len(contexts) == 2
     assert "TV distance" in contexts[0] and "atom location" in contexts[1]
     assert "reference" not in {s["role"] for s in res.seeds["streams"]}
+
+
+def test_annealed_lln_noisy_atoms_match_a_recomputation():
+    # three live atoms at radius 16: the averages scatter around the atoms,
+    # so the bins and the locations are recomputed from the sample itself
+    cfg = ExperimentConfig(
+        d=2, radii=16, p=0.7, nu="discrete:-1:0.2,0:0.3,2:0.5",
+        graph_replicates=60, master_seed=17,
+    )
+    res = run_annealed_lln(cfg)
+    assert res.passed()
+    m_n = res.samples["m_n"]
+    atoms = res.predictions["lln-limit"].atoms()
+    values = sorted(v for v, _ in atoms)
+    tol = 0.4999 * min(b - a for a, b in zip(values, values[1:]))
+    binned = {
+        v: [x for x in m_n if min(values, key=lambda u: abs(x - u)) == v and abs(x - v) <= tol]
+        for v in values
+    }
+    assert len(set(m_n)) > 3  # noisy, not on the atoms
+    assert res.estimates["atom_locations"] == {v: np.mean(xs) for v, xs in binned.items() if xs}
+    tv = next(t for t in res.tests if "TV distance" in t.context)
+    assert tv.statistic == float(tv_distance_to_atoms(m_n, atoms, tol))
 
 
 def test_quenched_clt_empty_graph_gaussian_colors():
@@ -599,6 +622,21 @@ def test_weighted_lln_empty_graph_is_exact():
     assert res.samples["weighted_average"] == [5.0, 5.0, 5.0]
     assert res.predictions["weighted-average-limit"] == PointMass(value=5.0)
     assert res.estimates["skipped_replicates"] == 0
+
+
+@pytest.mark.parametrize("graphs", [1, 5])
+def test_weighted_lln_point_mass_colors_are_an_exact_check(graphs):
+    # colors of 0.1 average to 0.1 only up to rounding, and both standard
+    # errors are 0, so a 3-SE band of 0 would fail a correct run
+    cfg = ExperimentConfig(
+        d=2, radii=6, p=0.0, nu="two-point:0.1,0.1,0.5",
+        graph_replicates=graphs, master_seed=17, proxy_rule="disabled",
+    )
+    res = run_weighted_lln_check(cfg)
+    assert res.passed()
+    check = res.tests[-1]
+    assert "exact check for point-mass colors" in check.context
+    assert 0.0 < check.statistic <= 1e-9
 
 
 def test_weighted_lln_single_replicate_conditional_se():

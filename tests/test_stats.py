@@ -19,19 +19,12 @@ from dcl.stats import (
     ks_one_sample,
     ks_one_sample_gaussian,
     ks_two_sample,
+    nearest_atoms,
     summarize,
     tv_distance_discrete,
 )
 from dcl.theory import GaussianMixture
-from oracles import summarize_onepass
-
-
-class AtomicStub:
-    def __init__(self, pairs):
-        self._pairs = tuple(pairs)
-
-    def atoms(self):
-        return self._pairs
+from oracles import summarize_onepass, tv_distance_to_atoms
 
 
 def test_summarize_hand_values():
@@ -218,47 +211,76 @@ def test_ks_one_sample_rejects_the_single_gaussian_of_equal_variance():
 
 
 def test_tv_distance_hand_example():
-    law = AtomicStub(((-1.0, 0.5), (1.0, 0.5)))
     # 30/70 split against a fair law: TV = 0.2
-    assert tv_distance_discrete({-1.0: 30, 1.0: 70}, law) == pytest.approx(0.2)
-    assert tv_distance_discrete({-1.0: 50, 1.0: 50}, law) == pytest.approx(0.0)
+    assert tv_distance_discrete(np.repeat([0, 1], [30, 70]), (0.5, 0.5)) == pytest.approx(0.2)
+    assert tv_distance_discrete(np.repeat([0, 1], [50, 50]), (0.5, 0.5)) == pytest.approx(0.0)
 
 
-@pytest.mark.parametrize("counts", [(6, 19, 35), (6, 23, 31), (11, 24, 25)])
+_SPLITS_OF_60 = [(6, 19, 35), (6, 23, 31), (11, 24, 25)]
+
+
+@pytest.mark.parametrize("counts", _SPLITS_OF_60)
 def test_tv_distance_is_rounded_once(counts):
     # each split of 60 is 0.1 from the law up to the weights' binary
     # rounding; masses of k/60 summed in floats land an ulp or two above it
-    law = AtomicStub(((-1.0, 0.2), (0.0, 0.3), (2.0, 0.5)))
-    assert tv_distance_discrete(dict(zip((-1.0, 0.0, 2.0), counts)), law) == 0.1
+    pairs = ((-1.0, 0.2), (0.0, 0.3), (2.0, 0.5))
+    assert tv_distance_discrete(np.repeat([0, 1, 2], counts), (0.2, 0.3, 0.5)) == 0.1
+    assert float(tv_distance_to_atoms(np.repeat([-1.0, 0.0, 2.0], counts), pairs, 0.25)) == 0.1
 
 
 def test_tv_distance_counts_misses():
-    law = AtomicStub(((-1.0, 0.5), (1.0, 0.5)))
     # half the mass sits far from every atom and is fully missed
-    tv = tv_distance_discrete({-1.0: 25, 1.0: 25, 0.5: 50}, law)
-    assert tv == pytest.approx(0.5)
+    bins = nearest_atoms(np.repeat([-1.0, 1.0, 0.5], [25, 25, 50]), (-1.0, 1.0), 1e-9)
+    assert bins.tolist() == [0] * 25 + [1] * 25 + [-1] * 50
+    assert tv_distance_discrete(bins, (0.5, 0.5)) == pytest.approx(0.5)
 
 
 def test_tv_distance_tolerance_assignment():
-    law = AtomicStub(((0.0, 1.0),))
-    assert tv_distance_discrete({1e-12: 10}, law) == pytest.approx(0.0)
-    assert tv_distance_discrete({0.5: 10}, law, tol=0.6) == pytest.approx(0.0)
-    assert tv_distance_discrete({0.5: 10}, law, tol=0.1) == pytest.approx(1.0)
+    x = np.full(10, 0.5)
+    assert tv_distance_discrete(nearest_atoms(x, (0.0,), 0.6), (1.0,)) == pytest.approx(0.0)
+    assert tv_distance_discrete(nearest_atoms(x, (0.0,), 0.1), (1.0,)) == pytest.approx(1.0)
 
 
 def test_tv_distance_rejects_bad_input():
     with pytest.raises(ValueError):
-        tv_distance_discrete({0.0: 1}, object())
-    law = AtomicStub(((1.0, 0.5), (1.0 + 1e-12, 0.5)))
+        nearest_atoms([1.0], (1.0, 1.0 + 1e-12), 1e-9)
     with pytest.raises(ValueError):
-        tv_distance_discrete({1.0: 1}, law)
-    wide = AtomicStub(((0.0, 0.5), (1.0, 0.5)))
+        nearest_atoms([0.0], (0.0, 1.0), 0.6)
     with pytest.raises(ValueError):
-        tv_distance_discrete({0.0: 1}, wide, tol=0.6)
+        nearest_atoms([0.0], (0.0, 1.0), -0.1)
     with pytest.raises(ValueError):
-        tv_distance_discrete({0.0: 0}, wide)
-    with pytest.raises(ValueError):
-        tv_distance_discrete({0.0: 1}, wide, tol=-0.1)
+        tv_distance_discrete(np.zeros(0, dtype=np.int64), (0.5, 0.5))
+    for bins in ([2], [-2]):
+        with pytest.raises(ValueError):
+            tv_distance_discrete(bins, (0.5, 0.5))
+
+
+@st.composite
+def _binned_samples(draw):
+    """Atoms on a grid of step 1/4, a tolerance below half their smallest gap,
+    and samples on, near (up to tol away, both edges included) and far from them."""
+    grid = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=4, unique=True))
+    values = tuple(sorted(g / 4 for g in grid))
+    parts = draw(st.lists(st.integers(0, 9), min_size=len(values), max_size=len(values)))
+    weights = tuple(c / sum(parts) if sum(parts) else 1 / len(values) for c in parts)
+    gap = min((b - a for a, b in zip(values, values[1:])), default=1.0)
+    tol = gap * draw(st.sampled_from([0.0, 0.1, 0.25, 0.4999]))
+    on = st.sampled_from(values)
+    near = st.tuples(on, st.sampled_from([-1.0, -0.5, 0.5, 1.0])).map(lambda t: t[0] + t[1] * tol)
+    far = st.floats(-5.0, 5.0)
+    samples = draw(st.lists(st.one_of(on, near, far), min_size=1, max_size=60))
+    return values, weights, tol, samples
+
+
+@given(_binned_samples())
+@example(((-1.0, 0.0, 2.0), (0.2, 0.3, 0.5), 0.4999, [-1.0] * 6 + [0.0] * 19 + [2.0] * 35))
+@example(((-1.0, 0.0, 2.0), (0.2, 0.3, 0.5), 0.25, [-1.0] * 6 + [0.0] * 23 + [2.0] * 31))
+@example(((-1.0, 0.0, 2.0), (0.2, 0.3, 0.5), 0.0, [-1.0] * 11 + [0.0] * 24 + [2.0] * 25))
+@settings(max_examples=200, deadline=None)
+def test_tv_distance_matches_loop_oracle(case):
+    values, weights, tol, samples = case
+    tv = tv_distance_discrete(nearest_atoms(np.array(samples), values, tol), weights)
+    assert tv == float(tv_distance_to_atoms(samples, zip(values, weights), tol))
 
 
 def test_exact_check_report_semantics():

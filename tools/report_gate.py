@@ -143,6 +143,12 @@ INVOCATIONS: dict[str, list[str]] = {
         "lln", "--mode", "annealed", "--radius", "16", "--p", "0.7",
         "--nu", "discrete:-1:0.2,0:0.3,2:0.5", "--graph-replicates", "60",
     ],
+    # Below p_c the default stand-in is a finite boundary cluster, so theta_box
+    # is a finite-size artifact; the two atoms m +- theta_box sit closer than
+    # the averages spread, most averages land in no bin, and the TV check fails.
+    "lln-annealed-subcritical": [
+        "lln", "--mode", "annealed", "--radius", "16", "--p", "0.3", "--graph-replicates", "60",
+    ],
     "clt-quenched-discrete-w2": _QUENCHED + [
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
         "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
@@ -223,6 +229,11 @@ INVOCATIONS: dict[str, list[str]] = {
         "--radius", "8", "--p", "0.3", "--color-replicates", "1", "--graph-replicates", "2",
     ],
     "weighted-lln-full-lattice": ["weighted-lln", "--radius", "4", "--p", "1.0", "--graph-replicates", "5"],
+    # A point-mass color law: every weighted average is m up to rounding, an exact check.
+    "weighted-lln-point-mass": [
+        "weighted-lln", "--radius", "6", "--p", "0.0", "--proxy", "disabled",
+        "--nu", "two-point:0.1,0.1,0.5", "--graph-replicates", "5",
+    ],
     "cluster-clt-degenerate": [
         "cluster-clt", "--radius", "2", "--radius", "4", "--p", "1.0", "--graph-replicates", "5",
     ],
