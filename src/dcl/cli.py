@@ -132,7 +132,7 @@ def _add_lattice_flags(sub: argparse.ArgumentParser, *, with_colors: bool, with_
         default=PROXY_BOUNDARY_LARGEST,
         help="stand-in rule for the infinite cluster",
     )
-    sub.add_argument("--workers", type=_positive, default=1, help="thread count; never changes results")
+    sub.add_argument("--workers", type=_positive, default=1, help="worker processes (Linux); never changes results")
     _add_run_flags(sub)
 
 

@@ -14,17 +14,19 @@ per-configuration functionals in pool_functionals.
 
 from __future__ import annotations
 
-import contextvars
 import math
+import os
+import pickle
+import signal
+import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .lattice import BoxLattice, inner_window, window_site_count
-from .rng import derive_rng, stream_uniforms
+from .rng import _count, derive_rng, stream_log, stream_uniforms
 
 PROXY_BOUNDARY_LARGEST = "boundary-largest"
 PROXY_DISABLED = "disabled"
@@ -320,35 +322,157 @@ def labeling_functionals(stack: LabelingStack, margin: int) -> dict[str, np.ndar
     """Per-configuration functional values used by the pooled estimators.
 
     Float columns with one entry per copy; every value is an integer count
-    over an integer.
+    over an integer. The window is read once, into each cluster's piece of
+    it, and every column comes from the pieces; the square-sum identity of
+    square_sums is checked on the way.
     """
-    window = inner_window(stack.lattice, margin)
-    labels = stack.stack_id[:, window]
-    in_proxy = np.count_nonzero(labels == stack.proxy[:, None], axis=1)
+    lattice = stack.lattice
+    sites = window_site_count(lattice, margin)
+    inner = slice(margin, lattice.side - margin)
+    boxes = stack.stack_id.reshape((stack.copies,) + (lattice.side,) * lattice.d)
+    labels = boxes[(slice(None),) + (inner,) * lattice.d].reshape(stack.copies, sites)
+    piece = np.bincount(labels.ravel(), minlength=stack.cluster_sizes.shape[0])
+    has_proxy = stack.proxy >= 0
+    in_proxy = np.where(has_proxy, piece[stack.proxy], 0)
     # Full-box sizes of the window sites' clusters, the stand-in counted as 0.
-    finite_mass = stack.cluster_sizes[labels].sum(axis=1) - in_proxy * stack.proxy_sites
+    finite_mass = np.add.reduceat(piece * stack.cluster_sizes, stack.first) - in_proxy * stack.proxy_sites
+    piece[stack.proxy[has_proxy]] = 0
+    per_cluster = np.add.reduceat(piece * piece, stack.first)
+    per_site = piece[labels].sum(axis=1)
+    if np.any(per_site != per_cluster):
+        raise InvariantViolationError(
+            f"square-sum identity violated: per-site {per_site} != per-cluster {per_cluster}"
+        )
     return {
-        "theta": in_proxy / window.shape[0],
-        "chi_f": finite_mass / window.shape[0],
-        "kappa": stack.k_n / stack.lattice.site_count,
-        "square_sum_density": square_sum_density(stack, margin),
+        "theta": in_proxy / sites,
+        "chi_f": finite_mass / sites,
+        "kappa": stack.k_n / lattice.site_count,
+        "square_sum_density": per_site / sites,
         "proxy_sites": stack.proxy_sites.astype(np.float64),
         "k_n": stack.k_n.astype(np.float64),
     }
 
 
+def _fork() -> int:
+    # Python 3.12+ warns on any fork of a process with other threads, such as
+    # a BLAS pool's. This fork is safe: the child runs only task code, leaves
+    # by os._exit, and rng re-creates its stream-log lock in the child, so a
+    # lock another thread held at the fork cannot deadlock it.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        return os.fork()
+
+
+def _run_share(fn: Callable[[int], object], indices: range) -> tuple[list, list, tuple | None]:
+    """(results, stream logs, failure) of fn over indices in order, each task in its own stream log.
+
+    The first exception stops the share; failure is (index, exception), or None.
+    """
+    results, logs = [], []
+    for i in indices:
+        try:
+            with stream_log() as log:
+                results.append(fn(i))
+        except Exception as exc:
+            return results, logs, (i, exc)
+        logs.append(log)
+    return results, logs, None
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc, if it survives pickling with its type and message; else a RuntimeError naming both."""
+    try:
+        copy = pickle.loads(pickle.dumps(exc))
+        if type(copy) is type(exc) and str(copy) == str(exc):
+            return exc
+    except Exception:
+        pass
+    return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _child(fn: Callable[[int], object], indices: range, write_fd: int) -> None:
+    """Run a forked worker's share, send it down the pipe and exit, never returning."""
+    code = 1
+    try:
+        results, logs, failure = _run_share(fn, indices)
+        if failure is not None:
+            failure = (failure[0], _portable(failure[1]))
+        # Pickled whole before writing: a share that cannot be sent sends nothing.
+        data = pickle.dumps((results, logs, failure), protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        # No atexit handler runs, and no inherited stdio buffer is flushed twice.
+        os._exit(code)
+
+
 def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> list:
     """Apply fn to 0..count-1 and return the results in index order.
 
-    With several workers the calls run on a thread pool, each in a copy of
-    the caller's context so that a run's stream log sees them; the output
-    order, and so every reduction over it, does not depend on the scheduling.
+    With several workers on Linux, task i runs on worker i % workers: worker
+    0 is this process, and every other worker a forked child that sends its
+    results and the streams its tasks derived back down a pipe. Results,
+    stream-log counts and their order, and the exception raised (that of
+    the lowest failing index) are those of a serial run, whatever the
+    worker count. Elsewhere, where forking a numpy process is not safe
+    (macOS's Accelerate), the tasks run here in index order.
     """
-    if workers <= 1 or count <= 1:
+    workers = min(workers, count)
+    if workers <= 1 or not sys.platform.startswith("linux"):
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(count)]
-        return [fut.result() for fut in futures]
+    pending = []  # [pid, read end or None once closed] of every child not yet reaped
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = _fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for _, fd in pending:
+                    os.close(fd)
+                _child(fn, range(w, count, workers), write_fd)
+            os.close(write_fd)
+            pending.append([pid, read_fd])
+        shares = [_run_share(fn, range(0, count, workers))]
+        while pending:
+            child = pending[0]
+            with open(child[1], "rb") as pipe:
+                child[1] = None
+                data = pipe.read()
+            _, status = os.waitpid(child[0], 0)
+            pending.pop(0)
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"worker process {child[0]} exited with code {code} before sending its results")
+            shares.append(pickle.loads(data))
+    finally:
+        # Reached with children left only on an error: none may outlive the call.
+        for pid, read_fd in pending:
+            if read_fd is not None:
+                os.close(read_fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    failures = [share[2] for share in shares if share[2] is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results, logs = [None] * count, [None] * count
+    for w, (share_results, share_logs, _) in enumerate(shares):
+        results[w::workers] = share_results
+        logs[w::workers] = share_logs
+    for log in logs:
+        for (master_seed, role), streams in log.items():
+            _count(master_seed, role, streams)
+    return results
 
 
 def map_labelings(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import os
 import re
 import threading
 from contextvars import ContextVar
@@ -117,6 +118,17 @@ def _unseeded():
 # stream_log block is open in this context; None outside one.
 _STREAM_LOG: ContextVar[dict | None] = ContextVar("stream_log", default=None)
 _STREAM_LOG_LOCK = threading.Lock()
+
+
+def _new_stream_log_lock() -> None:
+    global _STREAM_LOG_LOCK
+    _STREAM_LOG_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has only the forking thread, so a lock that another
+    # thread held at the fork would never be released there.
+    os.register_at_fork(after_in_child=_new_stream_log_lock)
 _INDEX_SUFFIX = re.compile(r":\d+$")
 
 

@@ -331,7 +331,7 @@ def test_size_weighted_conditional_limit(criterion):
 
 
 def test_worker_count_determinism(criterion, tmp_path):
-    """The report is byte-identical whatever the thread count."""
+    """The report is byte-identical whatever the worker count."""
     reports = []
     for workers in (1, 8):
         out = tmp_path / f"workers{workers}.json"
@@ -347,4 +347,4 @@ def test_worker_count_determinism(criterion, tmp_path):
         payload.pop("timing")
         reports.append(json.dumps(payload, sort_keys=True))
     ok = reports[0] == reports[1]
-    assert criterion(11, "worker-count determinism", ok, "1 thread vs 8 threads")
+    assert criterion(11, "worker-count determinism", ok, "1 worker vs 8 workers")

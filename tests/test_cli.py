@@ -442,7 +442,7 @@ def test_gamma_sample_csv_round_trip(tmp_path):
 
 
 # At radius 16 a stack holds 15 graphs, so 60 graphs are 4 stacks and
-# 1024 colorings are 4 chunks: several threads share each loop. With
+# 1024 colorings are 4 chunks: several workers share each loop. With
 # margin 4 the quenched window reads about 400 cluster ids, so each chunk
 # holds several coloring blocks and ends in a partial one. Its colors are
 # not dyadic, so its sums round and a summation order that followed the
@@ -467,7 +467,7 @@ def test_worker_count_reports_byte_identical(argv, tmp_path):
         report = json.loads(out.read_text())
         report.pop("timing")
         reports.append(json.dumps(report, sort_keys=True))
-    # every stream counted, whichever thread derived it
+    # every stream counted, whichever worker derived it
     assert reports[1] == reports[0] and reports[2] == reports[0]
     report = json.loads(reports[0])
     assert set(report) == TOP_KEYS - {"timing"}

@@ -679,16 +679,16 @@ def test_worker_count_does_not_change_results():
         regime="subcritical",
     )
     serial = run_annealed_clt(ExperimentConfig(**base, workers=1))
-    threaded = run_annealed_clt(ExperimentConfig(**base, workers=4))
-    assert _comparable(serial) == _comparable(threaded)
+    parallel = run_annealed_clt(ExperimentConfig(**base, workers=4))
+    assert _comparable(serial) == _comparable(parallel)
 
     base = dict(
         d=2, radii=16, p=0.4, nu="gaussian:0,1",
         color_replicates=200, master_seed=5,
     )
     serial = run_quenched_clt(ExperimentConfig(**base, workers=1))
-    threaded = run_quenched_clt(ExperimentConfig(**base, workers=3))
-    assert _comparable(serial) == _comparable(threaded)
+    parallel = run_quenched_clt(ExperimentConfig(**base, workers=3))
+    assert _comparable(serial) == _comparable(parallel)
 
 
 @pytest.mark.parametrize(
@@ -766,7 +766,7 @@ def test_quenched_clt_empty_read_range_still_counts_every_color_stream():
 
 def test_quenched_clt_discrete_colors_identical_across_workers():
     # Three chunks of colorings share one law, and with it its draw tables,
-    # across the pool threads.
+    # across the worker processes.
     reps = 2 * _COLOR_CHUNK + 37
     base = dict(
         d=2, radii=6, p=0.4, nu="discrete:-1:0.2,0:0,2:0.8",
@@ -782,10 +782,10 @@ def test_colored_replicates_identical_across_workers_and_stacks():
     lattice = build_box(2, 1)
     base = dict(d=2, radii=1, p=0.45, nu="gaussian:0.5,2", graph_replicates=1850, master_seed=3)
     serial, _ = _colored_replicates(ExperimentConfig(**base, workers=1), lattice, 0)
-    threaded, _ = _colored_replicates(ExperimentConfig(**base, workers=3), lattice, 0)
-    assert serial.keys() == threaded.keys()
+    parallel, _ = _colored_replicates(ExperimentConfig(**base, workers=3), lattice, 0)
+    assert serial.keys() == parallel.keys()
     for name in serial:
-        assert np.array_equal(serial[name], threaded[name]), name
+        assert np.array_equal(serial[name], parallel[name]), name
 
     nu = ExperimentConfig(**base).nu
 

@@ -21,6 +21,7 @@ from dcl.percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
     EdgeConfig,
+    InvariantViolationError,
     LabelingStack,
     NearCriticalWarning,
     default_window_margin,
@@ -500,10 +501,10 @@ def test_map_labelings_streams_and_worker_count():
             }
 
         serial = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=1)
-        threaded = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=3)
+        parallel = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=3)
         # Every column comes back as one concatenated array.
-        assert serial["r"].tolist() == threaded["r"].tolist() == list(range(count))
-        for r, ids, ids3 in zip(serial["r"], serial["ids"], threaded["ids"]):
+        assert serial["r"].tolist() == parallel["r"].tolist() == list(range(count))
+        for r, ids, ids3 in zip(serial["r"], serial["ids"], parallel["ids"]):
             assert np.array_equal(ids, ids3)
             direct = label_clusters(sample_config(lat, 0.45, 8, f"eng:{r}"))
             assert np.array_equal(ids, direct.stack_id[0])
@@ -596,6 +597,47 @@ def test_near_critical_warning_band():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warn_if_near_critical(d, p)
+
+
+def _gathered_functionals(stack, margin):
+    """labeling_functionals through the window's index array and a size gather per site."""
+    window = inner_window(stack.lattice, margin)
+    labels = stack.stack_id[:, window]
+    in_proxy = np.count_nonzero(labels == stack.proxy[:, None], axis=1)
+    finite_mass = stack.cluster_sizes[labels].sum(axis=1) - in_proxy * stack.proxy_sites
+    return {
+        "theta": in_proxy / window.size,
+        "chi_f": finite_mass / window.size,
+        "kappa": stack.k_n / stack.lattice.site_count,
+        "square_sum_density": square_sum_density(stack, margin),
+        "proxy_sites": stack.proxy_sites.astype(np.float64),
+        "k_n": stack.k_n.astype(np.float64),
+    }
+
+
+@pytest.mark.parametrize("d,n,p", [(1, 40, 0.9), (2, 6, 0.3), (2, 9, 0.7), (3, 3, 0.4), (4, 2, 0.3)])
+@pytest.mark.parametrize("rule", [PROXY_BOUNDARY_LARGEST, PROXY_DISABLED])
+def test_labeling_functionals_match_the_gathered_route_bit_for_bit(d, n, p, rule):
+    lat = build_box(d, n)
+    stack = label_clusters(_sample_stack(lat, p, 6, "window", 0, 5), rule)
+    for margin in range(n + 1):
+        got = labeling_functionals(stack, margin)
+        want = _gathered_functionals(stack, margin)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype and got[name].tobytes() == want[name].tobytes(), (name, margin)
+
+
+def test_labeling_functionals_refuse_a_broken_square_sum_identity():
+    lat = build_box(2, 3)
+    stack = label_clusters(_sample_stack(lat, 0.4, 2, "broken", 0, 2), PROXY_DISABLED)
+    # Copy 0 carries copy 1's ids, which lie outside its own id range.
+    ids = np.array(stack.stack_id)
+    ids[0] = ids[1]
+    broken = dataclasses.replace(stack, stack_id=ids)
+    for compute in (labeling_functionals, square_sum_density):
+        with pytest.raises(InvariantViolationError, match="square-sum identity violated"):
+            compute(broken, 1)
 
 
 def test_labeling_functionals_row_keys():

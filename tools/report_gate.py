@@ -50,7 +50,7 @@ INVOCATIONS: dict[str, list[str]] = {
         "--nu", "two-point:-1,1,0.5", "--graph-replicates", "40", "--color-replicates", "1",
         "--margin", "23", "--proxy", "boundary-largest", "--workers", "1",
     ],
-    # Its --workers 2 twin: 40 boxes of 66049 sites, one per stack, labeled on worker threads.
+    # Its --workers 2 twin: 40 boxes of 66049 sites, one per stack, labeled in worker processes.
     "bench-annealed-d2-w2": _ANNEALED + [
         "--regime", "supercritical", "--dim", "2", "--radius", "128", "--p", "0.7",
         "--nu", "two-point:-1,1,0.5", "--graph-replicates", "40", "--color-replicates", "1",
@@ -70,7 +70,7 @@ INVOCATIONS: dict[str, list[str]] = {
         "--margin", "0", "--proxy", "disabled", "--workers", "1",
     ],
     # Its --workers 2 twin: 5000 replicates are three stacks of 3x3 boxes,
-    # whose short streams are drawn in numpy arrays on the worker threads.
+    # whose short streams are drawn in numpy arrays in the worker processes.
     "bench-tiny-p0.7-w2": [
         "estimate", "--dim", "2", "--radius", "1", "--p", "0.7", "--replicates", "5000",
         "--margin", "0", "--proxy", "disabled", "--workers", "2",
