@@ -155,12 +155,17 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     The open edges along an axis of stride s are the set bits of its column
     of the mask, and they join root[:-s] to root[s:] position by position,
     so a round compares those two shifted views, masked by the column, and
-    gathers parents only where the ends differ. A stack of masks,
-    (copies, site_count, d), is labeled as one graph whose copy c holds the
-    sites from c * site_count on, and a (site_count, d) mask as a stack of
-    one copy. The far faces carry no edge, so no edge leaves its copy, and
-    each copy's ids come out as if it were labeled alone. Other shapes, and
-    bits off has_edge, raise.
+    gathers parents only where the ends differ. Round one's first axis, the
+    one of largest stride, needs neither: every site is still a root, so
+    each site v has at most one such edge from behind, and its hook sets
+    root[v] to v - s, which one subtraction of s times the column does.
+    A stack of masks, (copies, site_count, d), is labeled as one graph whose
+    copy c holds the sites from c * site_count on, and a (site_count, d)
+    mask as a stack of one copy. The far faces carry no edge, so no edge
+    leaves its copy, and each copy's ids come out as if it were labeled
+    alone. Other shapes raise, and so does a bit on a far face, the only
+    place has_edge is False: for each axis the check reads just row
+    side - 1 of the (-1, side, s) view of its column.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
@@ -168,14 +173,17 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     site_count = lattice.site_count
     if config.open.ndim > 3 or config.open.shape[-2:] != lattice.has_edge.shape:
         raise ValueError(f"open mask shape {config.open.shape} is not ([copies,] {site_count}, {lattice.d})")
-    if np.any(config.open & ~lattice.has_edge):
-        raise ValueError("open mask sets a bit on a far face, where the box has no edge")
     copies = 1 if config.open.ndim == 2 else config.open.shape[0]
     sites = np.arange(copies * site_count, dtype=np.int64)
     # Per axis, its stride s and the open bits of the edges u -> u + s, one
     # per site u that has a site s further on. Each round reads every bit, so
     # the axes' columns are copied out of the (sites, d) mask once, contiguous.
     columns = np.ascontiguousarray(config.open.reshape(-1, lattice.d).T)
+    # has_edge is False exactly on each axis's far face, row side - 1 of the
+    # (-1, side, s) view of its column, so only those rows need reading.
+    for axis, s in enumerate(lattice.strides):
+        if columns[axis].reshape(-1, lattice.side, s)[:, -1].any():
+            raise ValueError("open mask sets a bit on a far face, where the box has no edge")
     open_along = [(s, columns[axis, : sites.size - s]) for axis, s in enumerate(lattice.strides)]
 
     # Hooking writes into root in place; sites must stay intact for the root
@@ -184,10 +192,16 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     # mode="clip" never clips; unlike the default, it writes out= unbuffered.
     root = sites.copy()
     spare = np.empty_like(root)
+    # Round one starts with every site its own root, so along the first axis
+    # each site v has at most one edge from behind, and its hook sets root[v]
+    # to v - s: a subtraction, with no conflict for np.minimum.at to resolve.
+    s, open_edges = open_along[0]
+    root[s:] -= np.multiply(open_edges, s, out=spare[: open_edges.size])
+    hooked = bool(open_edges.any())
+    round_axes = open_along[1:]
     roots = None  # the roots a round starts from; None in round one, where all are
     while True:
-        hooked = False
-        for s, open_edges in open_along:
+        for s, open_edges in round_axes:
             u = np.flatnonzero((root[:-s] != root[s:]) & open_edges)
             if u.size:
                 ru = np.take(root, u, out=spare[: u.size], mode="clip")
@@ -219,6 +233,7 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
                 root[moved] = grand
             np.take(root, root, out=spare, mode="clip")
             root, spare = spare, root
+        hooked, round_axes = False, open_along  # later rounds hook every axis
     if roots is None:
         roots = sites
 

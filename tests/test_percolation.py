@@ -134,9 +134,11 @@ def closed_stack(lattice):
 
 
 class _HookCountingNumpy:
-    """numpy as the labeler sees it, counting its hooking calls, np.minimum.at.
+    """numpy as the labeler sees it, counting its np.minimum.at hooking calls.
 
-    It stands in for both the module and its minimum ufunc.
+    It stands in for both the module and its minimum ufunc. Round one hooks
+    its first axis by a subtraction, so it makes at most d - 1 of these
+    calls, and every later round at most d.
     """
 
     def __init__(self):
@@ -173,10 +175,11 @@ class _HookCountingNumpy:
 def test_labels_match_bfs_oracle(d, n, edges, monkeypatch):
     # edges is a density to sample ten configurations at, or a function that
     # builds one open-edge mask, or a stack of them. A round hooks along each
-    # axis in turn, and the first round leaves the serpentine and the comb
-    # split into several trees that only a second round joins: some axis
-    # hooks in two rounds, so the labeler makes more hooking calls than the
-    # box has axes. Each copy of a stack is also labeled alone.
+    # axis in turn, round one along its first axis without np.minimum.at, and
+    # the first round leaves the serpentine and the comb split into several
+    # trees that only a second round joins: the labeler makes more than the
+    # d - 1 np.minimum.at calls round one can make. Each copy of a stack is
+    # also labeled alone.
     # BFS labels count up in site order, as the package's ids do.
     lat = build_box(d, n)
     if callable(edges):
@@ -199,7 +202,7 @@ def test_labels_match_bfs_oracle(d, n, edges, monkeypatch):
     if not any(open_mask.any() for open_mask in masks):
         assert counting.hooks == 0
     elif callable(edges):
-        assert counting.hooks > d
+        assert counting.hooks > d - 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -338,6 +341,57 @@ def test_bit_on_far_face_rejected():
     mask[site_index(2, 1, (1, -1)), 0] = True
     with pytest.raises(ValueError, match="far face"):
         label_clusters(_config(square, mask))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_every_far_face_bit_is_refused(d, n):
+    # The refusal reads only row side - 1 of each axis's (-1, side, s) view,
+    # so each bit where has_edge is False is set alone on top of the all-open
+    # mask, in a box and in each copy of a stack; without it the mask labels
+    # one cluster per copy.
+    lat = build_box(d, n)
+    stack = np.array([lat.has_edge] * 3)
+    assert label_clusters(_config(lat, lat.has_edge.copy())).k_n.tolist() == [1]
+    assert label_clusters(_config(lat, stack)).k_n.tolist() == [1, 1, 1]
+    far = np.argwhere(~lat.has_edge)
+    assert len(far) == d * lat.side ** (d - 1)
+    for u, axis in far:
+        lone = lat.has_edge.copy()
+        lone[u, axis] = True
+        with pytest.raises(ValueError, match="far face"):
+            label_clusters(_config(lat, lone))
+        for c in range(3):
+            stacked = stack.copy()
+            stacked[c, u, axis] = True
+            with pytest.raises(ValueError, match="far face"):
+                label_clusters(_config(lat, stacked))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("density", [1.0, 0.7])
+def test_first_axis_chains_match_bfs_oracle(d, density, monkeypatch):
+    # With open edges only along the first axis, round one hooks by a
+    # subtraction alone and no np.minimum.at runs. Between two closed copies
+    # of a stack, a chain must stop at its copy's last row: the far face
+    # carries no edge into the next copy.
+    lat = build_box(d, 2)
+    chains = np.zeros_like(lat.has_edge)
+    chains[:, 0] = lat.has_edge[:, 0] & (np.random.default_rng(3).random(lat.site_count) < density)
+    counting = _HookCountingNumpy()
+    monkeypatch.setattr(percolation, "np", counting)
+    closed = np.zeros_like(chains)
+    for open_mask, c in ((chains, 0), (np.array([closed, chains, closed]), 1)):
+        labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
+        for copy, mask in enumerate([open_mask] if open_mask.ndim == 2 else open_mask):
+            view = _copy_fields(labeling, copy)
+            oracle = _oracle_ids(lat, mask)
+            sizes = Counter(oracle)
+            assert view["stack_id"][0].tolist() == oracle, copy
+            assert view["k_n"][0] == len(sizes)
+            assert view["cluster_sizes"].tolist() == [sizes[label] for label in range(len(sizes))]
+        assert labeling.k_n[c] == lat.site_count - chains.sum()
+    assert counting.hooks == 0
 
 
 def test_open_fraction_tracks_p():
