@@ -28,13 +28,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coloring import ColorMeasure, centered_sums, color_clusters, parse_color_measure
-from .lattice import BoxLattice, build_box, inner_window
+from .lattice import BoxLattice, build_box, window_values
 from .percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
     PROXY_RULES,
     LabelingStack,
     PercolationEstimates,
+    checked_square_sum,
     default_window_margin,
     label_clusters,
     labeling_functionals,
@@ -42,9 +43,9 @@ from .percolation import (
     map_ordered,
     pool_functionals,
     sample_config,
-    square_sum_density,
     stand_in_volume,
     warn_if_near_critical,
+    window_pieces,
 )
 from .rng import check_seed, derive_rng, derive_streams, stream_log
 from .stats import (
@@ -341,10 +342,7 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     colors = color_clusters(int(graph.k_n[0]), config.nu, derive_rng(config.master_seed, "color:0"))
     proxy = int(graph.proxy[0])
 
-    trajectory = []
-    for radius in config.radii:
-        window = inner_window(lattice, lattice.n - radius)
-        trajectory.append(float(colors[ids[window]].mean()))
+    trajectory = [float(colors[window_values(ids, lattice, lattice.n - radius)].mean()) for radius in config.radii]
 
     m = config.nu.mean
     z = float(colors[proxy]) if proxy >= 0 else 0.0
@@ -474,17 +472,15 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     sigma2 = config.nu.variance
 
     graph, est = _quenched_graph(config, lattice, margin)
-    window = inner_window(lattice, margin)
-    piece = np.bincount(graph.stack_id[0, window], minlength=int(graph.k_n[0])).astype(np.float64)
-    if graph.proxy[0] >= 0:
-        piece[graph.proxy[0]] = 0.0
-    scale = math.sqrt(window.shape[0])
+    labels, piece = window_pieces(graph, margin)
+    ssd = float(checked_square_sum(graph, labels, piece)[0] / labels.shape[1])
+    scale = math.sqrt(labels.shape[1])
 
     # The statistic reads only ids lo..hi-1, the span of the clusters with a
     # piece; at p=1 the stand-in covers the window and the span is empty.
     read = np.flatnonzero(piece)
     lo, hi = (int(read[0]), int(read[-1]) + 1) if read.size else (0, 0)
-    weights = piece[lo:hi]
+    weights = piece.astype(np.float64)[lo:hi]
     rows = max(1, _COLOR_BLOCK_VALUES // max(hi - lo, 1))
     starts = range(0, config.color_replicates, _COLOR_CHUNK)
 
@@ -495,7 +491,6 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
 
     stats = np.concatenate(map_ordered(chunk, len(starts), config.workers))
 
-    ssd = float(square_sum_density(graph, margin)[0])
     variance_exact = sigma2 * ssd
     variance_asymptotic = est.chi_f_hat * sigma2
     summary = summarize(stats)

@@ -103,21 +103,16 @@ def build_box(d: int, n: int) -> BoxLattice:
     )
 
 
-def inner_window(lattice: BoxLattice, margin: int) -> np.ndarray:
-    """Sorted flat indices of the concentric sub-box of radius n - margin."""
+def window_values(values: np.ndarray, lattice: BoxLattice, margin: int) -> np.ndarray:
+    """The entries of a (..., site_count) array on the sub-box of radius n - margin.
+
+    The sub-box is read through the (..., side, ..., side) view of the
+    sites, so its entries come out in site order, (..., window sites).
+    """
     if not isinstance(margin, int) or margin < 0:
         raise ValueError(f"margin must be a non-negative integer, got {margin!r}")
     if margin > lattice.n:
         raise ValueError(f"margin {margin} exceeds box radius {lattice.n}")
-    sites = np.arange(lattice.site_count, dtype=np.int64)
-    if margin == 0:
-        return sites
-    inner = slice(margin, lattice.side - margin)
-    return sites.reshape((lattice.side,) * lattice.d)[(inner,) * lattice.d].ravel()
-
-
-def window_site_count(lattice: BoxLattice, margin: int) -> int:
-    """Number of sites in the inner window of the given margin."""
-    if not 0 <= margin <= lattice.n:
-        raise ValueError(f"margin {margin} outside [0, {lattice.n}]")
-    return (2 * (lattice.n - margin) + 1) ** lattice.d
+    lead, inner = values.shape[:-1], slice(margin, lattice.side - margin)
+    boxes = values.reshape(lead + (lattice.side,) * lattice.d)
+    return boxes[(...,) + (inner,) * lattice.d].reshape(lead + ((lattice.side - 2 * margin) ** lattice.d,))

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import BoxLattice, inner_window, window_site_count
+from .lattice import BoxLattice, window_values
 from .rng import _count, derive_rng, stream_log, stream_uniforms
 
 PROXY_BOUNDARY_LARGEST = "boundary-largest"
@@ -282,36 +282,47 @@ def default_window_margin(lattice: BoxLattice) -> int:
     return min(lattice.n, math.ceil(4.0 * math.log(lattice.side)))
 
 
+def window_pieces(stack: LabelingStack, margin: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, piece): the window's stack ids and each cluster's piece of the window.
+
+    labels is (copies, window sites), the window being the sub-box of radius
+    n - margin. piece[i] counts the window sites of stack id i, 0 for each
+    copy's stand-in, so every window site outside the stand-in has piece > 0.
+    """
+    labels = window_values(stack.stack_id, stack.lattice, margin)
+    piece = np.bincount(labels.ravel(), minlength=stack.cluster_sizes.shape[0])
+    piece[stack.proxy[stack.proxy >= 0]] = 0
+    return labels, piece
+
+
+def _square_sum_routes(stack: LabelingStack, labels: np.ndarray, piece: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return piece[labels].sum(axis=1), np.add.reduceat(piece * piece, stack.first)
+
+
 def square_sums(stack: LabelingStack, window_margin: int) -> tuple[np.ndarray, np.ndarray]:
     """Both exact integer routes to the windowed square sum, one entry per copy.
 
-    Returns (per_site, per_cluster) where per_site sums, over window sites
-    outside the infinite stand-in, the size of the site's cluster piece
-    inside the window, and per_cluster sums the squared piece sizes over
-    finite clusters. The two are equal for any correct labeling.
+    Returns (per_site, per_cluster) from the window_pieces of the stack:
+    per_site sums, over window sites, the piece of the site's cluster (the
+    stand-in's is 0), and per_cluster sums the squared pieces over clusters.
+    The two are equal for any correct labeling; checked_square_sum raises
+    where they differ, and this returns both so each copy can be compared.
     """
-    window = inner_window(stack.lattice, window_margin)
-    labels = stack.stack_id[:, window]
-    finite = labels != stack.proxy[:, None]
-    piece = np.bincount(labels[finite], minlength=stack.cluster_sizes.shape[0])
-    per_cluster = np.add.reduceat(piece * piece, stack.first)
-    # The stand-in's piece is 0, so its sites add nothing here.
-    per_site = piece[labels].sum(axis=1)
-    return per_site, per_cluster
+    return _square_sum_routes(stack, *window_pieces(stack, window_margin))
 
 
-def square_sum_density(stack: LabelingStack, window_margin: int) -> np.ndarray:
-    """Windowed mean of |C'(x) within the window| over window sites, one value per copy.
+def checked_square_sum(stack: LabelingStack, labels: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """The square sum of the stack's window_pieces, one entry per copy.
 
-    Computed by two independent routes that must agree exactly as integers;
-    any discrepancy raises rather than returning a number.
+    Raises InvariantViolationError unless both square_sums routes agree
+    exactly as integers on every copy.
     """
-    per_site, per_cluster = square_sums(stack, window_margin)
+    per_site, per_cluster = _square_sum_routes(stack, labels, piece)
     if np.any(per_site != per_cluster):
         raise InvariantViolationError(
             f"square-sum identity violated: per-site {per_site} != per-cluster {per_cluster}"
         )
-    return per_site / window_site_count(stack.lattice, window_margin)
+    return per_site
 
 
 @dataclass(frozen=True)
@@ -337,32 +348,18 @@ def labeling_functionals(stack: LabelingStack, margin: int) -> dict[str, np.ndar
     """Per-configuration functional values used by the pooled estimators.
 
     Float columns with one entry per copy; every value is an integer count
-    over an integer. The window is read once, into each cluster's piece of
-    it, and every column comes from the pieces; the square-sum identity of
-    square_sums is checked on the way.
+    over an integer. The window is read once, by window_pieces, and every
+    windowed column comes from the pieces: a copy's sites outside the
+    stand-in are the sum of its pieces, the full-box sizes of their clusters
+    sum piece * size, and the square sum is checked_square_sum's.
     """
-    lattice = stack.lattice
-    sites = window_site_count(lattice, margin)
-    inner = slice(margin, lattice.side - margin)
-    boxes = stack.stack_id.reshape((stack.copies,) + (lattice.side,) * lattice.d)
-    labels = boxes[(slice(None),) + (inner,) * lattice.d].reshape(stack.copies, sites)
-    piece = np.bincount(labels.ravel(), minlength=stack.cluster_sizes.shape[0])
-    has_proxy = stack.proxy >= 0
-    in_proxy = np.where(has_proxy, piece[stack.proxy], 0)
-    # Full-box sizes of the window sites' clusters, the stand-in counted as 0.
-    finite_mass = np.add.reduceat(piece * stack.cluster_sizes, stack.first) - in_proxy * stack.proxy_sites
-    piece[stack.proxy[has_proxy]] = 0
-    per_cluster = np.add.reduceat(piece * piece, stack.first)
-    per_site = piece[labels].sum(axis=1)
-    if np.any(per_site != per_cluster):
-        raise InvariantViolationError(
-            f"square-sum identity violated: per-site {per_site} != per-cluster {per_cluster}"
-        )
+    labels, piece = window_pieces(stack, margin)
+    sites = labels.shape[1]
     return {
-        "theta": in_proxy / sites,
-        "chi_f": finite_mass / sites,
-        "kappa": stack.k_n / lattice.site_count,
-        "square_sum_density": per_site / sites,
+        "theta": (sites - np.add.reduceat(piece, stack.first)) / sites,
+        "chi_f": np.add.reduceat(piece * stack.cluster_sizes, stack.first) / sites,
+        "kappa": stack.k_n / stack.lattice.site_count,
+        "square_sum_density": checked_square_sum(stack, labels, piece) / sites,
         "proxy_sites": stack.proxy_sites.astype(np.float64),
         "k_n": stack.k_n.astype(np.float64),
     }

@@ -19,6 +19,11 @@ def box_sites(d: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(-n, n + 1), repeat=d))
 
 
+def window_sites(d: int, n: int, margin: int) -> list[int]:
+    """Row-major indices, in order, of the sites of {-n..n}^d with |x_i| <= n - margin on every axis."""
+    return [index for index, site in enumerate(box_sites(d, n)) if all(abs(c) <= n - margin for c in site)]
+
+
 def site_index(d: int, n: int, coords: tuple[int, ...]) -> int:
     """Row-major index of a site of {-n..n}^d: its place in box_sites(d, n)."""
     index = 0

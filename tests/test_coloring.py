@@ -22,7 +22,7 @@ from dcl.coloring import (
     parse_color_measure,
 )
 from dcl.harness import ExperimentConfig, run_quenched_lln
-from dcl.lattice import build_box, inner_window
+from dcl.lattice import build_box
 from dcl.percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
@@ -174,14 +174,14 @@ def test_windowed_sum_variance_identity_exact_enumeration():
     lat = build_box(2, 1)
     config = sample_config(lat, 0.5, seed=12, stream_tag="fixed")
     labeling = label_clusters(config, PROXY_DISABLED)
-    window = inner_window(lat, 0)
     nu = TwoPoint(-1.0, 1.0, 0.3)
     m = nu.mean
-    (per_site,), (per_cluster,) = square_sums(labeling, 0)
-    assert per_site == per_cluster
-
     k_n = int(labeling.k_n[0])
-    piece = np.bincount(labeling.stack_id[0, window], minlength=k_n)
+    # The window is the whole box, so each cluster's piece is its size.
+    piece = np.bincount(labeling.stack_id[0], minlength=k_n)
+    square_sum = int(np.dot(piece, piece))
+    assert [route.tolist() for route in square_sums(labeling, 0)] == [[square_sum]] * 2
+
     total_sq = 0.0
     for assignment in itertools.product((-1.0, 1.0), repeat=k_n):
         weight = 1.0
@@ -189,7 +189,7 @@ def test_windowed_sum_variance_identity_exact_enumeration():
             weight *= 0.3 if c == 1.0 else 0.7
         centered = float(np.dot(piece, np.array(assignment) - m))
         total_sq += weight * centered**2
-    assert total_sq == pytest.approx(nu.variance * per_site, rel=1e-12)
+    assert total_sq == pytest.approx(nu.variance * square_sum, rel=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=0.05, max_value=0.95))

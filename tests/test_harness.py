@@ -27,7 +27,7 @@ from dcl.harness import (
     run_quenched_lln,
     run_weighted_lln_check,
 )
-from dcl.lattice import build_box, inner_window
+from dcl.lattice import build_box
 from dcl.percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
@@ -41,7 +41,7 @@ from dcl.rng import derive_rng, derive_streams
 from dcl.stats import TestReport
 from dcl.theory import GaussianLaw, GaussianMixture, PointMass, TwoPointLaw
 
-from oracles import box_sites, tv_distance_to_atoms
+from oracles import box_sites, tv_distance_to_atoms, window_sites
 
 
 def test_config_validation():
@@ -708,7 +708,7 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
     law = ExperimentConfig(**base).nu
     lattice = build_box(2, 12)
     labeling = label_clusters(sample_config(lattice, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
-    ids = labeling.stack_id[0, inner_window(lattice, 4)]
+    ids = labeling.stack_id[0, window_sites(2, 12, 4)]
     finite = ids[ids != labeling.proxy[0]]
     lo, hi = int(finite.min()), int(finite.max()) + 1
     rows = _COLOR_BLOCK_VALUES // (hi - lo)

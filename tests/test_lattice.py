@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import tracemalloc
 
@@ -15,12 +16,11 @@ from dcl.lattice import (
     _BYTES_PER_SITE_AND_AXIS,
     BoxTooLargeError,
     build_box,
-    inner_window,
-    window_site_count,
+    window_values,
 )
 from dcl.percolation import label_clusters, sample_config
 
-from oracles import box_edges, box_sites, site_coords, site_index
+from oracles import box_edges, box_sites, site_coords, site_index, window_sites
 
 
 @pytest.mark.parametrize("d,n", [(1, 0), (1, 3), (2, 1), (2, 5), (3, 2), (4, 1)])
@@ -39,7 +39,7 @@ def test_origin_is_center():
     lat = build_box(3, 2)
     center = site_index(3, 2, (0, 0, 0))
     assert center == (lat.site_count - 1) // 2
-    assert list(inner_window(lat, lat.n)) == [center]
+    assert window_values(np.arange(lat.site_count), lat, lat.n).tolist() == [center]
 
 
 @given(
@@ -101,18 +101,16 @@ def test_boundary_of_single_site_box():
     assert list(lat.boundary_sites) == [0]
 
 
-def test_inner_window_margins():
-    lat = build_box(2, 3)
-    assert len(inner_window(lat, 0)) == lat.site_count
-    center_only = inner_window(lat, 3)
-    assert list(center_only) == [site_index(2, 3, (0, 0))]
-    for margin in range(4):
-        window = inner_window(lat, margin)
-        assert len(window) == window_site_count(lat, margin) == (2 * (3 - margin) + 1) ** 2
-        assert list(window) == sorted(window)
-        assert all(
-            max(abs(c) for c in site_coords(2, 3, int(i))) <= lat.n - margin for i in window
-        )
+def test_window_values_match_the_coordinate_oracle():
+    for d, n in itertools.product(range(1, 5), range(4)):
+        lat = build_box(d, n)
+        values = 7 * np.arange(lat.site_count) + 3
+        copies = np.stack([values, -values, values + 1])
+        for margin in range(n + 1):
+            window = window_sites(d, n, margin)
+            assert len(window) == (2 * (n - margin) + 1) ** d
+            assert window_values(values, lat, margin).tolist() == values[window].tolist(), (d, n, margin)
+            assert window_values(copies, lat, margin).tolist() == copies[:, window].tolist(), (d, n, margin)
 
 
 def test_arrays_are_read_only():
@@ -167,7 +165,6 @@ def test_memory_bound_covers_building_and_labeling_a_full_box(d, n):
 
 def test_bad_margins_rejected():
     lat = build_box(2, 2)
-    with pytest.raises(ValueError):
-        inner_window(lat, -1)
-    with pytest.raises(ValueError):
-        inner_window(lat, 3)
+    for margin in (-1, 3, 1.0):
+        with pytest.raises(ValueError, match="margin"):
+            window_values(np.arange(lat.site_count), lat, margin)

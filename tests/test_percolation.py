@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcl import percolation
-from dcl.lattice import build_box, inner_window, window_site_count
+from dcl.lattice import build_box
 from dcl.percolation import (
     _STACK_SITES,
     _sample_stack,
@@ -31,13 +31,12 @@ from dcl.percolation import (
     map_labelings,
     pool_functionals,
     sample_config,
-    square_sum_density,
     square_sums,
     stand_in_volume,
 )
 from dcl.rng import SHORT_STREAM_DRAWS, derive_rng
 
-from oracles import bfs_clusters, box_sites, enumerate_box, site_index
+from oracles import bfs_clusters, box_sites, enumerate_box, site_index, window_sites
 
 
 def _oracle_ids(lattice, open_mask):
@@ -418,7 +417,7 @@ def test_degenerate_p0():
     assert (labeling.cluster_sizes == 1).all()
     assert labeling.proxy.tolist() == [-1] and labeling.proxy_sites.tolist() == [0]
     assert [route.tolist() for route in square_sums(labeling, 0)] == [[lat.site_count]] * 2
-    assert square_sum_density(labeling, 0).tolist() == [1.0]
+    assert labeling_functionals(labeling, 0)["square_sum_density"].tolist() == [1.0]
 
 
 def test_degenerate_p1():
@@ -429,9 +428,9 @@ def test_degenerate_p1():
     assert labeling.proxy_sites.tolist() == [lat.site_count]
     # the stand-in holds every site, so no finite cluster is left
     assert labeling.cluster_sizes.sum() == labeling.proxy_sites[0]
-    assert square_sum_density(labeling, 0).tolist() == [0.0]
+    assert labeling_functionals(labeling, 0)["square_sum_density"].tolist() == [0.0]
     disabled = label_clusters(sample_config(lat, 1.0, 1, "x"), PROXY_DISABLED)
-    assert square_sum_density(disabled, 0).tolist() == [float(lat.site_count)]
+    assert labeling_functionals(disabled, 0)["square_sum_density"].tolist() == [float(lat.site_count)]
 
 
 def test_proxy_is_largest_boundary_cluster_smallest_id_ties():
@@ -654,16 +653,22 @@ def test_near_critical_warning_band():
 
 
 def _gathered_functionals(stack, margin):
-    """labeling_functionals through the window's index array and a size gather per site."""
-    window = inner_window(stack.lattice, margin)
-    labels = stack.stack_id[:, window]
-    in_proxy = np.count_nonzero(labels == stack.proxy[:, None], axis=1)
+    """labeling_functionals through the oracle's window indices and a gather per site."""
+    lat = stack.lattice
+    labels = stack.stack_id[:, window_sites(lat.d, lat.n, margin)]
+    sites = (2 * (lat.n - margin) + 1) ** lat.d
+    finite = labels != stack.proxy[:, None]
+    in_proxy = np.count_nonzero(~finite, axis=1)
     finite_mass = stack.cluster_sizes[labels].sum(axis=1) - in_proxy * stack.proxy_sites
+    # Each finite cluster's piece of the window, squared and summed per copy.
+    square_sum = np.array(
+        [(np.unique(row[keep], return_counts=True)[1] ** 2).sum() for row, keep in zip(labels, finite)]
+    )
     return {
-        "theta": in_proxy / window.size,
-        "chi_f": finite_mass / window.size,
+        "theta": in_proxy / sites,
+        "chi_f": finite_mass / sites,
         "kappa": stack.k_n / stack.lattice.site_count,
-        "square_sum_density": square_sum_density(stack, margin),
+        "square_sum_density": square_sum / sites,
         "proxy_sites": stack.proxy_sites.astype(np.float64),
         "k_n": stack.k_n.astype(np.float64),
     }
@@ -689,9 +694,10 @@ def test_labeling_functionals_refuse_a_broken_square_sum_identity():
     ids = np.array(stack.stack_id)
     ids[0] = ids[1]
     broken = dataclasses.replace(stack, stack_id=ids)
-    for compute in (labeling_functionals, square_sum_density):
-        with pytest.raises(InvariantViolationError, match="square-sum identity violated"):
-            compute(broken, 1)
+    with pytest.raises(InvariantViolationError, match="square-sum identity violated"):
+        labeling_functionals(broken, 1)
+    # check-identity's route counts the broken copy rather than raising.
+    assert np.not_equal(*square_sums(broken, 1))[0]
 
 
 def test_labeling_functionals_row_keys():

@@ -48,3 +48,8 @@ def test_twins_differ_from_their_base_only_in_workers():
         base_argv, base_workers = _split_workers(report_gate.INVOCATIONS[base])
         assert twin_argv == base_argv, twin
         assert twin_workers == "2" and base_workers in (None, "1"), twin
+
+
+def test_every_w2_invocation_has_a_base():
+    twins = report_gate.twins()
+    assert [name for name in report_gate.INVOCATIONS if name.endswith("-w2") and name not in twins] == []

@@ -105,6 +105,23 @@ INVOCATIONS: dict[str, list[str]] = {
         "lln", "--mode", "quenched", "--radius", "8", "--radius", "16", "--p", "0.3",
         "--proxy", "disabled", "--nu", "gaussian:0.5,2", "--graph-replicates", "3",
     ],
+    # Quenched windows outside d=2: nested windows of a 3D box, a 1D window
+    # that is the whole box, and a 3D window of 5^3 sites. Both clt entries
+    # exit 2 on checks that windows this small miss: the mean-cluster-size
+    # target in both, the Gaussian KS in 1D, and in 3D the 5% exact-variance
+    # band, which 500 colorings (an SE of ~6%) cannot hold.
+    "lln-quenched-d3": [
+        "lln", "--mode", "quenched", "--dim", "3", "--radius", "2", "--radius", "4", "--radius", "6",
+        "--margin", "1", "--p", "0.4", "--graph-replicates", "5",
+    ],
+    "clt-quenched-d1-margin0": _QUENCHED + [
+        "--dim", "1", "--radius", "40", "--margin", "0", "--p", "0.8", "--color-replicates", "500",
+        "--graph-replicates", "5",
+    ],
+    "clt-quenched-d3": _QUENCHED + [
+        "--dim", "3", "--radius", "5", "--margin", "3", "--p", "0.15", "--color-replicates", "500",
+        "--graph-replicates", "5",
+    ],
     "lln-annealed": ["lln", "--mode", "annealed", "--radius", "16", "--p", "0.7", "--graph-replicates", "60"],
     # --workers 2 twins of lln-annealed and clt-annealed-mixture: 60 graphs are 4 stacks at n=16.
     "lln-annealed-w2": [
@@ -124,6 +141,9 @@ INVOCATIONS: dict[str, list[str]] = {
     "clt-quenched-gaussian-w3": _QUENCHED + [
         "--radius", "16", "--p", "0.3", "--nu", "gaussian:0,2", "--color-replicates", "1500",
         "--graph-replicates", "3", "--workers", "3",
+    ],
+    "cluster-clt": [
+        "cluster-clt", "--radius", "8", "--radius", "16", "--p", "0.7", "--graph-replicates", "60",
     ],
     "cluster-clt-w2": [
         "cluster-clt", "--radius", "8", "--radius", "16", "--p", "0.7",
@@ -148,6 +168,10 @@ INVOCATIONS: dict[str, list[str]] = {
     # the averages spread, most averages land in no bin, and the TV check fails.
     "lln-annealed-subcritical": [
         "lln", "--mode", "annealed", "--radius", "16", "--p", "0.3", "--graph-replicates", "60",
+    ],
+    "clt-quenched-discrete": _QUENCHED + [
+        "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
+        "--color-replicates", "1500", "--graph-replicates", "3",
     ],
     "clt-quenched-discrete-w2": _QUENCHED + [
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
