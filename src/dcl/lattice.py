@@ -17,9 +17,11 @@ import numpy as np
 
 # Stay well under int64 so squared partial sums cannot overflow downstream.
 _MAX_COUNT = 2**62
-# Peak bytes per site to build a box, then sample and label it with every edge
-# open, the worst case: tracemalloc measured 50, 54, 57 and 61 at d = 1..4 on
-# boxes of 0.5-1 M sites, and up to 50, 54, 58 and 67 on boxes of 50-200 k.
+# Peak bytes per site to build a box, then sample and label it. tracemalloc
+# measured 50, 54, 57 and 61 at d = 1..4 with every edge open on boxes of
+# 0.5-1 M sites, and up to 50, 54, 58 and 67 on boxes of 50-200 k. On boxes of
+# about 200 k sites at p = 0, 0.5 and 1 it measured 42, 42 and 36 at d = 1;
+# 46, 42 and 54 at d = 2; 52, 46 and 57 at d = 3; 63, 55 and 62 at d = 4.
 _BYTES_PER_SITE = 48
 _BYTES_PER_SITE_AND_AXIS = 6
 

@@ -40,6 +40,12 @@ NEAR_CRITICAL_BAND = 0.02
 _CRITICAL_P = {2: 0.5, 3: 0.2488}
 # Sites per labeler call when map_labelings stacks copies of a small box.
 _STACK_SITES = 2**14
+# _count_ids counts runs of equal ids whole when there is at most one run per
+# _IDS_PER_RUN ids. Timed against np.bincount on a labeler's ids at (d, n, p),
+# with runs per id: (2, 128, 0.7), 0.02, took 0.22x; (3, 20, 0.4), 0.14, 0.55x;
+# (3, 12, 0.4), 0.16, 0.89x; (2, 128, 0.5) and 1820 copies of a 3x3 box at
+# p = 0.7, both 0.26, 1.03x and 1.54x; subcritical boxes, 0.66, 2.2-2.5x.
+_IDS_PER_RUN = 4
 
 
 class InvariantViolationError(RuntimeError):
@@ -166,6 +172,11 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     alone. Other shapes raise, and so does a bit on a far face, the only
     place has_edge is False: for each axis the check reads just row
     side - 1 of the (-1, side, s) view of its column.
+
+    Cluster sizes are counted by _count_ids, which counts runs of equal ids
+    whole: in a supercritical box one cluster holds nearly every site, in
+    few long runs. Each cluster is at least one run, so with more than one
+    cluster per _IDS_PER_RUN sites the sizes go straight to np.bincount.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
@@ -248,7 +259,12 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     # Each copy's first site is a root, so its id is the copy's first id.
     first = spare[::site_count].copy()
     k_n = np.diff(first, append=total)
-    cluster_sizes = np.bincount(stack_id, minlength=total)
+    # Each id labels at least one run of sites, so with more than one id per
+    # _IDS_PER_RUN sites there are too many runs to count them whole.
+    if total * _IDS_PER_RUN > stack_id.size:
+        cluster_sizes = np.bincount(stack_id, minlength=total).astype(np.int64, copy=False)
+    else:
+        cluster_sizes = _count_ids(stack_id, total)
     stack_id = stack_id.reshape(copies, site_count)
 
     if proxy_rule == PROXY_BOUNDARY_LARGEST:
@@ -275,6 +291,28 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     )
 
 
+def _count_ids(ids: np.ndarray, minlength: int) -> np.ndarray:
+    """np.bincount(ids, minlength=minlength) as int64, for a flat array of ids >= 0.
+
+    np.bincount adds one id at a time, and where most ids are equal, as over
+    a supercritical box whose one cluster holds nearly every site, each add
+    waits for the last store to the same count. When the ids form few runs
+    of equal values, at most one per _IDS_PER_RUN ids, each run is counted
+    whole instead: one compare of neighbours gives the runs' bounds, and
+    their lengths are summed per id by a weighted np.bincount, exact since
+    every count is below 2**53.
+    """
+    change = ids[1:] != ids[:-1]
+    runs = np.count_nonzero(change) + 1
+    if runs * _IDS_PER_RUN > ids.size:
+        return np.bincount(ids, minlength=minlength).astype(np.int64, copy=False)
+    bounds = np.empty(runs + 1, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, ids.size
+    np.add(np.flatnonzero(change), 1, out=bounds[1:-1])
+    counts = np.bincount(ids[bounds[:-1]], weights=np.diff(bounds), minlength=minlength)
+    return counts.astype(np.int64)
+
+
 def default_window_margin(lattice: BoxLattice) -> int:
     """Default inner-window margin, ceil(4 ln side), clamped to the radius."""
     if lattice.side == 1:
@@ -288,9 +326,11 @@ def window_pieces(stack: LabelingStack, margin: int) -> tuple[np.ndarray, np.nda
     labels is (copies, window sites), the window being the sub-box of radius
     n - margin. piece[i] counts the window sites of stack id i, 0 for each
     copy's stand-in, so every window site outside the stand-in has piece > 0.
+    The pieces are counted by _count_ids, run by run where the labels form
+    few runs, as in a supercritical window, and by np.bincount otherwise.
     """
     labels = window_values(stack.stack_id, stack.lattice, margin)
-    piece = np.bincount(labels.ravel(), minlength=stack.cluster_sizes.shape[0])
+    piece = _count_ids(labels.ravel(), stack.cluster_sizes.shape[0])
     piece[stack.proxy[stack.proxy >= 0]] = 0
     return labels, piece
 

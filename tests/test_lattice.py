@@ -144,11 +144,11 @@ def test_box_beyond_physical_memory_rejected_before_allocating():
     assert peak < 2**20
 
 
-def _full_box_peak(d, n):
-    """tracemalloc peak of building the box, then sampling and labeling it at p = 1."""
+def _full_box_peak(d, n, p):
+    """tracemalloc peak of building the box, then sampling and labeling it at density p."""
     tracemalloc.start()
     try:
-        label_clusters(sample_config(build_box(d, n), 1.0, 1))
+        label_clusters(sample_config(build_box(d, n), p, 1))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -156,11 +156,14 @@ def _full_box_peak(d, n):
 
 @pytest.mark.parametrize("d,n", [(1, 100_000), (2, 220), (3, 29), (4, 10)])
 def test_memory_bound_covers_building_and_labeling_a_full_box(d, n):
-    # Boxes of about 200 k sites. Every edge open is the labeler's worst case.
-    # A small warm-up run first keeps one-off allocations out of the peak.
+    # Boxes of about 200 k sites. Every edge open is the most hooking and one
+    # cluster, counted by runs; every edge closed is one cluster per site,
+    # counted by np.bincount; p = 0.5 lies in between. A small warm-up run
+    # first keeps one-off allocations out of each peak.
     site_count = (2 * n + 1) ** d
-    _full_box_peak(d, 1)
-    assert _full_box_peak(d, n) < site_count * (_BYTES_PER_SITE + _BYTES_PER_SITE_AND_AXIS * d)
+    for p in (0.0, 0.5, 1.0):
+        _full_box_peak(d, 1, p)
+        assert _full_box_peak(d, n, p) < site_count * (_BYTES_PER_SITE + _BYTES_PER_SITE_AND_AXIS * d), p
 
 
 def test_bad_margins_rejected():

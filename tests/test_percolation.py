@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from dcl import percolation
 from dcl.lattice import build_box
 from dcl.percolation import (
+    _IDS_PER_RUN,
     _STACK_SITES,
+    _count_ids,
     _sample_stack,
     NEAR_CRITICAL_BAND,
     PROXY_BOUNDARY_LARGEST,
@@ -33,6 +35,7 @@ from dcl.percolation import (
     sample_config,
     square_sums,
     stand_in_volume,
+    window_pieces,
 )
 from dcl.rng import SHORT_STREAM_DRAWS, derive_rng
 
@@ -137,7 +140,8 @@ class _HookCountingNumpy:
 
     It stands in for both the module and its minimum ufunc. Round one hooks
     its first axis by a subtraction, so it makes at most d - 1 of these
-    calls, and every later round at most d.
+    calls, and every later round at most d. Every other name is numpy's, so
+    the size count (_count_ids) runs under it unchanged.
     """
 
     def __init__(self):
@@ -698,6 +702,93 @@ def test_labeling_functionals_refuse_a_broken_square_sum_identity():
         labeling_functionals(broken, 1)
     # check-identity's route counts the broken copy rather than raising.
     assert np.not_equal(*square_sums(broken, 1))[0]
+
+
+class _BincountSpy:
+    """numpy as percolation sees it, noting for each np.bincount call whether it was weighted."""
+
+    def __init__(self):
+        self.weighted = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, ids, weights=None, minlength=0):
+        self.weighted.append(weights is not None)
+        return np.bincount(ids, weights=weights, minlength=minlength)
+
+
+def _runs(lengths, values):
+    """The flat int64 ids holding runs of the given lengths and values, read-only."""
+    ids = np.repeat(np.asarray(values, dtype=np.int64), lengths)
+    ids.setflags(write=False)
+    return ids
+
+
+def _count_ids_cases():
+    return {
+        "one id": (_runs([1], [3]), 5, False),
+        "all equal": (_runs([1000], [2]), 3, True),
+        "alternating": (_runs([1] * 1000, [0, 1] * 500), 2, False),
+        "unused trailing ids": (_runs([7, 1, 30, 12], [1, 4, 1, 0]), 9, True),
+        # One run per _IDS_PER_RUN ids is the most the run count takes; one more is not.
+        "at the switch": (_runs([_IDS_PER_RUN] * 24, [5, 0] * 12), 6, True),
+        "past the switch": (_runs([_IDS_PER_RUN] * 23 + [1, _IDS_PER_RUN - 1], [5, 0] * 12 + [5]), 6, False),
+        "ids one short of the switch": (_runs([_IDS_PER_RUN] * 23 + [_IDS_PER_RUN - 1], [5, 0] * 12), 6, False),
+        "last run of one id": (_runs([24 * _IDS_PER_RUN - 1, 1], [0, 3]), 4, True),
+    }
+
+
+@pytest.mark.parametrize("case", list(_count_ids_cases()))
+def test_count_ids_is_bincount(case, monkeypatch):
+    # by_runs says whether the case has few enough runs to be counted run by run.
+    ids, minlength, by_runs = _count_ids_cases()[case]
+    spy = _BincountSpy()
+    monkeypatch.setattr(percolation, "np", spy)
+    got = _count_ids(ids, minlength)
+    want = np.bincount(ids, minlength=minlength)
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert spy.weighted == [by_runs]
+    assert not ids.flags.writeable
+
+
+def test_count_ids_counts_a_stack_copy_by_copy():
+    lat = build_box(2, 12)
+    stack = label_clusters(_sample_stack(lat, 0.8, 3, "runs", 0, 3))
+    ids = stack.stack_id.ravel()
+    assert (np.count_nonzero(ids[1:] != ids[:-1]) + 1) * _IDS_PER_RUN <= ids.size
+    got = _count_ids(ids, stack.cluster_sizes.size)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.bincount(ids, minlength=stack.cluster_sizes.size).tolist()
+    for c in range(3):
+        own = got[stack.first[c] : stack.first[c] + stack.k_n[c]]
+        assert own.tolist() == np.bincount(stack.stack_id[c] - stack.first[c]).tolist()
+
+
+@pytest.mark.parametrize("d,n,p", [(2, 12, 0.8), (3, 5, 0.6)])
+@pytest.mark.parametrize("copies", [1, 3])
+def test_sizes_and_pieces_of_supercritical_boxes_match_per_site_counts(d, n, p, copies, monkeypatch):
+    # One cluster holds most of each box, so the sizes are counted by runs.
+    lat = build_box(d, n)
+    config = _sample_stack(lat, p, 5, "supercritical", 0, copies)
+    spy = _BincountSpy()
+    monkeypatch.setattr(percolation, "np", spy)
+    stack = label_clusters(config)
+    assert spy.weighted == [True]
+    ids = stack.stack_id.ravel().tolist()
+    sizes = Counter(ids)
+    assert stack.cluster_sizes.tolist() == [sizes[i] for i in range(len(stack.cluster_sizes))]
+    for margin in range(n + 1):
+        labels, piece = window_pieces(stack, margin)
+        window = [row[i] for row in stack.stack_id.tolist() for i in window_sites(d, n, margin)]
+        assert labels.ravel().tolist() == window
+        pieces = Counter(window)
+        for proxy in stack.proxy.tolist():
+            pieces[proxy] = 0
+        assert piece.dtype == np.int64
+        assert piece.tolist() == [pieces[i] for i in range(len(stack.cluster_sizes))], margin
+    # The largest window, margin 0, is the whole box: its pieces too are counted by runs.
+    assert spy.weighted[1] is True
 
 
 def test_labeling_functionals_row_keys():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -42,14 +43,38 @@ def _split_workers(argv: list[str]) -> tuple[list[str], str | None]:
 
 def test_twins_differ_from_their_base_only_in_workers():
     twins = report_gate.twins()
-    assert set(twins) >= {"lln-annealed-w2", "clt-annealed-mixture-w2", "clt-quenched-alpha03-w2", "bench-tiny-p0.7-w2", "bench-annealed-d2-w2"}
+    assert set(twins) >= {
+        "lln-annealed-w2",
+        "clt-annealed-mixture-w2",
+        "clt-quenched-alpha03-w2",
+        "bench-tiny-p0.7-w2",
+        "bench-annealed-d2-w2",
+        "clt-quenched-gaussian-w3",
+    }
     for twin, base in twins.items():
         twin_argv, twin_workers = _split_workers(report_gate.INVOCATIONS[twin])
         base_argv, base_workers = _split_workers(report_gate.INVOCATIONS[base])
         assert twin_argv == base_argv, twin
-        assert twin_workers == "2" and base_workers in (None, "1"), twin
+        assert twin == f"{base}-w{twin_workers}" and int(twin_workers) >= 2, twin
+        assert base_workers in (None, "1"), twin
 
 
 def test_every_w2_invocation_has_a_base():
+    # Every -w<k> entry, whatever its worker count k, is the twin of a listed base.
     twins = report_gate.twins()
-    assert [name for name in report_gate.INVOCATIONS if name.endswith("-w2") and name not in twins] == []
+    suffixed = [name for name in report_gate.INVOCATIONS if re.search(r"-w\d+$", name)]
+    assert "clt-quenched-gaussian-w3" in suffixed
+    assert [name for name in suffixed if name not in twins] == []
+
+
+def test_twins_take_any_worker_count_suffix(monkeypatch):
+    argv = ["estimate", "--radius", "1"]
+    invocations = {
+        "a": argv,
+        "a-w2": argv + ["--workers", "2"],
+        "a-w12": argv + ["--workers", "12"],
+        "a-wide": argv,
+        "b-w3": argv + ["--workers", "3"],
+    }
+    monkeypatch.setattr(report_gate, "INVOCATIONS", invocations)
+    assert report_gate.twins() == {"a-w2": "a", "a-w12": "a"}

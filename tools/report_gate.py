@@ -16,14 +16,14 @@ trees written from two checkouts then compare with a plain
 
 A change that must keep every report byte-identical shows no difference.
 
-An invocation named BASE-w2 whose BASE is also listed is BASE's twin: the
-same argv run with --workers 2, whose tree must equal BASE's. The twins'
+An invocation named BASE-w<k> whose BASE is also listed is BASE's twin: the
+same argv run with --workers k, whose tree must equal BASE's. The twins'
 names print with
 
     python tools/report_gate.py --twins
 
 so that, after a gate run into OUT_DIR, each compares with
-diff -r OUT_DIR/BASE OUT_DIR/BASE-w2.
+diff -r OUT_DIR/BASE OUT_DIR/BASE-w<k>.
 """
 
 from __future__ import annotations
@@ -137,6 +137,10 @@ INVOCATIONS: dict[str, list[str]] = {
     "check-identity-d3": [
         "check-identity", "--dim", "3", "--radius", "1", "--radius", "2", "--radius", "4",
         "--p", "0.3", "--p", "0.7", "--configs", "200",
+    ],
+    "clt-quenched-gaussian": _QUENCHED + [
+        "--radius", "16", "--p", "0.3", "--nu", "gaussian:0,2", "--color-replicates", "1500",
+        "--graph-replicates", "3",
     ],
     "clt-quenched-gaussian-w3": _QUENCHED + [
         "--radius", "16", "--p", "0.3", "--nu", "gaussian:0,2", "--color-replicates", "1500",
@@ -281,16 +285,14 @@ INVOCATIONS: dict[str, list[str]] = {
 }
 
 
-TWIN_SUFFIX = "-w2"
-
-
 def twins() -> dict[str, str]:
-    """{twin: base} for every invocation that repeats a listed base with --workers 2."""
-    return {
-        name: name.removesuffix(TWIN_SUFFIX)
-        for name in INVOCATIONS
-        if name.endswith(TWIN_SUFFIX) and name.removesuffix(TWIN_SUFFIX) in INVOCATIONS
-    }
+    """{twin: base} for every invocation BASE-w<k> that repeats a listed BASE with --workers k."""
+    pairs = {}
+    for name in INVOCATIONS:
+        base, _, workers = name.rpartition("-w")
+        if base in INVOCATIONS and workers.isdigit():
+            pairs[name] = base
+    return pairs
 
 
 def gate_argv(argv: list[str], out: Path, out_format: str) -> list[str]:
