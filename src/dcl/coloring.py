@@ -27,40 +27,34 @@ def draw_table(values) -> np.ndarray:
 def atom_thresholds(weights) -> np.ndarray:
     """Read-only partial sums of the weights before the last atom.
 
-    These are the thresholds atom_index counts; since a uniform u is < 1,
+    These are the thresholds atom_values counts; since a uniform u is < 1,
     the last atom takes the rest of [0, 1) even when the weights sum to 1
     only within a rounding tolerance.
     """
     return draw_table(np.cumsum(weights, dtype=np.float64)[:-1])
 
 
-def atom_index(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Atom index of each uniform in u: the number of thresholds <= it.
-
-    For sorted thresholds this is searchsorted(thresholds, u, side="right"),
-    but each threshold costs one comparison over all of u and one add, with
-    no branch per element, so a fresh random u is as fast as a fixed one.
-    The result indexes a table of atoms through ndarray.take.
-    """
-    dtype = np.min_scalar_type(thresholds.size)
-    if thresholds.size == 0:
-        return np.zeros(u.shape, dtype=dtype)
-    index = (u >= thresholds[0]).view(np.uint8).astype(dtype, copy=False)
-    for t in thresholds[1:]:
-        index += (u >= t).view(np.uint8)
-    return index
-
-
 def atom_values(
     values: np.ndarray, thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """values[atom_index(u, thresholds)], into out when given.
+    """values[i] for each uniform in u, i the number of thresholds <= it; into out when given.
 
-    atom_index never leaves [0, values.size), so mode="clip" clips nothing;
+    Every draw from an atomic law maps its uniform here. For sorted
+    thresholds i is searchsorted(thresholds, u, side="right"), but each
+    threshold costs one comparison over all of u and one add, with no
+    branch per element, so a fresh random u is as fast as a fixed one.
+    i never leaves [0, values.size), so take's mode="clip" clips nothing;
     it spares take the bounds check of its default mode, which converts and
     buffers the indices and takes about four times as long.
     """
-    return values.take(atom_index(u, thresholds), mode="clip", out=out)
+    dtype = np.min_scalar_type(thresholds.size)
+    if thresholds.size == 0:
+        index = np.zeros(u.shape, dtype=dtype)
+    else:  # the first compare's mask is the index itself, with no add
+        index = (u >= thresholds[0]).view(np.uint8).astype(dtype, copy=False)
+        for t in thresholds[1:]:
+            index += (u >= t).view(np.uint8)
+    return values.take(index, mode="clip", out=out)
 
 
 def _check_finite(what: str, *values: float) -> None:
@@ -109,16 +103,8 @@ class TwoPoint:
         return self.alpha * (1.0 - self.alpha) * (self.b - self.a) ** 2
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """One uniform double u per draw, mapped by from_uniforms."""
-        return self.from_uniforms(rng.random(size))
-
-    def from_uniforms(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """b where u < alpha, else a, for each uniform double u (into out if given).
-
-        The atom index is the number of thresholds (alpha,) that are <= u,
-        gathered from the table (b, a).
-        """
-        return atom_values(self._values, self._thresholds, u, out)
+        """One uniform double u per draw: b where u < alpha, else a."""
+        return atom_values(self._values, self._thresholds, rng.random(size))
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         if self.a == self.b:
@@ -189,16 +175,8 @@ class FiniteDiscrete:
         return math.fsum(w * (v - m) ** 2 for v, w in self.atoms_spec if w > 0.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """One uniform double u per draw, mapped by from_uniforms."""
-        return self.from_uniforms(rng.random(size))
-
-    def from_uniforms(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Atom i of atoms_spec for each uniform double u (into out if given).
-
-        i is the number of partial weight sums before the last atom that
-        are <= u.
-        """
-        return atom_values(self._values, self._thresholds, u, out)
+        """One uniform double u per draw: atom i of atoms_spec, i the partial weight sums <= u."""
+        return atom_values(self._values, self._thresholds, rng.random(size))
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return self.atoms_spec
@@ -362,6 +340,6 @@ def color_clusters(k_n: int, nu: ColorMeasure, rng: np.random.Generator) -> np.n
     """
     colors = cluster_draws(nu, rng, 0, np.empty(k_n))
     if not isinstance(nu, GaussianLaw):
-        nu.from_uniforms(colors, out=colors)
+        atom_values(nu._values, nu._thresholds, colors, out=colors)
     colors.setflags(write=False)
     return colors

@@ -7,9 +7,10 @@ Every labeling is a LabelingStack, one configuration being a stack of one
 copy. A boundary-touching largest cluster can be designated as the stand-in
 for the infinite cluster; everything measured "finite" excludes that stand-in.
 
-Every experiment draws its configurations through one replicate engine,
-map_labelings, which labels small boxes many copies at a time, and pools the
-per-configuration functionals in pool_functionals.
+Replicate configurations are drawn through one engine, map_labelings, which
+labels small boxes many copies at a time, and their per-configuration
+functionals are pooled in pool_functionals. The one colored graph of a
+quenched run is drawn alone, by sample_config on stream graph:0.
 """
 
 from __future__ import annotations
@@ -40,11 +41,12 @@ NEAR_CRITICAL_BAND = 0.02
 _CRITICAL_P = {2: 0.5, 3: 0.2488}
 # Sites per labeler call when map_labelings stacks copies of a small box.
 _STACK_SITES = 2**14
-# _count_ids counts runs of equal ids whole when there is at most one run per
-# _IDS_PER_RUN ids. Timed against np.bincount on a labeler's ids at (d, n, p),
-# with runs per id: (2, 128, 0.7), 0.02, took 0.22x; (3, 20, 0.4), 0.14, 0.55x;
-# (3, 12, 0.4), 0.16, 0.89x; (2, 128, 0.5) and 1820 copies of a 3x3 box at
-# p = 0.7, both 0.26, 1.03x and 1.54x; subcritical boxes, 0.66, 2.2-2.5x.
+# _count_ids counts runs of equal ids whole when there is at most one run, and
+# at most one counted id, per _IDS_PER_RUN ids. Timed against np.bincount on a
+# labeler's ids at (d, n, p), with runs per id: (2, 128, 0.7), 0.02, took
+# 0.22x; (3, 20, 0.4), 0.14, 0.55x; (3, 12, 0.4), 0.16, 0.89x; (2, 128, 0.5)
+# and 1820 copies of a 3x3 box at p = 0.7, both 0.26, 1.03x and 1.54x;
+# subcritical boxes, 0.66, 2.2-2.5x.
 _IDS_PER_RUN = 4
 
 
@@ -175,8 +177,7 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
 
     Cluster sizes are counted by _count_ids, which counts runs of equal ids
     whole: in a supercritical box one cluster holds nearly every site, in
-    few long runs. Each cluster is at least one run, so with more than one
-    cluster per _IDS_PER_RUN sites the sizes go straight to np.bincount.
+    few long runs.
     """
     if proxy_rule not in PROXY_RULES:
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
@@ -259,12 +260,7 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     # Each copy's first site is a root, so its id is the copy's first id.
     first = spare[::site_count].copy()
     k_n = np.diff(first, append=total)
-    # Each id labels at least one run of sites, so with more than one id per
-    # _IDS_PER_RUN sites there are too many runs to count them whole.
-    if total * _IDS_PER_RUN > stack_id.size:
-        cluster_sizes = np.bincount(stack_id, minlength=total).astype(np.int64, copy=False)
-    else:
-        cluster_sizes = _count_ids(stack_id, total)
+    cluster_sizes = _count_ids(stack_id, total)
     stack_id = stack_id.reshape(copies, site_count)
 
     if proxy_rule == PROXY_BOUNDARY_LARGEST:
@@ -300,17 +296,21 @@ def _count_ids(ids: np.ndarray, minlength: int) -> np.ndarray:
     of equal values, at most one per _IDS_PER_RUN ids, each run is counted
     whole instead: one compare of neighbours gives the runs' bounds, and
     their lengths are summed per id by a weighted np.bincount, exact since
-    every count is below 2**53.
+    every count is below 2**53. When minlength is more than one id per
+    _IDS_PER_RUN ids, np.bincount counts them with no compare: ids that each
+    form at least one run, as a labeler's do, are then too many runs, and on
+    a small window the compare costs more than it saves.
     """
-    change = ids[1:] != ids[:-1]
-    runs = np.count_nonzero(change) + 1
-    if runs * _IDS_PER_RUN > ids.size:
-        return np.bincount(ids, minlength=minlength).astype(np.int64, copy=False)
-    bounds = np.empty(runs + 1, dtype=np.int64)
-    bounds[0], bounds[-1] = 0, ids.size
-    np.add(np.flatnonzero(change), 1, out=bounds[1:-1])
-    counts = np.bincount(ids[bounds[:-1]], weights=np.diff(bounds), minlength=minlength)
-    return counts.astype(np.int64)
+    if minlength * _IDS_PER_RUN <= ids.size:
+        change = ids[1:] != ids[:-1]
+        runs = np.count_nonzero(change) + 1
+        if runs * _IDS_PER_RUN <= ids.size:
+            bounds = np.empty(runs + 1, dtype=np.int64)
+            bounds[0], bounds[-1] = 0, ids.size
+            np.add(np.flatnonzero(change), 1, out=bounds[1:-1])
+            counts = np.bincount(ids[bounds[:-1]], weights=np.diff(bounds), minlength=minlength)
+            return counts.astype(np.int64)
+    return np.bincount(ids, minlength=minlength).astype(np.int64, copy=False)
 
 
 def default_window_margin(lattice: BoxLattice) -> int:

@@ -23,7 +23,6 @@ from .coloring import (
     GaussianLaw,
     _WEIGHT_TOL,
     _check_finite,
-    atom_index,
     atom_thresholds,
     atom_values,
     draw_table,
@@ -172,8 +171,7 @@ class GaussianMixture:
         u picks component i, the number of partial weight sums before the
         last component that are <= u, and the draw is std_i times the normal.
         """
-        which = atom_index(rng.random(size), self._thresholds)
-        return self._stds.take(which) * rng.standard_normal(size)
+        return atom_values(self._stds, self._thresholds, rng.random(size)) * rng.standard_normal(size)
 
     def to_dict(self) -> dict:
         return {

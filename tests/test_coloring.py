@@ -15,7 +15,7 @@ from dcl.coloring import (
     FiniteDiscrete,
     GaussianLaw,
     TwoPoint,
-    atom_index,
+    atom_values,
     centered_sums,
     color_clusters,
     draw_table,
@@ -206,8 +206,10 @@ def test_colors_follow_measure(seed, alpha):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 255, 256, 300])
 def test_atom_index_counts_thresholds_at_or_below(count):
-    # Sorted thresholds with repeats, as zero-weight atoms give; u hits each
-    # threshold exactly, its neighbouring doubles, and both ends of [0, 1).
+    # atom_values gathers atom i, i the number of thresholds <= u, so a table
+    # whose atom i is i returns that count. Sorted thresholds with repeats, as
+    # zero-weight atoms give; u hits each threshold exactly, its neighbouring
+    # doubles, and both ends of [0, 1).
     r = np.random.default_rng(count).random(count)
     thresholds = draw_table(np.sort(np.concatenate([r, r[: count // 3]])))
     u = np.concatenate([
@@ -216,8 +218,12 @@ def test_atom_index_counts_thresholds_at_or_below(count):
         np.nextafter(thresholds, 1.0),
         [0.0, np.nextafter(1.0, 0.0)],
     ])
-    index = atom_index(u, thresholds)
-    assert (index == np.searchsorted(thresholds, u, side="right")).all()
+    values = draw_table(np.arange(thresholds.size + 1))
+    got = atom_values(values, thresholds, u)
+    assert got.tolist() == [float(sum(t <= x for t in thresholds.tolist())) for x in u.tolist()]
+    # In place, as color_clusters maps its uniforms.
+    assert atom_values(values, thresholds, u, out=u) is u
+    assert u.tolist() == got.tolist()
 
 
 SIZES = st.sampled_from([0, 1, 2, 17, 10_000])

@@ -725,9 +725,24 @@ def _runs(lengths, values):
     return ids
 
 
+def _window_ids(d, n, p):
+    """The read-only window labels of a (d, n, p) box at the default margin, and its cluster count."""
+    lattice = build_box(d, n)
+    stack = label_clusters(sample_config(lattice, p, 0, "window"))
+    ids = window_pieces(stack, default_window_margin(lattice))[0].ravel()
+    ids.setflags(write=False)
+    return ids, stack.cluster_sizes.size
+
+
 def _count_ids_cases():
     return {
         "one id": (_runs([1], [3]), 5, False),
+        # One run, but more than one of the minlength ids per _IDS_PER_RUN ids:
+        # np.bincount, with no compare. At one id per _IDS_PER_RUN ids the runs count.
+        "one run of too few ids": (_runs([3 * _IDS_PER_RUN - 1], [0]), 3, False),
+        "one run at the id switch": (_runs([3 * _IDS_PER_RUN], [0]), 3, True),
+        # 1331 ids in ~150 runs, but the box has ~4000 clusters.
+        "small window of a (3, 20, 0.4) box": (*_window_ids(3, 20, 0.4), False),
         "all equal": (_runs([1000], [2]), 3, True),
         "alternating": (_runs([1] * 1000, [0, 1] * 500), 2, False),
         "unused trailing ids": (_runs([7, 1, 30, 12], [1, 4, 1, 0]), 9, True),

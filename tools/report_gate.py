@@ -114,6 +114,12 @@ INVOCATIONS: dict[str, list[str]] = {
         "lln", "--mode", "quenched", "--dim", "3", "--radius", "2", "--radius", "4", "--radius", "6",
         "--margin", "1", "--p", "0.4", "--graph-replicates", "5",
     ],
+    # Discrete colors drawn by color_clusters for the quenched graph; the
+    # zero-weight atom repeats a threshold.
+    "lln-quenched-discrete": [
+        "lln", "--mode", "quenched", "--radius", "8", "--radius", "16", "--p", "0.7",
+        "--nu", "discrete:-1:0.2,0:0,2:0.8", "--graph-replicates", "5",
+    ],
     "clt-quenched-d1-margin0": _QUENCHED + [
         "--dim", "1", "--radius", "40", "--margin", "0", "--p", "0.8", "--color-replicates", "500",
         "--graph-replicates", "5",
@@ -132,6 +138,11 @@ INVOCATIONS: dict[str, list[str]] = {
     # Colored replicates with no stand-in: every copy's z is 0 and all its clusters are finite.
     "weighted-lln-no-stand-in": [
         "weighted-lln", "--radius", "8", "--p", "0.3", "--proxy", "disabled", "--nu", "gaussian:0.5,2",
+        "--graph-replicates", "40",
+    ],
+    # Three live atoms, two thresholds per colored copy.
+    "weighted-lln-discrete": [
+        "weighted-lln", "--radius", "16", "--p", "0.7", "--nu", "discrete:-1:0.2,0:0.3,2:0.5",
         "--graph-replicates", "40",
     ],
     "check-identity-d3": [
