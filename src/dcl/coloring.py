@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
+
+from .rng import derive_streams
 
 _WEIGHT_TOL = 1e-12
 
@@ -241,89 +243,81 @@ def parse_color_measure(text: str) -> ColorMeasure:
     raise ValueError(f"unknown color measure kind {head!r}")
 
 
-def cluster_draws(nu: ColorMeasure, rng: np.random.Generator, lo: int, out: np.ndarray) -> np.ndarray:
-    """Fill out with the draws of cluster ids lo..lo+out.size-1 from rng; return out.
-
-    Cluster j takes draw j of its stream, so every coloring reads its draws
-    here and a cluster's draw never depends on which ids are read. A law
-    that reads one uniform per draw (TwoPoint, FiniteDiscrete) gets those
-    uniforms: the reseated PCG64 skips the first lo draws with
-    PCG64.advance, in O(log lo) steps. A Gaussian law gets its colors: the
-    ziggurat reads a varying number of outputs per normal, so it cannot
-    skip and draws the prefix of lo + out.size normals.
-    """
-    if isinstance(nu, GaussianLaw):
-        out[:] = nu.sample(rng, lo + out.size)[lo:]
-        return out
-    if lo:
-        rng.bit_generator.advance(lo)
-    return rng.random(out=out)
-
-
 def centered_sums(
     nu: ColorMeasure,
-    streams: Iterable[np.random.Generator],
+    seed: int,
+    role: str,
+    start: int,
     lo: int,
     piece: np.ndarray,
     rows: int,
     out: np.ndarray,
 ) -> np.ndarray:
-    """out[i] = sum_j (c_j - m) piece[j] for the coloring c on the i-th stream; return out.
+    """out[i] = sum_j (c_j - m) piece[j] for the coloring c on stream f"{role}:{start + i}"; return out.
 
     c_j is the color color_clusters gives id lo + j from that stream, m is
-    nu's mean, and piece holds integer weights. The colorings are drawn in
-    blocks of rows, into buffers allocated once per call, and exactly
-    out.size streams are read, each only before the next is requested, as
-    derive_streams requires.
+    nu's mean, and piece holds integer weights. Cluster j takes draw j of
+    its stream. A law that reads one uniform per draw (TwoPoint,
+    FiniteDiscrete) has its streams seated at draw lo by derive_streams, so
+    it pays nothing for the ids before lo. A Gaussian law's streams start
+    at draw 0: the ziggurat reads a varying number of outputs per normal,
+    so it cannot skip and draws the prefix of lo + n normals. The colorings
+    are drawn in blocks of rows, into buffers allocated once per call.
 
     A Gaussian law colors each block, subtracts m and takes one
     matrix-vector product with piece. An atomic law builds no colors: with
     thresholds t_1 <= t_2 <= ... (atom_thresholds), d_k = sum_j piece[j]
     1{u_j >= t_k} is one compare and one matrix-vector product per
     threshold, d_0 = sum(piece), and atom k is drawn by clusters of total
-    weight B_k = d_k - d_{k+1}. The sum is then sum_k (v_k - m) B_k. Every
-    d_k and B_k is an exact integer in float64, in any BLAS summation
-    order, so a dead atom has B_k = 0 exactly and the sum of each coloring
-    does not depend on its place in its block.
+    weight B_k = d_k - d_{k+1}. The sum is then sum_k (v_k - m) B_k, taken
+    once for all the colorings after the last block. Every d_k and B_k is an
+    exact integer in float64, in any BLAS summation order, so a dead atom
+    has B_k = 0 exactly and the sum of each coloring does not depend on its
+    place in its block.
     """
     count = out.size
+    gaussian = isinstance(nu, GaussianLaw)
+    streams = derive_streams(seed, role, start, count, 0 if gaussian else lo)
     block = np.empty((min(rows, count), piece.size))
-    if isinstance(nu, GaussianLaw):
+    if gaussian:
         for b in range(0, count, rows):
             part = block[: min(rows, count - b)]
             for row, rng in zip(part, streams):
-                cluster_draws(nu, rng, lo, row)
+                row[:] = nu.sample(rng, lo + row.size)[lo:]
             part -= nu.mean
             np.dot(part, piece, out=out[b : b + part.shape[0]])
         return out
     thresholds = nu._thresholds
-    centered = (nu._values - nu.mean)[:, None]
-    # The uniforms are not read after the last compare, which writes its mask over them.
+    # A compare into a bool buffer and a copy into a float one cost less
+    # than one compare with float output. The uniforms are not read after
+    # the last compare, so its copy goes over them.
+    hit = np.empty(block.shape, dtype=np.bool_)
     above = np.empty_like(block) if thresholds.size > 1 else block
-    # Row k holds d_k of the block's colorings; d_0 and the last row, 0, stay fixed.
-    weight = np.empty((thresholds.size + 2, block.shape[0]))
+    # Row k holds d_k of every coloring.
+    weight = np.empty((thresholds.size + 1, count))
     # piece holds integer counts that total at most a window's sites, far
     # below 2**53, so every partial sum is exact and any order gives fsum's.
     weight[0] = piece.sum()
-    weight[-1] = 0.0
-    terms = np.empty((centered.size, block.shape[0]))
     for b in range(0, count, rows):
         n = min(rows, count - b)
         part = block[:n]
         for row, rng in zip(part, streams):
-            cluster_draws(nu, rng, lo, row)
+            rng.random(out=row)
         for k, t in enumerate(thresholds, 1):
             mask = part if k == thresholds.size else above[:n]
-            np.greater_equal(part, t, out=mask)
-            np.dot(mask, piece, out=weight[k, :n])
-        # (v_k - m) B_k, added in table order by elementwise ufuncs rather than
-        # BLAS, so no sum depends on its row's place in the block.
-        np.subtract(weight[:-1, :n], weight[1:, :n], out=terms[:, :n])
-        terms[:, :n] *= centered
-        sums = out[b : b + n]
-        sums[:] = terms[0, :n]
-        for term in terms[1:, :n]:
-            sums += term
+            np.greater_equal(part, t, out=hit[:n])
+            np.copyto(mask, hit[:n])
+            np.dot(mask, piece, out=weight[k, b : b + n])
+    # (v_k - m) B_k, with B_k = d_k past the last threshold, added in table
+    # order by elementwise ufuncs rather than BLAS, so no sum depends on its
+    # coloring's place.
+    centered = nu._values - nu.mean
+    for k in range(thresholds.size):
+        weight[k] -= weight[k + 1]
+    np.multiply(weight[0], centered[0], out=out)
+    for term, c in zip(weight[1:], centered[1:]):
+        term *= c
+        out += term
     return out
 
 
@@ -333,13 +327,15 @@ def color_clusters(k_n: int, nu: ColorMeasure, rng: np.random.Generator) -> np.n
     Draw j goes to the cluster with id j; ids are ordered by smallest site
     index, so the assignment depends only on the labeling and the stream
     rng is on (derive_rng for one coloring, derive_streams for a run of
-    them), not on how the labeling was computed. The draws are
-    cluster_draws from id 0: for an atomic nu, one uniform double u per
-    cluster, whose atom index is the number of nu's thresholds <= u; for a
-    Gaussian nu, one normal per cluster, none when the variance is 0.
+    them), not on how the labeling was computed. For an atomic nu, one
+    uniform double u per cluster, whose atom index is the number of nu's
+    thresholds <= u; for a Gaussian nu, one normal per cluster, none when
+    the variance is 0.
     """
-    colors = cluster_draws(nu, rng, 0, np.empty(k_n))
-    if not isinstance(nu, GaussianLaw):
+    if isinstance(nu, GaussianLaw):
+        colors = nu.sample(rng, k_n)
+    else:
+        colors = rng.random(k_n)
         atom_values(nu._values, nu._thresholds, colors, out=colors)
     colors.setflags(write=False)
     return colors

@@ -486,8 +486,8 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
 
     def chunk(k: int) -> np.ndarray:
         count = min(_COLOR_CHUNK, config.color_replicates - starts[k])
-        streams = derive_streams(config.master_seed, "color", starts[k], count)
-        return centered_sums(config.nu, streams, lo, weights, rows, np.empty(count)) / scale
+        sums = centered_sums(config.nu, config.master_seed, "color", starts[k], lo, weights, rows, np.empty(count))
+        return sums / scale
 
     stats = np.concatenate(map_ordered(chunk, len(starts), config.workers))
 

@@ -30,7 +30,7 @@ from dcl.percolation import (
     sample_config,
     square_sums,
 )
-from dcl.rng import derive_rng, derive_streams
+from dcl.rng import derive_rng
 
 
 def test_two_point_moments():
@@ -209,7 +209,7 @@ def test_atom_index_counts_thresholds_at_or_below(count):
     # atom_values gathers atom i, i the number of thresholds <= u, so a table
     # whose atom i is i returns that count. Sorted thresholds with repeats, as
     # zero-weight atoms give; u hits each threshold exactly, its neighbouring
-    # doubles, and both ends of [0, 1).
+    # doubles, and both ends of [0, 1). That count is searchsorted's.
     r = np.random.default_rng(count).random(count)
     thresholds = draw_table(np.sort(np.concatenate([r, r[: count // 3]])))
     u = np.concatenate([
@@ -221,6 +221,7 @@ def test_atom_index_counts_thresholds_at_or_below(count):
     values = draw_table(np.arange(thresholds.size + 1))
     got = atom_values(values, thresholds, u)
     assert got.tolist() == [float(sum(t <= x for t in thresholds.tolist())) for x in u.tolist()]
+    assert got.tolist() == np.searchsorted(thresholds, u, side="right").astype(np.float64).tolist()
     # In place, as color_clusters maps its uniforms.
     assert atom_values(values, thresholds, u, out=u) is u
     assert u.tolist() == got.tolist()
@@ -350,7 +351,7 @@ def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
     assert labeling.k_n.tolist() == [61]
     piece = (np.arange(lo, hi) % 4).astype(np.float64)
     count = 5
-    sums = centered_sums(nu, derive_streams(4, "color", 0, count), lo, piece, 2, np.empty(count))
+    sums = centered_sums(nu, 4, "color", 0, lo, piece, 2, np.empty(count))
     atoms = nu.atoms()
     exact = atoms is not None and all(float(v - nu.mean).is_integer() for v, _ in atoms)
     for i in range(count):
@@ -361,3 +362,26 @@ def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
             assert sums[i] == expected
     if nu.variance == 0.0:
         assert not sums.any()
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [TwoPoint(-1.0, 1.0, 0.3), FiniteDiscrete(((-1.0, 0.2), (0.5, 0.3), (2.0, 0.5))), GaussianLaw(0.5, 2.0)],
+    ids=["two-point", "three-atom", "gaussian"],
+)
+def test_centered_sums_do_not_depend_on_rows(nu):
+    # 300 colorings of ids 37..136: one per block, blocks of 6 with a short
+    # last one, and a block of 256 and one of 44. An atomic law's sums are
+    # exact integer counts, equal bit for bit; a Gaussian block's BLAS
+    # product may sum in another order.
+    lo, count = 37, 300
+    piece = (np.arange(100) % 5).astype(np.float64)
+    got = []
+    for rows in (1, 6, 256):
+        got.append(centered_sums(nu, 9, "color", 0, lo, piece, rows, np.empty(count)))
+    if isinstance(nu, GaussianLaw):
+        np.testing.assert_allclose(got[1:], [got[0], got[0]], rtol=1e-13, atol=1e-12)
+    else:
+        assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+    colors = color_clusters(lo + piece.size, nu, derive_rng(9, "color:299"))[lo:]
+    assert got[0][-1] == pytest.approx(float(np.dot(colors - nu.mean, piece)), rel=1e-14, abs=1e-13)

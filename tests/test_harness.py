@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dcl import cli, harness
+from dcl import cli, coloring, harness
 from dcl.coloring import FiniteDiscrete, centered_sums, color_clusters
 from dcl.harness import (
     _COLOR_BLOCK_VALUES,
@@ -723,15 +723,17 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
 
 
 @pytest.mark.parametrize("nu", ["two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5"])
-def test_quenched_color_loop_allocates_nothing_per_block(nu):
+def test_quenched_color_loop_allocates_nothing_per_block(nu, monkeypatch):
     # numpy reports its buffers to tracemalloc. Over 1000 read ids a block
     # holds 32 colorings, so one chunk is drawn in 8 blocks and 2 chunks and
-    # 37 more in 18. The traced peak is the same for both, up to the two
-    # Python ints above 256 that the longer loop's offsets need, so no block
-    # leaves anything behind. Above the block of uniforms (and one of masks
-    # for two or more thresholds) it stays under one bool mask of the block,
-    # so no block-sized temporary is made either. The generators are built
-    # before tracing starts, and a first call warms numpy up.
+    # 37 more in 18. The traced peaks differ by the table of d_k (one float
+    # per atom per coloring), up to the two Python ints above 256 that the
+    # longer loop's offsets need, so no block leaves anything behind. Above
+    # the block of uniforms (and one of masks for two or more thresholds),
+    # one bool mask of the block and the table, it stays under one more bool
+    # mask, so no block-sized temporary is made either. The generators are
+    # built before tracing starts and stand in for derive_streams' own, and
+    # a first call warms numpy up.
     law = ExperimentConfig(d=2, radii=4, p=0.4, nu=nu).nu
     lo, span = 11, 1000
     piece = (np.arange(span) % 3).astype(np.float64)
@@ -739,15 +741,17 @@ def test_quenched_color_loop_allocates_nothing_per_block(nu):
     peaks = []
     for count in (_COLOR_CHUNK, _COLOR_CHUNK, 2 * _COLOR_CHUNK + 37):
         streams = [derive_rng(11, f"color:{j}") for j in range(count)]
+        monkeypatch.setattr(coloring, "derive_streams", lambda *args: iter(streams))
         out = np.empty(count)
         tracemalloc.start()
         try:
-            centered_sums(law, iter(streams), lo, piece, rows, out)
+            centered_sums(law, 11, "color", 0, lo, piece, rows, out)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert abs(peaks[2] - peaks[1]) <= 64
-    buffers = (1 + (len(law.atoms()) > 2)) * rows * span * 8
+    atoms = len(law.atoms())
+    assert abs(peaks[2] - peaks[1] - 8 * atoms * (_COLOR_CHUNK + 37)) <= 64
+    buffers = (1 + (atoms > 2)) * rows * span * 8 + rows * span + 8 * atoms * _COLOR_CHUNK
     assert buffers < peaks[1] < buffers + rows * span
 
 
