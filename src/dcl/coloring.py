@@ -326,8 +326,7 @@ def color_clusters(k_n: int, nu: ColorMeasure, rng: np.random.Generator) -> np.n
 
     Draw j goes to the cluster with id j; ids are ordered by smallest site
     index, so the assignment depends only on the labeling and the stream
-    rng is on (derive_rng for one coloring, derive_streams for a run of
-    them), not on how the labeling was computed. For an atomic nu, one
+    rng is on, not on how the labeling was computed. For an atomic nu, one
     uniform double u per cluster, whose atom index is the number of nu's
     thresholds <= u; for a Gaussian nu, one normal per cluster, none when
     the variance is 0.

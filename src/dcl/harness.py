@@ -47,7 +47,7 @@ from .percolation import (
     warn_if_near_critical,
     window_pieces,
 )
-from .rng import check_seed, derive_rng, derive_streams, stream_log
+from .rng import check_seed, derive_streams, stream_log
 from .stats import (
     TestReport,
     exact_check_report,
@@ -259,9 +259,7 @@ def _quenched_graph(
     config: ExperimentConfig, lattice: BoxLattice, margin: int
 ) -> tuple[LabelingStack, PercolationEstimates]:
     """The one graph of a quenched run, a stack of one copy, plus functionals from separate graphs."""
-    graph = label_clusters(
-        sample_config(lattice, config.p, config.master_seed, "graph:0"), config.proxy_rule
-    )
+    graph = label_clusters(sample_config(lattice, config.p, config.master_seed), config.proxy_rule)
     columns = map_labelings(
         lattice,
         config.p,
@@ -339,7 +337,8 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     lattice, margin = _box(config, "quenched-lln")
     graph, est = _quenched_graph(config, lattice, margin)
     ids = graph.stack_id[0]
-    colors = color_clusters(int(graph.k_n[0]), config.nu, derive_rng(config.master_seed, "color:0"))
+    (rng,) = derive_streams(config.master_seed, "color", 0, 1)
+    colors = color_clusters(int(graph.k_n[0]), config.nu, rng)
     proxy = int(graph.proxy[0])
 
     trajectory = [float(colors[window_values(ids, lattice, lattice.n - radius)].mean()) for radius in config.radii]

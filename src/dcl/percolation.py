@@ -3,14 +3,17 @@
 Each edge of the box is open independently with probability p. Clusters are
 the connected components of the open subgraph, labeled by vectorized
 min-label hooking so that cluster ids follow each cluster's smallest site.
-Every labeling is a LabelingStack, one configuration being a stack of one
-copy. A boundary-touching largest cluster can be designated as the stand-in
-for the infinite cluster; everything measured "finite" excludes that stand-in.
+Configurations and labelings are stacks, EdgeConfig and LabelingStack, one
+configuration being a stack of one copy. A boundary-touching largest
+cluster can be designated as the stand-in for the infinite cluster;
+everything measured "finite" excludes that stand-in.
 
-Replicate configurations are drawn through one engine, map_labelings, which
-labels small boxes many copies at a time, and their per-configuration
-functionals are pooled in pool_functionals. The one colored graph of a
-quenched run is drawn alone, by sample_config on stream graph:0.
+Every configuration is drawn by sample_config, configuration r of a role
+from the stream (seed, f"{role}:{r}"). Replicates go through one engine,
+map_labelings, which labels small boxes many copies at a time, and their
+per-configuration functionals are pooled in pool_functionals. The one
+colored graph of a quenched run is sample_config's default stack: one copy,
+on stream graph:0.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import BoxLattice, window_values
-from .rng import _count, derive_rng, stream_log, stream_uniforms
+from .rng import _count, stream_log, stream_uniforms
 
 PROXY_BOUNDARY_LARGEST = "boundary-largest"
 PROXY_DISABLED = "disabled"
@@ -72,43 +75,32 @@ def warn_if_near_critical(d: int, p: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class EdgeConfig:
-    """One sampled bond configuration, or a stack of them on the same box.
+    """A stack of sampled bond configurations on the same box.
 
-    open is the boolean (site_count, d) mask of one configuration's open
-    edges (u, axis), False off lattice.has_edge, or (copies, site_count, d)
-    for a stack. Configs compare by identity.
+    open is the boolean (copies, site_count, d) mask of each copy's open
+    edges (u, axis), False off lattice.has_edge. Configs compare by identity.
     """
 
     lattice: BoxLattice
     open: np.ndarray = field(repr=False)
 
 
-def _check_density(p: float) -> None:
+def sample_config(
+    lattice: BoxLattice, p: float, seed: int, role: str = "graph", start: int = 0, copies: int = 1
+) -> EdgeConfig:
+    """Draw Bernoulli(p) bond configurations start..start+copies-1 of a role, as one stack.
+
+    Copy c draws from the stream (seed, f"{role}:{start + c}"), edge k of
+    the (site index, axis) order taking the stream's k-th uniform.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-
-
-def _open_mask(lattice: BoxLattice, draws: np.ndarray, p: float) -> np.ndarray:
-    """The (..., site_count, d) mask of draws < p, edge k of a row taking its k-th draw."""
-    open_edges = np.zeros(draws.shape[:-1] + lattice.has_edge.shape, dtype=bool)
+    draws = stream_uniforms(seed, role, start, copies, lattice.edge_count)
+    open_edges = np.zeros((copies,) + lattice.has_edge.shape, dtype=bool)
     # A full-shape mask takes numpy's fast boolean-assignment path; [..., has_edge] does not.
     open_edges[np.broadcast_to(lattice.has_edge, open_edges.shape)] = (draws < p).ravel()
     open_edges.setflags(write=False)
-    return open_edges
-
-
-def sample_config(lattice: BoxLattice, p: float, seed: int, stream_tag: str = "graph") -> EdgeConfig:
-    """Draw a Bernoulli(p) bond configuration on the given box."""
-    _check_density(p)
-    draws = derive_rng(seed, stream_tag).random(lattice.edge_count)
-    return EdgeConfig(lattice, _open_mask(lattice, draws, p))
-
-
-def _sample_stack(lattice: BoxLattice, p: float, seed: int, role: str, start: int, copies: int) -> EdgeConfig:
-    """Configurations start..start+copies-1 of a role, drawn as sample_config draws each."""
-    _check_density(p)
-    draws = stream_uniforms(seed, role, start, copies, lattice.edge_count)
-    return EdgeConfig(lattice, _open_mask(lattice, draws, p))
+    return EdgeConfig(lattice, open_edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,13 +159,12 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
     one of largest stride, needs neither: every site is still a root, so
     each site v has at most one such edge from behind, and its hook sets
     root[v] to v - s, which one subtraction of s times the column does.
-    A stack of masks, (copies, site_count, d), is labeled as one graph whose
-    copy c holds the sites from c * site_count on, and a (site_count, d)
-    mask as a stack of one copy. The far faces carry no edge, so no edge
-    leaves its copy, and each copy's ids come out as if it were labeled
-    alone. Other shapes raise, and so does a bit on a far face, the only
-    place has_edge is False: for each axis the check reads just row
-    side - 1 of the (-1, side, s) view of its column.
+    The stack of masks, (copies, site_count, d), is labeled as one graph
+    whose copy c holds the sites from c * site_count on. The far faces
+    carry no edge, so no edge leaves its copy, and each copy's ids come out
+    as if it were labeled alone. Other shapes raise, and so does a bit on a
+    far face, the only place has_edge is False: for each axis the check
+    reads just row side - 1 of the (-1, side, s) view of its column.
 
     Cluster sizes are counted by _count_ids, which counts runs of equal ids
     whole: in a supercritical box one cluster holds nearly every site, in
@@ -183,9 +174,9 @@ def label_clusters(config: EdgeConfig, proxy_rule: str = PROXY_BOUNDARY_LARGEST)
         raise ValueError(f"proxy rule must be one of {PROXY_RULES}, got {proxy_rule!r}")
     lattice = config.lattice
     site_count = lattice.site_count
-    if config.open.ndim > 3 or config.open.shape[-2:] != lattice.has_edge.shape:
-        raise ValueError(f"open mask shape {config.open.shape} is not ([copies,] {site_count}, {lattice.d})")
-    copies = 1 if config.open.ndim == 2 else config.open.shape[0]
+    if config.open.ndim != 3 or config.open.shape[1:] != lattice.has_edge.shape:
+        raise ValueError(f"open mask shape {config.open.shape} is not (copies, {site_count}, {lattice.d})")
+    copies = config.open.shape[0]
     sites = np.arange(copies * site_count, dtype=np.int64)
     # Per axis, its stride s and the open bits of the edges u -> u + s, one
     # per site u that has a site s further on. Each round reads every bit, so
@@ -541,11 +532,11 @@ def map_labelings(
     """The replicate engine: sample, label and observe `count` configurations.
 
     Configuration r is drawn from the stream (seed, f"{role}:{r}").
-    Configurations are labeled in stacks of max(1, _STACK_SITES //
-    site_count) copies, one label_clusters call per stack, so small boxes
-    share one set of hooking rounds. observe(start, stack) maps the stack
-    whose copy 0 is configuration `start` to columns: a dict of arrays with
-    one entry per copy. Only the columns are kept, and each comes back
+    Configurations are drawn and labeled in stacks of max(1, _STACK_SITES //
+    site_count) copies, one sample_config and one label_clusters call per
+    stack, so small boxes share one set of hooking rounds. observe(start,
+    stack) maps the stack whose copy 0 is configuration `start` to columns:
+    a dict of arrays with one entry per copy. Only the columns are kept, and each comes back
     concatenated in r order whatever the worker count.
     """
     if count < 1:
@@ -555,7 +546,7 @@ def map_labelings(
 
     def one(k: int) -> dict:
         start = starts[k]
-        config = _sample_stack(lattice, p, seed, role, start, min(copies, count - start))
+        config = sample_config(lattice, p, seed, role, start, min(copies, count - start))
         return observe(start, label_clusters(config, proxy_rule))
 
     parts = map_ordered(one, len(starts), workers)
@@ -627,12 +618,11 @@ def estimate_functionals(
     margin: int | None = None,
     *,
     proxy_rule: str = PROXY_BOUNDARY_LARGEST,
-    stream_role: str = "graph",
     workers: int = 1,
 ) -> PercolationEstimates:
     """Estimate the cluster functionals from independent configurations.
 
-    Replicate r draws its configuration from the stream (seed, f"{stream_role}:{r}"),
+    Replicate r draws its configuration from the stream (seed, f"graph:{r}"),
     so estimates do not depend on scheduling. The infinite-cluster density is
     the window fraction occupied by the stand-in cluster; the finite mean
     cluster size averages full-box cluster sizes over window sites.
@@ -644,7 +634,7 @@ def estimate_functionals(
         lattice,
         p,
         seed,
-        stream_role,
+        "graph",
         replicates,
         lambda start, stack: labeling_functionals(stack, margin),
         proxy_rule=proxy_rule,

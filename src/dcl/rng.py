@@ -6,24 +6,28 @@ that key, never on scheduling order, so replicates can run in any order or
 in parallel without changing a single bit of output.
 
 A stream is numpy's Generator(PCG64(key)) on the SHA-256 key of derive_key.
-derive_rng builds one such generator. derive_streams yields the streams
-f"{role}:{start}" .. f"{role}:{start + count - 1}" bit-identical to
-derive_rng, but seeds them in bulk: one SHA-256 key loop hashes the role
-prefix once per digit count, numpy's SeedSequence mixing (NEP 19) runs for
-all keys at once in uint32 array arithmetic, and one PCG64 is reseated per
-stream with the state that PCG64(key) would reach after skip draws (0
-unless asked). That state is one affine step from the seeding value, by
-Brown's O(log skip) stride, so a stream seated at its first read draw
-costs no more than one at draw 0.
+derive_rng builds one such generator on a tag given whole, such as the
+CLI's "gamma-sample". The indexed streams of a role, such as "graph:0" or
+"color:17", come from derive_streams and stream_uniforms. derive_streams
+yields the streams f"{role}:{start}" .. f"{role}:{start + count - 1}"
+bit-identical to derive_rng on those tags, but seeds them in bulk: one
+SHA-256 key loop hashes the role prefix once per digit count, numpy's
+SeedSequence mixing (NEP 19) runs for all keys at once in uint32 array
+arithmetic, and one PCG64 is reseated per stream with the state that
+PCG64(key) would reach after skip draws (0 unless asked). That state is one
+affine step from the seeding value, by Brown's O(log skip) stride, so a
+stream seated at its first read draw costs no more than one at draw 0.
 
-stream_uniforms returns the first k doubles of each such stream, as the
-percolation stacks draw them. The PCG64 state setter costs a few
+stream_uniforms returns the first k doubles of each such stream, as
+sample_config draws them. The PCG64 state setter costs a few
 microseconds per stream whatever k, so streams of at most
 SHORT_STREAM_DRAWS (64) draws skip it: PCG64 (XSL-RR 128/64) runs in
 uint64 arrays, each draw's state a jump-ahead M**j t + S_j inc from the
 seeded one, bit-identical to numpy's. A 3x3 box at d=2 (12 draws), a 5x5
-one (40) and a 3x3x3 one (54) take that path; longer streams reseat. While a stream_log block is open all three count
-what they derive, which is how a run reports the streams it drew.
+one (40) and a 3x3x3 one (54) take that path; longer streams reseat.
+While a stream_log block is open all three count what they derive,
+derive_rng under its tag and the other two under their role, which is how
+a run reports the streams it drew.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import contextlib
 import functools
 import hashlib
 import os
-import re
 import threading
 from contextvars import ContextVar
 from typing import Iterator
@@ -132,15 +135,15 @@ if hasattr(os, "register_at_fork"):
     # A forked child has only the forking thread, so a lock that another
     # thread held at the fork would never be released there.
     os.register_at_fork(after_in_child=_new_stream_log_lock)
-_INDEX_SUFFIX = re.compile(r":\d+$")
 
 
 @contextlib.contextmanager
 def stream_log() -> Iterator[dict[tuple[int, str], int]]:
     """Count the streams derived in this context, and in copies of it, until the block exits.
 
-    derive_rng counts 1 under its tag less a trailing ":<index>", so
-    "graph:0" counts as graph; derive_streams counts its whole run under its role.
+    derive_rng counts 1 under its tag, its parts joined by ":", exactly as
+    given; derive_streams and stream_uniforms count their whole run under
+    its role.
     """
     log: dict[tuple[int, str], int] = {}
     token = _STREAM_LOG.set(log)
@@ -202,7 +205,7 @@ def derive_key(master_seed: int, *parts: int | str) -> int:
 def derive_rng(master_seed: int, *parts: int | str) -> np.random.Generator:
     """PCG64 generator on the stream keyed by (master_seed, *parts)."""
     generator = np.random.Generator(np.random.PCG64(derive_key(master_seed, *parts)))
-    _count(master_seed, _INDEX_SUFFIX.sub("", ":".join(map(str, parts))), 1)
+    _count(master_seed, ":".join(map(str, parts)), 1)
     return generator
 
 

@@ -8,7 +8,6 @@ pinned to a fixed master seed so the suite is deterministic.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from fractions import Fraction
@@ -31,11 +30,12 @@ from dcl.percolation import (
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
     EdgeConfig,
-    NearCriticalWarning,
     default_window_margin,
     estimate_functionals,
     label_clusters,
+    labeling_functionals,
     map_labelings,
+    pool_functionals,
     sample_config,
     square_sums,
 )
@@ -58,7 +58,7 @@ def test_square_sum_identity(criterion):
     checked = 0
     for p in densities:
         for i in range(1000):
-            config = sample_config(lattice, p, SEED, f"acc1:{p!r}:{i}")
+            config = sample_config(lattice, p, SEED, f"acc1:{p!r}", i)
             # alternate the stand-in rule so both exclusion paths are exercised
             rule = PROXY_BOUNDARY_LARGEST if i % 2 else PROXY_DISABLED
             labeling = label_clusters(config, rule)
@@ -131,8 +131,8 @@ def test_tiny_box_enumeration_agreement(criterion):
     line = build_box(1, 1)
     total = Fraction(0)
     for bits in range(4):
-        # Line sites 0, 1, 2: edges 0-1 and 1-2 step up from sites 0 and 1.
-        edges = np.array([[bits & 1], [bits & 2], [0]], dtype=bool)
+        # One copy of line sites 0, 1, 2: edges 0-1 and 1-2 step up from sites 0 and 1.
+        edges = np.array([[[bits & 1], [bits & 2], [0]]], dtype=bool)
         config = EdgeConfig(lattice=line, open=edges)
         labeling = label_clusters(config, PROXY_DISABLED)
         (per_site,), (per_cluster,) = square_sums(labeling, 0)
@@ -151,12 +151,12 @@ def test_tiny_box_enumeration_agreement(criterion):
     reps = 100_000
     for p in (Fraction(3, 10), Fraction(1, 2)):
         exact = enumerate_box(2, 1, p)
-        # p = 1/2 is the d=2 critical point, which the estimator warns about.
-        critical = pytest.warns(NearCriticalWarning) if p == Fraction(1, 2) else contextlib.nullcontext()
-        with critical:
-            est = estimate_functionals(
-                lattice, float(p), reps, SEED, 0, proxy_rule=PROXY_DISABLED, stream_role=f"acc3:{p!r}"
-            )
+        # Each p on a role of its own, so the two densities draw independent graphs.
+        columns = map_labelings(
+            lattice, float(p), SEED, f"acc3:{p!r}", reps,
+            lambda start, stack: labeling_functionals(stack, 0), proxy_rule=PROXY_DISABLED,
+        )
+        est = pool_functionals(columns, lattice, 0, PROXY_DISABLED)
         series = (
             (est.kappa_hat, est.kappa_se, "mean_k"),
             (est.square_sum_density, est.square_sum_se, "mean_square_sum"),

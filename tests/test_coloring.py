@@ -130,7 +130,7 @@ def test_parse_rejects_malformed(bad):
 
 def test_color_clusters_deterministic_and_keyed():
     lat = build_box(2, 5)
-    labeling = label_clusters(sample_config(lat, 0.5, 3, "graph:0"), PROXY_BOUNDARY_LARGEST)
+    labeling = label_clusters(sample_config(lat, 0.5, 3), PROXY_BOUNDARY_LARGEST)
     nu = TwoPoint(-1.0, 1.0, 0.5)
     k_n = int(labeling.k_n[0])
     a = color_clusters(k_n, nu, derive_rng(3, "color:0"))
@@ -147,11 +147,11 @@ def test_z_reads_proxy_color_or_zero():
     lat = build_box(2, 3)
     nu = TwoPoint(0.5, 2.5, 0.5)
     base = dict(d=2, radii=3, nu=nu, graph_replicates=2, master_seed=1)
-    full = label_clusters(sample_config(lat, 1.0, 1, "graph:0"), PROXY_BOUNDARY_LARGEST)
+    full = label_clusters(sample_config(lat, 1.0, 1), PROXY_BOUNDARY_LARGEST)
     colors = color_clusters(int(full.k_n[0]), nu, derive_rng(1, "color:0"))
     z = run_quenched_lln(ExperimentConfig(**base, p=1.0)).estimates["z"]
     assert z == colors[full.proxy[0]]
-    empty = label_clusters(sample_config(lat, 0.0, 1, "graph:0"), PROXY_DISABLED)
+    empty = label_clusters(sample_config(lat, 0.0, 1), PROXY_DISABLED)
     assert empty.proxy.tolist() == [-1]
     z = run_quenched_lln(ExperimentConfig(**base, p=0.0, proxy_rule=PROXY_DISABLED)).estimates["z"]
     assert z == 0.0
@@ -172,7 +172,7 @@ def test_windowed_sum_variance_identity_exact_enumeration():
     check exact instead of statistical.
     """
     lat = build_box(2, 1)
-    config = sample_config(lat, 0.5, seed=12, stream_tag="fixed")
+    config = sample_config(lat, 0.5, 12, "fixed")
     labeling = label_clusters(config, PROXY_DISABLED)
     nu = TwoPoint(-1.0, 1.0, 0.3)
     m = nu.mean
@@ -347,7 +347,7 @@ def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
     # against the pieces, whichever block of 2 rows holds it. Centered
     # colors that are all integers sum exactly, so those sums are bit for bit.
     lat = build_box(2, 6)
-    labeling = label_clusters(sample_config(lat, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
+    labeling = label_clusters(sample_config(lat, 0.4, 11), PROXY_BOUNDARY_LARGEST)
     assert labeling.k_n.tolist() == [61]
     piece = (np.arange(lo, hi) % 4).astype(np.float64)
     count = 5

@@ -137,8 +137,8 @@ def test_quenched_lln_trajectory_and_reports():
         abs(m_n - res.estimates["predicted_limit"])
     )
     assert res.seeds["master_seed"] == 9
-    roles = {s["role"]: s["count"] for s in res.seeds["streams"]}
-    assert roles == {"graph": 1, "color": 1, "estimate-graph": 30}
+    streams = [(s["role"], s["count"]) for s in res.seeds["streams"]]
+    assert streams == [("graph", 1), ("estimate-graph", 30), ("color", 1)]
 
 
 def test_annealed_lln_two_point_supercritical():
@@ -316,6 +316,13 @@ _PAIRS = [("graph", 6), ("color", 6)]
         (run_annealed_clt, "two-point:-1,1,0.5", {"regime": "supercritical"}, _PAIRS),
         # Gaussian-mixture gamma: KS against its exact CDF, nothing sampled
         (run_annealed_clt, "two-point:-1,1,0.3", {"regime": "supercritical"}, _PAIRS),
+        # quenched: the colored graph graph:0 first, then the estimate
+        # graphs, then the colorings color:0, color:1, ...
+        (
+            run_quenched_clt, "two-point:-1,1,0.7", {"color_replicates": 40},
+            [("graph", 1), ("estimate-graph", 6), ("color", 40)],
+        ),
+        (run_quenched_lln, "two-point:-1,1,0.7", {}, [("graph", 1), ("estimate-graph", 6), ("color", 1)]),
     ],
 )
 def test_seed_audit_lists_only_drawn_streams(run, nu, extra, roles):
@@ -348,7 +355,7 @@ def test_streams_derived_before_a_run_are_not_counted():
     cfg = ExperimentConfig(
         d=2, radii=8, p=0.7, nu="two-point:-1,1,0.7", graph_replicates=6, master_seed=3,
     )
-    derive_rng(3, "graph:99")
+    list(derive_streams(3, "graph", 99, 1))
     list(derive_streams(3, "color", 0, 4))
     first = run_annealed_lln(cfg)
     assert [(s["role"], s["count"]) for s in first.seeds["streams"]] == _PAIRS
@@ -490,7 +497,7 @@ def test_colored_replicate_columns_match_one_copy_recompute(d, n, count):
             )
             columns, _ = _colored_replicates(cfg, lattice, 0)
             for r in (r for r in range(count) if r < 40 or r >= count - 40):
-                labeling = label_clusters(sample_config(lattice, p, 3, f"graph:{r}"), rule)
+                labeling = label_clusters(sample_config(lattice, p, 3, "graph", r), rule)
                 k_n = int(labeling.k_n[0])
                 colors = color_clusters(k_n, cfg.nu, derive_rng(3, f"color:{r}"))
                 ids = labeling.stack_id[0].tolist()
@@ -707,7 +714,7 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
     assert stats == run_quenched_clt(ExperimentConfig(**base, workers=3)).samples["statistic"]
     law = ExperimentConfig(**base).nu
     lattice = build_box(2, 12)
-    labeling = label_clusters(sample_config(lattice, 0.4, 11, "graph:0"), PROXY_BOUNDARY_LARGEST)
+    labeling = label_clusters(sample_config(lattice, 0.4, 11), PROXY_BOUNDARY_LARGEST)
     ids = labeling.stack_id[0, window_sites(2, 12, 4)]
     finite = ids[ids != labeling.proxy[0]]
     lo, hi = int(finite.min()), int(finite.max()) + 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from dcl.percolation import (
     _IDS_PER_RUN,
     _STACK_SITES,
     _count_ids,
-    _sample_stack,
     NEAR_CRITICAL_BAND,
     PROXY_BOUNDARY_LARGEST,
     PROXY_DISABLED,
@@ -37,7 +37,7 @@ from dcl.percolation import (
     stand_in_volume,
     window_pieces,
 )
-from dcl.rng import SHORT_STREAM_DRAWS, derive_rng
+from dcl.rng import SHORT_STREAM_DRAWS, derive_rng, stream_log
 
 from oracles import bfs_clusters, box_sites, enumerate_box, site_index, window_sites
 
@@ -57,8 +57,9 @@ def _oracle_ids(lattice, open_mask):
     return [labels[site] for site in sites]
 
 
-def _config(lattice, open_mask):
-    return EdgeConfig(lattice=lattice, open=open_mask)
+def _config(lattice, *masks):
+    """The configuration stacking the given (site_count, d) masks, one copy each."""
+    return EdgeConfig(lattice=lattice, open=np.array(masks))
 
 
 def _fields(stack):
@@ -186,23 +187,22 @@ def test_labels_match_bfs_oracle(d, n, edges, monkeypatch):
     # BFS labels count up in site order, as the package's ids do.
     lat = build_box(d, n)
     if callable(edges):
-        masks = [edges(lat)]
+        stacks = [edges(lat).reshape(-1, *lat.has_edge.shape)]
     else:
-        masks = [sample_config(lat, edges, seed=11, stream_tag=f"g:{rep}").open for rep in range(10)]
+        stacks = [sample_config(lat, edges, 11, "g", rep).open for rep in range(10)]
     counting = _HookCountingNumpy()
     monkeypatch.setattr(percolation, "np", counting)
-    for open_mask in masks:
-        labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
-        copies = [open_mask] if open_mask.ndim == 2 else list(open_mask)
-        assert labeling.copies == len(copies)
-        for c, mask in enumerate(copies):
+    for stack in stacks:
+        labeling = label_clusters(_config(lat, *stack), PROXY_DISABLED)
+        assert labeling.copies == len(stack)
+        for c, mask in enumerate(stack):
             view = _copy_fields(labeling, c)
             oracle = _oracle_ids(lat, mask)
             assert view["stack_id"][0].tolist() == oracle
             assert view["k_n"][0] == len(set(oracle))
-            if open_mask.ndim == 3:
+            if len(stack) > 1:
                 _assert_same_fields(view, _fields(label_clusters(_config(lat, mask), PROXY_DISABLED)), c)
-    if not any(open_mask.any() for open_mask in masks):
+    if not any(stack.any() for stack in stacks):
         assert counting.hooks == 0
     elif callable(edges):
         assert counting.hooks > d - 1
@@ -221,7 +221,7 @@ def test_single_edge_joins_its_two_ends(d, n):
             stack = np.zeros((3,) + lat.has_edge.shape, dtype=bool)
             stack[-1, u, axis] = True
             lone = label_clusters(_config(lat, stack[-1]), PROXY_DISABLED)
-            stacked = label_clusters(_config(lat, stack), PROXY_DISABLED)
+            stacked = label_clusters(_config(lat, *stack), PROXY_DISABLED)
             oracle = _oracle_ids(lat, stack[-1])
             for labeling, c in ((lone, 0), (stacked, 2)):
                 ids = _copy_fields(labeling, c)["stack_id"][0]
@@ -267,7 +267,7 @@ def test_labelings_with_equal_counts_but_different_clusters_differ():
     # stand-in; only the cluster ids tell the two labelings apart.
     line = build_box(1, 1)
     left, right = (
-        label_clusters(EdgeConfig(line, _edge_mask(line, bits)), PROXY_DISABLED)
+        label_clusters(_config(line, _edge_mask(line, bits)), PROXY_DISABLED)
         for bits in ([True, False], [False, True])
     )
     assert left.k_n.tolist() == right.k_n.tolist() == [2]
@@ -285,17 +285,20 @@ def test_draws_fill_the_mask_in_site_axis_order(d, n):
     # Edge k of the (site index, axis) order takes the stream's k-th draw, so
     # a configuration, and every report built on it, depends on its stream alone.
     lat = build_box(d, n)
-    config = sample_config(lat, 0.4, 13, "order")
-    assert config.open.shape == lat.has_edge.shape and config.open.dtype == bool
-    want = derive_rng(13, "order").random(lat.edge_count) < 0.4
-    assert np.array_equal(config.open[lat.has_edge], want)
-    assert not config.open[~lat.has_edge].any()
-    stack = _sample_stack(lat, 0.4, 13, "order", 5, 3)
-    assert stack.open.shape == (3, *lat.has_edge.shape)
+    stack = sample_config(lat, 0.4, 13, "order", 5, 3)
+    assert stack.open.shape == (3, *lat.has_edge.shape) and stack.open.dtype == bool
     for c in range(3):
         want = derive_rng(13, f"order:{5 + c}").random(lat.edge_count) < 0.4
         assert np.array_equal(stack.open[c][lat.has_edge], want)
         assert not stack.open[c][~lat.has_edge].any()
+    # By default, one copy on stream graph:0: a quenched run's graph.
+    with stream_log() as log:
+        graph = sample_config(lat, 0.4, 13)
+    assert log == {(13, "graph"): 1}
+    assert graph.open.shape == (1, *lat.has_edge.shape)
+    want = derive_rng(13, "graph:0").random(lat.edge_count) < 0.4
+    assert np.array_equal(graph.open[0][lat.has_edge], want)
+    assert not graph.open[0][~lat.has_edge].any()
 
 
 # Boxes whose streams take each path of rng.stream_uniforms: a 3x3 box (12
@@ -305,27 +308,26 @@ def test_draws_fill_the_mask_in_site_axis_order(d, n):
     "d,n", [(2, 1), (1, SHORT_STREAM_DRAWS // 2), (1, SHORT_STREAM_DRAWS // 2 + 1), (3, 2)]
 )
 def test_stack_equals_its_copies_sampled_alone(d, n):
-    # A stack's copies are drawn and labeled as if each were alone, and a
-    # (site_count, d) mask is labeled as the stack of one copy it reshapes to.
+    # A stack's copies are drawn and labeled as if each were alone.
     lat = build_box(d, n)
-    stack = _sample_stack(lat, 0.5, 21, "side", 8, 4)
+    stack = sample_config(lat, 0.5, 21, "side", 8, 4)
     labeled = label_clusters(stack)
     for c in range(4):
-        alone = sample_config(lat, 0.5, 21, f"side:{8 + c}")
-        assert np.array_equal(stack.open[c], alone.open)
+        alone = sample_config(lat, 0.5, 21, "side", 8 + c)
+        assert np.array_equal(stack.open[c : c + 1], alone.open)
         one = label_clusters(alone)
-        reshaped = label_clusters(EdgeConfig(lat, alone.open.reshape(1, *alone.open.shape)))
         assert isinstance(one, LabelingStack) and one.copies == 1
-        _assert_same_fields(_fields(one), _fields(reshaped), c)
         _assert_same_fields(_copy_fields(labeled, c), _fields(one), c)
 
 
 # The 3x3 box has 9 sites, 2 axes and 12 edges; (12,) is a per-edge vector.
-@pytest.mark.parametrize("shape", [(12,), (18,), (9, 3), (9, 2, 1), (1, 1, 9, 2)])
+# (9, 2) is one copy's mask without the copy axis: a configuration is a
+# stack, a single one a stack of one copy, and a lone mask is not reshaped.
+@pytest.mark.parametrize("shape", [(12,), (18,), (9, 3), (9, 2, 1), (1, 1, 9, 2), (9, 2)])
 def test_mask_of_wrong_shape_rejected(shape):
     lat = build_box(2, 1)
-    with pytest.raises(ValueError, match="open mask shape"):
-        label_clusters(_config(lat, np.zeros(shape, dtype=bool)))
+    with pytest.raises(ValueError, match=re.escape(f"open mask shape {shape} is not (copies, 9, 2)")):
+        label_clusters(EdgeConfig(lat, np.zeros(shape, dtype=bool)))
 
 
 def test_bit_on_far_face_rejected():
@@ -336,9 +338,9 @@ def test_bit_on_far_face_rejected():
     single[2, 0] = True
     stack = np.zeros((2, 3, 1), dtype=bool)
     stack[0, 2, 0] = True
-    for mask in (single, stack):
+    for config in (_config(line, single), _config(line, *stack)):
         with pytest.raises(ValueError, match="far face"):
-            label_clusters(_config(line, mask))
+            label_clusters(config)
     square = build_box(2, 1)
     mask = np.zeros((9, 2), dtype=bool)
     mask[site_index(2, 1, (1, -1)), 0] = True
@@ -356,7 +358,7 @@ def test_every_far_face_bit_is_refused(d, n):
     lat = build_box(d, n)
     stack = np.array([lat.has_edge] * 3)
     assert label_clusters(_config(lat, lat.has_edge.copy())).k_n.tolist() == [1]
-    assert label_clusters(_config(lat, stack)).k_n.tolist() == [1, 1, 1]
+    assert label_clusters(_config(lat, *stack)).k_n.tolist() == [1, 1, 1]
     far = np.argwhere(~lat.has_edge)
     assert len(far) == d * lat.side ** (d - 1)
     for u, axis in far:
@@ -368,7 +370,7 @@ def test_every_far_face_bit_is_refused(d, n):
             stacked = stack.copy()
             stacked[c, u, axis] = True
             with pytest.raises(ValueError, match="far face"):
-                label_clusters(_config(lat, stacked))
+                label_clusters(_config(lat, *stacked))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -384,9 +386,9 @@ def test_first_axis_chains_match_bfs_oracle(d, density, monkeypatch):
     counting = _HookCountingNumpy()
     monkeypatch.setattr(percolation, "np", counting)
     closed = np.zeros_like(chains)
-    for open_mask, c in ((chains, 0), (np.array([closed, chains, closed]), 1)):
-        labeling = label_clusters(_config(lat, open_mask), PROXY_DISABLED)
-        for copy, mask in enumerate([open_mask] if open_mask.ndim == 2 else open_mask):
+    for masks, c in (([chains], 0), ([closed, chains, closed], 1)):
+        labeling = label_clusters(_config(lat, *masks), PROXY_DISABLED)
+        for copy, mask in enumerate(masks):
             view = _copy_fields(labeling, copy)
             oracle = _oracle_ids(lat, mask)
             sizes = Counter(oracle)
@@ -399,15 +401,15 @@ def test_first_axis_chains_match_bfs_oracle(d, density, monkeypatch):
 
 def test_open_fraction_tracks_p():
     lat = build_box(2, 16)
-    config = sample_config(lat, 0.3, seed=5, stream_tag="frac")
-    frac = config.open[lat.has_edge].mean()
+    config = sample_config(lat, 0.3, 5, "frac")
+    frac = config.open[0, lat.has_edge].mean()
     assert abs(frac - 0.3) < 4 * math.sqrt(0.3 * 0.7 / lat.edge_count)
 
 
 def test_coupled_monotonicity_in_p():
     lat = build_box(2, 8)
     ps = [0.1, 0.3, 0.5, 0.7, 0.9]
-    configs = [sample_config(lat, p, seed=3, stream_tag="mono") for p in ps]
+    configs = [sample_config(lat, p, 3, "mono") for p in ps]
     for lo, hi in zip(configs, configs[1:]):
         assert (hi.open | lo.open == hi.open).all(), "open sets must be nested"
     ks = [int(label_clusters(c, PROXY_DISABLED).k_n[0]) for c in configs]
@@ -444,7 +446,7 @@ def test_proxy_is_largest_boundary_cluster_smallest_id_ties():
     lat = build_box(1, 2)
     base = sample_config(lat, 0.0, 1, "x")
     open_mask = base.open.copy()
-    open_mask[[0, 3], 0] = True
+    open_mask[0, [0, 3], 0] = True
     config = base.__class__(lattice=lat, open=open_mask)
     labeling = label_clusters(config, PROXY_BOUNDARY_LARGEST)
     assert labeling.cluster_sizes[labeling.proxy[0]] == 2
@@ -563,7 +565,7 @@ def test_map_labelings_streams_and_worker_count():
         assert serial["r"].tolist() == parallel["r"].tolist() == list(range(count))
         for r, ids, ids3 in zip(serial["r"], serial["ids"], parallel["ids"]):
             assert np.array_equal(ids, ids3)
-            direct = label_clusters(sample_config(lat, 0.45, 8, f"eng:{r}"))
+            direct = label_clusters(sample_config(lat, 0.45, 8, "eng", r))
             assert np.array_equal(ids, direct.stack_id[0])
 
 
@@ -589,7 +591,7 @@ def test_stacked_views_match_one_copy_labelings(d, n):
             views = [_copy_fields(stack, c) for stack in stacks for c in range(stack.copies)]
             assert len(views) == count
             for r, view in enumerate(views):
-                direct = label_clusters(sample_config(lat, p, 21, f"view:{r}"), rule)
+                direct = label_clusters(sample_config(lat, p, 21, "view", r), rule)
                 _assert_same_fields(view, _fields(direct), r)
                 touching = [np.unique(ids[0, lat.boundary_sites]) for ids in (view["stack_id"], direct.stack_id)]
                 assert np.array_equal(*touching), r
@@ -632,7 +634,7 @@ def test_stacked_functional_columns_match_bfs_oracle(d, n):
                 proxy_rule=rule,
             )
             for r in range(count):
-                mask = sample_config(lat, 0.5, 4, f"cols:{r}").open
+                (mask,) = sample_config(lat, 0.5, 4, "cols", r).open
                 want = _oracle_functionals(lat, mask, margin, rule)
                 assert {name: float(columns[name][r]) for name in want} == want, r
 
@@ -682,7 +684,7 @@ def _gathered_functionals(stack, margin):
 @pytest.mark.parametrize("rule", [PROXY_BOUNDARY_LARGEST, PROXY_DISABLED])
 def test_labeling_functionals_match_the_gathered_route_bit_for_bit(d, n, p, rule):
     lat = build_box(d, n)
-    stack = label_clusters(_sample_stack(lat, p, 6, "window", 0, 5), rule)
+    stack = label_clusters(sample_config(lat, p, 6, "window", copies=5), rule)
     for margin in range(n + 1):
         got = labeling_functionals(stack, margin)
         want = _gathered_functionals(stack, margin)
@@ -693,7 +695,7 @@ def test_labeling_functionals_match_the_gathered_route_bit_for_bit(d, n, p, rule
 
 def test_labeling_functionals_refuse_a_broken_square_sum_identity():
     lat = build_box(2, 3)
-    stack = label_clusters(_sample_stack(lat, 0.4, 2, "broken", 0, 2), PROXY_DISABLED)
+    stack = label_clusters(sample_config(lat, 0.4, 2, "broken", copies=2), PROXY_DISABLED)
     # Copy 0 carries copy 1's ids, which lie outside its own id range.
     ids = np.array(stack.stack_id)
     ids[0] = ids[1]
@@ -769,7 +771,7 @@ def test_count_ids_is_bincount(case, monkeypatch):
 
 def test_count_ids_counts_a_stack_copy_by_copy():
     lat = build_box(2, 12)
-    stack = label_clusters(_sample_stack(lat, 0.8, 3, "runs", 0, 3))
+    stack = label_clusters(sample_config(lat, 0.8, 3, "runs", copies=3))
     ids = stack.stack_id.ravel()
     assert (np.count_nonzero(ids[1:] != ids[:-1]) + 1) * _IDS_PER_RUN <= ids.size
     got = _count_ids(ids, stack.cluster_sizes.size)
@@ -785,7 +787,7 @@ def test_count_ids_counts_a_stack_copy_by_copy():
 def test_sizes_and_pieces_of_supercritical_boxes_match_per_site_counts(d, n, p, copies, monkeypatch):
     # One cluster holds most of each box, so the sizes are counted by runs.
     lat = build_box(d, n)
-    config = _sample_stack(lat, p, 5, "supercritical", 0, copies)
+    config = sample_config(lat, p, 5, "supercritical", copies=copies)
     spy = _BincountSpy()
     monkeypatch.setattr(percolation, "np", spy)
     stack = label_clusters(config)

@@ -211,23 +211,26 @@ def test_pcg64_seeds_match_seed_sequence(zero_top_words):
 
 
 def test_stream_log_counts_roles_in_first_derivation_order():
+    # Runs of indexed streams count under their role; derive_rng counts its
+    # tag exactly as given, so an indexed tag is a role of its own.
     derive_rng(1, "before")
     with stream_log() as log:
-        derive_rng(7, "graph:0")
+        stream_uniforms(7, "graph", 0, 2, 4)
         list(derive_streams(7, "color", 0, 5))
         derive_rng(7, "gamma-sampler")
-        list(derive_streams(7, "graph", 1, 3))
+        list(derive_streams(7, "graph", 2, 3))
         derive_rng(7, "graph", 4)
         derive_rng(8, "color:2")
+        derive_rng(7, "gamma-sampler")
     derive_rng(7, "after")
     assert list(log.items()) == [
-        ((7, "graph"), 5), ((7, "color"), 5), ((7, "gamma-sampler"), 1), ((8, "color"), 1),
+        ((7, "graph"), 5), ((7, "color"), 5), ((7, "gamma-sampler"), 2), ((7, "graph:4"), 1), ((8, "color:2"), 1),
     ]
 
 
 def test_stream_log_sees_threads_only_through_a_context_copy():
     with stream_log() as log, ThreadPoolExecutor(max_workers=2) as pool:
         for i in range(4):
-            pool.submit(contextvars.copy_context().run, derive_rng, 3, f"copied:{i}").result()
-            pool.submit(derive_rng, 3, f"bare:{i}").result()
+            pool.submit(contextvars.copy_context().run, derive_rng, 3, "copied").result()
+            pool.submit(derive_rng, 3, "bare").result()
     assert log == {(3, "copied"): 4}

@@ -16,7 +16,7 @@ import pytest
 import dcl
 from dcl import percolation
 from dcl.percolation import map_ordered
-from dcl.rng import derive_rng, derive_streams, stream_log
+from dcl.rng import derive_rng, derive_streams, stream_log, stream_uniforms
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork only on Linux")
 
@@ -35,7 +35,7 @@ class TwoArgError(Exception):
 def _task(i: int) -> dict:
     # Each task derives its own streams, under roles that first appear at
     # different indices, and returns arrays as the engine's tasks do.
-    draws = derive_rng(11, f"task:{i}").random(3)
+    (draws,) = stream_uniforms(11, "task", i, 1, 3)
     list(derive_streams(11, f"role{i % 4}", 10 * i, i + 1))
     return {"i": i, "draws": draws, "ids": np.arange(i, dtype=np.int64)}
 
