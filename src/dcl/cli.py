@@ -360,7 +360,7 @@ def _run_gamma_sample(opts: dict) -> RunResult:
         experiment="gamma-sample",
         estimates={"draw_summary": summarize(draws).to_dict()},
         predictions={"gamma": law},
-        samples={"gamma_draw": [float(v) for v in draws]},
+        samples={"gamma_draw": draws.tolist()},
     )
 
 

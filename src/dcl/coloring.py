@@ -14,9 +14,22 @@ from typing import Union
 
 import numpy as np
 
+from .percolation import map_ordered
 from .rng import derive_streams
 
 _WEIGHT_TOL = 1e-12
+
+# Colorings per derive_streams call, and per task on the worker pool, in
+# centered_sums.
+_COLOR_CHUNK = 256
+# Draws per block of centered_sums: a chunk is drawn in blocks of
+# max(1, _COLOR_BLOCK_VALUES // read ids) colorings, small enough to stay in
+# cache. An atomic law's sums come from exact integer counts, so they do not
+# depend on a coloring's place in its block. A Gaussian block takes one
+# matrix-vector product, whose BLAS summation order may; blocks start at
+# multiples of the row count within a chunk, so that place never depends on
+# the worker count.
+_COLOR_BLOCK_VALUES = 2**15
 
 
 def draw_table(values) -> np.ndarray:
@@ -244,81 +257,88 @@ def parse_color_measure(text: str) -> ColorMeasure:
 
 
 def centered_sums(
-    nu: ColorMeasure,
-    seed: int,
-    role: str,
-    start: int,
-    lo: int,
-    piece: np.ndarray,
-    rows: int,
-    out: np.ndarray,
+    nu: ColorMeasure, seed: int, role: str, count: int, piece: np.ndarray, workers: int = 1
 ) -> np.ndarray:
-    """out[i] = sum_j (c_j - m) piece[j] for the coloring c on stream f"{role}:{start + i}"; return out.
+    """The count sums sum_j (c_j - m) piece[j], c the coloring on stream f"{role}:{i}", i < count.
 
-    c_j is the color color_clusters gives id lo + j from that stream, m is
-    nu's mean, and piece holds integer weights. Cluster j takes draw j of
-    its stream. A law that reads one uniform per draw (TwoPoint,
-    FiniteDiscrete) has its streams seated at draw lo by derive_streams, so
-    it pays nothing for the ids before lo. A Gaussian law's streams start
-    at draw 0: the ziggurat reads a varying number of outputs per normal,
-    so it cannot skip and draws the prefix of lo + n normals. The colorings
-    are drawn in blocks of rows, into buffers allocated once per call.
+    c_j is the color color_clusters gives id j from that stream, m is nu's
+    mean, and piece holds an integer weight per id (window_pieces' piece,
+    with each stand-in 0). Only ids lo..hi-1, from the first to the last
+    nonzero weight, are read; the span is empty when every weight is 0.
+    Cluster j takes draw j of its stream. A law that reads one uniform per
+    draw (TwoPoint, FiniteDiscrete) has its streams seated at draw lo by
+    derive_streams, so it pays nothing for the ids before lo. A Gaussian
+    law's streams start at draw 0: the ziggurat reads a varying number of
+    outputs per normal, so it cannot skip and draws the prefix of hi
+    normals. Chunks of _COLOR_CHUNK colorings run on the worker pool, each
+    drawn in blocks of max(1, _COLOR_BLOCK_VALUES // (hi - lo)) colorings,
+    into buffers allocated once per chunk.
 
     A Gaussian law colors each block, subtracts m and takes one
-    matrix-vector product with piece. An atomic law builds no colors: with
-    thresholds t_1 <= t_2 <= ... (atom_thresholds), d_k = sum_j piece[j]
+    matrix-vector product with the weights. An atomic law builds no colors:
+    with thresholds t_1 <= t_2 <= ... (atom_thresholds), d_k = sum_j piece[j]
     1{u_j >= t_k} is one compare and one matrix-vector product per
     threshold, d_0 = sum(piece), and atom k is drawn by clusters of total
     weight B_k = d_k - d_{k+1}. The sum is then sum_k (v_k - m) B_k, taken
-    once for all the colorings after the last block. Every d_k and B_k is an
-    exact integer in float64, in any BLAS summation order, so a dead atom
-    has B_k = 0 exactly and the sum of each coloring does not depend on its
-    place in its block.
+    once for all the colorings of a chunk after its last block. Every d_k
+    and B_k is an exact integer in float64, in any BLAS summation order, so
+    a dead atom has B_k = 0 exactly and the sum of each coloring does not
+    depend on its place in its block.
     """
-    count = out.size
+    read = np.flatnonzero(piece)
+    lo, hi = (int(read[0]), int(read[-1]) + 1) if read.size else (0, 0)
+    weights = piece.astype(np.float64)[lo:hi]
+    rows = max(1, _COLOR_BLOCK_VALUES // max(hi - lo, 1))
+    starts = range(0, count, _COLOR_CHUNK)
     gaussian = isinstance(nu, GaussianLaw)
-    streams = derive_streams(seed, role, start, count, 0 if gaussian else lo)
-    block = np.empty((min(rows, count), piece.size))
-    if gaussian:
-        for b in range(0, count, rows):
-            part = block[: min(rows, count - b)]
+
+    def chunk(i: int) -> np.ndarray:
+        size = min(_COLOR_CHUNK, count - starts[i])
+        out = np.empty(size)
+        streams = derive_streams(seed, role, starts[i], size, 0 if gaussian else lo)
+        block = np.empty((min(rows, size), weights.size))
+        if gaussian:
+            for b in range(0, size, rows):
+                part = block[: min(rows, size - b)]
+                for row, rng in zip(part, streams):
+                    row[:] = nu.sample(rng, lo + row.size)[lo:]
+                part -= nu.mean
+                np.dot(part, weights, out=out[b : b + part.shape[0]])
+            return out
+        thresholds = nu._thresholds
+        # A compare into a bool buffer and a copy into a float one cost less
+        # than one compare with float output. The uniforms are not read after
+        # the last compare, so its copy goes over them.
+        hit = np.empty(block.shape, dtype=np.bool_)
+        above = np.empty_like(block) if thresholds.size > 1 else block
+        # Row k holds d_k of every coloring.
+        table = np.empty((thresholds.size + 1, size))
+        # piece holds integer counts that total at most a window's sites, far
+        # below 2**53, so every partial sum is exact and any order gives fsum's.
+        table[0] = weights.sum()
+        for b in range(0, size, rows):
+            n = min(rows, size - b)
+            part = block[:n]
             for row, rng in zip(part, streams):
-                row[:] = nu.sample(rng, lo + row.size)[lo:]
-            part -= nu.mean
-            np.dot(part, piece, out=out[b : b + part.shape[0]])
+                rng.random(out=row)
+            for k, t in enumerate(thresholds, 1):
+                mask = part if k == thresholds.size else above[:n]
+                np.greater_equal(part, t, out=hit[:n])
+                np.copyto(mask, hit[:n])
+                np.dot(mask, weights, out=table[k, b : b + n])
+        # (v_k - m) B_k, with B_k = d_k past the last threshold, added in table
+        # order by elementwise ufuncs rather than BLAS, so no sum depends on its
+        # coloring's place.
+        centered = nu._values - nu.mean
+        for k in range(thresholds.size):
+            table[k] -= table[k + 1]
+        np.multiply(table[0], centered[0], out=out)
+        for term, c in zip(table[1:], centered[1:]):
+            term *= c
+            out += term
         return out
-    thresholds = nu._thresholds
-    # A compare into a bool buffer and a copy into a float one cost less
-    # than one compare with float output. The uniforms are not read after
-    # the last compare, so its copy goes over them.
-    hit = np.empty(block.shape, dtype=np.bool_)
-    above = np.empty_like(block) if thresholds.size > 1 else block
-    # Row k holds d_k of every coloring.
-    weight = np.empty((thresholds.size + 1, count))
-    # piece holds integer counts that total at most a window's sites, far
-    # below 2**53, so every partial sum is exact and any order gives fsum's.
-    weight[0] = piece.sum()
-    for b in range(0, count, rows):
-        n = min(rows, count - b)
-        part = block[:n]
-        for row, rng in zip(part, streams):
-            rng.random(out=row)
-        for k, t in enumerate(thresholds, 1):
-            mask = part if k == thresholds.size else above[:n]
-            np.greater_equal(part, t, out=hit[:n])
-            np.copyto(mask, hit[:n])
-            np.dot(mask, piece, out=weight[k, b : b + n])
-    # (v_k - m) B_k, with B_k = d_k past the last threshold, added in table
-    # order by elementwise ufuncs rather than BLAS, so no sum depends on its
-    # coloring's place.
-    centered = nu._values - nu.mean
-    for k in range(thresholds.size):
-        weight[k] -= weight[k + 1]
-    np.multiply(weight[0], centered[0], out=out)
-    for term, c in zip(weight[1:], centered[1:]):
-        term *= c
-        out += term
-    return out
+
+    return np.concatenate(map_ordered(chunk, len(starts), workers))
 
 
 def color_clusters(k_n: int, nu: ColorMeasure, rng: np.random.Generator) -> np.ndarray:
@@ -326,15 +346,11 @@ def color_clusters(k_n: int, nu: ColorMeasure, rng: np.random.Generator) -> np.n
 
     Draw j goes to the cluster with id j; ids are ordered by smallest site
     index, so the assignment depends only on the labeling and the stream
-    rng is on, not on how the labeling was computed. For an atomic nu, one
-    uniform double u per cluster, whose atom index is the number of nu's
-    thresholds <= u; for a Gaussian nu, one normal per cluster, none when
-    the variance is 0.
+    rng is on, not on how the labeling was computed. The draws are nu's own
+    sample: for an atomic nu, one uniform double u per cluster, whose atom
+    index is the number of nu's thresholds <= u; for a Gaussian nu, one
+    normal per cluster, none when the variance is 0.
     """
-    if isinstance(nu, GaussianLaw):
-        colors = nu.sample(rng, k_n)
-    else:
-        colors = rng.random(k_n)
-        atom_values(nu._values, nu._thresholds, colors, out=colors)
+    colors = nu.sample(rng, k_n)
     colors.setflags(write=False)
     return colors

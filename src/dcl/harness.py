@@ -4,7 +4,10 @@ Each run_* function executes one experiment design end to end: it samples
 what the design calls for, computes the observable, builds the predicted
 limit law from estimated functionals, and attaches test reports. Results
 are bit-identical for a fixed config regardless of worker count because
-every replicate draws from its own derived stream.
+every replicate and every coloring draws from its own derived stream.
+Replicates go through the percolation.map_labelings engine; a quenched
+run's colorings are one coloring.centered_sums call, which picks the ids
+it reads and how its colorings are chunked across workers and blocked.
 
 Four shared rules live in one function each: _box (near-critical warning,
 largest box, window margin), _within (pass iff value <= bound; NaN fails),
@@ -40,7 +43,6 @@ from .percolation import (
     label_clusters,
     labeling_functionals,
     map_labelings,
-    map_ordered,
     pool_functionals,
     sample_config,
     stand_in_volume,
@@ -65,18 +67,6 @@ from .theory import (
     gamma_law,
     lln_limit_law,
 )
-
-# Colorings per derive_streams call, and per task on the worker pool, in
-# the quenched-clt coloring loop.
-_COLOR_CHUNK = 256
-# Draws per block of that loop: a chunk is drawn in blocks of
-# max(1, _COLOR_BLOCK_VALUES // read ids) colorings, small enough to stay in
-# cache (coloring.centered_sums). An atomic law's sums come from exact
-# integer counts, so they do not depend on a coloring's place in its block.
-# A Gaussian block takes one matrix-vector product, whose BLAS summation
-# order may; blocks start at multiples of the row count within a chunk, so
-# that place never depends on the worker count.
-_COLOR_BLOCK_VALUES = 2**15
 
 # Exact identities are allowed this much accumulated float rounding.
 _EXACT_TOL = 1e-9
@@ -379,7 +369,7 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
         tests=tests,
         samples={
             "window_radius": [float(r) for r in config.radii],
-            "m_k": [float(v) for v in trajectory],
+            "m_k": trajectory,
         },
     )
 
@@ -453,7 +443,7 @@ def run_annealed_lln(config: ExperimentConfig) -> RunResult:
         estimates=estimates,
         predictions={"lln-limit": prediction},
         tests=tests,
-        samples={"m_n": [float(v) for v in m_samples]},
+        samples={"m_n": m_samples.tolist()},
     )
 
 
@@ -474,21 +464,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     labels, piece = window_pieces(graph, margin)
     ssd = float(checked_square_sum(graph, labels, piece)[0] / labels.shape[1])
     scale = math.sqrt(labels.shape[1])
-
-    # The statistic reads only ids lo..hi-1, the span of the clusters with a
-    # piece; at p=1 the stand-in covers the window and the span is empty.
-    read = np.flatnonzero(piece)
-    lo, hi = (int(read[0]), int(read[-1]) + 1) if read.size else (0, 0)
-    weights = piece.astype(np.float64)[lo:hi]
-    rows = max(1, _COLOR_BLOCK_VALUES // max(hi - lo, 1))
-    starts = range(0, config.color_replicates, _COLOR_CHUNK)
-
-    def chunk(k: int) -> np.ndarray:
-        count = min(_COLOR_CHUNK, config.color_replicates - starts[k])
-        sums = centered_sums(config.nu, config.master_seed, "color", starts[k], lo, weights, rows, np.empty(count))
-        return sums / scale
-
-    stats = np.concatenate(map_ordered(chunk, len(starts), config.workers))
+    stats = centered_sums(config.nu, config.master_seed, "color", config.color_replicates, piece, config.workers) / scale
 
     variance_exact = sigma2 * ssd
     variance_asymptotic = est.chi_f_hat * sigma2
@@ -548,7 +524,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
         },
         predictions={"quenched-clt": prediction},
         tests=tests,
-        samples={"statistic": [float(v) for v in stats]},
+        samples={"statistic": stats.tolist()},
     )
 
 
@@ -626,7 +602,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
         },
         predictions={"gamma": closed},
         tests=tests,
-        samples={"q_n": [float(v) for v in q]},
+        samples={"q_n": q.tolist()},
     )
 
 
@@ -759,8 +735,8 @@ def run_weighted_lln_check(config: ExperimentConfig) -> RunResult:
         estimates["condition_ratio_mean"] = ratio_mean
         estimates["condition_ratio_predicted"] = predicted_ratio
         estimates["weighted_average_summary"] = summarize(averages).to_dict()
-        samples["weighted_average"] = [float(v) for v in averages]
-        samples["condition_ratio"] = [float(v) for v in ratios]
+        samples["weighted_average"] = averages.tolist()
+        samples["condition_ratio"] = ratios.tolist()
 
         if math.isfinite(predicted_ratio) and predicted_ratio > 0.0:
             tests.append(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dcl import coloring
 from dcl.coloring import (
     FiniteDiscrete,
     GaussianLaw,
@@ -222,7 +223,7 @@ def test_atom_index_counts_thresholds_at_or_below(count):
     got = atom_values(values, thresholds, u)
     assert got.tolist() == [float(sum(t <= x for t in thresholds.tolist())) for x in u.tolist()]
     assert got.tolist() == np.searchsorted(thresholds, u, side="right").astype(np.float64).tolist()
-    # In place, as color_clusters maps its uniforms.
+    # In place, over the uniforms themselves.
     assert atom_values(values, thresholds, u, out=u) is u
     assert u.tolist() == got.tolist()
 
@@ -342,21 +343,25 @@ def test_draw_tables_are_read_only(nu):
     ],
 )
 @pytest.mark.parametrize("lo,hi", [(0, 40), (17, 52), (0, 61), (23, 23)], ids=["head", "mid", "all", "empty"])
-def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
+def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi, monkeypatch):
     # Coloring i, on stream color:i, sums (its colors on ids lo..hi-1 - m)
     # against the pieces, whichever block of 2 rows holds it. Centered
     # colors that are all integers sum exactly, so those sums are bit for bit.
     lat = build_box(2, 6)
     labeling = label_clusters(sample_config(lat, 0.4, 11), PROXY_BOUNDARY_LARGEST)
     assert labeling.k_n.tolist() == [61]
-    piece = (np.arange(lo, hi) % 4).astype(np.float64)
+    piece = np.zeros(61, dtype=np.int64)
+    piece[lo:hi] = np.arange(lo, hi) % 4
+    read = np.flatnonzero(piece)
+    span = int(read[-1] + 1 - read[0]) if read.size else 1
+    monkeypatch.setattr(coloring, "_COLOR_BLOCK_VALUES", 2 * span)
     count = 5
-    sums = centered_sums(nu, 4, "color", 0, lo, piece, 2, np.empty(count))
+    sums = centered_sums(nu, 4, "color", count, piece)
     atoms = nu.atoms()
     exact = atoms is not None and all(float(v - nu.mean).is_integer() for v, _ in atoms)
     for i in range(count):
         colors = color_clusters(61, nu, derive_rng(4, f"color:{i}"))[lo:hi]
-        expected = float(np.dot(colors - nu.mean, piece))
+        expected = float(np.dot(colors - nu.mean, piece[lo:hi]))
         assert sums[i] == pytest.approx(expected, rel=1e-14, abs=1e-13)
         if exact:
             assert sums[i] == expected
@@ -369,19 +374,21 @@ def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
     [TwoPoint(-1.0, 1.0, 0.3), FiniteDiscrete(((-1.0, 0.2), (0.5, 0.3), (2.0, 0.5))), GaussianLaw(0.5, 2.0)],
     ids=["two-point", "three-atom", "gaussian"],
 )
-def test_centered_sums_do_not_depend_on_rows(nu):
-    # 300 colorings of ids 37..136: one per block, blocks of 6 with a short
-    # last one, and a block of 256 and one of 44. An atomic law's sums are
-    # exact integer counts, equal bit for bit; a Gaussian block's BLAS
-    # product may sum in another order.
+def test_centered_sums_do_not_depend_on_rows(nu, monkeypatch):
+    # 300 colorings of ids 37..136, in chunks of 256 and 44: one per block,
+    # blocks of 6 with a short last one in each chunk, and a block of 256
+    # and one of 44. An atomic law's sums are exact integer counts, equal
+    # bit for bit; a Gaussian block's BLAS product may sum in another order.
     lo, count = 37, 300
-    piece = (np.arange(100) % 5).astype(np.float64)
+    piece = np.zeros(lo + 100, dtype=np.int64)
+    piece[lo:] = 1 + np.arange(100) % 5
     got = []
     for rows in (1, 6, 256):
-        got.append(centered_sums(nu, 9, "color", 0, lo, piece, rows, np.empty(count)))
+        monkeypatch.setattr(coloring, "_COLOR_BLOCK_VALUES", rows * 100)
+        got.append(centered_sums(nu, 9, "color", count, piece))
     if isinstance(nu, GaussianLaw):
         np.testing.assert_allclose(got[1:], [got[0], got[0]], rtol=1e-13, atol=1e-12)
     else:
         assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
-    colors = color_clusters(lo + piece.size, nu, derive_rng(9, "color:299"))[lo:]
-    assert got[0][-1] == pytest.approx(float(np.dot(colors - nu.mean, piece)), rel=1e-14, abs=1e-13)
+    colors = color_clusters(piece.size, nu, derive_rng(9, "color:299"))[lo:]
+    assert got[0][-1] == pytest.approx(float(np.dot(colors - nu.mean, piece[lo:])), rel=1e-14, abs=1e-13)

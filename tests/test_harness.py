@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -10,10 +11,8 @@ import numpy as np
 import pytest
 
 from dcl import cli, coloring, harness
-from dcl.coloring import FiniteDiscrete, centered_sums, color_clusters
+from dcl.coloring import _COLOR_BLOCK_VALUES, _COLOR_CHUNK, FiniteDiscrete, centered_sums, color_clusters
 from dcl.harness import (
-    _COLOR_BLOCK_VALUES,
-    _COLOR_CHUNK,
     RUN_READS,
     ExperimentConfig,
     RegimeMismatchError,
@@ -732,34 +731,41 @@ def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
 @pytest.mark.parametrize("nu", ["two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5"])
 def test_quenched_color_loop_allocates_nothing_per_block(nu, monkeypatch):
     # numpy reports its buffers to tracemalloc. Over 1000 read ids a block
-    # holds 32 colorings, so one chunk is drawn in 8 blocks and 2 chunks and
-    # 37 more in 18. The traced peaks differ by the table of d_k (one float
-    # per atom per coloring), up to the two Python ints above 256 that the
-    # longer loop's offsets need, so no block leaves anything behind. Above
-    # the block of uniforms (and one of masks for two or more thresholds),
-    # one bool mask of the block and the table, it stays under one more bool
-    # mask, so no block-sized temporary is made either. The generators are
-    # built before tracing starts and stand in for derive_streams' own, and
-    # a first call warms numpy up.
+    # holds 32 colorings, so one chunk of 256 is drawn in 8 blocks, 32
+    # colorings in one, and 2 chunks and 37 more in 3 chunks. Within a chunk
+    # the traced peaks differ by the table of d_k and the sums (one float
+    # per atom per coloring, and one more), so no block leaves anything
+    # behind. Across chunks they differ by the sums of one chunk, kept while
+    # the next is drawn, up to the Python objects of the chunk loop (the
+    # results list and the chunk offsets above 256), so no chunk leaves its
+    # buffers behind. Above the block of uniforms (and one of masks for two
+    # or more thresholds), one bool mask of the block, the table, the sums,
+    # the read ids and the float weights, it stays under one more bool mask,
+    # so no block-sized temporary is made either. The generators are built
+    # before tracing starts and stand in for derive_streams' own, and a
+    # first call warms numpy up.
     law = ExperimentConfig(d=2, radii=4, p=0.4, nu=nu).nu
     lo, span = 11, 1000
-    piece = (np.arange(span) % 3).astype(np.float64)
+    piece = np.zeros(lo + span, dtype=np.int64)
+    piece[lo:] = 1 + np.arange(span) % 3
     rows = _COLOR_BLOCK_VALUES // span
     peaks = []
-    for count in (_COLOR_CHUNK, _COLOR_CHUNK, 2 * _COLOR_CHUNK + 37):
+    for count in (_COLOR_CHUNK, rows, _COLOR_CHUNK, 2 * _COLOR_CHUNK + 37):
         streams = [derive_rng(11, f"color:{j}") for j in range(count)]
-        monkeypatch.setattr(coloring, "derive_streams", lambda *args: iter(streams))
-        out = np.empty(count)
+        monkeypatch.setattr(
+            coloring, "derive_streams", lambda seed, role, start, n, skip: itertools.islice(streams, start, start + n)
+        )
         tracemalloc.start()
         try:
-            centered_sums(law, 11, "color", 0, lo, piece, rows, out)
+            centered_sums(law, 11, "color", count, piece)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     atoms = len(law.atoms())
-    assert abs(peaks[2] - peaks[1] - 8 * atoms * (_COLOR_CHUNK + 37)) <= 64
-    buffers = (1 + (atoms > 2)) * rows * span * 8 + rows * span + 8 * atoms * _COLOR_CHUNK
-    assert buffers < peaks[1] < buffers + rows * span
+    assert abs(peaks[2] - peaks[1] - 8 * (atoms + 1) * (_COLOR_CHUNK - rows)) <= 64
+    assert abs(peaks[3] - peaks[2] - 8 * _COLOR_CHUNK) <= 256
+    buffers = (1 + (atoms > 2)) * rows * span * 8 + rows * span + 8 * (atoms + 1) * _COLOR_CHUNK + 8 * (span + piece.size)
+    assert buffers < peaks[2] < buffers + rows * span
 
 
 def test_quenched_clt_empty_read_range_still_counts_every_color_stream():
