@@ -368,31 +368,32 @@ def _run_gamma_sample(opts: dict) -> RunResult:
 def _run_check_identity(opts: dict) -> RunResult:
     tests = []
     counts: dict[str, dict[str, int]] = {}
-    for radius in opts["radii"]:
-        lattice = build_box(opts["d"], radius)
-        margin = opts["margin"] if opts["margin"] is not None else default_window_margin(lattice)
-        for p in opts["p_values"]:
-            role = f"identity:{radius}:{p!r}"
-            # The two square-sum routes are compared copy by copy.
-            differs = map_labelings(
-                lattice,
-                p,
-                opts["master_seed"],
-                role,
-                opts["configs"],
-                lambda start, stack: {"differs": np.not_equal(*square_sums(stack, margin))},
-                proxy_rule=opts["proxy_rule"],
-            )["differs"]
-            violations = int(np.count_nonzero(differs))
-            counts[f"n={radius},p={p!r}"] = {"configs": opts["configs"], "violations": violations}
-            tests.append(
-                _within(
-                    float(violations),
-                    0.0,
-                    f"identity: per-site vs per-cluster square sums on {opts['configs']} "
-                    f"configs at n={radius}, p={p!r}",
-                )
+    lattices = [build_box(opts["d"], radius) for radius in opts["radii"]]
+    boxes = [(lattice, p) for lattice in lattices for p in opts["p_values"]]
+
+    def observe(start: int, stack) -> dict:
+        # The two square-sum routes are compared copy by copy.
+        margin = opts["margin"] if opts["margin"] is not None else default_window_margin(stack.lattice)
+        return {"differs": np.not_equal(*square_sums(stack, margin))}
+
+    columns = map_labelings(
+        [(lattice, p, f"identity:{lattice.n}:{p!r}") for lattice, p in boxes],
+        opts["master_seed"],
+        opts["configs"],
+        observe,
+        proxy_rule=opts["proxy_rule"],
+    )
+    for (lattice, p), box in zip(boxes, columns):
+        violations = int(np.count_nonzero(box["differs"]))
+        counts[f"n={lattice.n},p={p!r}"] = {"configs": opts["configs"], "violations": violations}
+        tests.append(
+            _within(
+                float(violations),
+                0.0,
+                f"identity: per-site vs per-cluster square sums on {opts['configs']} "
+                f"configs at n={lattice.n}, p={p!r}",
             )
+        )
     return RunResult(experiment="check-identity", estimates=counts, tests=tests)
 
 

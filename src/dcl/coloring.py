@@ -49,10 +49,8 @@ def atom_thresholds(weights) -> np.ndarray:
     return draw_table(np.cumsum(weights, dtype=np.float64)[:-1])
 
 
-def atom_values(
-    values: np.ndarray, thresholds: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """values[i] for each uniform in u, i the number of thresholds <= it; into out when given.
+def atom_values(values: np.ndarray, thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """values[i] for each uniform in u, i the number of thresholds <= it.
 
     Every draw from an atomic law maps its uniform here. For sorted
     thresholds i is searchsorted(thresholds, u, side="right"), but each
@@ -69,7 +67,7 @@ def atom_values(
         index = (u >= thresholds[0]).view(np.uint8).astype(dtype, copy=False)
         for t in thresholds[1:]:
             index += (u >= t).view(np.uint8)
-    return values.take(index, mode="clip", out=out)
+    return values.take(index, mode="clip")
 
 
 def _check_finite(what: str, *values: float) -> None:

@@ -250,11 +250,9 @@ def _quenched_graph(
 ) -> tuple[LabelingStack, PercolationEstimates]:
     """The one graph of a quenched run, a stack of one copy, plus functionals from separate graphs."""
     graph = label_clusters(sample_config(lattice, config.p, config.master_seed), config.proxy_rule)
-    columns = map_labelings(
-        lattice,
-        config.p,
+    (columns,) = map_labelings(
+        [(lattice, config.p, "estimate-graph")],
         config.master_seed,
-        "estimate-graph",
         config.graph_replicates,
         lambda start, stack: labeling_functionals(stack, margin),
         proxy_rule=config.proxy_rule,
@@ -303,11 +301,9 @@ def _colored_replicates(
             "spans": np.logical_or.reduceat(near & far, stack.first),
         }
 
-    columns = map_labelings(
-        lattice,
-        config.p,
+    (columns,) = map_labelings(
+        [(lattice, config.p, "graph")],
         seed,
-        "graph",
         config.graph_replicates,
         observe,
         proxy_rule=config.proxy_rule,
@@ -610,7 +606,8 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
 def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     """Fluctuations of the stand-in cluster volume across box sizes.
 
-    Each radius gets its own batch; centering uses that batch's pooled
+    Each radius gets its own batch, and one map_labelings call labels them
+    all, so a run forks its workers once. Centering uses each batch's pooled
     density, which makes the statistic average zero by construction. The
     Gaussian reference variance comes from the largest radius.
     """
@@ -618,19 +615,18 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     warn_if_near_critical(config.d, config.p)
     per_radius: dict[int, dict] = {}
     stats_by_radius: dict[int, np.ndarray] = {}
-    for radius in config.radii:
-        lattice = build_box(config.d, radius)
+    lattices = [build_box(config.d, radius) for radius in config.radii]
+    boxes = map_labelings(
+        [(lattice, config.p, f"graph:{radius}") for lattice, radius in zip(lattices, config.radii)],
+        config.master_seed,
+        config.graph_replicates,
+        lambda start, stack: {"proxy_sites": stack.proxy_sites},
+        proxy_rule=config.proxy_rule,
+        workers=config.workers,
+    )
+    for radius, lattice, columns in zip(config.radii, lattices, boxes):
         n_sites = lattice.site_count
-        counts = map_labelings(
-            lattice,
-            config.p,
-            config.master_seed,
-            f"graph:{radius}",
-            config.graph_replicates,
-            lambda start, stack: {"proxy_sites": stack.proxy_sites},
-            proxy_rule=config.proxy_rule,
-            workers=config.workers,
-        )["proxy_sites"].astype(np.float64)
+        counts = columns["proxy_sites"].astype(np.float64)
         theta_box, sigma_p2 = stand_in_volume(counts, n_sites)
         statistic = (counts - counts.mean()) / math.sqrt(n_sites)
         per_radius[radius] = {"theta_box": theta_box, "sigma_p2": sigma_p2}

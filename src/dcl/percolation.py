@@ -10,10 +10,10 @@ everything measured "finite" excludes that stand-in.
 
 Every configuration is drawn by sample_config, configuration r of a role
 from the stream (seed, f"{role}:{r}"). Replicates go through one engine,
-map_labelings, which labels small boxes many copies at a time, and their
-per-configuration functionals are pooled in pool_functionals. The one
-colored graph of a quenched run is sample_config's default stack: one copy,
-on stream graph:0.
+map_labelings, which takes every box of a run in one call and labels small
+boxes many copies at a time, and their per-configuration functionals are
+pooled in pool_functionals. The one colored graph of a quenched run is
+sample_config's default stack: one copy, on stream graph:0.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import signal
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,13 @@ NEAR_CRITICAL_BAND = 0.02
 _CRITICAL_P = {2: 0.5, 3: 0.2488}
 # Sites per labeler call when map_labelings stacks copies of a small box.
 _STACK_SITES = 2**14
+# Records in map_ordered's task queue, one uint32 each, all written into one
+# pipe before any process reads it. 1024 records fill one 4 KiB page, and a
+# Linux pipe holds at least one page even when its user is over the pipe
+# buffer limit, so that write cannot block. Past 1024 tasks a record names a
+# block of consecutive tasks.
+_QUEUE_RECORDS = 1024
+_RECORD = np.dtype(np.uint32)
 # _count_ids counts runs of equal ids whole when there is at most one run, and
 # at most one counted id, per _IDS_PER_RUN ids. Timed against np.bincount on a
 # labeler's ids at (d, n, p), with runs per id: (2, 128, 0.7), 0.02, took
@@ -408,22 +415,6 @@ def _fork() -> int:
         return os.fork()
 
 
-def _run_share(fn: Callable[[int], object], indices: range) -> tuple[list, list, tuple | None]:
-    """(results, stream logs, failure) of fn over indices in order, each task in its own stream log.
-
-    The first exception stops the share; failure is (index, exception), or None.
-    """
-    results, logs = [], []
-    for i in indices:
-        try:
-            with stream_log() as log:
-                results.append(fn(i))
-        except Exception as exc:
-            return results, logs, (i, exc)
-        logs.append(log)
-    return results, logs, None
-
-
 def _portable(exc: Exception) -> Exception:
     """exc, if it survives pickling with its type and message; else a RuntimeError naming both."""
     try:
@@ -435,15 +426,57 @@ def _portable(exc: Exception) -> Exception:
     return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _child(fn: Callable[[int], object], indices: range, write_fd: int) -> None:
-    """Run a forked worker's share, send it down the pipe and exit, never returning."""
+def _task_queue(count: int) -> tuple[int, int]:
+    """(read end, block): a pipe of records naming tasks 1..count-1, its write end already closed.
+
+    A record is the first of `block` consecutive tasks, block being the least
+    that keeps the queue within _QUEUE_RECORDS records. All of them go into
+    the pipe in one write, before any process reads it, in ascending order:
+    a record is left untaken only once every process has failed at an
+    earlier task, so the lowest failing task of a serial run always runs.
+    """
+    block = -(-(count - 1) // _QUEUE_RECORDS)
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, np.arange(1, count, block, dtype=_RECORD).tobytes())
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return read_fd, block
+
+
+def _queued(queue_fd: int, block: int, count: int) -> Iterator[int]:
+    """The tasks this process takes from the queue, one record read at a time, until it is empty."""
+    while record := os.read(queue_fd, _RECORD.itemsize):
+        start = int.from_bytes(record, sys.byteorder)
+        yield from range(start, min(start + block, count))
+
+
+def _run_tasks(fn: Callable[[int], object], tasks: Iterator[int]) -> tuple[list, tuple | None]:
+    """([(index, result, stream log)], failure) of fn over tasks, each task in its own stream log.
+
+    The first exception stops the run, and this process takes no more
+    tasks; failure is (index, _portable of the exception), or None.
+    """
+    done = []
+    for i in tasks:
+        try:
+            with stream_log() as log:
+                result = fn(i)
+        except Exception as exc:
+            return done, (i, _portable(exc))
+        done.append((i, result, log))
+    return done, None
+
+
+def _child(fn: Callable[[int], object], tasks: Iterator[int], write_fd: int) -> None:
+    """Run a forked worker's tasks, send them down the pipe and exit, never returning."""
     code = 1
     try:
-        results, logs, failure = _run_share(fn, indices)
-        if failure is not None:
-            failure = (failure[0], _portable(failure[1]))
-        # Pickled whole before writing: a share that cannot be sent sends nothing.
-        data = pickle.dumps((results, logs, failure), protocol=pickle.HIGHEST_PROTOCOL)
+        # Pickled whole before writing: tasks that cannot be sent send nothing.
+        data = pickle.dumps(_run_tasks(fn, tasks), protocol=pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -455,20 +488,33 @@ def _child(fn: Callable[[int], object], indices: range, write_fd: int) -> None:
 def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> list:
     """Apply fn to 0..count-1 and return the results in index order.
 
-    With several workers on Linux, task i runs on worker i % workers: worker
-    0 is this process, and every other worker a forked child that sends its
-    results and the streams its tasks derived back down a pipe. Results,
-    stream-log counts and their order, and the exception raised (that of
-    the lowest failing index) are those of a serial run, whatever the
-    worker count. Elsewhere, where forking a numpy process is not safe
-    (macOS's Accelerate), the tasks run here in index order.
+    With several workers on Linux the tasks are self-scheduled. This
+    process runs task 0 first, so whatever a task sets up on first use is
+    inherited by every child, and a failing task 0 forks nothing. It then
+    writes the other tasks into one queue and forks workers - 1 children,
+    and each process, this one too, takes the next record of the queue
+    whenever it is done with the last. A child sends its results and the
+    streams its tasks derived back down a pipe. Results, stream-log counts
+    and their order, and the exception raised (that of the lowest failing
+    index) are those of a serial run, whichever process ran what; an
+    exception that does not survive pickling becomes _portable's
+    RuntimeError, whichever process raised it. A child that dies takes no
+    more tasks, so the others still drain the queue, and the call then
+    raises a RuntimeError naming it. Elsewhere, where forking a numpy
+    process is not safe (macOS's Accelerate), the tasks run here in index
+    order.
     """
     workers = min(workers, count)
     if workers <= 1 or not sys.platform.startswith("linux"):
         return [fn(i) for i in range(count)]
+    done, failure = _run_tasks(fn, iter([0]))
+    if failure is not None:
+        raise failure[1]
+    queue_fd, block = _task_queue(count)
+    failures = []
     pending = []  # [pid, read end or None once closed] of every child not yet reaped
     try:
-        for w in range(1, workers):
+        for _ in range(1, workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = _fork()
@@ -480,10 +526,12 @@ def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> li
                 os.close(read_fd)
                 for _, fd in pending:
                     os.close(fd)
-                _child(fn, range(w, count, workers), write_fd)
+                _child(fn, _queued(queue_fd, block, count), write_fd)
             os.close(write_fd)
             pending.append([pid, read_fd])
-        shares = [_run_share(fn, range(0, count, workers))]
+        mine, failure = _run_tasks(fn, _queued(queue_fd, block, count))
+        done += mine
+        failures.append(failure)
         while pending:
             child = pending[0]
             with open(child[1], "rb") as pipe:
@@ -494,8 +542,11 @@ def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> li
             if not data:
                 code = os.waitstatus_to_exitcode(status)
                 raise RuntimeError(f"worker process {child[0]} exited with code {code} before sending its results")
-            shares.append(pickle.loads(data))
+            theirs, failure = pickle.loads(data)
+            done += theirs
+            failures.append(failure)
     finally:
+        os.close(queue_fd)
         # Reached with children left only on an error: none may outlive the call.
         for pid, read_fd in pending:
             if read_fd is not None:
@@ -505,13 +556,12 @@ def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> li
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-    failures = [share[2] for share in shares if share[2] is not None]
+    failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     results, logs = [None] * count, [None] * count
-    for w, (share_results, share_logs, _) in enumerate(shares):
-        results[w::workers] = share_results
-        logs[w::workers] = share_logs
+    for i, result, log in done:
+        results[i], logs[i] = result, log
     for log in logs:
         for (master_seed, role), streams in log.items():
             _count(master_seed, role, streams)
@@ -519,38 +569,43 @@ def map_ordered(fn: Callable[[int], object], count: int, workers: int = 1) -> li
 
 
 def map_labelings(
-    lattice: BoxLattice,
-    p: float,
+    boxes: Sequence[tuple[BoxLattice, float, str]],
     seed: int,
-    role: str,
     count: int,
     observe: Callable[[int, LabelingStack], dict],
     *,
     proxy_rule: str = PROXY_BOUNDARY_LARGEST,
     workers: int = 1,
-) -> dict:
-    """The replicate engine: sample, label and observe `count` configurations.
+) -> list[dict]:
+    """The replicate engine: sample, label and observe `count` configurations of each box.
 
-    Configuration r is drawn from the stream (seed, f"{role}:{r}").
-    Configurations are drawn and labeled in stacks of max(1, _STACK_SITES //
-    site_count) copies, one sample_config and one label_clusters call per
-    stack, so small boxes share one set of hooking rounds. observe(start,
-    stack) maps the stack whose copy 0 is configuration `start` to columns:
-    a dict of arrays with one entry per copy. Only the columns are kept, and each comes back
+    A box is (lattice, p, role), and its configuration r is drawn from the
+    stream (seed, f"{role}:{r}"). Configurations are drawn and labeled in
+    stacks of max(1, _STACK_SITES // site_count) copies, one sample_config
+    and one label_clusters call per stack, so small boxes share one set of
+    hooking rounds. observe(start, stack) maps the stack whose copy 0 is
+    configuration `start` of its box (stack.lattice) to columns: a dict of
+    arrays with one entry per copy. Every box's stacks, in box order, are
+    the tasks of one map_ordered call, so a run forks once for all its
+    boxes. Only the columns are kept: one dict per box, each column
     concatenated in r order whatever the worker count.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    copies = max(1, _STACK_SITES // lattice.site_count)
-    starts = range(0, count, copies)
+    stacks = []  # (box, start, copies) of every task
+    for b, (lattice, _, _) in enumerate(boxes):
+        copies = max(1, _STACK_SITES // lattice.site_count)
+        stacks += [(b, start, min(copies, count - start)) for start in range(0, count, copies)]
 
     def one(k: int) -> dict:
-        start = starts[k]
-        config = sample_config(lattice, p, seed, role, start, min(copies, count - start))
-        return observe(start, label_clusters(config, proxy_rule))
+        b, start, copies = stacks[k]
+        lattice, p, role = boxes[b]
+        return observe(start, label_clusters(sample_config(lattice, p, seed, role, start, copies), proxy_rule))
 
-    parts = map_ordered(one, len(starts), workers)
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    per_box = [[] for _ in boxes]
+    for (b, _, _), part in zip(stacks, map_ordered(one, len(stacks), workers)):
+        per_box[b].append(part)
+    return [{name: np.concatenate([part[name] for part in parts]) for name in parts[0]} for parts in per_box]
 
 
 def stand_in_volume(proxy_sites: np.ndarray, site_count: int) -> tuple[float, float]:
@@ -630,11 +685,9 @@ def estimate_functionals(
     warn_if_near_critical(lattice.d, p)
     if margin is None:
         margin = default_window_margin(lattice)
-    columns = map_labelings(
-        lattice,
-        p,
+    (columns,) = map_labelings(
+        [(lattice, p, "graph")],
         seed,
-        "graph",
         replicates,
         lambda start, stack: labeling_functionals(stack, margin),
         proxy_rule=proxy_rule,

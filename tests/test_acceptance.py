@@ -152,8 +152,8 @@ def test_tiny_box_enumeration_agreement(criterion):
     for p in (Fraction(3, 10), Fraction(1, 2)):
         exact = enumerate_box(2, 1, p)
         # Each p on a role of its own, so the two densities draw independent graphs.
-        columns = map_labelings(
-            lattice, float(p), SEED, f"acc3:{p!r}", reps,
+        (columns,) = map_labelings(
+            [(lattice, float(p), f"acc3:{p!r}")], SEED, reps,
             lambda start, stack: labeling_functionals(stack, 0), proxy_rule=PROXY_DISABLED,
         )
         est = pool_functionals(columns, lattice, 0, PROXY_DISABLED)
@@ -306,9 +306,10 @@ def test_adjacent_site_covariance(criterion):
             return {"products": products}
 
         # Configuration i is drawn from the stream f"acc9:{alpha!r}:{p!r}:{i}".
-        products = map_labelings(
-            line, p, SEED, f"acc9:{alpha!r}:{p!r}", reps, observe, proxy_rule=PROXY_DISABLED
-        )["products"]
+        (columns,) = map_labelings(
+            [(line, p, f"acc9:{alpha!r}:{p!r}")], SEED, reps, observe, proxy_rule=PROXY_DISABLED
+        )
+        products = columns["products"]
         predicted = variance * p
         se = products.std(ddof=1) / math.sqrt(reps)
         gap = abs(products.mean() - predicted)

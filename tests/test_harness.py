@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -574,10 +575,11 @@ def test_cluster_clt_per_radius_is_stand_in_volume():
     res = run_cluster_clt(cfg)
     for radius in cfg.radii:
         lattice = build_box(2, radius)
-        counts = map_labelings(
-            lattice, cfg.p, cfg.master_seed, f"graph:{radius}", cfg.graph_replicates,
+        (columns,) = map_labelings(
+            [(lattice, cfg.p, f"graph:{radius}")], cfg.master_seed, cfg.graph_replicates,
             lambda start, stack: {"proxy_sites": stack.proxy_sites},
-        )["proxy_sites"].astype(np.float64)
+        )
+        counts = columns["proxy_sites"].astype(np.float64)
         theta_box, sigma_p2 = stand_in_volume(counts, lattice.site_count)
         assert res.estimates["per_radius"][str(radius)] == {"theta_box": theta_box, "sigma_p2": sigma_p2}
 
@@ -743,7 +745,10 @@ def test_quenched_color_loop_allocates_nothing_per_block(nu, monkeypatch):
     # the read ids and the float weights, it stays under one more bool mask,
     # so no block-sized temporary is made either. The generators are built
     # before tracing starts and stand in for derive_streams' own, and a
-    # first call warms numpy up.
+    # first call warms numpy up. A float or tuple taken from CPython's free
+    # lists is not traced, so what earlier code left there moved the peaks
+    # by up to 384 bytes; a full collection empties those lists before
+    # each traced call.
     law = ExperimentConfig(d=2, radii=4, p=0.4, nu=nu).nu
     lo, span = 11, 1000
     piece = np.zeros(lo + span, dtype=np.int64)
@@ -755,6 +760,7 @@ def test_quenched_color_loop_allocates_nothing_per_block(nu, monkeypatch):
         monkeypatch.setattr(
             coloring, "derive_streams", lambda seed, role, start, n, skip: itertools.islice(streams, start, start + n)
         )
+        gc.collect()
         tracemalloc.start()
         try:
             centered_sums(law, 11, "color", count, piece)
@@ -816,7 +822,8 @@ def test_colored_replicates_identical_across_workers_and_stacks():
         ]
         return {"same": np.array(same)}
 
-    same = map_labelings(lattice, 0.45, 3, "graph", 1850, observe, workers=3)["same"]
+    (columns,) = map_labelings([(lattice, 0.45, "graph")], 3, 1850, observe, workers=3)
+    same = columns["same"]
     assert same.shape == (1850,) and same.all()
 
 

@@ -512,8 +512,8 @@ def test_estimates_p1_exact():
 def test_stand_in_volume_is_the_pooled_sigma_p2(count):
     lat = build_box(2, 5)
     margin = default_window_margin(lat)
-    columns = map_labelings(
-        lat, 0.6, 11, "graph", count, lambda start, stack: labeling_functionals(stack, margin)
+    (columns,) = map_labelings(
+        [(lat, 0.6, "graph")], 11, count, lambda start, stack: labeling_functionals(stack, margin)
     )
     theta_box, sigma_p2 = stand_in_volume(columns["proxy_sites"], lat.site_count)
     assert sigma_p2 == pool_functionals(columns, lat, margin, PROXY_BOUNDARY_LARGEST).sigma_p2_hat
@@ -543,7 +543,7 @@ def test_estimate_replicate_validation():
         estimate_functionals(lat, 0.5, 0, seed=1)
     for count in (0, -1):
         with pytest.raises(ValueError, match="count must be >= 1"):
-            map_labelings(lat, 0.5, 1, "empty", count, lambda start, stack: {})
+            map_labelings([(lat, 0.5, "empty")], 1, count, lambda start, stack: {})
 
 
 def test_map_labelings_streams_and_worker_count():
@@ -559,8 +559,8 @@ def test_map_labelings_streams_and_worker_count():
                 "ids": stack.stack_id - stack.first[:, None],
             }
 
-        serial = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=1)
-        parallel = map_labelings(lat, 0.45, 8, "eng", count, observe, workers=3)
+        (serial,) = map_labelings([(lat, 0.45, "eng")], 8, count, observe, workers=1)
+        (parallel,) = map_labelings([(lat, 0.45, "eng")], 8, count, observe, workers=3)
         # Every column comes back as one concatenated array.
         assert serial["r"].tolist() == parallel["r"].tolist() == list(range(count))
         for r, ids, ids3 in zip(serial["r"], serial["ids"], parallel["ids"]):
@@ -587,7 +587,7 @@ def test_stacked_views_match_one_copy_labelings(d, n):
                 stacks.append(stack)
                 return {"start": [start]}
 
-            map_labelings(lat, p, 21, "view", count, keep, proxy_rule=rule)
+            map_labelings([(lat, p, "view")], 21, count, keep, proxy_rule=rule)
             views = [_copy_fields(stack, c) for stack in stacks for c in range(stack.copies)]
             assert len(views) == count
             for r, view in enumerate(views):
@@ -624,11 +624,9 @@ def test_stacked_functional_columns_match_bfs_oracle(d, n):
     count = _stack_copies(lat) + 3
     for margin in (0, 1):
         for rule in (PROXY_BOUNDARY_LARGEST, PROXY_DISABLED):
-            columns = map_labelings(
-                lat,
-                0.5,
+            (columns,) = map_labelings(
+                [(lat, 0.5, "cols")],
                 4,
-                "cols",
                 count,
                 lambda start, stack: labeling_functionals(stack, margin),
                 proxy_rule=rule,

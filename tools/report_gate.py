@@ -164,6 +164,17 @@ INVOCATIONS: dict[str, list[str]] = {
         "cluster-clt", "--radius", "8", "--radius", "16", "--p", "0.7",
         "--graph-replicates", "60", "--workers", "2",
     ],
+    # Three boxes in one engine call, 19 stacks: 1 at n=4, 4 at n=8 and 14 at n=16.
+    # The -w3 twin drains them from one queue on three processes. Exit 2: the
+    # small boxes' volume variance is far from n=16's (drift 0.60 from n=4 to 8).
+    "cluster-clt-three-radii": [
+        "cluster-clt", "--radius", "4", "--radius", "8", "--radius", "16", "--p", "0.7",
+        "--graph-replicates", "200",
+    ],
+    "cluster-clt-three-radii-w3": [
+        "cluster-clt", "--radius", "4", "--radius", "8", "--radius", "16", "--p", "0.7",
+        "--graph-replicates", "200", "--workers", "3",
+    ],
     # Gaussian and three-atom colors through the annealed, quenched and gamma paths.
     "lln-annealed-gaussian": [
         "lln", "--mode", "annealed", "--radius", "16", "--p", "0.7", "--nu", "gaussian:0,1",
