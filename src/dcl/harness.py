@@ -9,10 +9,12 @@ Replicates go through the percolation.map_labelings engine; a quenched
 run's colorings are one coloring.centered_sums call, which picks the ids
 it reads and how its colorings are chunked across workers and blocked.
 
-Four shared rules live in one function each: _box (near-critical warning,
+Six shared rules live in one function each: _box (near-critical warning,
 largest box, window margin), _within (pass iff value <= bound; NaN fails),
-theory.centered_gaussian (zero variance is a point mass, never N(0, 0)) and
-percolation.stand_in_volume (the whole-box theta_box and sigma_p2).
+_identically_zero (a point mass: max |values| <= tol), _color_copies (copy c
+from stream color:{start + c}, stand-in split off), theory.centered_gaussian
+(zero variance is a point mass, never N(0, 0)) and percolation.stand_in_volume
+(the whole-box theta_box and sigma_p2).
 
 ExperimentConfig holds only what a caller sets and a run reads; RUN_READS
 says which run reads what, for each report's config and for _refuse_unread,
@@ -26,7 +28,7 @@ import functools
 import math
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -245,6 +247,27 @@ def _within(value: float, bound: float, context: str) -> TestReport:
     return exact_check_report(value <= bound, value, context)
 
 
+def _identically_zero(values: np.ndarray, tol: float, context: str) -> TestReport:
+    """The check of a point-mass prediction: max |values| <= tol; a NaN fails, no values pass."""
+    return _within(float(np.abs(values).max(initial=0.0)), tol, context)
+
+
+def _color_copies(
+    nu: ColorMeasure, seed: int, start: int, stack: LabelingStack
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Per copy c: colors from stream color:{start + c}, sizes with the stand-in's set to 0, its color z or 0.0."""
+    for c, rng in enumerate(derive_streams(seed, "color", start, stack.copies)):
+        first, k_n = int(stack.first[c]), int(stack.k_n[c])
+        colors = color_clusters(k_n, nu, rng)
+        finite = stack.cluster_sizes[first : first + k_n].copy()
+        z = 0.0
+        if stack.proxy[c] >= 0:
+            stand_in = stack.proxy[c] - first
+            finite[stand_in] = 0
+            z = float(colors[stand_in])
+        yield colors, finite, z
+
+
 def _quenched_graph(
     config: ExperimentConfig, lattice: BoxLattice, margin: int
 ) -> tuple[LabelingStack, PercolationEstimates]:
@@ -272,20 +295,11 @@ def _colored_replicates(
     spans the box: holds a site on both faces orthogonal to the first axis.
     That test reads no stand-in, so it holds under every proxy rule.
     """
-    seed = config.master_seed
-
     def observe(start: int, stack: LabelingStack) -> dict:
         color_sum, finite_color_sum, z = np.zeros((3, stack.copies))
-        for c, rng in enumerate(derive_streams(seed, "color", start, stack.copies)):
-            first, k_n = int(stack.first[c]), int(stack.k_n[c])
-            sizes = stack.cluster_sizes[first : first + k_n]
-            colors = color_clusters(k_n, config.nu, rng)
-            finite = sizes.copy()
-            if stack.proxy[c] >= 0:
-                stand_in = stack.proxy[c] - first
-                finite[stand_in] = 0
-                z[c] = colors[stand_in]
-            color_sum[c] = np.dot(sizes, colors)
+        for c, (colors, finite, z[c]) in enumerate(_color_copies(config.nu, config.master_seed, start, stack)):
+            first = int(stack.first[c])
+            color_sum[c] = np.dot(stack.cluster_sizes[first : first + finite.shape[0]], colors)
             finite_color_sum[c] = np.dot(finite, colors)
         faces = stack.stack_id.reshape(stack.copies, lattice.side, -1)
         near, far = np.zeros((2, stack.cluster_sizes.shape[0]), dtype=bool)
@@ -303,7 +317,7 @@ def _colored_replicates(
 
     (columns,) = map_labelings(
         [(lattice, config.p, "graph")],
-        seed,
+        config.master_seed,
         config.graph_replicates,
         observe,
         proxy_rule=config.proxy_rule,
@@ -323,24 +337,16 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
     lattice, margin = _box(config, "quenched-lln")
     graph, est = _quenched_graph(config, lattice, margin)
     ids = graph.stack_id[0]
-    (rng,) = derive_streams(config.master_seed, "color", 0, 1)
-    colors = color_clusters(int(graph.k_n[0]), config.nu, rng)
-    proxy = int(graph.proxy[0])
+    ((colors, finite, z),) = _color_copies(config.nu, config.master_seed, 0, graph)
 
     trajectory = [float(colors[window_values(ids, lattice, lattice.n - radius)].mean()) for radius in config.radii]
 
-    m = config.nu.mean
-    z = float(colors[proxy]) if proxy >= 0 else 0.0
-    target = (1.0 - est.theta_hat) * m + est.theta_hat * z
+    target = (1.0 - est.theta_hat) * config.nu.mean + est.theta_hat * z
     m_n = trajectory[-1]
-    deviation = abs(m_n - target)
 
     # Exact decomposition: the site-by-site sum must match the per-cluster
     # weighted sum plus the stand-in cluster contribution.
     lhs = float(colors[ids].sum())
-    finite = graph.cluster_sizes.copy()
-    if proxy >= 0:
-        finite[proxy] = 0
     rhs = float(np.dot(finite, colors)) + z * int(graph.proxy_sites[0])
     decomposition_err = abs(lhs - rhs)
     tests = [
@@ -358,7 +364,7 @@ def run_quenched_lln(config: ExperimentConfig) -> RunResult:
             "m_n": m_n,
             "z": z,
             "predicted_limit": target,
-            "deviation": deviation,
+            "deviation": abs(m_n - target),
             "decomposition_error": decomposition_err,
         },
         predictions={"lln-limit": PointMass(value=target)},
@@ -470,11 +476,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     tests: list[TestReport] = []
     if isinstance(prediction, PointMass):
         tests.append(
-            _within(
-                float(np.abs(stats).max(initial=0.0)),
-                0.0,
-                "quenched-clt: degenerate target requires identically zero statistics",
-            )
+            _identically_zero(stats, 0.0, "quenched-clt: degenerate target requires identically zero statistics")
         )
     else:
         tests.append(
@@ -563,11 +565,7 @@ def run_annealed_clt(config: ExperimentConfig) -> RunResult:
     tests: list[TestReport] = []
     if isinstance(closed, PointMass):
         tests.append(
-            _within(
-                float(np.abs(q).max(initial=0.0)),
-                _EXACT_TOL,
-                "annealed-clt: degenerate gamma requires identically zero statistics",
-            )
+            _identically_zero(q, _EXACT_TOL, "annealed-clt: degenerate gamma requires identically zero statistics")
         )
     elif isinstance(closed, GaussianLaw):
         tests.append(
@@ -628,9 +626,8 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
         n_sites = lattice.site_count
         counts = columns["proxy_sites"].astype(np.float64)
         theta_box, sigma_p2 = stand_in_volume(counts, n_sites)
-        statistic = (counts - counts.mean()) / math.sqrt(n_sites)
         per_radius[radius] = {"theta_box": theta_box, "sigma_p2": sigma_p2}
-        stats_by_radius[radius] = statistic
+        stats_by_radius[radius] = (counts - counts.mean()) / math.sqrt(n_sites)
 
     ref_radius = config.radii[-1]
     sigma_p2_ref = per_radius[ref_radius]["sigma_p2"]
@@ -638,8 +635,8 @@ def run_cluster_clt(config: ExperimentConfig) -> RunResult:
     tests: list[TestReport] = []
     if isinstance(prediction, PointMass):
         tests.append(
-            _within(
-                float(np.abs(np.concatenate(list(stats_by_radius.values()))).max(initial=0.0)),
+            _identically_zero(
+                np.concatenate(list(stats_by_radius.values())),
                 0.0,
                 "cluster-clt: degenerate volume fluctuations are identically zero",
             )

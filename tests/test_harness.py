@@ -12,13 +12,22 @@ import numpy as np
 import pytest
 
 from dcl import cli, coloring, harness
-from dcl.coloring import _COLOR_BLOCK_VALUES, _COLOR_CHUNK, FiniteDiscrete, centered_sums, color_clusters
+from dcl.coloring import (
+    _COLOR_BLOCK_VALUES,
+    _COLOR_CHUNK,
+    FiniteDiscrete,
+    centered_sums,
+    color_clusters,
+    parse_color_measure,
+)
 from dcl.harness import (
     RUN_READS,
     ExperimentConfig,
     RegimeMismatchError,
     RunResult,
+    _color_copies,
     _colored_replicates,
+    _identically_zero,
     recorded,
     run_annealed_clt,
     run_annealed_lln,
@@ -604,6 +613,49 @@ def test_quenched_clt_nan_statistics_fail_their_bounds():
     assert all(math.isnan(t.statistic) for t in variance_checks)
 
 
+@pytest.mark.parametrize(
+    "values,tol,passed",
+    [
+        ([0.0, 5e-324], 0.0, False),
+        ([0.0, float("nan")], math.inf, False),
+        ([1e-10, -2e-9], 1e-9, False),
+        ([1e-10, -1e-9], 1e-9, True),
+        ([0.0, -0.0, 0.0], 0.0, True),
+        ([], 0.0, True),
+    ],
+    ids=["subnormal-at-tol-0", "nan", "above-tol", "at-tol", "exact-zeros", "empty"],
+)
+def test_point_mass_check_fails_any_value_off_zero(values, tol, passed):
+    # Every degenerate run the tests reach feeds exact zeros; these reach the fail side.
+    report = _identically_zero(np.array(values), tol, "ctx")
+    assert report.passed is passed and report.context == "ctx"
+    assert report.decision == ("pass" if passed else "fail")
+
+
+@pytest.mark.parametrize("rule", [PROXY_BOUNDARY_LARGEST, PROXY_DISABLED])
+def test_color_copies_colors_each_copy_from_its_own_stream(rule):
+    # Replicates 5..10 of a 7x7 box as one stack: copy c is colored from
+    # stream color:{5 + c}, derived on its own, and only its stand-in's size
+    # is set to 0.
+    lattice, start, nu = build_box(2, 3), 5, parse_color_measure("gaussian:0.5,2")
+    stack = label_clusters(sample_config(lattice, 0.6, 3, "graph", start, 6), rule)
+    copies = list(_color_copies(nu, 3, start, stack))
+    assert len(copies) == stack.copies == 6
+    for c, (colors, finite, z) in enumerate(copies):
+        first, k_n = int(stack.first[c]), int(stack.k_n[c])
+        sizes = stack.cluster_sizes[first : first + k_n]
+        assert np.array_equal(colors, color_clusters(k_n, nu, derive_rng(3, f"color:{start + c}")))
+        zeroed = np.flatnonzero(finite != sizes).tolist()
+        if rule == PROXY_DISABLED:
+            assert zeroed == [] and type(z) is float and z == 0.0
+        else:
+            stand_in = int(stack.proxy[c]) - first
+            assert stand_in >= 0 and zeroed == [stand_in] and finite[stand_in] == 0
+            assert type(z) is float and z == colors[stand_in]
+    # The stack's own sizes are left as they were.
+    assert np.array_equal(stack.cluster_sizes, np.bincount(stack.stack_id.ravel()))
+
+
 def test_cluster_clt_degenerate_boxes():
     for p in (0.0, 1.0):
         cfg = ExperimentConfig(
@@ -814,11 +866,8 @@ def test_colored_replicates_identical_across_workers_and_stacks():
 
     def observe(start, stack):
         same = [
-            np.array_equal(
-                color_clusters(int(stack.k_n[c]), nu, rng),
-                color_clusters(int(stack.k_n[c]), nu, derive_rng(3, f"color:{start + c}")),
-            )
-            for c, rng in enumerate(derive_streams(3, "color", start, stack.copies))
+            np.array_equal(colors, color_clusters(int(stack.k_n[c]), nu, derive_rng(3, f"color:{start + c}")))
+            for c, (colors, _, _) in enumerate(_color_copies(nu, 3, start, stack))
         ]
         return {"same": np.array(same)}
 
