@@ -3,7 +3,8 @@
 A color measure is the single-site law nu. Coloring assigns every cluster
 one independent draw from nu, held in a plain array indexed by cluster id.
 Site x takes the color of its cluster's id, so the field is constant on
-clusters and independent across them.
+clusters and independent across them. A quenched run's centered sums need
+no such array: centered_sums draws them from per-size atom counts.
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ from .rng import derive_streams
 
 _WEIGHT_TOL = 1e-12
 
-# Colorings per derive_streams call, and per task on the worker pool, in
-# centered_sums.
+# Colorings per stream, and per task on the worker pool, in centered_sums.
 _COLOR_CHUNK = 256
-# Draws per block of centered_sums: a chunk is drawn in blocks of
-# max(1, _COLOR_BLOCK_VALUES // read ids) colorings, small enough to stay in
-# cache. An atomic law's sums come from exact integer counts, so they do not
-# depend on a coloring's place in its block. A Gaussian block takes one
-# matrix-vector product, whose BLAS summation order may; blocks start at
-# multiples of the row count within a chunk, so that place never depends on
-# the worker count.
-_COLOR_BLOCK_VALUES = 2**15
 
 
 def draw_table(values) -> np.ndarray:
@@ -70,6 +62,13 @@ def atom_values(values: np.ndarray, thresholds: np.ndarray, u: np.ndarray) -> np
     return values.take(index, mode="clip")
 
 
+def _set_tables(nu, values, weights) -> None:
+    """Give an atomic law its draw tables: values, weights and thresholds, in one atom order."""
+    object.__setattr__(nu, "_values", draw_table(values))
+    object.__setattr__(nu, "_weights", draw_table(weights))
+    object.__setattr__(nu, "_thresholds", atom_thresholds(weights))
+
+
 def _check_finite(what: str, *values: float) -> None:
     bad = [v for v in values if not math.isfinite(v)]
     if bad:
@@ -93,6 +92,7 @@ class TwoPoint:
     b: float
     alpha: float
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -100,8 +100,7 @@ class TwoPoint:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         _check_variance("two-point", self)
-        object.__setattr__(self, "_values", draw_table((self.b, self.a)))
-        object.__setattr__(self, "_thresholds", draw_table((self.alpha,)))
+        _set_tables(self, (self.b, self.a), (self.alpha, 1.0 - self.alpha))
 
     @property
     def mean(self) -> float:
@@ -160,6 +159,7 @@ class FiniteDiscrete:
 
     atoms_spec: tuple[tuple[float, float], ...]
     _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
     _thresholds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,8 +175,7 @@ class FiniteDiscrete:
         if len(set(values)) != len(values):
             raise ValueError("atom values must be distinct")
         _check_variance("discrete", self)
-        object.__setattr__(self, "_values", draw_table(values))
-        object.__setattr__(self, "_thresholds", atom_thresholds([w for _, w in self.atoms_spec]))
+        _set_tables(self, values, [w for _, w in self.atoms_spec])
 
     @property
     def mean(self) -> float:
@@ -257,83 +256,41 @@ def parse_color_measure(text: str) -> ColorMeasure:
 def centered_sums(
     nu: ColorMeasure, seed: int, role: str, count: int, piece: np.ndarray, workers: int = 1
 ) -> np.ndarray:
-    """The count sums sum_j (c_j - m) piece[j], c the coloring on stream f"{role}:{i}", i < count.
+    """count draws of sum_j (c_j - m) piece[j], c an independent coloring of the ids from nu.
 
-    c_j is the color color_clusters gives id j from that stream, m is nu's
-    mean, and piece holds an integer weight per id (window_pieces' piece,
-    with each stand-in 0). Only ids lo..hi-1, from the first to the last
-    nonzero weight, are read; the span is empty when every weight is 0.
-    Cluster j takes draw j of its stream. A law that reads one uniform per
-    draw (TwoPoint, FiniteDiscrete) has its streams seated at draw lo by
-    derive_streams, so it pays nothing for the ids before lo. A Gaussian
-    law's streams start at draw 0: the ziggurat reads a varying number of
-    outputs per normal, so it cannot skip and draws the prefix of hi
-    normals. Chunks of _COLOR_CHUNK colorings run on the worker pool, each
-    drawn in blocks of max(1, _COLOR_BLOCK_VALUES // (hi - lo)) colorings,
-    into buffers allocated once per chunk.
+    m is nu's mean, and piece holds an integer weight per id (window_pieces'
+    piece, with each stand-in 0). Given the pieces, a sum depends on its
+    coloring only through how many of the n_s ids of each weight s > 0 drew
+    each atom, and those counts are independent Multinomial(n_s, weights)
+    draws. So an atomic law draws one such count per piece size and atom
+    (in draw-table order) and sums B_k = sum_s s counts_sk, exact in int64,
+    as B_0 (v_0 - m) + B_1 (v_1 - m) + ... in table order. A dead atom's
+    B_k is 0, so a point mass sums to +0.0 exactly. A Gaussian law's sum is
+    exactly N(0, sigma^2 sum_j piece[j]**2): one normal per coloring,
+    scaled, and +0.0 when that variance is 0.
 
-    A Gaussian law colors each block, subtracts m and takes one
-    matrix-vector product with the weights. An atomic law builds no colors:
-    with thresholds t_1 <= t_2 <= ... (atom_thresholds), d_k = sum_j piece[j]
-    1{u_j >= t_k} is one compare and one matrix-vector product per
-    threshold, d_0 = sum(piece), and atom k is drawn by clusters of total
-    weight B_k = d_k - d_{k+1}. The sum is then sum_k (v_k - m) B_k, taken
-    once for all the colorings of a chunk after its last block. Every d_k
-    and B_k is an exact integer in float64, in any BLAS summation order, so
-    a dead atom has B_k = 0 exactly and the sum of each coloring does not
-    depend on its place in its block.
+    Chunk i of _COLOR_CHUNK colorings draws from the one stream
+    f"{role}:{i}", whichever worker runs it, so the sums do not depend on
+    the worker count.
     """
-    read = np.flatnonzero(piece)
-    lo, hi = (int(read[0]), int(read[-1]) + 1) if read.size else (0, 0)
-    weights = piece.astype(np.float64)[lo:hi]
-    rows = max(1, _COLOR_BLOCK_VALUES // max(hi - lo, 1))
+    sizes, n = np.unique(piece[piece > 0], return_counts=True)
     starts = range(0, count, _COLOR_CHUNK)
     gaussian = isinstance(nu, GaussianLaw)
+    if gaussian:
+        sd = math.sqrt(nu.variance * float(np.dot(piece, piece)))
+    else:
+        centered = nu._values - nu.mean
 
     def chunk(i: int) -> np.ndarray:
         size = min(_COLOR_CHUNK, count - starts[i])
-        out = np.empty(size)
-        streams = derive_streams(seed, role, starts[i], size, 0 if gaussian else lo)
-        block = np.empty((min(rows, size), weights.size))
+        rng = next(derive_streams(seed, role, i, 1))
         if gaussian:
-            for b in range(0, size, rows):
-                part = block[: min(rows, size - b)]
-                for row, rng in zip(part, streams):
-                    row[:] = nu.sample(rng, lo + row.size)[lo:]
-                part -= nu.mean
-                np.dot(part, weights, out=out[b : b + part.shape[0]])
-            return out
-        thresholds = nu._thresholds
-        # A compare into a bool buffer and a copy into a float one cost less
-        # than one compare with float output. The uniforms are not read after
-        # the last compare, so its copy goes over them.
-        hit = np.empty(block.shape, dtype=np.bool_)
-        above = np.empty_like(block) if thresholds.size > 1 else block
-        # Row k holds d_k of every coloring.
-        table = np.empty((thresholds.size + 1, size))
-        # piece holds integer counts that total at most a window's sites, far
-        # below 2**53, so every partial sum is exact and any order gives fsum's.
-        table[0] = weights.sum()
-        for b in range(0, size, rows):
-            n = min(rows, size - b)
-            part = block[:n]
-            for row, rng in zip(part, streams):
-                rng.random(out=row)
-            for k, t in enumerate(thresholds, 1):
-                mask = part if k == thresholds.size else above[:n]
-                np.greater_equal(part, t, out=hit[:n])
-                np.copyto(mask, hit[:n])
-                np.dot(mask, weights, out=table[k, b : b + n])
-        # (v_k - m) B_k, with B_k = d_k past the last threshold, added in table
-        # order by elementwise ufuncs rather than BLAS, so no sum depends on its
-        # coloring's place.
-        centered = nu._values - nu.mean
-        for k in range(thresholds.size):
-            table[k] -= table[k + 1]
-        np.multiply(table[0], centered[0], out=out)
-        for term, c in zip(table[1:], centered[1:]):
-            term *= c
-            out += term
+            return sd * rng.standard_normal(size) if sd else np.zeros(size)
+        counts = rng.multinomial(n, nu._weights, size=(size, sizes.size))
+        totals = counts.transpose(2, 0, 1) @ sizes
+        out = totals[0] * centered[0]
+        for total, c in zip(totals[1:], centered[1:]):
+            out += total * c
         return out
 
     return np.concatenate(map_ordered(chunk, len(starts), workers))

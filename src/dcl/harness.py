@@ -4,10 +4,10 @@ Each run_* function executes one experiment design end to end: it samples
 what the design calls for, computes the observable, builds the predicted
 limit law from estimated functionals, and attaches test reports. Results
 are bit-identical for a fixed config regardless of worker count because
-every replicate and every coloring draws from its own derived stream.
+every replicate and every chunk of colorings draws from its own derived stream.
 Replicates go through the percolation.map_labelings engine; a quenched
-run's colorings are one coloring.centered_sums call, which picks the ids
-it reads and how its colorings are chunked across workers and blocked.
+run's colorings are one coloring.centered_sums call, which draws them in
+chunks, one stream color-chunk:{i} per chunk, across workers.
 
 Six shared rules live in one function each: _box (near-critical warning,
 largest box, window margin), _within (pass iff value <= bound; NaN fails),
@@ -466,7 +466,7 @@ def run_quenched_clt(config: ExperimentConfig) -> RunResult:
     labels, piece = window_pieces(graph, margin)
     ssd = float(checked_square_sum(graph, labels, piece)[0] / labels.shape[1])
     scale = math.sqrt(labels.shape[1])
-    stats = centered_sums(config.nu, config.master_seed, "color", config.color_replicates, piece, config.workers) / scale
+    stats = centered_sums(config.nu, config.master_seed, "color-chunk", config.color_replicates, piece, config.workers) / scale
 
     variance_exact = sigma2 * ssd
     variance_asymptotic = est.chi_f_hat * sigma2

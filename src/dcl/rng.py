@@ -14,9 +14,7 @@ bit-identical to derive_rng on those tags, but seeds them in bulk: one
 SHA-256 key loop hashes the role prefix once per digit count, numpy's
 SeedSequence mixing (NEP 19) runs for all keys at once in uint32 array
 arithmetic, and one PCG64 is reseated per stream with the state that
-PCG64(key) would reach after skip draws (0 unless asked). That state is one
-affine step from the seeding value, by Brown's O(log skip) stride, so a
-stream seated at its first read draw costs no more than one at draw 0.
+PCG64(key) starts in.
 
 stream_uniforms returns the first k doubles of each such stream, as
 sample_config draws them. The PCG64 state setter costs a few
@@ -234,58 +232,36 @@ def _stream_words(master_seed: int, role: str, start: int, count: int) -> np.nda
     return np.frombuffer(b"".join(digests), dtype="<u4").reshape(count, _POOL)
 
 
-def _jump(steps: int) -> tuple[int, int]:
-    """(M**steps, M**0 + ... + M**(steps-1)) mod 2**128, in O(log steps) products.
-
-    steps LCG steps take a state s to the first times s plus the second
-    times inc. This is Brown's stride (Trans. Am. Nucl. Soc. 71, 202,
-    1994), the one PCG64.advance takes.
-    """
-    mult, plus = 1, 0
-    step_mult, step_plus = _PCG_MULT, 1
-    while steps:
-        if steps & 1:
-            mult, plus = mult * step_mult & _MASK128, (plus * step_mult + step_plus) & _MASK128
-        step_mult, step_plus = step_mult * step_mult & _MASK128, (step_mult + 1) * step_plus & _MASK128
-        steps >>= 1
-    return mult, plus
-
-
-def _reseated(words: np.ndarray, skip: int = 0) -> Iterator[np.random.Generator]:
-    """One generator per row of key words, each the PCG64 of that key after skip draws.
+def _reseated(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator per row of key words, each the PCG64 of that key.
 
     All of them are one PCG64, reseated in place.
     """
     # Reseated before every draw, so its own seeding can skip the mixing.
     bit_generator = np.random.PCG64(_unseeded())
     rng = np.random.Generator(bit_generator)
-    # PCG64(key) steps once from t = inc + initstate, and each draw steps once more.
-    mult, plus = _jump(skip + 1)
     # The setter copies the numbers out, so one dict serves every stream.
     seat = {"state": 0, "inc": 1}
     value = {"bit_generator": "PCG64", "state": seat, "has_uint32": 0, "uinteger": 0}
     for s0, s1, i0, i1 in _pcg64_seeds(words).tolist():
         seat["inc"] = inc = ((i0 << 65 | i1 << 1) | 1) & _MASK128
-        seat["state"] = ((inc + (s0 << 64 | s1)) * mult + plus * inc) & _MASK128
+        # PCG64(key) steps once from t = inc + initstate.
+        seat["state"] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
         bit_generator.state = value
         yield rng
 
 
-def derive_streams(master_seed: int, role: str, start: int, count: int, skip: int = 0) -> Iterator[np.random.Generator]:
-    """Generators on the streams f"{role}:{start + i}" for i = 0..count-1, each seated at draw skip.
+def derive_streams(master_seed: int, role: str, start: int, count: int) -> Iterator[np.random.Generator]:
+    """Generators on the streams f"{role}:{start + i}" for i = 0..count-1.
 
-    Stream i is bit-identical to derive_rng(master_seed, f"{role}:{start + i}")
-    after skip draws of one 64-bit output each, such as random() doubles,
-    or after PCG64.advance(skip); its next draw is draw skip. The seat costs
-    no more than skip=0 does. Every yielded generator is one PCG64 reseated
-    in place, so it is valid only until the next one is requested. Each
-    call owns its PCG64, so calls on different threads do not interfere.
+    Stream i is bit-identical to derive_rng(master_seed, f"{role}:{start + i}").
+    Every yielded generator is one PCG64 reseated in place, so it is valid
+    only until the next one is requested. Each call owns its PCG64, so calls
+    on different threads do not interfere.
     """
-    if skip < 0:
-        raise ValueError(f"skip must be >= 0, got {skip}")
     words = _stream_words(master_seed, role, start, count)
     _count(master_seed, role, count)
-    yield from _reseated(words, skip)
+    yield from _reseated(words)
 
 
 def stream_uniforms(master_seed: int, role: str, start: int, count: int, k: int) -> np.ndarray:

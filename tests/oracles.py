@@ -230,3 +230,44 @@ def tv_distance_to_atoms(samples: Iterable[float], atoms: Iterable[tuple[float, 
     n = len(samples)
     misfit = sum(abs(Fraction(h, n) - Fraction(w)) for h, (_, w) in zip(hits, atoms))
     return (misfit + Fraction(missed, n)) / 2
+
+
+def coloring_sum_pmf(piece: list[int], atoms: list[tuple[Fraction, Fraction]]) -> dict[Fraction, Fraction]:
+    """Exact law of sum_j piece[j] (c_j - m) over every coloring of the ids.
+
+    Each id j takes, independently, the value v of an atom (v, w) with
+    probability w, and m = sum w v. Every coloring of every id, zero pieces
+    included, is enumerated with its exact probability, so the cost is
+    len(atoms) ** len(piece): keep both short.
+    """
+    m = sum(w * v for v, w in atoms)
+    pmf: dict[Fraction, Fraction] = {}
+    for coloring in itertools.product(atoms, repeat=len(piece)):
+        value = sum(s * (v - m) for s, (v, _) in zip(piece, coloring))
+        probability = math.prod(w for _, w in coloring)
+        pmf[value] = pmf.get(value, Fraction(0)) + probability
+    return pmf
+
+
+def multinomial_sums(rng, count: int, piece: list[int], atoms: list[tuple[float, float]], mean: float) -> list[float]:
+    """count sums sum_j (c_j - mean) piece[j], drawn from a numpy Generator by plain loops.
+
+    For each sum in turn, and each distinct nonzero piece size s in
+    increasing order, one rng.multinomial(n_s, weights) counts how many of
+    the n_s ids of size s drew each atom of atoms = [(value, weight), ...].
+    B_k is the total size that drew atom k, and the sum is
+    B_0 (v_0 - mean) + B_1 (v_1 - mean) + ..., added left to right.
+    """
+    sizes = sorted({s for s in piece if s > 0})
+    weights = [w for _, w in atoms]
+    sums = []
+    for _ in range(count):
+        totals = [0] * len(atoms)
+        for s in sizes:
+            for k, drawn in enumerate(rng.multinomial(piece.count(s), weights).tolist()):
+                totals[k] += s * drawn
+        value = totals[0] * (atoms[0][0] - mean)
+        for total, (v, _) in zip(totals[1:], atoms[1:]):
+            value += total * (v - mean)
+        sums.append(value)
+    return sums

@@ -5,14 +5,15 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dcl import coloring
 from dcl.coloring import (
+    _COLOR_CHUNK,
     FiniteDiscrete,
     GaussianLaw,
     TwoPoint,
@@ -31,7 +32,9 @@ from dcl.percolation import (
     sample_config,
     square_sums,
 )
-from dcl.rng import derive_rng
+from dcl.rng import derive_rng, stream_log
+
+from oracles import coloring_sum_pmf, multinomial_sums
 
 
 def test_two_point_moments():
@@ -313,7 +316,7 @@ def test_discrete_draws_match_former_formula(atoms, size, seed):
 )
 def test_draw_tables_are_read_only(nu):
     tables = [v for v in vars(nu).values() if isinstance(v, np.ndarray)]
-    assert len(tables) == 2
+    assert len(tables) == 3
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -340,52 +343,71 @@ def test_draw_tables_are_read_only(nu):
     ],
 )
 @pytest.mark.parametrize("lo,hi", [(0, 40), (17, 52), (0, 61), (23, 23)], ids=["head", "mid", "all", "empty"])
-def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi, monkeypatch):
-    # Coloring i, on stream color:i, sums (its colors on ids lo..hi-1 - m)
-    # against the pieces, whichever block of 2 rows holds it. Centered
-    # colors that are all integers sum exactly, so those sums are bit for bit.
-    lat = build_box(2, 6)
-    labeling = label_clusters(sample_config(lat, 0.4, 11), PROXY_BOUNDARY_LARGEST)
-    assert labeling.k_n.tolist() == [61]
+def test_centered_sums_are_sums_of_per_size_counts(nu, lo, hi):
+    # 300 colorings of 61 ids with pieces 0..3 on ids lo..hi-1: a full chunk
+    # and a partial one, each drawn from its own stream color-chunk:i. The
+    # plain loops redraw each chunk's per-size multinomial counts over the
+    # atoms in draw-table order, and sum them with the same float operations
+    # in the same order, so the sums agree bit for bit. A zero variance
+    # (point mass, dead atoms, empty window) gives +0.0 exactly.
     piece = np.zeros(61, dtype=np.int64)
     piece[lo:hi] = np.arange(lo, hi) % 4
-    read = np.flatnonzero(piece)
-    span = int(read[-1] + 1 - read[0]) if read.size else 1
-    monkeypatch.setattr(coloring, "_COLOR_BLOCK_VALUES", 2 * span)
-    count = 5
-    sums = centered_sums(nu, 4, "color", count, piece)
-    atoms = nu.atoms()
-    exact = atoms is not None and all(float(v - nu.mean).is_integer() for v, _ in atoms)
-    for i in range(count):
-        colors = color_clusters(61, nu, derive_rng(4, f"color:{i}"))[lo:hi]
-        expected = float(np.dot(colors - nu.mean, piece[lo:hi]))
-        assert sums[i] == pytest.approx(expected, rel=1e-14, abs=1e-13)
-        if exact:
-            assert sums[i] == expected
-    if nu.variance == 0.0:
-        assert not sums.any()
+    count = _COLOR_CHUNK + 44
+    with stream_log() as log:
+        sums = centered_sums(nu, 4, "color-chunk", count, piece)
+    assert log == {(4, "color-chunk"): 2}
+    expected = []
+    for i, start in enumerate(range(0, count, _COLOR_CHUNK)):
+        rng = derive_rng(4, f"color-chunk:{i}")
+        size = min(_COLOR_CHUNK, count - start)
+        if isinstance(nu, GaussianLaw):
+            sd = math.sqrt(nu.variance * sum(int(s) ** 2 for s in piece))
+            expected += [sd * z for z in rng.standard_normal(size).tolist()] if sd else [0.0] * size
+        else:
+            expected += multinomial_sums(rng, size, piece.tolist(), _table_atoms(nu), nu.mean)
+    assert sums.tobytes() == np.array(expected).tobytes()
+    if nu.variance == 0.0 or lo == hi:
+        assert not sums.any() and not np.signbit(sums).any()
+
+
+def _table_atoms(nu) -> list[tuple[float, float]]:
+    """nu's (value, weight) atoms in draw-table order: b before a for a two-point law."""
+    if isinstance(nu, TwoPoint):
+        return [(nu.b, nu.alpha), (nu.a, 1.0 - nu.alpha)]
+    return list(nu.atoms_spec)
 
 
 @pytest.mark.parametrize(
-    "nu",
-    [TwoPoint(-1.0, 1.0, 0.3), FiniteDiscrete(((-1.0, 0.2), (0.5, 0.3), (2.0, 0.5))), GaussianLaw(0.5, 2.0)],
-    ids=["two-point", "three-atom", "gaussian"],
+    "nu,atoms",
+    [
+        (TwoPoint(-1.0, 1.0, 0.3), [(-1, Fraction(7, 10)), (1, Fraction(3, 10))]),
+        (
+            FiniteDiscrete(((-1.0, 0.2), (0.5, 0.3), (2.0, 0.5))),
+            [(-1, Fraction(1, 5)), (Fraction(1, 2), Fraction(3, 10)), (2, Fraction(1, 2))],
+        ),
+    ],
+    ids=["two-point", "three-atom"],
 )
-def test_centered_sums_do_not_depend_on_rows(nu, monkeypatch):
-    # 300 colorings of ids 37..136, in chunks of 256 and 44: one per block,
-    # blocks of 6 with a short last one in each chunk, and a block of 256
-    # and one of 44. An atomic law's sums are exact integer counts, equal
-    # bit for bit; a Gaussian block's BLAS product may sum in another order.
-    lo, count = 37, 300
-    piece = np.zeros(lo + 100, dtype=np.int64)
-    piece[lo:] = 1 + np.arange(100) % 5
-    got = []
-    for rows in (1, 6, 256):
-        monkeypatch.setattr(coloring, "_COLOR_BLOCK_VALUES", rows * 100)
-        got.append(centered_sums(nu, 9, "color", count, piece))
-    if isinstance(nu, GaussianLaw):
-        np.testing.assert_allclose(got[1:], [got[0], got[0]], rtol=1e-13, atol=1e-12)
-    else:
-        assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
-    colors = color_clusters(piece.size, nu, derive_rng(9, "color:299"))[lo:]
-    assert got[0][-1] == pytest.approx(float(np.dot(colors - nu.mean, piece[lo:])), rel=1e-14, abs=1e-13)
+def test_centered_sums_follow_the_enumerated_law(nu, atoms):
+    # The exact law of sum_j piece[j] (c_j - m) over every coloring of eight
+    # ids, two of them with piece 0, against the empirical law of 20,000 sums.
+    # Both are step functions on the enumerated support, so the sup distance
+    # is the largest gap of their cumulative sums there. By the DKW bound a
+    # correct sampler exceeds 0.02 with probability at most
+    # 2 exp(-2 * 20000 * 0.02**2) = 2 e^-16, about 2e-7.
+    piece = [0, 1, 1, 2, 0, 3, 3, 5]
+    pmf = coloring_sum_pmf(piece, atoms)
+    m = sum(w * v for v, w in atoms)
+    assert sum(pmf.values()) == 1
+    assert sum(p * x for x, p in pmf.items()) == 0
+    assert sum(p * x * x for x, p in pmf.items()) == sum(w * (v - m) ** 2 for v, w in atoms) * sum(s * s for s in piece)
+    # The law's float weights and mean round those of the enumerated one.
+    assert (nu.mean, nu.variance) == pytest.approx((m, sum(w * (v - m) ** 2 for v, w in atoms)))
+    count = 20_000
+    sums = centered_sums(nu, 7, "color-chunk", count, np.array(piece))
+    support = np.array([float(x) for x in sorted(pmf)])
+    nearest = np.abs(sums[:, None] - support).argmin(axis=1)
+    assert np.abs(sums - support[nearest]).max() <= 1e-12
+    empirical = np.cumsum(np.bincount(nearest, minlength=support.size)) / count
+    exact = np.cumsum([float(pmf[x]) for x in sorted(pmf)])
+    assert np.abs(empirical - exact).max() <= 0.02

@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-import gc
-import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from dcl import cli, coloring, harness
+from dcl import cli, harness
 from dcl.coloring import (
-    _COLOR_BLOCK_VALUES,
     _COLOR_CHUNK,
     FiniteDiscrete,
-    centered_sums,
     color_clusters,
     parse_color_measure,
 )
@@ -50,7 +45,7 @@ from dcl.rng import derive_rng, derive_streams
 from dcl.stats import TestReport
 from dcl.theory import GaussianLaw, GaussianMixture, PointMass, TwoPointLaw
 
-from oracles import box_sites, tv_distance_to_atoms, window_sites
+from oracles import box_sites, multinomial_sums, tv_distance_to_atoms, window_sites
 
 
 def test_config_validation():
@@ -279,6 +274,13 @@ def test_quenched_clt_empty_graph_gaussian_colors():
     assert res.predictions["quenched-clt"] == GaussianLaw(mean=0.0, variance=2.0)
 
 
+def _assert_positive_zeros(res: RunResult, count: int) -> None:
+    """Every statistic is +0.0, and every chunk's color stream was still derived."""
+    stats = np.array(res.samples["statistic"])
+    assert stats.size == count and not stats.any() and not np.signbit(stats).any()
+    assert res.seeds["streams"][-1] == {"role": "color-chunk", "count": -(-count // _COLOR_CHUNK)}
+
+
 def test_quenched_clt_point_mass_colors_degenerate():
     # margin=2 leaves a 13x13 window; the default margin at radius 8 leaves one site.
     cfg = ExperimentConfig(
@@ -288,7 +290,7 @@ def test_quenched_clt_point_mass_colors_degenerate():
     res = run_quenched_clt(cfg)
     assert res.passed()
     assert res.estimates["variance_exact_target"] == 0.0
-    assert all(v == 0.0 for v in res.samples["statistic"])
+    _assert_positive_zeros(res, 50)
     assert res.predictions["quenched-clt"] == PointMass(value=0.0)
     assert len(res.tests) == 1
 
@@ -297,15 +299,15 @@ def test_quenched_clt_point_mass_colors_degenerate():
     "nu", ["discrete:0.1:0,0.2:0,0.7:1", "discrete:-0.3:0,0.1:0,0.7:0,1.9:1"], ids=["dead-2", "dead-3"]
 )
 def test_quenched_clt_dead_atoms_give_exactly_zero_statistics(nu):
-    # One live atom after dead ones: the dead atoms' thresholds are all 0, so
-    # every coloring's count of each dead atom is exactly 0 and the point-mass
+    # One live atom after dead ones: a dead atom's weight is 0, so its
+    # multinomial count is exactly 0 in every coloring, and the point-mass
     # check, max |statistic| == 0, holds with no rounding left over. The
     # window holds 160 sites outside the stand-in, a weight sum at which the
     # telescoped form sum_k (v_k - v_{k-1}) d_k leaves a rounding residue.
     cfg = ExperimentConfig(d=2, radii=8, p=0.3, nu=nu, color_replicates=50, master_seed=1, margin=2)
     res = run_quenched_clt(cfg)
     assert res.predictions["quenched-clt"] == PointMass(value=0.0)
-    assert res.samples["statistic"] == [0.0] * 50
+    _assert_positive_zeros(res, 50)
     assert res.passed()
 
 
@@ -326,10 +328,10 @@ _PAIRS = [("graph", 6), ("color", 6)]
         # Gaussian-mixture gamma: KS against its exact CDF, nothing sampled
         (run_annealed_clt, "two-point:-1,1,0.3", {"regime": "supercritical"}, _PAIRS),
         # quenched: the colored graph graph:0 first, then the estimate
-        # graphs, then the colorings color:0, color:1, ...
+        # graphs, then one stream color-chunk:0 for the 40 colorings
         (
             run_quenched_clt, "two-point:-1,1,0.7", {"color_replicates": 40},
-            [("graph", 1), ("estimate-graph", 6), ("color", 40)],
+            [("graph", 1), ("estimate-graph", 6), ("color-chunk", 1)],
         ),
         (run_quenched_lln, "two-point:-1,1,0.7", {}, [("graph", 1), ("estimate-graph", 6), ("color", 1)]),
     ],
@@ -754,88 +756,45 @@ def test_worker_count_does_not_change_results():
 @pytest.mark.parametrize(
     "nu", ["gaussian:0,1", "two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5", "two-point:-1,1,0.5"]
 )
-def test_quenched_clt_color_chunks_match_per_coloring_streams(nu):
-    # Two full chunks and a partial one. The window reads ids 11..147 of 175,
-    # so a block holds 2**15 // 137 = 239 colorings and each chunk ends in a
-    # partial block. Coloring j comes from f"color:{j}" whichever chunk,
-    # block and worker draws it. With +-1 colors of mean 0 the sums are
-    # exact integers, so they equal the correctly rounded fsum bit for bit.
+def test_quenched_clt_color_chunks_match_chunk_streams(nu):
+    # Two full chunks and a partial one. Chunk j's colorings come from the
+    # one stream color-chunk:j whichever worker draws it: the plain loops
+    # redraw its per-size multinomial counts, or its normals, and sum them
+    # with the same float operations in the same order, bit for bit.
     reps = 2 * _COLOR_CHUNK + 37
     base = dict(d=2, radii=12, p=0.4, nu=nu, color_replicates=reps, master_seed=11, margin=4)
     stats = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
     assert len(stats) == reps
     assert stats == run_quenched_clt(ExperimentConfig(**base, workers=3)).samples["statistic"]
     law = ExperimentConfig(**base).nu
-    lattice = build_box(2, 12)
-    labeling = label_clusters(sample_config(lattice, 0.4, 11), PROXY_BOUNDARY_LARGEST)
+    labeling = label_clusters(sample_config(build_box(2, 12), 0.4, 11), PROXY_BOUNDARY_LARGEST)
     ids = labeling.stack_id[0, window_sites(2, 12, 4)]
-    finite = ids[ids != labeling.proxy[0]]
-    lo, hi = int(finite.min()), int(finite.max()) + 1
-    rows = _COLOR_BLOCK_VALUES // (hi - lo)
-    assert (lo, hi, labeling.k_n.tolist()) == (11, 148, [175])
-    assert _COLOR_CHUNK % rows and reps % _COLOR_CHUNK < rows
-    for j in range(reps):
-        colors = color_clusters(175, law, derive_rng(11, f"color:{j}"))
-        expected = math.fsum(colors[finite] - law.mean) / math.sqrt(ids.size)
-        assert stats[j] == pytest.approx(expected, abs=1e-12)
-        if nu == "two-point:-1,1,0.5":
-            assert stats[j] == expected
-
-
-@pytest.mark.parametrize("nu", ["two-point:-1,1,0.3", "discrete:-1:0.2,0:0.3,2.5:0.5"])
-def test_quenched_color_loop_allocates_nothing_per_block(nu, monkeypatch):
-    # numpy reports its buffers to tracemalloc. Over 1000 read ids a block
-    # holds 32 colorings, so one chunk of 256 is drawn in 8 blocks, 32
-    # colorings in one, and 2 chunks and 37 more in 3 chunks. Within a chunk
-    # the traced peaks differ by the table of d_k and the sums (one float
-    # per atom per coloring, and one more), so no block leaves anything
-    # behind. Across chunks they differ by the sums of one chunk, kept while
-    # the next is drawn, up to the Python objects of the chunk loop (the
-    # results list and the chunk offsets above 256), so no chunk leaves its
-    # buffers behind. Above the block of uniforms (and one of masks for two
-    # or more thresholds), one bool mask of the block, the table, the sums,
-    # the read ids and the float weights, it stays under one more bool mask,
-    # so no block-sized temporary is made either. The generators are built
-    # before tracing starts and stand in for derive_streams' own, and a
-    # first call warms numpy up. A float or tuple taken from CPython's free
-    # lists is not traced, so what earlier code left there moved the peaks
-    # by up to 384 bytes; a full collection empties those lists before
-    # each traced call.
-    law = ExperimentConfig(d=2, radii=4, p=0.4, nu=nu).nu
-    lo, span = 11, 1000
-    piece = np.zeros(lo + span, dtype=np.int64)
-    piece[lo:] = 1 + np.arange(span) % 3
-    rows = _COLOR_BLOCK_VALUES // span
-    peaks = []
-    for count in (_COLOR_CHUNK, rows, _COLOR_CHUNK, 2 * _COLOR_CHUNK + 37):
-        streams = [derive_rng(11, f"color:{j}") for j in range(count)]
-        monkeypatch.setattr(
-            coloring, "derive_streams", lambda seed, role, start, n, skip: itertools.islice(streams, start, start + n)
-        )
-        gc.collect()
-        tracemalloc.start()
-        try:
-            centered_sums(law, 11, "color", count, piece)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    atoms = len(law.atoms())
-    assert abs(peaks[2] - peaks[1] - 8 * (atoms + 1) * (_COLOR_CHUNK - rows)) <= 64
-    assert abs(peaks[3] - peaks[2] - 8 * _COLOR_CHUNK) <= 256
-    buffers = (1 + (atoms > 2)) * rows * span * 8 + rows * span + 8 * (atoms + 1) * _COLOR_CHUNK + 8 * (span + piece.size)
-    assert buffers < peaks[2] < buffers + rows * span
+    piece = np.bincount(ids[ids != labeling.proxy[0]]).tolist()
+    expected = []
+    for j, start in enumerate(range(0, reps, _COLOR_CHUNK)):
+        rng = derive_rng(11, f"color-chunk:{j}")
+        size = min(_COLOR_CHUNK, reps - start)
+        if isinstance(law, FiniteDiscrete):
+            atoms = list(law.atoms_spec)
+        elif law.atoms() is not None:  # a two-point law draws b first
+            atoms = [(law.b, law.alpha), (law.a, 1.0 - law.alpha)]
+        else:
+            sd = math.sqrt(law.variance * sum(s * s for s in piece))
+            expected += [sd * z for z in rng.standard_normal(size).tolist()]
+            continue
+        expected += multinomial_sums(rng, size, piece, atoms, law.mean)
+    assert stats == [value / math.sqrt(ids.size) for value in expected]
 
 
 def test_quenched_clt_empty_read_range_still_counts_every_color_stream():
     # At p=1 the stand-in covers the window, so the statistic reads no
-    # cluster: every value is exactly 0, and each coloring's stream is still
+    # cluster: every value is +0.0, and each chunk's stream is still
     # derived and listed, on every worker.
     cfg = ExperimentConfig(
         d=2, radii=4, p=1.0, nu="two-point:-1,1,0.3", color_replicates=_COLOR_CHUNK + 37, workers=2
     )
     result = run_quenched_clt(cfg)
-    assert result.samples["statistic"] == [0.0] * cfg.color_replicates
-    assert result.seeds["streams"][-1] == {"role": "color", "count": cfg.color_replicates}
+    _assert_positive_zeros(result, cfg.color_replicates)
     assert result.passed()
 
 

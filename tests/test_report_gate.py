@@ -49,6 +49,7 @@ def test_twins_differ_from_their_base_only_in_workers():
         "clt-quenched-alpha03-w2",
         "bench-tiny-p0.7-w2",
         "bench-annealed-d2-w2",
+        "bench-quenched-colors-w2",
         "clt-quenched-gaussian-w3",
     }
     for twin, base in twins.items():

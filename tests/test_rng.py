@@ -169,29 +169,6 @@ def test_derive_streams_calls_do_not_share_a_generator():
         assert _drawn(b) == _drawn(derive_rng(7, f"b:{10 + i}"))
 
 
-@pytest.mark.parametrize("skip", [0, 1, 63, 64, 5003, 2**40 + 7])
-def test_derive_streams_seats_each_stream_at_draw_skip(skip):
-    # Stream i after skip doubles: drawn for small skips, and PCG64.advance,
-    # which steps the same LCG, for the large one. The seat changes no key,
-    # so the log counts the streams as skip=0 does.
-    start, count = 95, 7
-    with stream_log() as log:
-        streams = [_drawn(rng) for rng in derive_streams(11, "color", start, count, skip=skip)]
-    assert log == {(11, "color"): count}
-    for i, drawn in enumerate(streams):
-        ref = derive_rng(11, f"color:{start + i}")
-        if skip <= 5003:
-            ref.random(skip)
-        else:
-            ref.bit_generator.advance(skip)
-        assert drawn == _drawn(ref)
-
-
-def test_derive_streams_refuses_a_negative_skip():
-    with pytest.raises(ValueError, match="skip must be >= 0"):
-        next(derive_streams(0, "x", 0, 1, skip=-1))
-
-
 def _words(key: int) -> np.ndarray:
     return np.array([[(key >> (32 * j)) & 0xFFFFFFFF for j in range(4)]], dtype=np.uint32)
 

@@ -61,6 +61,13 @@ INVOCATIONS: dict[str, list[str]] = {
         "--color-replicates", "10000", "--graph-replicates", "1", "--margin", "20",
         "--proxy", "boundary-largest", "--workers", "1",
     ],
+    # Its --workers 2 twin: 40 chunks of colorings, one stream color-chunk:i
+    # each, drawn in worker processes.
+    "bench-quenched-colors-w2": _QUENCHED + [
+        "--dim", "2", "--radius", "64", "--p", "0.3", "--nu", "two-point:-1,1,0.5",
+        "--color-replicates", "10000", "--graph-replicates", "1", "--margin", "20",
+        "--proxy", "boundary-largest", "--workers", "2",
+    ],
     "bench-tiny-p0.3": [
         "estimate", "--dim", "2", "--radius", "1", "--p", "0.3", "--replicates", "5000",
         "--margin", "0", "--proxy", "disabled", "--workers", "1",
