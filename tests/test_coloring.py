@@ -324,7 +324,7 @@ def test_draw_tables_are_read_only(nu):
     assert nu.sample(derive_rng(1, "c"), 3).flags.writeable
 
 
-@pytest.mark.parametrize(
+_LAWS = pytest.mark.parametrize(
     "nu",
     [
         TwoPoint(-1.0, 1.0, 0.3),
@@ -342,7 +342,36 @@ def test_draw_tables_are_read_only(nu):
         "signs", "alpha-0", "alpha-1", "dead-atoms",
     ],
 )
-@pytest.mark.parametrize("lo,hi", [(0, 40), (17, 52), (0, 61), (23, 23)], ids=["head", "mid", "all", "empty"])
+_WINDOWS = pytest.mark.parametrize("lo,hi", [(0, 40), (17, 52), (0, 61), (23, 23)], ids=["head", "mid", "all", "empty"])
+
+
+@_LAWS
+@_WINDOWS
+def test_color_block_rows_are_slices_of_color_clusters(nu, lo, hi):
+    # Each row of a color chunk, one coloring's sum over ids lo..hi-1 of 61
+    # with pieces 0..3, has the law of color_clusters' colors on the same
+    # slice summed against the pieces: 10,000 of each, and their cumulative
+    # distributions, on values rounded to 1e-9 so that one lattice point is
+    # one value on both sides, stay within 0.06 of each other. Each empirical
+    # law is within 0.03 of the common one except with probability at most
+    # 2 exp(-2 * 10000 * 0.03**2) = 2 e^-18 by the DKW bound, so a correct
+    # sampler fails with probability below 1e-7. Seeds fixed before the first run.
+    piece = np.zeros(61, dtype=np.int64)
+    piece[lo:hi] = np.arange(lo, hi) % 4
+    count = 10_000
+    sums = centered_sums(nu, 13, "color-chunk", count, piece)
+    colors = color_clusters(61 * count, nu, derive_rng(13, "clusters")).reshape(count, 61)
+    slices = (colors[:, lo:hi] - nu.mean) @ piece[lo:hi]
+    if nu.variance == 0.0 or lo == hi:
+        assert not sums.any() and not slices.any()
+    rows, reference = np.sort(np.round(sums, 9)), np.sort(np.round(slices, 9))
+    points = np.union1d(rows, reference)
+    gap = np.searchsorted(rows, points, side="right") - np.searchsorted(reference, points, side="right")
+    assert np.abs(gap).max() / count <= 0.06
+
+
+@_LAWS
+@_WINDOWS
 def test_centered_sums_are_sums_of_per_size_counts(nu, lo, hi):
     # 300 colorings of 61 ids with pieces 0..3 on ids lo..hi-1: a full chunk
     # and a partial one, each drawn from its own stream color-chunk:i. The
