@@ -328,9 +328,13 @@ def _emit(report: dict, samples: dict[str, list[float]], invocation: CliInvocati
     for name, values in sorted(samples.items()):
         dump = Path(f"{stem}_{name}.csv")
         # repr round-trips doubles exactly, so re-reading the dump reproduces
-        # every summary statistic bit for bit.
+        # every summary statistic bit for bit. One repr per distinct bit
+        # pattern, not per distinct value, so -0.0 keeps its own text; a
+        # lattice of atomic sums takes few patterns.
+        bits, rows = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+        text = [repr(value) for value in bits.view(np.float64).tolist()]
         lines = [f"index,{name} (dimensionless)"]
-        lines.extend(f"{i},{value!r}" for i, value in enumerate(values))
+        lines.extend(f"{i},{text[j]}" for i, j in enumerate(rows.tolist()))
         dump.write_text("\n".join(lines) + "\n")
 
 

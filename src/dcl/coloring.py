@@ -265,7 +265,11 @@ def centered_sums(
     draws. So an atomic law draws one such count per piece size and atom
     (in draw-table order) and sums B_k = sum_s s counts_sk, exact in int64,
     as B_0 (v_0 - m) + B_1 (v_1 - m) + ... in table order. A dead atom's
-    B_k is 0, so a point mass sums to +0.0 exactly. A Gaussian law's sum is
+    B_k is 0, so a point mass sums to +0.0 exactly. With two atoms in the
+    table, numpy's multinomial draws its first count as one binomial with
+    the first weight and gives the rest to the second atom, so one
+    rng.binomial per size draws the same counts from the same stream
+    positions; B_1 is sum_s s n_s - B_0. A Gaussian law's sum is
     exactly N(0, sigma^2 sum_j piece[j]**2): one normal per coloring,
     scaled, and +0.0 when that variance is 0.
 
@@ -286,8 +290,12 @@ def centered_sums(
         rng = next(derive_streams(seed, role, i, 1))
         if gaussian:
             return sd * rng.standard_normal(size) if sd else np.zeros(size)
-        counts = rng.multinomial(n, nu._weights, size=(size, sizes.size))
-        totals = counts.transpose(2, 0, 1) @ sizes
+        if nu._weights.size == 2:
+            first = rng.binomial(n, nu._weights[0], size=(size, sizes.size)) @ sizes
+            totals = (first, n @ sizes - first)
+        else:
+            counts = rng.multinomial(n, nu._weights, size=(size, sizes.size))
+            totals = counts.transpose(2, 0, 1) @ sizes
         out = totals[0] * centered[0]
         for total, c in zip(totals[1:], centered[1:]):
             out += total * c

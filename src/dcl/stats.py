@@ -174,13 +174,17 @@ def ks_one_sample(
 ) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a law given by its exact CDF.
 
-    cdf maps a sorted array of points to the law's CDF at each of them.
+    cdf maps a sorted array of points to the law's CDF at each of them. It
+    is called once, on the first point of every run of equal sorted
+    samples, and each value is repeated over its run: a sum of atomic
+    colors takes few distinct values, and a CDF is a function of the point.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = x.shape[0]
     if n == 0:
         raise ValueError("sample must be non-empty")
-    f = cdf(x)
+    heads = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    f = np.repeat(cdf(x[heads]), np.diff(heads, append=n))
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
     d = float(max(upper.max(), lower.max()))

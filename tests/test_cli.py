@@ -493,6 +493,25 @@ def test_estimate_workers_reach_the_engine(tmp_path, monkeypatch):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_csv_dump_is_one_repr_per_row(tmp_path):
+    # Signed zeros, NaNs of both signs, infinities, subnormals, repeated
+    # lattice values and one-row series: each row is the value's own repr,
+    # as a plain per-row join writes it.
+    samples = {
+        "mixed": [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.5, -1.0, 2.5,
+                  -0.0, 0.1 + 0.2, -math.nan, 2.5, 0.0, -1.0, 1e300, math.inf],
+        "single": [-0.0],
+        "constant": [2.5] * 7,
+    }
+    out = tmp_path / "r.json"
+    invocation = cli.CliInvocation("estimate", lambda: None, None, {}, out, "csv")
+    cli._emit({}, samples, invocation)
+    for name, values in samples.items():
+        rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(values))
+        expected = f"index,{name} (dimensionless)\n{rows}"
+        assert (tmp_path / f"r_{name}.csv").read_bytes() == expected.encode()
+
+
 def test_csv_dumps_per_sample_series(tmp_path):
     out = tmp_path / "cc.json"
     code = main(

@@ -336,10 +336,11 @@ _LAWS = pytest.mark.parametrize(
         TwoPoint(-1.0, 1.0, 0.0),
         TwoPoint(-1.0, 1.0, 1.0),
         FiniteDiscrete(((0.1, 0.0), (0.2, 0.0), (0.7, 1.0))),
+        FiniteDiscrete(((-1.0, 0.3), (2.0, 0.7))),
     ],
     ids=[
         "two-point", "discrete-zero-weight", "gaussian", "gaussian-variance-0", "point-mass",
-        "signs", "alpha-0", "alpha-1", "dead-atoms",
+        "signs", "alpha-0", "alpha-1", "dead-atoms", "discrete-two-atoms",
     ],
 )
 _WINDOWS = pytest.mark.parametrize("lo,hi", [(0, 40), (17, 52), (0, 61), (23, 23)], ids=["head", "mid", "all", "empty"])

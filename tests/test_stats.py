@@ -188,6 +188,28 @@ def test_ks_one_sample_gaussian_is_ks_one_sample_on_the_gaussian_cdf():
     assert ks_one_sample_gaussian(x, 0.3, 4.0, context="c") == direct
 
 
+def test_ks_one_sample_evaluates_the_cdf_once_per_distinct_point():
+    # Ties, -0.0 beside +0.0 and a lone point: the cdf sees each distinct
+    # sorted point once, and the report is bit for bit the one built from
+    # the cdf at every sorted point in turn.
+    x = np.array([0.5, -0.0, 1.25, 0.0, 0.5, -2.0, 0.5, 1.25, -0.0, 3.0, 0.5, -2.0])
+    calls = []
+
+    def cdf(points):
+        calls.append(points.copy())
+        return gaussian_cdf(points, 0.2, 1.5)
+
+    report = ks_one_sample(x, cdf, context="ties")
+    assert len(calls) == 1
+    assert calls[0].tolist() == [-2.0, 0.0, 0.5, 1.25, 3.0]
+    xs, n = sorted(x.tolist()), len(x)
+    f = [float(gaussian_cdf(np.array([v]), 0.2, 1.5)[0]) for v in xs]
+    d = max(max((i + 1) / n - f[i] for i in range(n)), max(f[i] - i / n for i in range(n)))
+    assert report.statistic.hex() == d.hex()
+    assert report.p_value.hex() == kolmogorov_sf(math.sqrt(n) * d).hex()
+    assert report.context == "ties"
+
+
 def test_ks_one_sample_level_on_exact_mixture_draws():
     # 400 fixed seeds of 60 exact draws each: at level 0.05 the rejections
     # are Binomial(400, 0.05) up to the asymptotic p-value's conservatism,

@@ -210,6 +210,12 @@ INVOCATIONS: dict[str, list[str]] = {
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
         "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
     ],
+    # A two-entry discrete table: its counts are one binomial per piece size.
+    # Like clt-quenched-discrete it exits 2: the default margin leaves a window
+    # too small for the variance targets and the Gaussian KS.
+    "clt-quenched-discrete2": _QUENCHED + [
+        "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.3,2:0.7",
+    ],
     # Three live atoms, two thresholds per coloring, and its --workers 2 twin.
     "clt-quenched-live3": _QUENCHED + [
         "--radius", "16", "--margin", "4", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0.3,2.5:0.5",
