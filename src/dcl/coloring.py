@@ -4,7 +4,8 @@ A color measure is the single-site law nu. Coloring assigns every cluster
 one independent draw from nu, held in a plain array indexed by cluster id.
 Site x takes the color of its cluster's id, so the field is constant on
 clusters and independent across them. A quenched run's centered sums need
-no such array: centered_sums draws them from per-size atom counts.
+no such array: centered_sums draws them from per-size atom counts, and
+with two atoms from the exact law of the one count total they read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ _WEIGHT_TOL = 1e-12
 
 # Colorings per stream, and per task on the worker pool, in centered_sums.
 _COLOR_CHUNK = 256
+
+# Fourier coefficients of a two-atom count total below e^-60 are dropped:
+# on a circle of L points they move no cdf entry by more than L e^-60,
+# under 1e-20 for any L below 10^6.
+_NEGLIGIBLE_LOG_PHI = -60.0
 
 
 def draw_table(values) -> np.ndarray:
@@ -253,6 +259,71 @@ def parse_color_measure(text: str) -> ColorMeasure:
     raise ValueError(f"unknown color measure kind {head!r}")
 
 
+def piece_sizes(piece: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The histogram of piece's nonzero entries: the distinct sizes s, increasing, and the count n_s of each.
+
+    Given the pieces, this is all a quenched statistic's law reads: a sum
+    over the ids depends on the coloring only through which atom each of
+    the n_s ids of each size s drew.
+    """
+    return np.unique(piece[piece > 0], return_counts=True)
+
+
+def _fft_length(n: int) -> int:
+    """The least 2^a 3^b >= n, a length the FFT takes in radix-2 and radix-3 passes."""
+    best = 1 << (n - 1).bit_length()
+    power3 = 3
+    while power3 < best:
+        best = min(best, power3 << (-(-n // power3) - 1).bit_length())
+        power3 *= 3
+    return best
+
+
+def _count_total_law(sizes: np.ndarray, n: np.ndarray, p: float) -> tuple[int, np.ndarray]:
+    """(lo, cdf) with P(T <= lo + i) = cdf[i] / cdf[-1], for T = sum_s s B_s, B_s ~ Bin(n_s, p) independent.
+
+    T lies within h = ceil(sqrt(21 sum_s s^2 n_s)) of its mean W p, W =
+    sum_s s n_s, except with probability 2 e^-42 < 2^-53 (Hoeffding), so the
+    law is kept on the window [lo, hi] of the points of [0, W] that are
+    within h of floor(W p) or ceil(W p). Folded onto a circle of length
+    L >= hi - lo + 1 (_fft_length), its pmf has the discrete Fourier
+    transform phi(k) = prod_s (q + p e^(-2 pi i s k / L))^n_s with
+    q = 1 - p: one table of log|q + p e^(-2 pi i j / L)| and its angle over
+    j < L, summed at (s k) mod L with weights n_s, gives log phi(k), and one
+    inverse real FFT the folded pmf. Every log|.| is <= 0, so a k whose
+    partial sum falls below _NEGLIGIBLE_LOG_PHI stays there and is dropped
+    from the remaining sizes: a few hundred of a large window's thousands
+    of k survive the first size. Rounding leaves tiny negative masses; they are clipped
+    to 0. With p 0 or 1, or W 0, T is the constant W p: lo is that value
+    and cdf is [1.0]. numpy loads np.fft on first use, and only this
+    function reaches it, so a run that draws no two-atom coloring does not
+    import it.
+    """
+    total = int(n @ sizes)
+    if p in (0.0, 1.0) or total == 0:
+        return (total if p == 1.0 else 0), np.ones(1)
+    h = math.ceil(math.sqrt(21.0 * float(n @ sizes**2)))
+    lo = max(0, math.floor(total * p) - h)
+    window = min(total, math.ceil(total * p) + h) - lo + 1
+    length = _fft_length(window)
+    theta = np.arange(length) * (2.0 * math.pi / length)
+    with np.errstate(divide="ignore"):  # |q + p e^(i pi)| = 0 at p = 1/2
+        log_abs = 0.5 * np.log1p(-4.0 * p * (1.0 - p) * np.sin(0.5 * theta) ** 2)
+    angle = np.arctan2(-p * np.sin(theta), (1.0 - p) + p * np.cos(theta))
+    k = np.arange(length // 2 + 1)
+    log_modulus, phase = np.zeros(k.size), np.zeros(k.size)
+    for s, count in zip(sizes.tolist(), n.tolist()):
+        j = s * k % length
+        log_modulus += count * log_abs[j]
+        phase += count * angle[j]
+        live = log_modulus > _NEGLIGIBLE_LOG_PHI
+        k, log_modulus, phase = k[live], log_modulus[live], phase[live]
+    phi = np.zeros(length // 2 + 1, dtype=np.complex128)
+    phi[k] = np.exp(log_modulus) * np.exp(1j * phase)
+    folded = np.fft.irfft(phi, n=length)
+    return lo, np.cumsum(np.roll(folded, -(lo % length))[:window].clip(0.0))
+
+
 def centered_sums(
     nu: ColorMeasure, seed: int, role: str, count: int, piece: np.ndarray, workers: int = 1
 ) -> np.ndarray:
@@ -261,29 +332,33 @@ def centered_sums(
     m is nu's mean, and piece holds an integer weight per id (window_pieces'
     piece, with each stand-in 0). Given the pieces, a sum depends on its
     coloring only through how many of the n_s ids of each weight s > 0 drew
-    each atom, and those counts are independent Multinomial(n_s, weights)
-    draws. So an atomic law draws one such count per piece size and atom
-    (in draw-table order) and sums B_k = sum_s s counts_sk, exact in int64,
-    as B_0 (v_0 - m) + B_1 (v_1 - m) + ... in table order. A dead atom's
-    B_k is 0, so a point mass sums to +0.0 exactly. With two atoms in the
-    table, numpy's multinomial draws its first count as one binomial with
-    the first weight and gives the rest to the second atom, so one
-    rng.binomial per size draws the same counts from the same stream
-    positions; B_1 is sum_s s n_s - B_0. A Gaussian law's sum is
-    exactly N(0, sigma^2 sum_j piece[j]**2): one normal per coloring,
-    scaled, and +0.0 when that variance is 0.
+    each atom (piece_sizes), and those counts are independent
+    Multinomial(n_s, weights) draws. A sum is B_0 (v_0 - m) + B_1 (v_1 - m)
+    + ... in draw-table order, B_k = sum_s s counts_sk the total weight that
+    drew atom k, exact in int64; a dead atom's B_k is 0, so a point mass
+    sums to +0.0 exactly. With three or more atoms in the table, one
+    rng.multinomial per size and coloring draws the counts. With two, B_0
+    is the one integer T = sum_s s B_s, B_s ~ Bin(n_s, w_0), and B_1 is
+    W - T for W = sum_s s n_s: T's exact law is built once per call
+    (_count_total_law), and each coloring inverts one uniform u through its
+    cdf, T = lo + (the number of cdf entries <= u cdf[-1]). A Gaussian
+    law's sum is exactly N(0, sigma^2 sum_j piece[j]**2): one normal per
+    coloring, scaled, and +0.0 when that variance is 0.
 
     Chunk i of _COLOR_CHUNK colorings draws from the one stream
     f"{role}:{i}", whichever worker runs it, so the sums do not depend on
     the worker count.
     """
-    sizes, n = np.unique(piece[piece > 0], return_counts=True)
+    sizes, n = piece_sizes(piece)
     starts = range(0, count, _COLOR_CHUNK)
     gaussian = isinstance(nu, GaussianLaw)
     if gaussian:
         sd = math.sqrt(nu.variance * float(np.dot(piece, piece)))
     else:
         centered = nu._values - nu.mean
+        if nu._weights.size == 2:
+            whole = n @ sizes
+            lo, cdf = _count_total_law(sizes, n, float(nu._weights[0]))
 
     def chunk(i: int) -> np.ndarray:
         size = min(_COLOR_CHUNK, count - starts[i])
@@ -291,8 +366,9 @@ def centered_sums(
         if gaussian:
             return sd * rng.standard_normal(size) if sd else np.zeros(size)
         if nu._weights.size == 2:
-            first = rng.binomial(n, nu._weights[0], size=(size, sizes.size)) @ sizes
-            totals = (first, n @ sizes - first)
+            index = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
+            first = lo + np.minimum(index, cdf.size - 1)
+            totals = (first, whole - first)
         else:
             counts = rng.multinomial(n, nu._weights, size=(size, sizes.size))
             totals = counts.transpose(2, 0, 1) @ sizes

@@ -7,7 +7,8 @@ are bit-identical for a fixed config regardless of worker count because
 every replicate and every chunk of colorings draws from its own derived stream.
 Replicates go through the percolation.map_labelings engine; a quenched
 run's colorings are one coloring.centered_sums call, which draws them in
-chunks, one stream color-chunk:{i} per chunk, across workers.
+chunks, one stream color-chunk:{i} per chunk, across workers; two-atom
+colorings are one uniform each, inverted through a law built once per run.
 
 Six shared rules live in one function each: _box (near-critical warning,
 largest box, window margin), _within (pass iff value <= bound; NaN fails),

@@ -8,6 +8,7 @@ meaning of "box", so agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import deque
@@ -269,5 +270,47 @@ def multinomial_sums(rng, count: int, piece: list[int], atoms: list[tuple[float,
         value = totals[0] * (atoms[0][0] - mean)
         for total, (v, _) in zip(totals[1:], atoms[1:]):
             value += total * (v - mean)
+        sums.append(value)
+    return sums
+
+
+def count_total_cdf(piece: list[int], p: float) -> list[float]:
+    """F[t] = P(T <= t) for t = 0..W, T = sum_j piece[j] b_j over independent Bernoulli(p) b_j.
+
+    W = sum(piece). T is sum_s s B_s over the distinct nonzero sizes s, with
+    B_s ~ Bin(n_s, p) the number of the n_s ids of size s whose b_j is 1.
+    Each binomial pmf is built by n_s plain Bernoulli steps, so no power of
+    p or 1 - p underflows before its term does, and the pmfs of s B_s are
+    convolved in plain loops.
+    """
+    q = 1.0 - p
+    pmf = [1.0]
+    for s in sorted({s for s in piece if s > 0}):
+        binomial = [1.0]
+        for _ in range(piece.count(s)):
+            binomial = [q * a + p * b for a, b in zip(binomial + [0.0], [0.0] + binomial)]
+        convolved = [0.0] * (len(pmf) + s * (len(binomial) - 1))
+        for t, a in enumerate(pmf):
+            for k, b in enumerate(binomial):
+                convolved[t + s * k] += a * b
+        pmf = convolved
+    return list(itertools.accumulate(pmf))
+
+
+def inverted_sums(rng, count: int, piece: list[int], atoms: list[tuple[float, float]], mean: float) -> list[float]:
+    """count sums sum_j (c_j - mean) piece[j] over two atoms, one uniform each, by plain loops.
+
+    With atoms = [(v_0, w_0), (v_1, w_1)], T = the total piece that drew v_0
+    has the law count_total_cdf(piece, w_0) =: F. For each uniform u of
+    rng.random(count), T is the number of F[t] <= u F[W], at most W, and
+    the sum is T (v_0 - mean) + (W - T) (v_1 - mean), added left to right.
+    """
+    cdf = count_total_cdf(piece, atoms[0][1])
+    whole = len(cdf) - 1
+    sums = []
+    for u in rng.random(count).tolist():
+        t = min(bisect.bisect_right(cdf, u * cdf[-1]), whole)
+        value = t * (atoms[0][0] - mean)
+        value += (whole - t) * (atoms[1][0] - mean)
         sums.append(value)
     return sums

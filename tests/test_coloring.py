@@ -17,11 +17,14 @@ from dcl.coloring import (
     FiniteDiscrete,
     GaussianLaw,
     TwoPoint,
+    _count_total_law,
+    _fft_length,
     atom_values,
     centered_sums,
     color_clusters,
     draw_table,
     parse_color_measure,
+    piece_sizes,
 )
 from dcl.harness import ExperimentConfig, run_quenched_lln
 from dcl.lattice import build_box
@@ -34,7 +37,7 @@ from dcl.percolation import (
 )
 from dcl.rng import derive_rng, stream_log
 
-from oracles import coloring_sum_pmf, multinomial_sums
+from oracles import coloring_sum_pmf, count_total_cdf, inverted_sums, multinomial_sums
 
 
 def test_two_point_moments():
@@ -377,9 +380,11 @@ def test_centered_sums_are_sums_of_per_size_counts(nu, lo, hi):
     # 300 colorings of 61 ids with pieces 0..3 on ids lo..hi-1: a full chunk
     # and a partial one, each drawn from its own stream color-chunk:i. The
     # plain loops redraw each chunk's per-size multinomial counts over the
-    # atoms in draw-table order, and sum them with the same float operations
-    # in the same order, so the sums agree bit for bit. A zero variance
-    # (point mass, dead atoms, empty window) gives +0.0 exactly.
+    # atoms in draw-table order or, for a two-entry table, invert the
+    # chunk's uniforms through the convolved binomials' cdf, and sum them
+    # with the same float operations in the same order, so the sums agree
+    # bit for bit. A zero variance (point mass, dead atoms, empty window)
+    # gives +0.0 exactly.
     piece = np.zeros(61, dtype=np.int64)
     piece[lo:hi] = np.arange(lo, hi) % 4
     count = _COLOR_CHUNK + 44
@@ -394,7 +399,9 @@ def test_centered_sums_are_sums_of_per_size_counts(nu, lo, hi):
             sd = math.sqrt(nu.variance * sum(int(s) ** 2 for s in piece))
             expected += [sd * z for z in rng.standard_normal(size).tolist()] if sd else [0.0] * size
         else:
-            expected += multinomial_sums(rng, size, piece.tolist(), _table_atoms(nu), nu.mean)
+            atoms = _table_atoms(nu)
+            draw = inverted_sums if len(atoms) == 2 else multinomial_sums
+            expected += draw(rng, size, piece.tolist(), atoms, nu.mean)
     assert sums.tobytes() == np.array(expected).tobytes()
     if nu.variance == 0.0 or lo == hi:
         assert not sums.any() and not np.signbit(sums).any()
@@ -405,6 +412,66 @@ def _table_atoms(nu) -> list[tuple[float, float]]:
     if isinstance(nu, TwoPoint):
         return [(nu.b, nu.alpha), (nu.a, 1.0 - nu.alpha)]
     return list(nu.atoms_spec)
+
+
+def test_fft_length_is_the_least_3_smooth_length():
+    # Against a plain search for the least m >= n whose only prime factors are 2 and 3.
+    def smooth(m: int) -> bool:
+        for f in (2, 3):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    for n in range(1, 3000):
+        m = n
+        while not smooth(m):
+            m += 1
+        assert _fft_length(n) == m, n
+
+
+@pytest.mark.parametrize(
+    "piece,p,window",
+    [
+        ([5], 0.3, "both"),
+        ([0, 0, 0], 0.3, "point"),
+        ([], 0.7, "point"),
+        ([2] * 150 + [4] * 60 + [6] * 10, 0.5, "inner"),
+        ([1] * 401, 0.5, "inner"),
+        ([1] * 300 + [2] * 100 + [3] * 20, 0.01, "zero"),
+        ([1] * 300 + [2] * 100 + [3] * 20, 0.99, "whole"),
+        ([1] * 100, 0.3, "zero"),
+        ([1] * 100, 0.7, "whole"),
+        ([0, 1, 3, 3, 7], 0.0, "point"),
+        ([0, 1, 3, 3, 7], 1.0, "point"),
+    ],
+    ids=[
+        "one-piece", "empty-window", "no-pieces", "even-sizes", "even-circle", "w0-0.01", "w0-0.99",
+        "clipped-at-0", "clipped-at-W", "w0-0", "w0-1",
+    ],
+)
+def test_count_total_law_is_the_convolved_binomials(piece, p, window):
+    # The two-atom sampler's law of T = sum_j piece[j] b_j, b_j ~ Bernoulli(p),
+    # against plain convolutions of Bin(n_s, p) pmfs over all of [0, W]: the
+    # cdfs agree within 1e-10 everywhere, so the mass the window leaves out
+    # is below that too. window names where the window [lo, hi] meets
+    # [0, W]: inside both ends, clipped at 0 or at W or both, or one point.
+    # "even-circle" has an even circle at p = 1/2, where one factor of the
+    # transform is exactly 0; the ids say which case each row pins.
+    sizes, n = piece_sizes(np.array(piece, dtype=np.int64))
+    lo, cdf = _count_total_law(sizes, n, p)
+    whole = sum(piece)
+    hi = lo + cdf.size - 1
+    assert {
+        "both": lo == 0 and hi == whole,
+        "zero": lo == 0 < hi < whole,
+        "whole": 0 < lo < hi == whole,
+        "inner": 0 < lo < hi < whole,
+        "point": lo == hi == round(p * whole),
+    }[window]
+    law = np.ones(whole + 1)
+    law[:lo] = 0.0
+    law[lo : hi + 1] = cdf / cdf[-1]
+    assert np.abs(law - count_total_cdf(piece, p)).max() <= 1e-10
 
 
 @pytest.mark.parametrize(

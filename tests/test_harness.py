@@ -45,7 +45,7 @@ from dcl.rng import derive_rng, derive_streams
 from dcl.stats import TestReport
 from dcl.theory import GaussianLaw, GaussianMixture, PointMass, TwoPointLaw
 
-from oracles import box_sites, multinomial_sums, tv_distance_to_atoms, window_sites
+from oracles import box_sites, inverted_sums, multinomial_sums, tv_distance_to_atoms, window_sites
 
 
 def test_config_validation():
@@ -759,8 +759,9 @@ def test_worker_count_does_not_change_results():
 def test_quenched_clt_color_chunks_match_chunk_streams(nu):
     # Two full chunks and a partial one. Chunk j's colorings come from the
     # one stream color-chunk:j whichever worker draws it: the plain loops
-    # redraw its per-size multinomial counts, or its normals, and sum them
-    # with the same float operations in the same order, bit for bit.
+    # redraw its per-size multinomial counts, its normals, or for two atoms
+    # its uniforms inverted through the convolved binomials' cdf, and sum
+    # them with the same float operations in the same order, bit for bit.
     reps = 2 * _COLOR_CHUNK + 37
     base = dict(d=2, radii=12, p=0.4, nu=nu, color_replicates=reps, master_seed=11, margin=4)
     stats = run_quenched_clt(ExperimentConfig(**base, workers=1)).samples["statistic"]
@@ -782,7 +783,8 @@ def test_quenched_clt_color_chunks_match_chunk_streams(nu):
             sd = math.sqrt(law.variance * sum(s * s for s in piece))
             expected += [sd * z for z in rng.standard_normal(size).tolist()]
             continue
-        expected += multinomial_sums(rng, size, piece, atoms, law.mean)
+        draw = inverted_sums if len(atoms) == 2 else multinomial_sums
+        expected += draw(rng, size, piece, atoms, law.mean)
     assert stats == [value / math.sqrt(ids.size) for value in expected]
 
 

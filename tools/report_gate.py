@@ -113,10 +113,10 @@ INVOCATIONS: dict[str, list[str]] = {
         "--proxy", "disabled", "--nu", "gaussian:0.5,2", "--graph-replicates", "3",
     ],
     # Quenched windows outside d=2: nested windows of a 3D box, a 1D window
-    # that is the whole box, and a 3D window of 5^3 sites. Both clt entries
-    # exit 2 on checks that windows this small miss: the mean-cluster-size
-    # target in both, the Gaussian KS in 1D, and in 3D the 5% exact-variance
-    # band, which 500 colorings (an SE of ~6%) cannot hold.
+    # that is the whole box, and a 3D window of 5^3 sites. The 1D clt entry
+    # exits 2 on the mean-cluster-size target, which a window this small
+    # misses. The 3D one's exit follows its draws: its 5% exact-variance
+    # band is about one SE (~6%) of 500 colorings.
     "lln-quenched-d3": [
         "lln", "--mode", "quenched", "--dim", "3", "--radius", "2", "--radius", "4", "--radius", "6",
         "--margin", "1", "--p", "0.4", "--graph-replicates", "5",
@@ -210,11 +210,20 @@ INVOCATIONS: dict[str, list[str]] = {
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0,2:0.8",
         "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
     ],
-    # A two-entry discrete table: its counts are one binomial per piece size.
+    # A two-entry discrete table: each coloring inverts one uniform through
+    # the law of the total piece that drew the first atom.
     # Like clt-quenched-discrete it exits 2: the default margin leaves a window
     # too small for the variance targets and the Gaussian KS.
     "clt-quenched-discrete2": _QUENCHED + [
         "--radius", "16", "--p", "0.3", "--nu", "discrete:-1:0.3,2:0.7",
+    ],
+    # A large window at the default 1000 colorings, and its --workers 2 twin:
+    # the law of the two-atom count total, whose support is [0, 44521], is
+    # kept on the 5020 points around its mean that hold all but 2e^-42 of
+    # it, and each chunk inverts its uniforms there.
+    "clt-quenched-r128": _QUENCHED + ["--radius", "128", "--p", "0.3", "--nu", "two-point:-1,1,0.3"],
+    "clt-quenched-r128-w2": _QUENCHED + [
+        "--radius", "128", "--p", "0.3", "--nu", "two-point:-1,1,0.3", "--workers", "2",
     ],
     # Three live atoms, two thresholds per coloring, and its --workers 2 twin.
     "clt-quenched-live3": _QUENCHED + [
@@ -225,10 +234,9 @@ INVOCATIONS: dict[str, list[str]] = {
         "--radius", "16", "--margin", "4", "--p", "0.3", "--nu", "discrete:-1:0.2,0:0.3,2.5:0.5",
         "--color-replicates", "1500", "--graph-replicates", "3", "--workers", "2",
     ],
-    # Non-dyadic colors, so their sums round: the twin shows the summation
-    # order of the coloring blocks does not follow the worker count. At
-    # margin 4 the window reads ~400 cluster ids, so a 256-coloring chunk
-    # is several blocks of 2**15 // 400 colorings, the last one partial.
+    # Non-dyadic colors, so their sums round: the twin shows that the sums
+    # do not follow the worker count. The 1500 colorings are six chunks of
+    # 256, the last one partial.
     "clt-quenched-alpha03": _QUENCHED + [
         "--radius", "16", "--margin", "4", "--p", "0.3", "--nu", "two-point:-1,1,0.3",
         "--color-replicates", "1500", "--graph-replicates", "3",
